@@ -233,6 +233,7 @@ def _run_covering_checks(
     rng = rng_for(f"verify:{seed}")
     lift_failures = 0
     plays_checked = 0
+    first_failure = None
     for owner in (Player.I, Player.II):
         for _ in range(max(1, samples // 2)):
             candidate = random_strategy(rng, covering.source, owner)
@@ -241,7 +242,15 @@ def _run_covering_checks(
                 plays_checked += 1
                 if not verify_lift(covering, candidate, play).ok:
                     lift_failures += 1
-    report.check("lift", lift_failures == 0, f"{plays_checked} plays")
+                    first_failure = first_failure or (owner, play)
+    detail = f"{plays_checked} plays"
+    if first_failure is not None:
+        owner, play = first_failure
+        detail = (
+            f"{lift_failures} of {detail} fail; first: a strategy of player {owner},"
+            f" play {format_position(play)}"
+        )
+    report.check("lift", lift_failures == 0, detail)
     transfer = check_winning_transfer(covering, leaves, samples, seed)
     report.check("winning-transfer", *_split(transfer))
 
@@ -339,7 +348,9 @@ def cmd_export_dot(args) -> int:
     _, tree, payoff = _load(args.file)
     leaves = realize(tree, payoff)
     if args.covering:
-        covering, _ = _covering_for(tree, payoff, args.k, union=False, node_max=_node_max())
+        covering, _ = _covering_for(
+            tree, payoff, args.k, union=isinstance(payoff, ClosedUnion), node_max=_node_max()
+        )
         text = covering_dot(covering, leaves, node_max=_node_max())
     else:
         text = tree_dot(tree, leaves, node_max=_node_max())

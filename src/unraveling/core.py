@@ -7,9 +7,12 @@ the player it is tagged with, independent of any payoff set.
 
 Positions are tuples of move labels.  Labels are small non-negative
 integers in base games; derived games (see :mod:`unraveling.unravel`) use
-structured labels that provide their own ``sort_key``.  Sibling order is
-always the canonical label order, which makes "lexicographically least"
-tie-breaking well defined everywhere.
+structured labels that provide their own ``sort_key``.  Structured labels
+nest, so they are immutable and compute their hash and sort key at most
+once.  Sibling order is always the canonical label order, which makes
+"lexicographically least" tie-breaking well defined everywhere; a tree
+stores all its positions in canonical order, found by one breadth-first
+walk over the sorted siblings.
 """
 
 from __future__ import annotations
@@ -52,6 +55,15 @@ class PlayOutcome(enum.Enum):
 
 
 class StructuredLabel(Protocol):
+    """A derived move label: immutable and hashable, equal by value.
+
+    Labels are hashed on every lookup of a position that holds them and
+    keyed on every sort, so an implementation computes its hash and its
+    sort key at most once and keeps them.
+    """
+
+    def __hash__(self) -> int: ...
+
     def sort_key(self) -> tuple: ...
 
 
@@ -103,48 +115,48 @@ class GameTree:
     ):
         if depth < 2 or depth % 2 != 0:
             raise ValueError("depth bound must be an even integer >= 2")
-        normalized: dict[Position, tuple[Label, ...]] = {}
-        for position, labels in children.items():
-            ordered = tuple(sorted(labels, key=label_key))
-            if len(set(ordered)) != len(ordered):
-                raise ValueError(f"duplicate sibling labels under {format_position(position)}")
-            normalized[position] = ordered
-        if () not in normalized:
+        if () not in children:
             raise ValueError("missing root position")
-        # Prefix closure: every child named by a position must itself be stored,
-        # and everything stored must be reachable from the root.
-        reachable = 1
-        for position, labels in normalized.items():
-            if len(position) > depth:
-                raise ValueError(f"position {format_position(position)} exceeds depth bound")
+        # Breadth-first walk over the sorted child tuples: parents come out
+        # in canonical order, so their children do too, level by level.  The
+        # table is keyed by the tuples the walk creates, which the order
+        # shares, so each position is stored once.  Prefix closure: every
+        # named child must be stored, and the walk must reach everything.
+        table: dict[Position, tuple[Label, ...]] = {}
+        ordered: list[Position] = [()]
+        for position in ordered:  # grows while it is walked
+            try:
+                labels = tuple(sorted(children[position], key=label_key))
+            except KeyError:
+                raise ValueError(
+                    f"child {format_position(position)} not stored (prefix closure)"
+                ) from None
+            if len(set(labels)) != len(labels):
+                raise ValueError(f"duplicate sibling labels under {format_position(position)}")
             if len(position) == depth and labels:
                 raise ValueError(f"position {format_position(position)} at full depth has children")
-            for label in labels:
-                if position + (label,) not in normalized:
-                    raise ValueError(
-                        f"child {format_position(position + (label,))} not stored (prefix closure)"
-                    )
-                reachable += 1
-        if reachable != len(normalized):
+            table[position] = labels
+            ordered.extend(position + (label,) for label in labels)
+        if len(ordered) != len(children):
             raise ValueError("unreachable positions stored (prefix closure)")
         for position, owner in taboo.items():
-            if position not in normalized:
+            if position not in table:
                 raise ValueError(f"taboo tag on unknown position {format_position(position)}")
-            if normalized[position]:
+            if table[position]:
                 raise ValueError(f"taboo tag on non-terminal position {format_position(position)}")
             if len(position) == depth:
                 raise ValueError(f"taboo at full depth: {format_position(position)}")
             if not isinstance(owner, Player):
                 raise ValueError("taboo tag must name a player")
-        for position, labels in normalized.items():
+        for position, labels in table.items():
             if not labels and len(position) < depth and position not in taboo:
                 raise ValueError(
                     f"early terminal {format_position(position)} lacks a taboo tag (partition)"
                 )
         self.depth = depth
-        self._children = normalized
+        self._children = table
         self._taboo = dict(taboo)
-        self._ordered = sorted(normalized, key=lambda p: (len(p), position_key(p)))
+        self._ordered = tuple(ordered)
 
     @classmethod
     def from_nodes(
@@ -168,22 +180,20 @@ class GameTree:
     @classmethod
     def complete(cls, depth: int, branching: int) -> "GameTree":
         """Complete ``branching``-ary tree of the given depth, no early terminals."""
-        children: dict[Position, list[int]] = {}
-
-        def fill(position: Position) -> None:
-            if len(position) == depth:
-                children[position] = []
-                return
-            children[position] = list(range(branching))
-            for label in range(branching):
-                fill(position + (label,))
-
-        fill(())
+        labels = tuple(range(branching))
+        children: dict[Position, tuple[int, ...]] = {}
+        level: list[Position] = [()]
+        for _ in range(depth):
+            for position in level:
+                children[position] = labels
+            level = [position + (label,) for position in level for label in labels]
+        for position in level:
+            children[position] = ()
         return cls(depth, children)
 
-    def positions(self) -> Iterator[Position]:
+    def positions(self) -> tuple[Position, ...]:
         """All positions in canonical order (by length, then lexicographic)."""
-        return iter(self._ordered)
+        return self._ordered
 
     @property
     def node_count(self) -> int:

@@ -51,7 +51,7 @@ def solve(tree: GameTree, payoff) -> Solution:
     """
     _check_payoff(tree, payoff)
     values: dict[Position, Player] = {}
-    for position in sorted(tree.positions(), key=len, reverse=True):
+    for position in reversed(tree.positions()):
         labels = tree.children_of(position)
         if not labels:
             values[position] = _evaluate(tree, position, payoff)
@@ -105,7 +105,7 @@ class PruneResult:
 def _taboo_values(tree: GameTree, player: Player) -> dict[Position, bool]:
     """Per position: can ``player`` force every play below into opponent taboos."""
     values: dict[Position, bool] = {}
-    for position in sorted(tree.positions(), key=len, reverse=True):
+    for position in reversed(tree.positions()):
         labels = tree.children_of(position)
         if not labels:
             values[position] = tree.taboo_owner(position) is player.opponent

@@ -52,14 +52,39 @@ DEFAULT_FRONTIER_MAX = 10
 DEFAULT_NODE_MAX = 200_000
 
 
+class _KeptKeys:
+    """Shared part of the structured labels below.
+
+    A label's hash is computed once, when the label is built, and its sort
+    key on first use; both are kept.  Labels nest (a claimed position holds
+    earlier labels), so recomputing either would walk the whole nesting on
+    every dict lookup and every sort.  The key is lazy because the strategy
+    transform builds many short-lived labels it only looks up.
+    """
+
+    def sort_key(self) -> tuple:
+        try:
+            return self._sort_key
+        except AttributeError:
+            key = self._compute_sort_key()
+            object.__setattr__(self, "_sort_key", key)
+            return key
+
+
 @dataclass(frozen=True)
-class Claim:
+class Claim(_KeptKeys):
     """First player's decorated move: a base move plus the claimed frontier part."""
 
     move: Label
     claimed: tuple[Position, ...]
 
-    def sort_key(self) -> tuple:
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.move, self.claimed)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def _compute_sort_key(self) -> tuple:
         return (1, label_key(self.move), tuple(position_key(q) for q in self.claimed))
 
     def __str__(self) -> str:
@@ -68,12 +93,18 @@ class Claim:
 
 
 @dataclass(frozen=True)
-class Accept:
+class Accept(_KeptKeys):
     """Second player accepts the claim and plays a base move."""
 
     move: Label
 
-    def sort_key(self) -> tuple:
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.move,)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def _compute_sort_key(self) -> tuple:
         return (2, label_key(self.move))
 
     def __str__(self) -> str:
@@ -81,13 +112,19 @@ class Accept:
 
 
 @dataclass(frozen=True)
-class Challenge:
+class Challenge(_KeptKeys):
     """Second player challenges one claimed position; the move toward it is forced."""
 
     target: Position
     move: Label
 
-    def sort_key(self) -> tuple:
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.target, self.move)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def _compute_sort_key(self) -> tuple:
         return (3, position_key(self.target), label_key(self.move))
 
     def __str__(self) -> str:
@@ -193,31 +230,38 @@ def build_base_covering(
         if len(children) > node_max:
             raise ResourceLimitError(f"covering source exceeds {node_max} nodes")
 
+    # The two copies below walk depth first with an explicit stack, so deep
+    # chains cannot hit the recursion limit; children are pushed in reverse
+    # so nodes are added in preorder, the order the position table keeps.
     def copy_accept(node, image, claimed_set, frontier_set):
-        if image in frontier_set:
-            # Claim verdict: claimed frontier positions are losses for the
-            # second player, unclaimed ones concessions by the first.
-            add(node, image, Player.II if image in claimed_set else Player.I)
-            return
-        add(node, image, tree.taboo_owner(image))
-        for label in tree.children_of(image):
-            children[node].append(label)
-            copy_accept(node + (label,), image + (label,), claimed_set, frontier_set)
+        stack = [(node, image)]
+        while stack:
+            node, image = stack.pop()
+            if image in frontier_set:
+                # Claim verdict: claimed frontier positions are losses for the
+                # second player, unclaimed ones concessions by the first.
+                add(node, image, Player.II if image in claimed_set else Player.I)
+                continue
+            add(node, image, tree.taboo_owner(image))
+            labels = tree.children_of(image)
+            children[node].extend(labels)
+            stack.extend((node + (label,), image + (label,)) for label in reversed(labels))
 
     def copy_challenge(node, image, challenged):
-        add(node, image, tree.taboo_owner(image))
-        if len(image) < len(challenged):
-            if tree.is_terminal(image):
-                raise InternalInvariantError(
-                    f"terminal position {format_position(image)} on a challenged chain"
-                )
-            label = challenged[len(image)]
-            children[node].append(label)
-            copy_challenge(node + (label,), image + (label,), challenged)
-        else:
-            for label in tree.children_of(image):
-                children[node].append(label)
-                copy_challenge(node + (label,), image + (label,), challenged)
+        stack = [(node, image)]
+        while stack:
+            node, image = stack.pop()
+            add(node, image, tree.taboo_owner(image))
+            if len(image) < len(challenged):
+                if tree.is_terminal(image):
+                    raise InternalInvariantError(
+                        f"terminal position {format_position(image)} on a challenged chain"
+                    )
+                labels = (challenged[len(image)],)
+            else:
+                labels = tree.children_of(image)
+            children[node].extend(labels)
+            stack.extend((node + (label,), image + (label,)) for label in reversed(labels))
 
     for position in tree.positions():
         if len(position) > k:
@@ -278,6 +322,21 @@ def _strategy_maps(tree: GameTree, source: GameTree, k: int, frontiers):
                 return x[:end]  # the frontier is an antichain: first hit is the only one
         return None
 
+    # Replies do not depend on the strategy, so each is built once per
+    # covering rather than once per position of every mapped strategy.
+    accepts: dict[Label, Accept] = {}
+    challenges: dict[Position, Challenge] = {}
+
+    def accept(move: Label) -> Accept:
+        if move not in accepts:
+            accepts[move] = Accept(move)
+        return accepts[move]
+
+    def challenge(hit: Position) -> Challenge:
+        if hit not in challenges:
+            challenges[hit] = Challenge(hit, hit[k + 1])
+        return challenges[hit]
+
     def unchallenged(strategy: Strategy, p: Position, a: Label) -> tuple[Position, ...]:
         """Frontier positions this second-player strategy never challenges,
         whatever the claimed set."""
@@ -304,13 +363,14 @@ def _strategy_maps(tree: GameTree, source: GameTree, k: int, frontiers):
 
     def transform(strategy: Strategy) -> Strategy:
         owner = strategy.owner
-        never_cache: dict = {}
+        quiet_cache: dict = {}
         claim_cache: dict = {}
 
-        def never(p, a):
-            if (p, a) not in never_cache:
-                never_cache[(p, a)] = unchallenged(strategy, p, a)
-            return never_cache[(p, a)]
+        def quiet_claim(p, a):
+            """The claim of exactly the never-challenged frontier part."""
+            if (p, a) not in quiet_cache:
+                quiet_cache[(p, a)] = Claim(a, unchallenged(strategy, p, a))
+            return quiet_cache[(p, a)]
 
         def rebased_claim(p, a, target_position):
             key = (p, a, target_position)
@@ -329,9 +389,9 @@ def _strategy_maps(tree: GameTree, source: GameTree, k: int, frontiers):
                 return tree.children_of(x)[0]  # off the described play
             hit = frontier_prefix(x, (p, a))
             if hit is None:
-                node = p + (claim, Accept(x[k + 1])) + x[k + 2 :]
+                node = p + (claim, accept(x[k + 1])) + x[k + 2 :]
             elif hit in claim.claimed:
-                node = p + (claim, Challenge(hit, hit[k + 1])) + x[k + 2 :]
+                node = p + (claim, challenge(hit)) + x[k + 2 :]
             else:
                 return tree.children_of(x)[0]  # conceded region
             return strategy.choices[node]
@@ -340,9 +400,9 @@ def _strategy_maps(tree: GameTree, source: GameTree, k: int, frontiers):
             if len(x) < k:
                 return strategy.choices[x]
             p, a = x[:k], x[k]
-            quiet = never(p, a)
+            quiet = quiet_claim(p, a)
             if len(x) == k + 1:
-                reply = strategy.choices[p + (Claim(a, quiet),)]
+                reply = strategy.choices[p + (quiet,)]
                 if not isinstance(reply, Accept):
                     raise InternalInvariantError(
                         "reply to the never-challenged claim must be an accept"
@@ -350,18 +410,19 @@ def _strategy_maps(tree: GameTree, source: GameTree, k: int, frontiers):
                 return reply.move
             hit = frontier_prefix(x, (p, a))
             if hit is None:
-                node = p + (Claim(a, quiet), Accept(x[k + 1])) + x[k + 2 :]
-            elif hit in quiet:
+                node = p + (quiet, accept(x[k + 1])) + x[k + 2 :]
+            elif hit in quiet.claimed:
                 return tree.children_of(x)[0]  # conceded region
             else:
                 claim = rebased_claim(p, a, hit)
-                node = p + (claim, Challenge(hit, hit[k + 1])) + x[k + 2 :]
+                node = p + (claim, challenge(hit)) + x[k + 2 :]
             return strategy.choices[node]
 
         chooser = choice_first if owner is Player.I else choice_second
+        parity = 0 if owner is Player.I else 1  # the owner moves at these lengths
         choices = {}
         for x in tree.positions():
-            if tree.children_of(x) and Player.to_move(x) is owner:
+            if len(x) % 2 == parity and tree.children_of(x):
                 choices[x] = chooser(x)
         return Strategy(owner, choices)
 
@@ -375,21 +436,21 @@ def _strategy_maps(tree: GameTree, source: GameTree, k: int, frontiers):
                 return p + (claim,)
             hit = frontier_prefix(x, (p, a))
             if hit is None:
-                return p + (claim, Accept(x[k + 1])) + x[k + 2 :]
+                return p + (claim, accept(x[k + 1])) + x[k + 2 :]
             if hit in claim.claimed:
-                return p + (claim, Challenge(hit, hit[k + 1])) + x[k + 2 :]
-            return p + (claim, Accept(x[k + 1])) + hit[k + 2 :]
+                return p + (claim, challenge(hit)) + x[k + 2 :]
+            return p + (claim, accept(x[k + 1])) + hit[k + 2 :]
         quiet = unchallenged(strategy, p, a)
         claim = Claim(a, quiet)
         if len(x) == k + 1:
             return p + (claim,)
         hit = frontier_prefix(x, (p, a))
         if hit is None:
-            return p + (claim, Accept(x[k + 1])) + x[k + 2 :]
+            return p + (claim, accept(x[k + 1])) + x[k + 2 :]
         if hit in quiet:
-            return p + (claim, Accept(x[k + 1])) + hit[k + 2 :]
+            return p + (claim, accept(x[k + 1])) + hit[k + 2 :]
         rebased = least_challenging_claim(strategy, p, a, hit)
-        return p + (rebased, Challenge(hit, hit[k + 1])) + x[k + 2 :]
+        return p + (rebased, challenge(hit)) + x[k + 2 :]
 
     return transform, lift
 

@@ -9,7 +9,41 @@ from __future__ import annotations
 
 import itertools
 
-from unraveling.core import GameTree, Player, Position, Strategy, is_consistent, is_prefix
+from unraveling.core import (
+    GameTree,
+    Player,
+    Position,
+    Strategy,
+    is_consistent,
+    is_prefix,
+    position_key,
+)
+from unraveling.unravel import Accept, Claim
+
+
+def canonical_order_by_sort(nodes) -> list[Position]:
+    """Sort every node by length, then lexicographically by label keys."""
+    return sorted(nodes, key=lambda p: (len(p), position_key(p)))
+
+
+def fresh_label_key(label) -> tuple:
+    """A label's sort key recomputed through the whole nesting, reading no
+    key a label has kept."""
+    if isinstance(label, int):
+        return (0, label)
+
+    def fresh_position(position):
+        return tuple(fresh_label_key(inner) for inner in position)
+
+    if isinstance(label, Claim):
+        return (
+            1,
+            fresh_label_key(label.move),
+            tuple(fresh_position(q) for q in label.claimed),
+        )
+    if isinstance(label, Accept):
+        return (2, fresh_label_key(label.move))
+    return (3, fresh_position(label.target), fresh_label_key(label.move))
 
 
 def subtree_nodes(tree: GameTree, position: Position) -> set[Position]:

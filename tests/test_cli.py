@@ -1,7 +1,10 @@
 import contextlib
+import dataclasses
 import io
 
+from unraveling import cli
 from unraveling.cli import main
+from unraveling.core import format_position
 
 
 def run_cli(*argv):
@@ -163,12 +166,41 @@ def test_export_dot_covering_cross_links(fixtures_dir):
     assert "cluster_source" in out and "cluster_target" in out
 
 
+def test_export_dot_covering_of_union_payoff(fixtures_dir):
+    code, out, _ = run_cli("export-dot", game(fixtures_dir, "union.game"), "--covering")
+    assert code == 0
+    assert out.startswith("digraph covering {")
+
+
 def test_export_dot_to_file(fixtures_dir, tmp_path):
     target = tmp_path / "out.dot"
     code, out, _ = run_cli("export-dot", game(fixtures_dir, "ex3.game"), "--output", str(target))
     assert code == 0
     assert out == ""
     assert target.read_text() == (fixtures_dir / "ex3.dot").read_text()
+
+
+def test_verify_lift_failure_names_first_play(fixtures_dir, monkeypatch):
+    build = cli._covering_for
+    first = []
+
+    def with_broken_lift(*args, **kwargs):
+        covering, decided_depth = build(*args, **kwargs)
+
+        def lift(strategy, play):
+            if not first:
+                first.append((strategy.owner, play))
+                return play  # a target play: no source play has only base labels
+            return covering.lift(strategy, play)
+
+        return dataclasses.replace(covering, lift=lift), decided_depth
+
+    monkeypatch.setattr(cli, "_covering_for", with_broken_lift)
+    code, out, _ = run_cli("verify", game(fixtures_dir, "ex1.game"))
+    assert code == 2
+    owner, play = first[0]
+    assert "check lift: FAIL (1 of " in out
+    assert f"plays fail; first: a strategy of player {owner}, play {format_position(play)})" in out
 
 
 # ------------------------------------------------------------- exit codes
@@ -183,6 +215,18 @@ def test_exit_code_contract(fixtures_dir, tmp_path):
     assert code == 1
     assert "line 2" in err
     assert run_cli("unravel", game(fixtures_dir, "ex1.game"), "--k", "6")[0] == 1
+
+
+def test_unravel_deep_chain_within_default_recursion_limit(tmp_path):
+    depth = 3000
+    nodes = "\n".join("/".join(["0"] * n) for n in range(1, depth + 1))
+    chain = tmp_path / "chain.game"
+    chain.write_text(
+        f"GAME v1\nALPHABET 1\nDEPTH {depth}\nNODES\n{nodes}\nTABOOS\nPAYOFF closed\n0/0/0\n"
+    )
+    code, out, _ = run_cli("unravel", str(chain))
+    assert code == 0
+    assert "result: verified" in out
 
 
 def test_node_cap_environment_override(fixtures_dir, monkeypatch):

@@ -55,6 +55,25 @@ def test_tree_rejects_taboo_on_internal_node(ex1):
         GameTree.from_nodes(4, [p for p in ex1.positions() if p], {(0,): Player.I})
 
 
+@given(st.integers(0, 400))
+@settings(max_examples=30, deadline=None)
+def test_positions_match_sort_oracle(seed):
+    tree = random_tree(rng_for(f"order:{seed}"), depth=6, branching=3, taboos=3)
+    rng = rng_for(f"order-shuffle:{seed}")
+    nodes = list(tree.positions())
+    rng.shuffle(nodes)
+    children = {p: rng.sample(tree.children_of(p), len(tree.children_of(p))) for p in nodes}
+    rebuilt = GameTree(tree.depth, children, dict(tree.taboo_items()))
+    assert list(rebuilt.positions()) == oracles.canonical_order_by_sort(nodes)
+    assert rebuilt == tree
+
+
+def test_complete_deep_chain_within_default_recursion_limit():
+    chain = GameTree.complete(3000, 1)
+    assert chain.node_count == 3001
+    assert chain.positions()[-1] == (0,) * 3000
+
+
 def test_ex_fixture_sizes(ex1, ex2, ex3):
     assert ex1.node_count == 31
     assert ex2.node_count == 25

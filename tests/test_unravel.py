@@ -384,3 +384,54 @@ def test_construction_is_deterministic(ex1):
     assert first.source == second.source
     assert first.position_map == second.position_map
     assert first.frontiers == second.frontiers
+
+
+# ------------------------------------------- kept label keys, canonical order
+
+
+def _nested_union_covering():
+    tree, specs = random_union_instance("order:5", depth=6, branching=2, parts=3)
+    covering, _ = unravel_union(tree, specs, 0)
+    return covering
+
+
+def _rebuilt(label):
+    """An equal label built from fresh, equal parts all the way down."""
+    if isinstance(label, int):
+        return label
+
+    def position(p):
+        return tuple(_rebuilt(inner) for inner in p)
+
+    if isinstance(label, Claim):
+        return Claim(_rebuilt(label.move), tuple(position(q) for q in label.claimed))
+    if isinstance(label, Accept):
+        return Accept(_rebuilt(label.move))
+    return Challenge(position(label.target), _rebuilt(label.move))
+
+
+def test_union_source_order_matches_sort_oracle():
+    covering = _nested_union_covering()
+    source = covering.source
+    assert any(
+        isinstance(label, Claim) and any(not isinstance(x, int) for q in label.claimed for x in q)
+        for position in source.positions()
+        for label in position
+    ), "the instance must nest claims inside claimed positions"
+    assert list(source.positions()) == oracles.canonical_order_by_sort(covering.position_map)
+
+
+def test_structured_labels_keep_equal_hashes_and_fresh_sort_keys():
+    source = _nested_union_covering().source
+    labels = {label for position in source.positions() for label in position}
+    kinds = {type(label) for label in labels}
+    assert {Claim, Accept, Challenge} <= kinds
+    for label in labels:
+        if isinstance(label, int):
+            continue
+        twin = _rebuilt(label)
+        assert twin is not label
+        assert twin == label and hash(twin) == hash(label)
+        assert label.sort_key() == oracles.fresh_label_key(label)
+        assert label.sort_key() is label.sort_key()
+        assert twin.sort_key() == label.sort_key()
