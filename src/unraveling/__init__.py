@@ -4,13 +4,10 @@ from .core import (
     GameTree,
     InternalInvariantError,
     Player,
-    PlayOutcome,
     Position,
     ResourceLimitError,
     Strategy,
-    classify_play,
     consistent_plays,
-    evaluate_play,
     is_consistent,
     is_winning_strategy,
     least_strategy,
@@ -24,17 +21,13 @@ from .payoff import (
     ClosedUnion,
     Open,
     PayoffSpec,
-    closed_spec_from_decided,
-    complement_spec,
     decided_by_depth,
-    meets_payoff,
     realize,
 )
 from .solver import PruneResult, Solution, prune, solve, taboo_strategy, transfer_from_pruned
 from .covering import (
     CheckResult,
     Covering,
-    LiftReport,
     check_position_map,
     check_strategy_locality,
     check_winning_transfer,

@@ -4,8 +4,10 @@ Commands parse a game document, run the corresponding library operation,
 and print a deterministic report to standard output (timing goes to
 standard error so reports compare byte for byte across runs).
 
-Exit codes: 0 success or verified, 1 usage or parse errors, 2 property
-violation (the report then carries a counterexample).  The environment
+Exit codes: 0 success or verified, 1 usage or parse errors (bad arguments,
+files, environment values, caps, and covering preconditions the file or
+``--k`` breaks), 2 property violation (the report then carries a
+counterexample) or internal failure, reported in one line.  The environment
 variable ``UNRAVEL_NODE_MAX`` overrides the node cap used by tree
 construction and DOT export.
 """
@@ -100,7 +102,12 @@ class Report:
 
 def _node_max() -> int:
     value = os.environ.get("UNRAVEL_NODE_MAX")
-    return int(value) if value else DEFAULT_NODE_MAX
+    if not value:
+        return DEFAULT_NODE_MAX
+    try:
+        return int(value)
+    except ValueError:
+        raise _UsageError(f"UNRAVEL_NODE_MAX is not an integer: {value!r}") from None
 
 
 def _strategy_lines(strategy: Strategy) -> list[str]:
@@ -161,15 +168,18 @@ def _covering_for(tree, payoff, level, *, union: bool, node_max: int):
 
     Open payoffs reuse the covering of their closed complement (a covering
     unravels a set iff it unravels the complement); unions go through the
-    iterated construction.
+    iterated construction.  A precondition the construction rejects (the
+    level ``--k`` or the file's generators) is a usage error.
     """
-    if isinstance(payoff, ClosedUnion):
-        if not union:
-            raise _UsageError("union payoff requires --union")
-        return unravel_union(tree, payoff.parts, level, node_max=node_max)
-    if union:
-        return unravel_union(tree, [payoff.spec], level, node_max=node_max)
-    covering = build_base_covering(tree, payoff.spec, level, node_max=node_max)
+    if isinstance(payoff, ClosedUnion) and not union:
+        raise _UsageError("union payoff requires --union")
+    try:
+        if union:
+            parts = payoff.parts if isinstance(payoff, ClosedUnion) else [payoff.spec]
+            return unravel_union(tree, parts, level, node_max=node_max)
+        covering = build_base_covering(tree, payoff.spec, level, node_max=node_max)
+    except ValueError as error:
+        raise _UsageError(str(error)) from None
     return covering, covering.level + 2
 
 
@@ -288,13 +298,16 @@ def cmd_fuzz(args) -> int:
     report.add("branch", args.branch)
     passed = 0
     for index in range(args.samples):
-        tree, spec = random_game(
-            f"{args.seed}:{index}",
-            depth=args.depth,
-            branching=args.branch,
-            taboos=3,
-            generators=3,
-        )
+        try:
+            tree, spec = random_game(
+                f"{args.seed}:{index}",
+                depth=args.depth,
+                branching=args.branch,
+                taboos=3,
+                generators=3,
+            )
+        except ValueError as error:  # --depth or --branch out of range
+            raise _UsageError(str(error)) from None
         leaves = realize(tree, Closed(spec))
         failure = _fuzz_one(tree, spec, leaves, args)
         if failure is not None:
@@ -410,17 +423,14 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         code = args.run(args)
-    except _UsageError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return EXIT_USAGE
-    except GameDocError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return EXIT_USAGE
-    except (OSError, ValueError, ResourceLimitError) as error:
+    except (_UsageError, GameDocError, OSError, ResourceLimitError) as error:
         print(f"error: {error}", file=sys.stderr)
         return EXIT_USAGE
     except InternalInvariantError as error:
         print(f"internal invariant violated: {error}", file=sys.stderr)
+        return EXIT_VIOLATION
+    except ValueError as error:  # any other is a failed internal check, not bad input
+        print(f"internal error: {error}", file=sys.stderr)
         return EXIT_VIOLATION
     print(f"time: {time.monotonic() - started:.3f}s", file=sys.stderr)
     return code

@@ -48,12 +48,6 @@ class Player(enum.Enum):
         return self.value
 
 
-class PlayOutcome(enum.Enum):
-    FULL_DEPTH = "full-depth"   # models an infinite play
-    TABOO_I = "taboo-I"         # early terminal, loss for player I
-    TABOO_II = "taboo-II"       # early terminal, loss for player II
-
-
 class StructuredLabel(Protocol):
     """A derived move label: immutable and hashable, equal by value.
 
@@ -319,18 +313,6 @@ def subtree_at(tree: GameTree, position: Position) -> GameTree:
     return GameTree(tree.depth, children, taboo)
 
 
-def classify_play(tree: GameTree, play: Position) -> PlayOutcome:
-    """Full-depth or the taboo tag; only defined on terminal positions."""
-    if not tree.is_terminal(play):
-        raise ValueError(f"{format_position(play)} is not a play (non-terminal)")
-    if len(play) == tree.depth:
-        return PlayOutcome.FULL_DEPTH
-    owner = tree.taboo_owner(play)
-    if owner is None:
-        raise InternalInvariantError("untagged early terminal")
-    return PlayOutcome.TABOO_I if owner is Player.I else PlayOutcome.TABOO_II
-
-
 def is_consistent(position: Position, strategy: Strategy) -> bool:
     """True iff the owner's moves along ``position`` all follow the strategy."""
     start = 0 if strategy.owner is Player.I else 1
@@ -368,18 +350,12 @@ def _check_payoff(tree: GameTree, payoff: Iterable[Position]) -> None:
             )
 
 
-def evaluate_play(tree: GameTree, play: Position, payoff: frozenset | set) -> Player:
-    """Winner of one play: I iff it lies in the payoff set or is taboo for II."""
-    _check_payoff(tree, payoff)
-    return _evaluate(tree, play, payoff)
-
-
 def _evaluate(tree: GameTree, play: Position, payoff) -> Player:
-    outcome = classify_play(tree, play)
-    if outcome is PlayOutcome.TABOO_II:
-        return Player.I
-    if outcome is PlayOutcome.TABOO_I:
-        return Player.II
+    """Winner of one play: the opponent of its taboo owner if it is an early
+    terminal (``GameTree`` tags every one), else I iff it lies in the payoff."""
+    owner = tree.taboo_owner(play)
+    if owner is not None:
+        return owner.opponent
     return Player.I if play in payoff else Player.II
 
 

@@ -57,9 +57,6 @@ class Covering:
     strategy_transform: Callable[[Strategy], Strategy]
     lift: Callable[[Strategy, Position], Position]
 
-    def map_position(self, position: Position) -> Position:
-        return self.position_map[position]
-
 
 def identity_covering(tree: GameTree, level: int | None = None) -> Covering:
     return Covering(

@@ -95,22 +95,6 @@ def realize(tree: GameTree, payoff: PayoffSpec) -> frozenset:
     raise TypeError(f"not a payoff spec: {payoff!r}")
 
 
-def complement_spec(payoff: PayoffSpec) -> PayoffSpec:
-    """Swap Closed and Open; an involution that commutes with realization."""
-    if isinstance(payoff, Closed):
-        return Open(payoff.spec)
-    if isinstance(payoff, Open):
-        return Closed(payoff.spec)
-    raise ValueError("complement of a union of closed sets is not representable")
-
-
-def meets_payoff(tree: GameTree, position: Position, payoff_leaves) -> bool:
-    """True iff some full-depth play extending ``position`` lies in the set."""
-    if position not in tree:
-        raise ValueError(f"unknown position {format_position(position)}")
-    return any(is_prefix(position, leaf) for leaf in payoff_leaves)
-
-
 def decided_by_depth(tree: GameTree, leaves, depth: int) -> bool:
     """True iff membership depends only on the length-``depth`` prefix."""
     if not 0 <= depth <= tree.depth:
@@ -124,34 +108,16 @@ def decided_by_depth(tree: GameTree, leaves, depth: int) -> bool:
     return True
 
 
-def _complement_generators(tree: GameTree, leaves, depth: int, strict: bool):
+def _complement_generators(tree: GameTree, leaves, depth: int) -> ClosedSpec:
+    """Generators at ``depth`` whose closed realization is the complement of
+    a set decided by ``depth``.  Positions without full-depth descendants
+    are skipped: they exclude nothing, and in a taboo tree they may be
+    terminal."""
     generators = []
     for position in tree.positions():
-        if len(position) != depth:
-            continue
-        if tree.is_terminal(position):
-            if strict:
-                raise ValueError(
-                    f"terminal position {format_position(position)} at depth {depth}"
-                )
+        if len(position) != depth or tree.is_terminal(position):
             continue
         below = [leaf for leaf in tree.full_depth_plays() if is_prefix(position, leaf)]
-        if not strict and not below:
-            continue  # excludes nothing; would be a vacuous generator
-        if all(leaf in leaves for leaf in below):
+        if below and all(leaf in leaves for leaf in below):
             generators.append(position)
     return ClosedSpec(generators)
-
-
-def closed_spec_from_decided(tree: GameTree, leaves, depth: int) -> ClosedSpec:
-    """Generators (at ``depth``) whose closed realization is the complement.
-
-    Requires the set to be decided by ``depth`` and every depth-``depth``
-    position to be non-terminal; then ``realize(Closed(result))`` equals the
-    full-depth plays outside ``leaves``, exactly.
-    """
-    if not depth < tree.depth:
-        raise ValueError("conversion depth must be below the depth bound")
-    if not decided_by_depth(tree, leaves, depth):
-        raise ValueError(f"set is not decided by depth {depth}")
-    return _complement_generators(tree, leaves, depth, strict=True)

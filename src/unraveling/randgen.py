@@ -24,18 +24,19 @@ def random_tree(
     taboos: int = 2,
 ) -> GameTree:
     """Random arena: grow a full tree, then cut an antichain into taboos."""
+    # Depth first with an explicit stack, so deep trees cannot hit the
+    # recursion limit; children are pushed in reverse so that positions are
+    # grown, and ``rng`` is called, in preorder.
     children: dict[Position, list[int]] = {}
-
-    def grow(position: Position) -> None:
-        if len(position) == depth:
+    stack: list[Position] = [()]
+    while stack:
+        position = stack.pop()
+        if len(position) >= depth:  # >=: a negative depth still ends the walk
             children[position] = []
-            return
+            continue
         width = rng.randint(1, branching)
         children[position] = list(range(width))
-        for label in range(width):
-            grow(position + (label,))
-
-    grow(())
+        stack.extend(position + (label,) for label in reversed(range(width)))
 
     candidates = [p for p in children if 0 < len(p) < depth]
     rng.shuffle(candidates)

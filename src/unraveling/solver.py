@@ -1,8 +1,13 @@
 """Brute-force ground truth: backward induction and taboo-pruning.
 
-Every finite game with taboos is determined; ``solve`` labels each node
-with its winner and extracts a verified winning strategy, tie-breaking by
-the lexicographically least move so results are reproducible.
+Every finite game with taboos is determined.  One backward-induction kernel,
+``_winners``, labels each node with its winner under a rule for the leaves
+(a node is won by its mover iff some child is), and one extraction,
+``_least_winning``, turns a labeling into a strategy, tie-breaking by the
+lexicographically least move so results are reproducible.  ``solve`` is
+the kernel with the payoff at the leaves; ``taboo_strategy`` and ``prune``
+use it with the leaf rule "the player wins exactly the opponent's taboos",
+whose labeling is the player's taboo attractor.
 
 ``prune`` removes from the tree every position from which some player can
 force every play into a taboo against the opponent.  The removed region is
@@ -41,46 +46,60 @@ class Solution:
     values: Mapping[Position, Player]
 
 
-def solve(tree: GameTree, payoff) -> Solution:
-    """Backward induction over the whole arena.
-
-    Leaves evaluate by payoff membership and taboo tags; an internal node
-    is a win for its mover iff some child is.  The returned strategy picks
-    the least winning child where the winner is to move (the least child
-    where they are already lost).
-    """
-    _check_payoff(tree, payoff)
+def _winners(tree: GameTree, leaf_winner) -> dict[Position, Player]:
+    """Backward induction: the winner of every node, given the winner of
+    every play by ``leaf_winner``.  A node is won by its mover iff some
+    child is."""
     values: dict[Position, Player] = {}
     for position in reversed(tree.positions()):
         labels = tree.children_of(position)
         if not labels:
-            values[position] = _evaluate(tree, position, payoff)
+            values[position] = leaf_winner(position)
             continue
-        mover = Player.to_move(position)
+        mover = Player.I if len(position) % 2 == 0 else Player.II
         child_values = [values[position + (label,)] for label in labels]
         values[position] = mover if mover in child_values else mover.opponent
-    winner = values[()]
+    return values
+
+
+def _least_winning(tree: GameTree, owner: Player, values) -> Strategy:
+    """At each of the owner's decision positions, the least child the owner
+    wins by ``values``, or else the least child."""
     choices = {}
     for position in tree.positions():
         labels = tree.children_of(position)
-        if not labels or Player.to_move(position) is not winner:
+        if not labels or Player.to_move(position) is not owner:
             continue
-        winning = [label for label in labels if values[position + (label,)] is winner]
+        winning = [label for label in labels if values[position + (label,)] is owner]
         choices[position] = winning[0] if winning else labels[0]
-    return Solution(winner, Strategy(winner, choices), values)
+    return Strategy(owner, choices)
+
+
+def _taboo_leaf(tree: GameTree, player: Player):
+    """Leaf rule of forcing a taboo: ``player`` wins exactly the opponent's taboos."""
+    opponent = player.opponent
+    return lambda play: player if tree.taboo_owner(play) is opponent else opponent
+
+
+def solve(tree: GameTree, payoff) -> Solution:
+    """Backward induction over the whole arena.
+
+    Leaves evaluate by payoff membership and taboo tags.  The returned
+    strategy picks the least winning child where the winner is to move (the
+    least child where they are already lost).
+    """
+    _check_payoff(tree, payoff)
+    values = _winners(tree, lambda play: _evaluate(tree, play, payoff))
+    winner = values[()]
+    return Solution(winner, _least_winning(tree, winner, values), values)
 
 
 def taboo_strategy(tree: GameTree, position: Position, player: Player) -> Strategy | None:
     """A strategy in the subtree at ``position`` forcing every play into a
-    taboo for the opponent, if one exists.
-
-    Computed by solving the subtree with the payoff "only opponent-taboo
-    plays win": the empty set for player I, every full-depth play for II.
-    """
+    taboo for the opponent, if one exists."""
     subtree = subtree_at(tree, position)
-    payoff = frozenset() if player is Player.I else frozenset(subtree.full_depth_plays())
-    solution = solve(subtree, payoff)
-    return solution.strategy if solution.winner is player else None
+    values = _winners(subtree, _taboo_leaf(subtree, player))
+    return _least_winning(subtree, player, values) if values[()] is player else None
 
 
 @dataclass(frozen=True)
@@ -102,44 +121,13 @@ class PruneResult:
     witnesses: Mapping[Position, Strategy]
 
 
-def _taboo_values(tree: GameTree, player: Player) -> dict[Position, bool]:
-    """Per position: can ``player`` force every play below into opponent taboos."""
-    values: dict[Position, bool] = {}
-    for position in reversed(tree.positions()):
-        labels = tree.children_of(position)
-        if not labels:
-            values[position] = tree.taboo_owner(position) is player.opponent
-        elif Player.to_move(position) is player:
-            values[position] = any(values[position + (label,)] for label in labels)
-        else:
-            values[position] = all(values[position + (label,)] for label in labels)
-    return values
-
-
-def _forcing_witness(
-    tree: GameTree, root: Position, player: Player, can_force: Mapping[Position, bool]
-) -> Strategy:
-    """Forcing strategy on the subtree at ``root``, total via least-move fill."""
-    subtree = subtree_at(tree, root)
-    choices = {}
-    for position in subtree.positions():
-        labels = subtree.children_of(position)
-        if not labels or Player.to_move(position) is not player:
-            continue
-        forcing = [
-            label
-            for label in labels
-            if len(position) >= len(root) and can_force.get(position + (label,))
-        ]
-        choices[position] = forcing[0] if forcing else labels[0]
-    return Strategy(player, choices)
-
-
 def prune(tree: GameTree) -> PruneResult:
-    can_force = {Player.I: _taboo_values(tree, Player.I), Player.II: _taboo_values(tree, Player.II)}
+    attractor = {player: _winners(tree, _taboo_leaf(tree, player)) for player in Player}
+    won_by_i, won_by_ii = attractor[Player.I], attractor[Player.II]
     determined: dict[Position, Player] = {}
     for position in tree.positions():
-        for_i, for_ii = can_force[Player.I][position], can_force[Player.II][position]
+        for_i = won_by_i[position] is Player.I
+        for_ii = won_by_ii[position] is Player.II
         if for_i and for_ii:
             raise InternalInvariantError(
                 f"{format_position(position)} taboo-determined for both players"
@@ -158,9 +146,11 @@ def prune(tree: GameTree) -> PruneResult:
             removed.add(position)
             minimal.append(position)
 
+    # Below a minimal position the subtree is the full tree's, so its
+    # labeling is the attractor's; above it the subtree has a single child.
     witnesses = {
-        position: _forcing_witness(
-            tree, position, determined[position], can_force[determined[position]]
+        position: _least_winning(
+            subtree_at(tree, position), determined[position], attractor[determined[position]]
         )
         for position in minimal
     }

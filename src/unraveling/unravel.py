@@ -164,8 +164,12 @@ def frontier(tree: GameTree, payoff_leaves, prefix: Position, move: Label):
         raise ValueError(f"unknown position {format_position(start)}")
     if tree.is_terminal(start):
         raise ValueError(f"{format_position(start)} is terminal")
-    meets = {leaf[:i] for leaf in payoff_leaves for i in range(tree.depth + 1)}
-    return _frontier(tree, meets, start)
+    return _frontier(tree, _meets(tree, payoff_leaves), start)
+
+
+def _meets(tree: GameTree, payoff_leaves) -> set:
+    """Every position some play of the payoff set passes through."""
+    return {leaf[:i] for leaf in payoff_leaves for i in range(tree.depth + 1)}
 
 
 def _frontier(tree: GameTree, meets: set, start: Position) -> tuple[Position, ...]:
@@ -214,8 +218,7 @@ def build_base_covering(
                 f"generator {format_position(generator)} too shallow for level {k}"
                 f" (need depth >= {floor})"
             )
-    payoff = realize(tree, Closed(spec))
-    meets = {leaf[:i] for leaf in payoff for i in range(tree.depth + 1)}
+    meets = _meets(tree, realize(tree, Closed(spec)))
 
     children: dict[Position, list] = {}
     taboo: dict[Position, Player] = {}
@@ -312,7 +315,20 @@ def build_base_covering(
 
 
 def _strategy_maps(tree: GameTree, source: GameTree, k: int, frontiers):
-    """The strategy map and the constructive lift of a base covering."""
+    """The strategy map and the constructive lift of a base covering.
+
+    Both rest on one locator: given a source strategy, ``locate(x)`` names
+    the source node that a target position ``x`` past level ``k`` comes
+    from, and whether it is exact.  The claim on the way is player I's own
+    claim move (``(None, False)`` if ``x`` takes another move); for player
+    II it is the claim of the frontier part II never challenges, unless
+    ``x`` enters a frontier position II does challenge, where it is the
+    least claim II answers with that challenge.  Past a frontier position
+    the owner gave up (unclaimed by I, claimed but unchallenged against II)
+    the node is the one cut at that position, a taboo against the owner,
+    and inexact.  The transform follows the strategy at exact nodes and
+    takes the least move elsewhere; the lift is the located node.
+    """
     frontier_sets = {key: frozenset(front) for key, front in frontiers.items()}
 
     def frontier_prefix(x: Position, key) -> Position | None:
@@ -328,129 +344,108 @@ def _strategy_maps(tree: GameTree, source: GameTree, k: int, frontiers):
     challenges: dict[Position, Challenge] = {}
 
     def accept(move: Label) -> Accept:
-        if move not in accepts:
-            accepts[move] = Accept(move)
-        return accepts[move]
+        reply = accepts.get(move)
+        if reply is None:
+            reply = accepts[move] = Accept(move)
+        return reply
 
     def challenge(hit: Position) -> Challenge:
-        if hit not in challenges:
-            challenges[hit] = Challenge(hit, hit[k + 1])
-        return challenges[hit]
+        reply = challenges.get(hit)
+        if reply is None:
+            reply = challenges[hit] = Challenge(hit, hit[k + 1])
+        return reply
 
-    def unchallenged(strategy: Strategy, p: Position, a: Label) -> tuple[Position, ...]:
-        """Frontier positions this second-player strategy never challenges,
-        whatever the claimed set."""
-        front = frontiers[(p, a)]
-        if source.is_terminal(p + (Claim(a, ()),)):
-            return front
-        challenged = set()
-        for claimed in _subsets_counter(front):
-            reply = strategy.choices[p + (Claim(a, claimed),)]
-            if isinstance(reply, Challenge):
-                challenged.add(reply.target)
-        return tuple(q for q in front if q not in challenged)
+    def locator(strategy: Strategy):
+        first = strategy.owner is Player.I
+        chosen = strategy.choices
+        quiet_claims: dict = {}
+        rebased_claims: dict = {}
 
-    def least_challenging_claim(strategy, p, a, target_position) -> Claim:
-        """First claimed set (binary-counter order) the strategy answers by
-        challenging the given position."""
-        for claimed in _subsets_counter(frontiers[(p, a)]):
-            if target_position not in claimed:
-                continue
-            reply = strategy.choices[p + (Claim(a, claimed),)]
-            if isinstance(reply, Challenge) and reply.target == target_position:
-                return Claim(a, claimed)
-        raise InternalInvariantError("no claimed set challenges the position")
+        def quiet_claim(p: Position, a: Label) -> Claim:
+            """The claim of exactly the frontier part the strategy never
+            challenges, whatever the claimed set."""
+            claim = quiet_claims.get((p, a))
+            if claim is None:
+                front = frontiers[(p, a)]
+                challenged = set()
+                if not source.is_terminal(p + (Claim(a, ()),)):
+                    for claimed in _subsets_counter(front):
+                        reply = chosen[p + (Claim(a, claimed),)]
+                        if isinstance(reply, Challenge):
+                            challenged.add(reply.target)
+                claim = Claim(a, tuple(q for q in front if q not in challenged))
+                quiet_claims[(p, a)] = claim
+            return claim
+
+        def rebased_claim(p: Position, a: Label, hit: Position) -> Claim:
+            """The first claim (binary-counter order) the strategy answers
+            by challenging ``hit``."""
+            if (p, a, hit) not in rebased_claims:
+                for claimed in _subsets_counter(frontiers[(p, a)]):
+                    if hit not in claimed:
+                        continue
+                    reply = chosen[p + (Claim(a, claimed),)]
+                    if isinstance(reply, Challenge) and reply.target == hit:
+                        rebased_claims[(p, a, hit)] = Claim(a, claimed)
+                        break
+                else:
+                    raise InternalInvariantError("no claimed set challenges the position")
+            return rebased_claims[(p, a, hit)]
+
+        def locate(x: Position) -> tuple[Position | None, bool]:
+            p, a = x[:k], x[k]
+            if first:
+                claim = chosen[p]
+                if claim.move != a:
+                    return None, False  # off the described play
+            else:
+                claim = quiet_claim(p, a)
+            if len(x) == k + 1:
+                return p + (claim,), True
+            hit = frontier_prefix(x, (p, a))
+            if hit is None:
+                return p + (claim, accept(x[k + 1])) + x[k + 2 :], True
+            if first and hit in claim.claimed:
+                return p + (claim, challenge(hit)) + x[k + 2 :], True
+            if not first and hit not in claim.claimed:
+                return p + (rebased_claim(p, a, hit), challenge(hit)) + x[k + 2 :], True
+            return p + (claim, accept(x[k + 1])) + hit[k + 2 :], False
+
+        return locate
 
     def transform(strategy: Strategy) -> Strategy:
-        owner = strategy.owner
-        quiet_cache: dict = {}
-        claim_cache: dict = {}
-
-        def quiet_claim(p, a):
-            """The claim of exactly the never-challenged frontier part."""
-            if (p, a) not in quiet_cache:
-                quiet_cache[(p, a)] = Claim(a, unchallenged(strategy, p, a))
-            return quiet_cache[(p, a)]
-
-        def rebased_claim(p, a, target_position):
-            key = (p, a, target_position)
-            if key not in claim_cache:
-                claim_cache[key] = least_challenging_claim(strategy, p, a, target_position)
-            return claim_cache[key]
-
-        def choice_first(x: Position) -> Label:
-            if len(x) < k:
-                return strategy.choices[x]
-            if len(x) == k:
-                return strategy.choices[x].move
-            p, a = x[:k], x[k]
-            claim = strategy.choices[p]
-            if claim.move != a:
-                return tree.children_of(x)[0]  # off the described play
-            hit = frontier_prefix(x, (p, a))
-            if hit is None:
-                node = p + (claim, accept(x[k + 1])) + x[k + 2 :]
-            elif hit in claim.claimed:
-                node = p + (claim, challenge(hit)) + x[k + 2 :]
-            else:
-                return tree.children_of(x)[0]  # conceded region
-            return strategy.choices[node]
-
-        def choice_second(x: Position) -> Label:
-            if len(x) < k:
-                return strategy.choices[x]
-            p, a = x[:k], x[k]
-            quiet = quiet_claim(p, a)
-            if len(x) == k + 1:
-                reply = strategy.choices[p + (quiet,)]
-                if not isinstance(reply, Accept):
-                    raise InternalInvariantError(
-                        "reply to the never-challenged claim must be an accept"
-                    )
-                return reply.move
-            hit = frontier_prefix(x, (p, a))
-            if hit is None:
-                node = p + (quiet, accept(x[k + 1])) + x[k + 2 :]
-            elif hit in quiet.claimed:
-                return tree.children_of(x)[0]  # conceded region
-            else:
-                claim = rebased_claim(p, a, hit)
-                node = p + (claim, challenge(hit)) + x[k + 2 :]
-            return strategy.choices[node]
-
-        chooser = choice_first if owner is Player.I else choice_second
-        parity = 0 if owner is Player.I else 1  # the owner moves at these lengths
+        locate = locator(strategy)
+        chosen = strategy.choices
+        parity = 0 if strategy.owner is Player.I else 1  # the owner moves at these lengths
         choices = {}
         for x in tree.positions():
-            if len(x) % 2 == parity and tree.children_of(x):
-                choices[x] = chooser(x)
-        return Strategy(owner, choices)
+            n = len(x)
+            if n % 2 != parity:
+                continue
+            labels = tree.children_of(x)
+            if not labels:
+                continue
+            if n < k:
+                choices[x] = chosen[x]
+            elif n == k:
+                choices[x] = chosen[x].move
+            else:
+                node, exact = locate(x)
+                if not exact:
+                    choices[x] = labels[0]  # off the play or past a conceded frontier
+                    continue
+                choice = chosen[node]
+                if n == k + 1:  # player II's reply to the never-challenged claim
+                    if not isinstance(choice, Accept):
+                        raise InternalInvariantError(
+                            "reply to the never-challenged claim must be an accept"
+                        )
+                    choice = choice.move
+                choices[x] = choice
+        return Strategy(strategy.owner, choices)
 
     def lift(strategy: Strategy, x: Position) -> Position:
-        if len(x) <= k:
-            return x
-        p, a = x[:k], x[k]
-        if strategy.owner is Player.I:
-            claim = strategy.choices[p]
-            if len(x) == k + 1:
-                return p + (claim,)
-            hit = frontier_prefix(x, (p, a))
-            if hit is None:
-                return p + (claim, accept(x[k + 1])) + x[k + 2 :]
-            if hit in claim.claimed:
-                return p + (claim, challenge(hit)) + x[k + 2 :]
-            return p + (claim, accept(x[k + 1])) + hit[k + 2 :]
-        quiet = unchallenged(strategy, p, a)
-        claim = Claim(a, quiet)
-        if len(x) == k + 1:
-            return p + (claim,)
-        hit = frontier_prefix(x, (p, a))
-        if hit is None:
-            return p + (claim, accept(x[k + 1])) + x[k + 2 :]
-        if hit in quiet:
-            return p + (claim, accept(x[k + 1])) + hit[k + 2 :]
-        rebased = least_challenging_claim(strategy, p, a, hit)
-        return p + (rebased, challenge(hit)) + x[k + 2 :]
+        return x if len(x) <= k else locator(strategy)(x)[0]
 
     return transform, lift
 
@@ -483,21 +478,13 @@ def unravel_union(
     for n, spec in enumerate(specs):
         stage = k + n
         stage += stage % 2
-        if stage + 2 > tree.depth:
-            raise ValueError(
-                f"stage {n}: level {stage} needs depth {stage + 2}, bound is {tree.depth}"
-            )
         pulled = spec if composite is None else pullback_closed_spec(composite, spec)
-        floor = _generator_floor(stage, tree.depth)
-        for generator in pulled.generators:
-            if len(generator) < floor:
-                raise ValueError(
-                    f"stage {n}: generator {format_position(generator)} too shallow"
-                    f" for level {stage} (need depth >= {floor})"
-                )
-        built = build_base_covering(
-            current, pulled, stage, frontier_max=frontier_max, node_max=node_max
-        )
+        try:
+            built = build_base_covering(
+                current, pulled, stage, frontier_max=frontier_max, node_max=node_max
+            )
+        except ValueError as error:
+            raise ValueError(f"stage {n}: {error}") from None
         composite = built if composite is None else compose(composite, built)
         current = composite.source
         deepest = max(deepest, stage)
@@ -508,9 +495,7 @@ def unravel_union(
     union_leaves = pullback(composite, realize(tree, ClosedUnion(specs)))
     if not decided_by_depth(current, union_leaves, deepest + 2):
         raise InternalInvariantError("pulled-back union not decided at the stage depth")
-    # Vacuous generators (positions without full-depth descendants) are
-    # dropped: they exclude nothing and may be terminal in a taboo tree.
-    complement = _complement_generators(current, union_leaves, deepest + 2, strict=False)
+    complement = _complement_generators(current, union_leaves, deepest + 2)
     finishing = build_base_covering(
         current, complement, k, frontier_max=frontier_max, node_max=node_max
     )

@@ -17,7 +17,9 @@ from unraveling.core import (
     is_consistent,
     is_prefix,
     position_key,
+    subtree_at,
 )
+from unraveling.solver import solve
 from unraveling.unravel import Accept, Claim
 
 
@@ -137,3 +139,13 @@ def zermelo_winner(tree: GameTree, leaves) -> Player:
     second = exists_winning_strategy(tree, leaves, Player.II)
     assert first != second, "exactly one player must have a winning strategy"
     return Player.I if first else Player.II
+
+
+def taboo_strategy_by_solve(tree: GameTree, position: Position, player: Player):
+    """The forcing strategy by its first definition: solve the subtree at
+    ``position`` with the payoff "only plays in an opponent taboo win" (the
+    empty set for player I, every full-depth play for player II)."""
+    subtree = subtree_at(tree, position)
+    payoff = frozenset() if player is Player.I else frozenset(subtree.full_depth_plays())
+    solution = solve(subtree, payoff)
+    return solution.strategy if solution.winner is player else None

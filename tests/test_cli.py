@@ -217,6 +217,34 @@ def test_exit_code_contract(fixtures_dir, tmp_path):
     assert run_cli("unravel", game(fixtures_dir, "ex1.game"), "--k", "6")[0] == 1
 
 
+def test_argument_and_environment_errors_exit_one(fixtures_dir, monkeypatch):
+    assert run_cli("fuzz", "--depth", "3")[0] == 1
+    assert run_cli("fuzz", "--branch", "0")[0] == 1
+    monkeypatch.setenv("UNRAVEL_NODE_MAX", "many")
+    code, _, err = run_cli("unravel", game(fixtures_dir, "ex1.game"))
+    assert code == 1
+    assert "UNRAVEL_NODE_MAX" in err
+
+
+def test_internal_value_error_exits_two_in_one_line(fixtures_dir, monkeypatch):
+    def broken_solve(tree, payoff):
+        raise ValueError("strategy has no choice at 0/1 (not total)")
+
+    monkeypatch.setattr(cli, "solve", broken_solve)
+    code, _, err = run_cli("solve", game(fixtures_dir, "ex1.game"))
+    assert code == 2
+    assert len(err.splitlines()) == 1
+    assert "not total" in err
+    assert "Traceback" not in err
+
+
+def test_fuzz_deep_chain_within_default_recursion_limit():
+    code, out, err = run_cli("fuzz", "--depth", "2000", "--branch", "1", "--samples", "1")
+    assert code == 0
+    assert "result: verified" in out
+    assert "Traceback" not in err
+
+
 def test_unravel_deep_chain_within_default_recursion_limit(tmp_path):
     depth = 3000
     nodes = "\n".join("/".join(["0"] * n) for n in range(1, depth + 1))

@@ -4,11 +4,9 @@ from hypothesis import given, settings, strategies as st
 from unraveling.core import (
     GameTree,
     Player,
-    PlayOutcome,
     Strategy,
-    classify_play,
+    _evaluate,
     consistent_plays,
-    evaluate_play,
     is_consistent,
     is_winning_strategy,
     least_strategy,
@@ -118,35 +116,33 @@ def test_subtree_matches_set_comprehension_oracle(seed):
         assert sub.taboo_owner(q) == tree.taboo_owner(q)
 
 
-# ----------------------------------------------------------- classify_play
+# ----------------------------------------------------- play classification
 
 
 def test_classify_full_depth_leaves(ex1):
     for leaf in ex1.full_depth_plays():
-        assert classify_play(ex1, leaf) is PlayOutcome.FULL_DEPTH
+        assert ex1.taboo_owner(leaf) is None
+        assert _evaluate(ex1, leaf, frozenset()) is Player.II
+        assert _evaluate(ex1, leaf, frozenset({leaf})) is Player.I
 
 
 def test_classify_taboo_and_full_depth(ex2):
-    assert classify_play(ex2, (0, 0)) is PlayOutcome.TABOO_II
-    assert classify_play(ex2, (1, 1, 0, 0)) is PlayOutcome.FULL_DEPTH
-
-
-def test_classify_rejects_non_terminal(ex1):
-    with pytest.raises(ValueError, match="not a play"):
-        classify_play(ex1, (0,))
+    everything = frozenset(ex2.full_depth_plays())
+    assert _evaluate(ex2, (0, 0), everything) is Player.I  # taboo for II, whatever the payoff
+    assert _evaluate(ex2, (1, 1, 0, 0), frozenset()) is Player.II
 
 
 @given(st.integers(0, 400))
 @settings(max_examples=40, deadline=None)
 def test_partition_property(seed):
-    """Every play has exactly one classification."""
+    """Every play is either full-depth or tagged with exactly one taboo owner."""
     tree = random_tree(rng_for(f"part:{seed}"), depth=6, branching=2, taboos=3)
     for play in tree.plays():
-        outcome = classify_play(tree, play)
+        owner = tree.taboo_owner(play)
         if len(play) == tree.depth:
-            assert outcome is PlayOutcome.FULL_DEPTH
+            assert owner is None
         else:
-            assert outcome in (PlayOutcome.TABOO_I, PlayOutcome.TABOO_II)
+            assert owner in (Player.I, Player.II)
 
 
 # ----------------------------------------------------------- is_consistent
@@ -199,15 +195,15 @@ def test_consistent_plays_match_filter_oracle_and_nonempty(seed):
 
 
 def test_evaluate_play_clauses(ex1, ex2):
-    assert evaluate_play(ex2, (0, 0), frozenset()) is Player.I  # taboo for II
+    assert _evaluate(ex2, (0, 0), frozenset()) is Player.I  # taboo for II
     leaf = (1, 1, 0, 0)
-    assert evaluate_play(ex1, leaf, frozenset()) is Player.II
-    assert evaluate_play(ex1, leaf, frozenset({leaf})) is Player.I
+    assert _evaluate(ex1, leaf, frozenset()) is Player.II
+    assert _evaluate(ex1, leaf, frozenset({leaf})) is Player.I
 
 
 def test_evaluate_rejects_early_terminal_in_payoff(ex2):
     with pytest.raises(ValueError, match="full-depth"):
-        evaluate_play(ex2, (1, 1, 0, 0), frozenset({(0, 0)}))
+        is_winning_strategy(ex2, frozenset({(0, 0)}), least_strategy(ex2, Player.I))
 
 
 def test_is_winning_strategy_examples(ex1, ex2):

@@ -6,13 +6,12 @@ from unraveling.payoff import (
     ClosedSpec,
     ClosedUnion,
     Open,
-    closed_spec_from_decided,
-    complement_spec,
+    _complement_generators,
     decided_by_depth,
-    meets_payoff,
     realize,
 )
 from unraveling.randgen import random_closed_spec, random_tree, rng_for
+from unraveling.unravel import _meets
 
 import oracles
 
@@ -56,36 +55,18 @@ def test_closed_open_partition(ex1):
     assert len(closed) == len(opened) == 8
 
 
-# ----------------------------------------------------------- complement
-
-
-def test_complement_spec_flips_and_involutes(ex1):
-    spec = Closed(ClosedSpec([(1,)]))
-    assert complement_spec(spec) == Open(ClosedSpec([(1,)]))
-    assert complement_spec(complement_spec(spec)) == spec
-    empty = Closed(ClosedSpec())
-    assert realize(ex1, complement_spec(empty)) == frozenset()
-
-
-def test_complement_spec_rejects_union():
-    with pytest.raises(ValueError, match="not representable"):
-        complement_spec(ClosedUnion([ClosedSpec()]))
-
-
-# ---------------------------------------------------------- meets_payoff
+# ------------------------------------------------------------- meets set
 
 
 def test_meets_payoff_examples(ex1):
-    payoff = leaves_with(ex1, lambda l: l[0] == 0)
-    assert meets_payoff(ex1, (0,), payoff)
-    assert not meets_payoff(ex1, (1,), payoff)
-    everything = frozenset(ex1.full_depth_plays())
-    for position in ex1.positions():
-        assert meets_payoff(ex1, position, everything)
+    meets = _meets(ex1, leaves_with(ex1, lambda l: l[0] == 0))
+    assert (0,) in meets
+    assert (1,) not in meets
+    assert _meets(ex1, frozenset(ex1.full_depth_plays())) == set(ex1.positions())
 
 
 def test_meets_payoff_vacuous_below_taboo(ex2):
-    assert not meets_payoff(ex2, (0, 0), frozenset(ex2.full_depth_plays()))
+    assert (0, 0) not in _meets(ex2, frozenset(ex2.full_depth_plays()))
 
 
 @given(st.integers(0, 500))
@@ -94,10 +75,9 @@ def test_meets_payoff_matches_leaf_walk_oracle(seed):
     rng = rng_for(f"meets:{seed}")
     tree = random_tree(rng, depth=4, branching=3, taboos=2)
     payoff = realize(tree, Closed(random_closed_spec(rng, tree)))
+    meets = _meets(tree, payoff)
     for position in tree.positions():
-        assert meets_payoff(tree, position, payoff) == oracles.meets_by_leaf_walk(
-            tree, position, payoff
-        )
+        assert (position in meets) == oracles.meets_by_leaf_walk(tree, position, payoff)
 
 
 # -------------------------------------------------------- decided_by_depth
@@ -122,17 +102,17 @@ def test_decided_monotone_in_depth(seed):
     assert decided_from == list(range(first, tree.depth + 1))
 
 
-# ------------------------------------------- closed_spec_from_decided
+# ----------------------------------------------- complement generators
 
 
 def test_decided_conversion_examples(ex1):
     half = leaves_with(ex1, lambda l: l[0] == 0)
-    spec = closed_spec_from_decided(ex1, half, 1)
+    spec = _complement_generators(ex1, half, 1)
     assert spec == ClosedSpec([(0,)])
     assert realize(ex1, Closed(spec)) == leaves_with(ex1, lambda l: l[0] == 1)
 
-    assert closed_spec_from_decided(ex1, frozenset(), 1) == ClosedSpec()
-    full = closed_spec_from_decided(ex1, frozenset(ex1.full_depth_plays()), 1)
+    assert _complement_generators(ex1, frozenset(), 1) == ClosedSpec()
+    full = _complement_generators(ex1, frozenset(ex1.full_depth_plays()), 1)
     assert full == ClosedSpec([(0,), (1,)])
     assert realize(ex1, Closed(full)) == frozenset()
 
@@ -143,17 +123,8 @@ def test_decided_conversion_round_trip(ex1):
             payoff = leaves_with(ex1, pick)
             if not decided_by_depth(ex1, payoff, d):
                 continue
-            spec = closed_spec_from_decided(ex1, payoff, d)
+            spec = _complement_generators(ex1, payoff, d)
             assert realize(ex1, Closed(spec)) == frozenset(ex1.full_depth_plays()) - payoff
-
-
-def test_decided_conversion_preconditions(ex1, ex2):
-    with pytest.raises(ValueError, match="not decided"):
-        closed_spec_from_decided(ex1, leaves_with(ex1, lambda l: l[3] == 0), 1)
-    with pytest.raises(ValueError, match="below the depth bound"):
-        closed_spec_from_decided(ex1, frozenset(), 4)
-    with pytest.raises(ValueError, match="terminal position"):
-        closed_spec_from_decided(ex2, frozenset(ex2.full_depth_plays()), 2)
 
 
 # ------------------------------------------------------------- error paths
@@ -172,8 +143,3 @@ def test_realize_rejects_non_payoff(ex1):
 def test_decided_depth_range(ex1):
     with pytest.raises(ValueError, match="out of range"):
         decided_by_depth(ex1, frozenset(), 5)
-
-
-def test_meets_payoff_unknown_position(ex1):
-    with pytest.raises(ValueError, match="unknown position"):
-        meets_payoff(ex1, (9,), frozenset())

@@ -104,6 +104,23 @@ def test_taboo_strategy_none_without_taboos(ex1):
     assert taboo_strategy(ex1, (), Player.II) is None
 
 
+def test_taboo_strategy_and_prune_witnesses_match_solve_oracle():
+    forcing = witnessed = 0
+    for seed in range(30):
+        tree = random_tree(rng_for(f"taboo-oracle:{seed}"), depth=6, branching=2, taboos=4)
+        for position in tree.positions():
+            for player in Player:
+                expected = oracles.taboo_strategy_by_solve(tree, position, player)
+                assert taboo_strategy(tree, position, player) == expected
+                forcing += expected is not None
+        result = prune(tree)
+        for position, witness in result.witnesses.items():
+            owner = result.determined[position]
+            assert witness == oracles.taboo_strategy_by_solve(tree, position, owner)
+            witnessed += 1
+    assert forcing > 100 and witnessed > 30
+
+
 # --------------------------------------------------------------------- prune
 
 

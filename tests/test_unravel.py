@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -5,6 +8,7 @@ from unraveling.core import (
     GameTree,
     Player,
     ResourceLimitError,
+    Strategy,
     consistent_plays,
     is_prefix,
     is_winning_strategy,
@@ -350,6 +354,43 @@ def test_composite_lifts_satisfy_the_lifting_condition():
                 assert verify_lift(covering, strategy, play).ok
                 checked += 1
     assert checked > 0
+
+
+def test_every_strategy_lifts_and_transfers_wins_on_small_coverings():
+    """Exhaustive over every strategy of both players on small coverings:
+    each play consistent with a strategy's image lifts, and each strategy
+    winning the pulled-back game maps to one winning the target."""
+
+    def strategy_count(tree, owner):
+        nodes = oracles.decision_positions(tree, owner)
+        return math.prod(len(tree.children_of(p)) for p in nodes)
+
+    instances = []
+    for index in range(600):
+        tree, spec = random_game(f"exh:{index}", depth=4, branching=2, taboos=2, generators=3)
+        covering = build_base_covering(tree, spec, 0)
+        if max(map(len, covering.frontiers.values())) < 2:
+            continue  # too small to reach the challenge and rebased-claim branches
+        if any(strategy_count(covering.source, owner) > 4096 for owner in Player):
+            continue
+        instances.append((tree, spec, covering))
+        if len(instances) == 20:
+            break
+    assert len(instances) == 20
+
+    for tree, spec, covering in instances:
+        payoff = realize(tree, Closed(spec))
+        pulled = pullback(covering, payoff)
+        source = covering.source
+        for owner in Player:
+            nodes = oracles.decision_positions(source, owner)
+            for combo in itertools.product(*(source.children_of(p) for p in nodes)):
+                strategy = Strategy(owner, dict(zip(nodes, combo)))
+                mapped = covering.strategy_transform(strategy)
+                for play in consistent_plays(tree, mapped):
+                    assert verify_lift(covering, strategy, play).ok
+                if is_winning_strategy(source, pulled, strategy):
+                    assert is_winning_strategy(tree, payoff, mapped)
 
 
 @given(st.integers(0, 200))
