@@ -41,7 +41,7 @@ from .covering import (
     verify_lift,
 )
 from .dot import covering_dot, tree_dot
-from .gamedoc import GameDocError, build_arena, format_game, parse_game_bytes, to_document
+from .gamedoc import GameDocError, format_game, parse_game_bytes, to_document
 from .payoff import Closed, ClosedUnion, Open, decided_by_depth, realize
 from .randgen import random_game, rng_for
 from .solver import prune, solve, transfer_from_pruned
@@ -110,21 +110,25 @@ def _node_max() -> int:
         raise _UsageError(f"UNRAVEL_NODE_MAX is not an integer: {value!r}") from None
 
 
+def _check_samples(samples: int) -> None:
+    if samples < 1:
+        raise _UsageError(f"--samples must be at least 1, got {samples}")
+
+
 def _strategy_lines(strategy: Strategy) -> list[str]:
     rows = sorted(strategy.choices.items(), key=lambda kv: (len(kv[0]), position_key(kv[0])))
     return [f"  {format_position(p)} -> {format_label(move)}" for p, move in rows]
 
 
 def _load(path: str):
+    """The tree and payoff of a game file."""
     with open(path, "rb") as handle:
-        data = handle.read()
-    document = parse_game_bytes(data)
-    tree, payoff = build_arena(document)
-    return document, tree, payoff
+        document = parse_game_bytes(handle.read())
+    return document.tree, document.payoff
 
 
 def cmd_solve(args) -> int:
-    _, tree, payoff = _load(args.file)
+    tree, payoff = _load(args.file)
     leaves = realize(tree, payoff)
     solution = solve(tree, leaves)
     report = Report("solve")
@@ -138,7 +142,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_prune(args) -> int:
-    _, tree, payoff = _load(args.file)
+    tree, payoff = _load(args.file)
     leaves = realize(tree, payoff)
     result = prune(tree)
     report = Report("prune")
@@ -184,7 +188,7 @@ def _covering_for(tree, payoff, level, *, union: bool, node_max: int):
 
 
 def cmd_unravel(args) -> int:
-    _, tree, payoff = _load(args.file)
+    tree, payoff = _load(args.file)
     leaves = realize(tree, payoff)
     covering, decided_depth = _covering_for(
         tree, payoff, args.k, union=args.union, node_max=_node_max()
@@ -270,7 +274,8 @@ def _split(result) -> tuple[bool, str]:
 
 
 def cmd_verify(args) -> int:
-    _, tree, payoff = _load(args.file)
+    _check_samples(args.samples)
+    tree, payoff = _load(args.file)
     leaves = realize(tree, payoff)
     closed_leaves = leaves
     if isinstance(payoff, Open):
@@ -291,6 +296,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_fuzz(args) -> int:
+    _check_samples(args.samples)
     report = Report("fuzz")
     report.add("samples", args.samples)
     report.add("seed", args.seed)
@@ -358,7 +364,7 @@ def _fuzz_one(tree, spec, leaves, args) -> str | None:
 
 
 def cmd_export_dot(args) -> int:
-    _, tree, payoff = _load(args.file)
+    tree, payoff = _load(args.file)
     leaves = realize(tree, payoff)
     if args.covering:
         covering, _ = _covering_for(

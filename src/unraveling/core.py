@@ -31,6 +31,18 @@ class ResourceLimitError(RuntimeError):
     """A configurable size cap was exceeded; nothing was silently truncated."""
 
 
+class ArenaError(ValueError):
+    """A tree or a generator set breaks a structural rule of the arena.
+
+    ``position`` is the offending position; it is ``None`` only when the
+    depth bound itself is illegal.
+    """
+
+    def __init__(self, message: str, position: "Position | None"):
+        super().__init__(message)
+        self.position = position
+
+
 class Player(enum.Enum):
     I = "I"
     II = "II"
@@ -108,9 +120,9 @@ class GameTree:
         taboo: Mapping[Position, Player] = {},
     ):
         if depth < 2 or depth % 2 != 0:
-            raise ValueError("depth bound must be an even integer >= 2")
+            raise ArenaError("depth bound must be an even integer >= 2", None)
         if () not in children:
-            raise ValueError("missing root position")
+            raise ArenaError("missing root position", ())
         # Breadth-first walk over the sorted child tuples: parents come out
         # in canonical order, so their children do too, level by level.  The
         # table is keyed by the tuples the walk creates, which the order
@@ -122,30 +134,42 @@ class GameTree:
             try:
                 labels = tuple(sorted(children[position], key=label_key))
             except KeyError:
-                raise ValueError(
-                    f"child {format_position(position)} not stored (prefix closure)"
+                raise ArenaError(
+                    f"child {format_position(position)} not stored (prefix closure)", position
                 ) from None
             if len(set(labels)) != len(labels):
-                raise ValueError(f"duplicate sibling labels under {format_position(position)}")
+                raise ArenaError(
+                    f"duplicate sibling labels under {format_position(position)}", position
+                )
             if len(position) == depth and labels:
-                raise ValueError(f"position {format_position(position)} at full depth has children")
+                child = position + labels[:1]
+                raise ArenaError(
+                    f"node {format_position(child)} exceeds depth bound {depth}", child
+                )
             table[position] = labels
             ordered.extend(position + (label,) for label in labels)
         if len(ordered) != len(children):
-            raise ValueError("unreachable positions stored (prefix closure)")
+            stray = next(p for p in children if p not in table)
+            raise ArenaError(
+                f"position {format_position(stray)} unreachable (prefix closure)", stray
+            )
         for position, owner in taboo.items():
             if position not in table:
-                raise ValueError(f"taboo tag on unknown position {format_position(position)}")
-            if table[position]:
-                raise ValueError(f"taboo tag on non-terminal position {format_position(position)}")
-            if len(position) == depth:
-                raise ValueError(f"taboo at full depth: {format_position(position)}")
-            if not isinstance(owner, Player):
-                raise ValueError("taboo tag must name a player")
+                fault = "taboo tag on unknown position {}"
+            elif table[position]:
+                fault = "taboo tag on non-terminal position {}"
+            elif len(position) == depth:
+                fault = "taboo at full depth: {}"
+            elif not isinstance(owner, Player):
+                fault = "taboo tag on {} must name a player"
+            else:
+                continue
+            raise ArenaError(fault.format(format_position(position)), position)
         for position, labels in table.items():
             if not labels and len(position) < depth and position not in taboo:
-                raise ValueError(
-                    f"early terminal {format_position(position)} lacks a taboo tag (partition)"
+                raise ArenaError(
+                    f"early terminal {format_position(position)} lacks a taboo tag (partition)",
+                    position,
                 )
         self.depth = depth
         self._children = table
@@ -165,8 +189,9 @@ class GameTree:
             if position:
                 parent = position[:-1]
                 if parent not in stored:
-                    raise ValueError(
-                        f"missing parent of {format_position(position)} (prefix closure)"
+                    raise ArenaError(
+                        f"missing parent of {format_position(position)} (prefix closure)",
+                        position,
                     )
                 stored[parent].add(position[-1])
         return cls(depth, stored, taboo)

@@ -20,10 +20,17 @@ early terminals with the player they are a loss for; the tags must cover
 exactly the terminals above full depth.  PAYOFF is ``closed`` or ``open``
 followed by generator paths, or ``union`` followed by ``CLOSED`` blocks.
 
+A parsed document is ``GameDocument(alphabet, tree, payoff)``.  The parser
+checks the text; the tree is built once, and ``GameTree`` and
+``check_generators`` are the only structural checks.  Every parse error
+carries a line (and where sensible a column) number: a structural error
+is reported on the TABOOS line of a tagged position, on the NODES line of
+any other, on the line of a generator, or on the DEPTH line for an illegal
+depth bound.
+
 Blank lines and full-line ``#`` comments are accepted on input; the
 canonical printer emits neither, and parse/print round-trips canonically
-formatted text byte for byte.  Every parse error carries a line (and where
-sensible a column) number.
+formatted text byte for byte.
 """
 
 from __future__ import annotations
@@ -31,7 +38,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .core import GameTree, Player, Position, format_position, position_key
+from .core import ArenaError, GameTree, Player, Position, format_position
 from .payoff import Closed, ClosedSpec, ClosedUnion, Open, PayoffSpec, check_generators
 
 VERSION = "v1"
@@ -52,11 +59,10 @@ class GameDocError(ValueError):
 
 @dataclass(frozen=True)
 class GameDocument:
-    version: str
+    """A parsed game: the declared alphabet, the validated tree and the payoff."""
+
     alphabet: int
-    depth: int
-    nodes: tuple[Position, ...]
-    taboos: tuple[tuple[Position, Player], ...]
+    tree: GameTree
     payoff: PayoffSpec
 
 
@@ -121,8 +127,12 @@ def _int_arg(keyword: str, line: int, col: int, token: str) -> int:
 
 
 def parse_game(text: str) -> GameDocument:
-    """Parse and fully validate a document; the result always builds a
-    legal game tree and payoff spec."""
+    """Parse a document and build its tree once.
+
+    The parser checks what only the text shows: headers, the alphabet,
+    path syntax, repeated entries, player tags and the payoff layout.
+    ``GameTree`` and ``check_generators`` check the structure, and their
+    errors are mapped to the line of the offending entry."""
     lines = _Lines(text)
 
     line, args = _expect_header(lines, "GAME", 1)
@@ -133,13 +143,11 @@ def parse_game(text: str) -> GameDocument:
     alphabet = _int_arg("ALPHABET", line, args[0][0], args[0][1])
     if alphabet < 1:
         raise GameDocError("ALPHABET must be at least 1", line)
-    line, args = _expect_header(lines, "DEPTH", 1)
-    depth = _int_arg("DEPTH", line, args[0][0], args[0][1])
-    if depth < 2 or depth % 2 != 0:
-        raise GameDocError("DEPTH must be an even integer >= 2", line)
+    depth_line, args = _expect_header(lines, "DEPTH", 1)
+    depth = _int_arg("DEPTH", depth_line, args[0][0], args[0][1])
 
-    _expect_header(lines, "NODES", 0)
-    node_lines: dict[Position, int] = {(): 0}
+    nodes_line, _ = _expect_header(lines, "NODES", 0)
+    node_lines: dict[Position, int] = {(): nodes_line}
     while True:
         row = lines.peek()
         if row is None:
@@ -155,21 +163,10 @@ def parse_game(text: str) -> GameDocument:
             raise GameDocError("the root is implicit and not listed", line, col)
         if position in node_lines:
             raise GameDocError(f"duplicate node {token}", line, col)
-        if len(position) > depth:
-            raise GameDocError(f"node {token} exceeds depth {depth}", line, col)
         node_lines[position] = line
         lines.take()
-    for position, line in node_lines.items():
-        if position and position[:-1] not in node_lines:
-            raise GameDocError(
-                f"missing parent of {format_position(position)} (prefix closure)", line
-            )
 
     _expect_header(lines, "TABOOS", 0)
-    children = {p: set() for p in node_lines}
-    for position in node_lines:
-        if position:
-            children[position[:-1]].add(position[-1])
     taboos: dict[Position, Player] = {}
     taboo_lines: dict[Position, int] = {}
     while True:
@@ -186,24 +183,11 @@ def parse_game(text: str) -> GameDocument:
         owner_col, owner_token = tokens[1]
         if owner_token not in ("I", "II"):
             raise GameDocError(f"player must be I or II, got {owner_token!r}", line, owner_col)
-        if position not in node_lines:
-            raise GameDocError(f"taboo on unknown node {token}", line, col)
         if position in taboos:
             raise GameDocError(f"duplicate taboo for {token}", line, col)
-        if children[position]:
-            raise GameDocError(f"taboo on non-terminal node {token}", line, col)
-        if len(position) == depth:
-            raise GameDocError(f"taboo at full depth: {token}", line, col)
         taboos[position] = Player(owner_token)
         taboo_lines[position] = line
         lines.take()
-
-    for position, line in node_lines.items():
-        if not children[position] and len(position) < depth and position not in taboos:
-            raise GameDocError(
-                f"early terminal {format_position(position)} lacks a taboo tag (partition)",
-                line or 1,
-            )
 
     header_line, args = _expect_header(lines, "PAYOFF", 1)
     kind_col, kind = args[0]
@@ -211,8 +195,9 @@ def parse_game(text: str) -> GameDocument:
         raise GameDocError(f"payoff kind must be closed, open or union, got {kind!r}",
                            header_line, kind_col)
 
-    def read_generators() -> ClosedSpec:
-        generators = []
+    def read_generators() -> dict[Position, int]:
+        """One block of generator paths, each with the line it first appears on."""
+        generator_lines: dict[Position, int] = {}
         while True:
             row = lines.peek()
             if row is None:
@@ -223,30 +208,18 @@ def parse_game(text: str) -> GameDocument:
             if len(tokens) != 1:
                 raise GameDocError("generator lines carry a single path", line, tokens[1][0])
             col, token = tokens[0]
-            position = _parse_path(token, line, col, alphabet)
-            if position not in node_lines:
-                raise GameDocError(f"generator on unknown node {token}", line, col)
-            if not 1 <= len(position) < depth:
-                raise GameDocError(
-                    f"generator {token} outside depth range 1..{depth - 1}", line, col
-                )
-            if not children[position]:
-                raise GameDocError(f"generator {token} is terminal", line, col)
-            generators.append(position)
+            generator_lines.setdefault(_parse_path(token, line, col, alphabet), line)
             lines.take()
-        return ClosedSpec(generators)
+        return generator_lines
 
-    payoff: PayoffSpec
+    blocks = []
     if kind in ("closed", "open"):
-        spec = read_generators()
+        blocks.append(read_generators())
         if lines.peek() is not None:
             line, tokens = lines.peek()
             raise GameDocError(f"unexpected {tokens[0][1]!r}", line, tokens[0][0])
-        payoff = Closed(spec) if kind == "closed" else Open(spec)
     else:
-        parts = []
-        row = lines.peek()
-        if row is None:
+        if lines.peek() is None:
             raise GameDocError("union payoff needs at least one CLOSED block", header_line)
         while lines.peek() is not None:
             line, tokens = lines.peek()
@@ -255,24 +228,26 @@ def parse_game(text: str) -> GameDocument:
             if len(tokens) != 1:
                 raise GameDocError("CLOSED takes no arguments", line)
             lines.take()
-            parts.append(read_generators())
-        payoff = ClosedUnion(parts)
+            blocks.append(read_generators())
+    specs = [ClosedSpec(block) for block in blocks]
 
-    document = GameDocument(
-        version=version,
-        alphabet=alphabet,
-        depth=depth,
-        nodes=tuple(sorted((p for p in node_lines if p), key=lambda p: (len(p), position_key(p)))),
-        taboos=tuple(
-            sorted(taboos.items(), key=lambda item: (len(item[0]), position_key(item[0])))
-        ),
-        payoff=payoff,
-    )
     try:
-        build_arena(document)
-    except ValueError as error:  # pragma: no cover - all invariants checked above
-        raise GameDocError(str(error)) from error
-    return document
+        tree = GameTree.from_nodes(depth, node_lines, taboos)
+    except ArenaError as error:
+        if error.position is None:  # the depth bound itself
+            line = depth_line
+        else:  # a tagged position is reported on its TABOOS line
+            line = taboo_lines.get(error.position, node_lines.get(error.position))
+        raise GameDocError(str(error), line) from error
+    for spec, block in zip(specs, blocks):
+        try:
+            check_generators(tree, spec)
+        except ArenaError as error:
+            raise GameDocError(str(error), block[error.position]) from error
+
+    if kind == "union":
+        return GameDocument(alphabet, tree, ClosedUnion(specs))
+    return GameDocument(alphabet, tree, (Closed if kind == "closed" else Open)(specs[0]))
 
 
 def parse_game_bytes(data: bytes) -> GameDocument:
@@ -285,28 +260,13 @@ def parse_game_bytes(data: bytes) -> GameDocument:
     return parse_game(text)
 
 
-def build_arena(document: GameDocument) -> tuple[GameTree, PayoffSpec]:
-    tree = GameTree.from_nodes(document.depth, document.nodes, dict(document.taboos))
-    payoff = document.payoff
-    specs = payoff.parts if isinstance(payoff, ClosedUnion) else (payoff.spec,)
-    for spec in specs:
-        check_generators(tree, spec)
-    return tree, payoff
-
-
 def format_game(document: GameDocument) -> str:
-    """Canonical form: sorted entries, no comments, one token of whitespace."""
-    out = [f"GAME {document.version}",
-           f"ALPHABET {document.alphabet}",
-           f"DEPTH {document.depth}",
-           "NODES"]
-    ordered_nodes = sorted(document.nodes, key=lambda p: (len(p), position_key(p)))
-    out.extend(format_position(p) for p in ordered_nodes)
+    """Canonical form: the tree's canonical order, no comments, one token of whitespace."""
+    tree = document.tree
+    out = [f"GAME {VERSION}", f"ALPHABET {document.alphabet}", f"DEPTH {tree.depth}", "NODES"]
+    out.extend(format_position(p) for p in tree.positions()[1:])
     out.append("TABOOS")
-    out.extend(
-        f"{format_position(p)} {owner}"
-        for p, owner in sorted(document.taboos, key=lambda item: (len(item[0]), position_key(item[0])))
-    )
+    out.extend(f"{format_position(p)} {owner}" for p, owner in tree.taboo_items())
     payoff = document.payoff
     if isinstance(payoff, Closed):
         out.append("PAYOFF closed")
@@ -323,16 +283,8 @@ def format_game(document: GameDocument) -> str:
 
 
 def to_document(tree: GameTree, payoff: PayoffSpec) -> GameDocument:
-    """Serialize a base game (integer labels only)."""
+    """Wrap a base game (integer labels only) for printing; the tree is shared."""
     labels = [label for p in tree.positions() for label in p]
     if any(not isinstance(label, int) for label in labels):
         raise ValueError("only base games with integer labels are serializable")
-    alphabet = max(labels, default=0) + 1
-    return GameDocument(
-        version=VERSION,
-        alphabet=alphabet,
-        depth=tree.depth,
-        nodes=tuple(p for p in tree.positions() if p),
-        taboos=tuple(tree.taboo_items()),
-        payoff=payoff,
-    )
+    return GameDocument(max(labels, default=0) + 1, tree, payoff)

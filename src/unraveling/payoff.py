@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import (
+    ArenaError,
     GameTree,
     Position,
     format_position,
@@ -63,13 +64,14 @@ def check_generators(tree: GameTree, spec: ClosedSpec) -> None:
     """Generators must be non-terminal tree positions of depth 1..depth-1."""
     for generator in spec.generators:
         if generator not in tree:
-            raise ValueError(f"generator {format_position(generator)} not in tree")
-        if not 1 <= len(generator) < tree.depth:
-            raise ValueError(
-                f"generator {format_position(generator)} outside depth range 1..{tree.depth - 1}"
-            )
-        if tree.is_terminal(generator):
-            raise ValueError(f"generator {format_position(generator)} is terminal")
+            fault = "generator on unknown position {}"
+        elif not 1 <= len(generator) < tree.depth:
+            fault = f"generator {{}} outside depth range 1..{tree.depth - 1}"
+        elif tree.is_terminal(generator):
+            fault = "generator {} is terminal"
+        else:
+            continue
+        raise ArenaError(fault.format(format_position(generator)), generator)
 
 
 def _closed_leaves(tree: GameTree, spec: ClosedSpec) -> frozenset:

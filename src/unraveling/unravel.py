@@ -207,6 +207,8 @@ def build_base_covering(
     payoff is exactly the accept-branch full-depth plays and is decided at
     ``level + 2``; the same certificate covers the complement.
     """
+    if level < 0:
+        raise ValueError(f"level {level} is negative")
     k = level + level % 2
     if k + 2 > tree.depth:
         raise ValueError(f"level {k} needs depth {k + 2}, bound is {tree.depth}")

@@ -1,10 +1,12 @@
 import contextlib
 import dataclasses
 import io
+import random
 
 from unraveling import cli
 from unraveling.cli import main
 from unraveling.core import format_position
+from unraveling.gamedoc import GameDocError, parse_game_bytes
 
 
 def run_cli(*argv):
@@ -224,6 +226,115 @@ def test_argument_and_environment_errors_exit_one(fixtures_dir, monkeypatch):
     code, _, err = run_cli("unravel", game(fixtures_dir, "ex1.game"))
     assert code == 1
     assert "UNRAVEL_NODE_MAX" in err
+
+
+def test_negative_level_is_usage_error_naming_it(fixtures_dir):
+    ex1 = game(fixtures_dir, "ex1.game")
+    for argv in (
+        ("unravel", ex1, "--k", "-2"),
+        ("verify", ex1, "--k", "-2"),
+        ("export-dot", ex1, "--covering", "--k", "-2"),
+        ("unravel", game(fixtures_dir, "union.game"), "--union", "--k", "-2"),
+    ):
+        code, out, err = run_cli(*argv)
+        assert (code, out) == (1, ""), argv
+        assert "level -2 is negative" in err, argv
+
+
+def test_sample_count_below_one_is_usage_error(fixtures_dir):
+    ex1 = game(fixtures_dir, "ex1.game")
+    for argv in (
+        ("verify", ex1, "--samples", "-3"),
+        ("verify", ex1, "--samples", "0"),
+        ("fuzz", "--samples", "-3"),
+    ):
+        code, out, err = run_cli(*argv)
+        assert (code, out) == (1, ""), argv
+        assert err.startswith("error: --samples must be at least 1"), argv
+
+
+ARGV_POOL = [
+    "solve", "prune", "unravel", "verify", "fuzz", "export-dot", "bogus",
+    "--k", "--samples", "--seed", "--depth", "--branch", "--zmax", "--union", "--covering",
+    "--output", "-3", "-1", "0", "1", "2", "3", "x", "",
+]
+NODE_MAX_VALUES = ["", "0", "-5", "1", "3", "many", "1e3", " 7 ", "99999999999999999999"]
+COMMANDS = [
+    ("solve",), ("prune",), ("unravel",), ("unravel", "--union"),
+    ("verify", "--samples", "2"), ("export-dot",), ("export-dot", "--covering"),
+]
+
+
+def _mutate(rng, lines):
+    """Drop, duplicate, swap or move one line, or change one label or player."""
+    lines = list(lines)
+    i = rng.randrange(len(lines))
+    kind = rng.choice(["drop", "duplicate", "swap", "move", "label", "player"])
+    if kind == "drop":
+        del lines[i]
+    elif kind == "duplicate":
+        lines.insert(i, lines[i])
+    elif kind == "swap":
+        j = rng.randrange(len(lines))
+        lines[i], lines[j] = lines[j], lines[i]
+    elif kind == "move":  # often into another section
+        lines.insert(rng.randrange(len(lines)), lines.pop(i))
+    elif kind == "label":
+        digits = [k for k, char in enumerate(lines[i]) if char.isdigit()]
+        if digits:
+            k = rng.choice(digits)
+            lines[i] = lines[i][:k] + rng.choice("01239") + lines[i][k + 1:]
+    else:
+        tagged = [k for k, line in enumerate(lines) if line.endswith((" I", " II"))]
+        if tagged:
+            k = rng.choice(tagged)
+            lines[k] = lines[k].rsplit(" ", 1)[0] + " " + rng.choice(["I", "II", "III"])
+    return lines
+
+
+def test_main_fuzz_keeps_exit_code_contract(fixtures_dir, tmp_path, monkeypatch):
+    """Seeded fuzz of ``main`` over mutated fixture files, malformed argv and
+    bad ``UNRAVEL_NODE_MAX`` values: every run exits 0, 1 or 2 and none
+    raises; every file the parser rejects names its line, on stderr too."""
+    monkeypatch.chdir(tmp_path)  # where drawn --output arguments write
+    rng = random.Random("cli-main-fuzz")
+    sources = [path.read_text().splitlines() for path in sorted(fixtures_dir.glob("*.game"))]
+    mutant = tmp_path / "mutant.game"
+    outcomes = {"rejected": 0, "parsed": 0}
+    for _ in range(300):
+        lines = rng.choice(sources)
+        for _ in range(rng.randint(1, 3)):
+            lines = _mutate(rng, lines)
+        data = ("\n".join(lines) + "\n").encode()
+        mutant.write_bytes(data)
+        command, *options = rng.choice(COMMANDS)
+        code, _, err = run_cli(command, str(mutant), *options)
+        try:
+            parse_game_bytes(data)
+        except GameDocError as error:
+            assert error.line is not None, error
+            assert code == 1 and err.startswith("error: line "), err
+            outcomes["rejected"] += 1
+        else:
+            assert code in (0, 1, 2), (command, err)
+            outcomes["parsed"] += 1
+    assert min(outcomes.values()) >= 30, outcomes
+
+    files = [game(fixtures_dir, "ex1.game"), game(fixtures_dir, "ex3.game"), "missing.game"]
+    for _ in range(150):
+        argv = [rng.choice(ARGV_POOL + files) for _ in range(rng.randint(0, 6))]
+        if rng.random() < 0.7:  # mostly a command and a file, then the drawn tokens
+            argv[:0] = [rng.choice(ARGV_POOL[:6]), rng.choice(files)]
+        assert run_cli(*argv)[0] in (0, 1, 2), argv
+
+    for value in NODE_MAX_VALUES:
+        monkeypatch.setenv("UNRAVEL_NODE_MAX", value)
+        for argv in (
+            ("unravel", game(fixtures_dir, "ex1.game")),
+            ("export-dot", game(fixtures_dir, "ex3.game")),
+            ("fuzz", "--samples", "2"),
+        ):
+            assert run_cli(*argv)[0] in (0, 1, 2), (value, argv)
 
 
 def test_internal_value_error_exits_two_in_one_line(fixtures_dir, monkeypatch):

@@ -6,7 +6,6 @@ from unraveling.core import Player
 from unraveling.gamedoc import (
     GameDocError,
     GameDocument,
-    build_arena,
     format_game,
     parse_game,
     parse_game_bytes,
@@ -32,10 +31,9 @@ PAYOFF closed
 
 def test_minimal_document_parses():
     document = parse_game(MINIMAL)
-    assert document.alphabet == 2 and document.depth == 2
-    tree, payoff = build_arena(document)
-    assert tree.node_count == 7
-    assert payoff == Closed(ClosedSpec())
+    assert document.alphabet == 2 and document.tree.depth == 2
+    assert document.tree.node_count == 7
+    assert document.payoff == Closed(ClosedSpec())
 
 
 def test_comments_and_blank_lines_are_ignored():
@@ -61,9 +59,10 @@ def test_fixture_files_round_trip(fixtures_dir):
 def test_to_document_round_trips(ex2):
     payoff = Open(ClosedSpec([(1,)]))
     document = to_document(ex2, payoff)
-    tree, parsed_payoff = build_arena(parse_game(format_game(document)))
-    assert tree == ex2
-    assert parsed_payoff == payoff
+    assert document.tree is ex2
+    parsed = parse_game(format_game(document))
+    assert parsed.tree == ex2
+    assert parsed.payoff == payoff
 
 
 def test_union_payoff_round_trip(ex1):
@@ -72,28 +71,35 @@ def test_union_payoff_round_trip(ex1):
     assert parse_game(format_game(document)).payoff == union
 
 
-@pytest.mark.parametrize(
-    "mutate, message",
-    [
-        (lambda t: t.replace("GAME v1", "GAME v2"), "unsupported version"),
-        (lambda t: t.replace("DEPTH 2", "DEPTH 3"), "even"),
-        (lambda t: t.replace("ALPHABET 2", "ALPHABET 0"), "at least 1"),
-        (lambda t: t.replace("0/0\n", "0/0\n0/0\n"), "duplicate node"),
-        (lambda t: t.replace("0/0\n", "0/0/1\n0/0\n"), "exceeds depth"),
-        (lambda t: t.replace("1/1\n", "2/1\n"), "outside alphabet"),
-        (lambda t: t.replace("NODES\n0\n", "NODES\n"), "prefix closure"),
-        (lambda t: t.replace("TABOOS\n", "TABOOS\n0 II\n"), "non-terminal"),
-        (lambda t: t.replace("TABOOS\n", "TABOOS\n0/0 II\n"), "taboo at full depth"),
-        (lambda t: t.replace("PAYOFF closed\n", "PAYOFF closed\n0/0\n"), "depth range"),
-        (lambda t: t.replace("PAYOFF closed", "PAYOFF weird"), "payoff kind"),
-        (lambda t: t.replace("PAYOFF closed\n", "PAYOFF union\n"), "CLOSED block"),
-        (lambda t: t + "EXTRA\n", "bad path component"),
-    ],
-)
-def test_rejections_carry_line_numbers(mutate, message):
+def _message_ids(cases):
+    """Test ids ``<lambda>-<message>``; the expected line is not part of the id."""
+    return [f"<lambda>-{message}" for _, message, _ in cases]
+
+
+REJECTIONS = [
+    (lambda t: t.replace("GAME v1", "GAME v2"), "unsupported version", 1),
+    (lambda t: t.replace("DEPTH 2", "DEPTH 3"), "even", 3),
+    (lambda t: t.replace("ALPHABET 2", "ALPHABET 0"), "at least 1", 2),
+    (lambda t: t.replace("0/0\n", "0/0\n0/0\n"), "duplicate node", 8),
+    (lambda t: t.replace("0/0\n", "0/0/1\n0/0\n"), "exceeds depth", 7),
+    (lambda t: t.replace("1/1\n", "2/1\n"), "outside alphabet", 10),
+    (lambda t: t.replace("NODES\n0\n", "NODES\n"), "prefix closure", 6),
+    (lambda t: t.replace("TABOOS\n", "TABOOS\n0 II\n"), "non-terminal", 12),
+    (lambda t: t.replace("TABOOS\n", "TABOOS\n0/0 II\n"), "taboo at full depth", 12),
+    (lambda t: t.replace("1/0\n1/1\n", ""), "partition", 6),
+    (lambda t: t.split("0\n", 1)[0] + "TABOOS\nPAYOFF closed\n", "partition", 4),
+    (lambda t: t.replace("PAYOFF closed\n", "PAYOFF closed\n0/0\n"), "depth range", 13),
+    (lambda t: t.replace("PAYOFF closed", "PAYOFF weird"), "payoff kind", 12),
+    (lambda t: t.replace("PAYOFF closed\n", "PAYOFF union\n"), "CLOSED block", 12),
+    (lambda t: t + "EXTRA\n", "bad path component", 13),
+]
+
+
+@pytest.mark.parametrize("mutate, message, line", REJECTIONS, ids=_message_ids(REJECTIONS))
+def test_rejections_carry_line_numbers(mutate, message, line):
     with pytest.raises(GameDocError, match=message) as info:
         parse_game(mutate(MINIMAL))
-    assert info.value.line is not None
+    assert info.value.line == line
 
 
 def test_terminal_generator_is_rejected():
@@ -112,8 +118,9 @@ TABOOS
 PAYOFF closed
 0/0
 """
-    with pytest.raises(GameDocError, match="terminal"):
+    with pytest.raises(GameDocError, match="terminal") as info:
         parse_game(text)
+    assert info.value.line == 13
 
 
 def test_missing_taboo_tag_is_rejected():
@@ -130,8 +137,9 @@ NODES
 TABOOS
 PAYOFF closed
 """
-    with pytest.raises(GameDocError, match="partition"):
+    with pytest.raises(GameDocError, match="partition") as info:
         parse_game(text)
+    assert info.value.line == 7
 
 
 def test_root_taboo_degenerate_document():
@@ -144,7 +152,7 @@ TABOOS
 - II
 PAYOFF closed
 """
-    tree, _ = build_arena(parse_game(text))
+    tree = parse_game(text).tree
     assert tree.node_count == 1
     assert tree.taboo_owner(()) is Player.II
 
@@ -174,24 +182,27 @@ def test_parser_totality_under_fuzz():
         assert isinstance(document, GameDocument)
 
 
+MORE_REJECTIONS = [
+    (lambda t: t.replace("DEPTH 2", "DEPTH two"), "non-negative integer", 3),
+    (lambda t: t.replace("NODES\n0\n", "NODES\n0 extra\n"), "single path", 5),
+    (lambda t: t.replace("NODES\n", "NODES\n-\n"), "root is implicit", 5),
+    (lambda t: t.replace("TABOOS\n", "TABOOS\n0\n"), "path and a player", 12),
+    (lambda t: t.replace("TABOOS\n", "TABOOS\n0 X\n"), "must be I or II", 12),
+    (lambda t: t.replace("TABOOS\n", "TABOOS\n1/0/1 II\n"), "unknown position", 12),
+    (lambda t: t.replace("PAYOFF closed\n", "PAYOFF closed\n1/0/1\n"), "unknown position", 13),
+    (lambda t: t.replace("GAME v1\n", ""), "expected 'GAME'", 1),
+    (lambda t: t.split("PAYOFF")[0], "missing PAYOFF", 11),
+    (lambda t: "GAME v1\nALPHABET 2\n", "missing DEPTH", 2),
+]
+
+
 @pytest.mark.parametrize(
-    "mutate, message",
-    [
-        (lambda t: t.replace("DEPTH 2", "DEPTH two"), "non-negative integer"),
-        (lambda t: t.replace("NODES\n0\n", "NODES\n0 extra\n"), "single path"),
-        (lambda t: t.replace("NODES\n", "NODES\n-\n"), "root is implicit"),
-        (lambda t: t.replace("TABOOS\n", "TABOOS\n0\n"), "path and a player"),
-        (lambda t: t.replace("TABOOS\n", "TABOOS\n0 X\n"), "must be I or II"),
-        (lambda t: t.replace("TABOOS\n", "TABOOS\n1/0/1 II\n"), "unknown node"),
-        (lambda t: t.replace("PAYOFF closed\n", "PAYOFF closed\n1/0/1\n"), "unknown node"),
-        (lambda t: t.replace("GAME v1\n", ""), "expected 'GAME'"),
-        (lambda t: t.split("PAYOFF")[0], "missing PAYOFF"),
-        (lambda t: "GAME v1\nALPHABET 2\n", "missing DEPTH"),
-    ],
+    "mutate, message, line", MORE_REJECTIONS, ids=_message_ids(MORE_REJECTIONS)
 )
-def test_more_rejections(mutate, message):
-    with pytest.raises(GameDocError, match=message):
+def test_more_rejections(mutate, message, line):
+    with pytest.raises(GameDocError, match=message) as info:
         parse_game(mutate(MINIMAL))
+    assert info.value.line == line
 
 
 def test_duplicate_taboo_rejected():

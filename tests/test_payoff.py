@@ -39,7 +39,7 @@ def test_realize_union_of_complementary_halves(ex1):
 
 
 def test_realize_rejects_bad_generators(ex1, ex2):
-    with pytest.raises(ValueError, match="not in tree"):
+    with pytest.raises(ValueError, match="unknown position"):
         realize(ex1, Closed(ClosedSpec([(5,)])))
     with pytest.raises(ValueError, match="depth range"):
         realize(ex1, Closed(ClosedSpec([(0, 0, 0, 0)])))
