@@ -50,6 +50,7 @@ from .unravel import (
     BaseCovering,
     DEFAULT_FRONTIER_MAX,
     DEFAULT_NODE_MAX,
+    _generator_floor,
     build_base_covering,
     unravel_union,
 )
@@ -311,6 +312,7 @@ def cmd_fuzz(args) -> int:
                 branching=args.branch,
                 taboos=3,
                 generators=3,
+                min_generator_depth=_generator_floor(0, args.depth),
             )
         except ValueError as error:  # --depth or --branch out of range
             raise _UsageError(str(error)) from None

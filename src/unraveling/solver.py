@@ -159,7 +159,6 @@ def prune(tree: GameTree) -> PruneResult:
         return PruneResult(None, determined[()], determined, frozenset(removed), witnesses)
 
     children = {}
-    taboo = {}
     for position in tree.positions():
         if position in removed:
             continue
@@ -171,11 +170,6 @@ def prune(tree: GameTree) -> PruneResult:
                 f"pruning left a new early terminal at {format_position(position)}"
             )
         children[position] = kept
-        owner = tree.taboo_owner(position)
-        if owner is not None:
-            taboo[position] = owner
-    if taboo:
-        raise InternalInvariantError("pruned tree retains taboo tags")
     return PruneResult(
         GameTree(tree.depth, children), None, determined, frozenset(removed), witnesses
     )

@@ -6,7 +6,11 @@ identity level.  At the first decorated level the first player augments a
 move with a *claimed* subset of the move's frontier; the second player
 either accepts (play continues normally but stops with a taboo verdict the
 moment a frontier position is reached) or challenges one claimed position
-(play is then confined to its subtree).
+(play is then confined to its subtree).  One subtree copy builds both
+branches, and every claim on a move shares the same reply objects: one
+``Accept`` per base move and one ``Challenge`` per frontier position.  The
+strategy maps reuse them, and read player II's replies to the claims on a
+move in a single scan.
 
 The *frontier* of a move is the antichain of minimal non-terminal
 extensions from whose subtrees the payoff set is unreachable: the claimed
@@ -43,7 +47,6 @@ from .payoff import (
     ClosedSpec,
     ClosedUnion,
     _complement_generators,
-    check_generators,
     decided_by_depth,
     realize,
 )
@@ -212,7 +215,7 @@ def build_base_covering(
     k = level + level % 2
     if k + 2 > tree.depth:
         raise ValueError(f"level {k} needs depth {k + 2}, bound is {tree.depth}")
-    check_generators(tree, spec)
+    leaves = realize(tree, Closed(spec))  # checks the generators first
     floor = _generator_floor(k, tree.depth)
     for generator in spec.generators:
         if len(generator) < floor:
@@ -220,12 +223,14 @@ def build_base_covering(
                 f"generator {format_position(generator)} too shallow for level {k}"
                 f" (need depth >= {floor})"
             )
-    meets = _meets(tree, realize(tree, Closed(spec)))
+    meets = _meets(tree, leaves)
 
     children: dict[Position, list] = {}
     taboo: dict[Position, Player] = {}
     table: dict[Position, Position] = {}
     frontiers: dict[tuple[Position, Label], tuple[Position, ...]] = {}
+    accepts: dict[Label, Accept] = {}
+    challenges: dict[Position, Challenge] = {}
 
     def add(node: Position, image: Position, tag: Player | None) -> None:
         children[node] = []
@@ -235,34 +240,28 @@ def build_base_covering(
         if len(children) > node_max:
             raise ResourceLimitError(f"covering source exceeds {node_max} nodes")
 
-    # The two copies below walk depth first with an explicit stack, so deep
-    # chains cannot hit the recursion limit; children are pushed in reverse
-    # so nodes are added in preorder, the order the position table keeps.
-    def copy_accept(node, image, claimed_set, frontier_set):
+    def copy(node, image, cut, path=()):
+        """Copy the subtree at ``image`` below ``node``: a position in ``cut``
+        is a terminal with the verdict it maps to, and above the end of
+        ``path`` only the move along ``path`` is kept.
+
+        Depth first with an explicit stack, so deep chains cannot hit the
+        recursion limit; children are pushed in reverse so nodes are added
+        in preorder, the order the position table keeps.
+        """
         stack = [(node, image)]
         while stack:
             node, image = stack.pop()
-            if image in frontier_set:
-                # Claim verdict: claimed frontier positions are losses for the
-                # second player, unclaimed ones concessions by the first.
-                add(node, image, Player.II if image in claimed_set else Player.I)
+            if image in cut:
+                add(node, image, cut[image])
                 continue
             add(node, image, tree.taboo_owner(image))
-            labels = tree.children_of(image)
-            children[node].extend(labels)
-            stack.extend((node + (label,), image + (label,)) for label in reversed(labels))
-
-    def copy_challenge(node, image, challenged):
-        stack = [(node, image)]
-        while stack:
-            node, image = stack.pop()
-            add(node, image, tree.taboo_owner(image))
-            if len(image) < len(challenged):
+            if len(image) < len(path):
                 if tree.is_terminal(image):
                     raise InternalInvariantError(
                         f"terminal position {format_position(image)} on a challenged chain"
                     )
-                labels = (challenged[len(image)],)
+                labels = (path[len(image)],)
             else:
                 labels = tree.children_of(image)
             children[node].extend(labels)
@@ -291,7 +290,7 @@ def build_base_covering(
                         f" at {format_position(base_child)}"
                     )
             frontiers[(p, a)] = front
-            frontier_set = frozenset(front)
+            challenges.update((q, Challenge(q, q[k + 1])) for q in front)
             for claimed in _subsets_counter(front):
                 move = Claim(a, claimed)
                 node = p + (move,)
@@ -299,24 +298,24 @@ def build_base_covering(
                 add(node, base_child, child_tag)
                 if child_tag is not None:
                     continue
-                claimed_set = frozenset(claimed)
+                # Claim verdict: claimed frontier positions are losses for the
+                # second player, unclaimed ones concessions by the first.
+                verdicts = {q: Player.II if q in claimed else Player.I for q in front}
                 for b in tree.children_of(base_child):
-                    reply: Label = Accept(b)
+                    reply = accepts.setdefault(b, Accept(b))
                     children[node].append(reply)
-                    copy_accept(node + (reply,), base_child + (b,), claimed_set, frontier_set)
+                    copy(node + (reply,), base_child + (b,), verdicts)
                 for challenged in claimed:
-                    reply = Challenge(challenged, challenged[k + 1])
+                    reply = challenges[challenged]
                     children[node].append(reply)
-                    copy_challenge(
-                        node + (reply,), base_child + (challenged[k + 1],), challenged
-                    )
+                    copy(node + (reply,), base_child + (reply.move,), {}, challenged)
 
     source = GameTree(tree.depth, children, taboo)
-    transform, lift = _strategy_maps(tree, source, k, frontiers)
+    transform, lift = _strategy_maps(tree, k, frontiers, accepts, challenges)
     return BaseCovering(source, tree, k, table, transform, lift, frontiers)
 
 
-def _strategy_maps(tree: GameTree, source: GameTree, k: int, frontiers):
+def _strategy_maps(tree: GameTree, k: int, frontiers, accepts, challenges):
     """The strategy map and the constructive lift of a base covering.
 
     Both rest on one locator: given a source strategy, ``locate(x)`` names
@@ -325,74 +324,46 @@ def _strategy_maps(tree: GameTree, source: GameTree, k: int, frontiers):
     claim move (``(None, False)`` if ``x`` takes another move); for player
     II it is the claim of the frontier part II never challenges, unless
     ``x`` enters a frontier position II does challenge, where it is the
-    least claim II answers with that challenge.  Past a frontier position
-    the owner gave up (unclaimed by I, claimed but unchallenged against II)
-    the node is the one cut at that position, a taboo against the owner,
-    and inexact.  The transform follows the strategy at exact nodes and
+    first claim (binary-counter order) II answers with that challenge; one
+    scan of II's replies to the claims on a move finds both.  Past a
+    frontier position the owner gave up (unclaimed by I, claimed but
+    unchallenged against II) the node is the one cut at that position, a
+    taboo against the owner, and inexact.  The replies are the
+    construction's own objects, ``accepts`` by move label and
+    ``challenges`` by frontier position (its keys are every frontier
+    position).  The transform follows the strategy at exact nodes and
     takes the least move elsewhere; the lift is the located node.
     """
-    frontier_sets = {key: frozenset(front) for key, front in frontiers.items()}
 
-    def frontier_prefix(x: Position, key) -> Position | None:
-        hits = frontier_sets[key]
+    def frontier_prefix(x: Position) -> Position | None:
         for end in range(k + 2, len(x) + 1):
-            if x[:end] in hits:
+            if x[:end] in challenges:
                 return x[:end]  # the frontier is an antichain: first hit is the only one
         return None
-
-    # Replies do not depend on the strategy, so each is built once per
-    # covering rather than once per position of every mapped strategy.
-    accepts: dict[Label, Accept] = {}
-    challenges: dict[Position, Challenge] = {}
-
-    def accept(move: Label) -> Accept:
-        reply = accepts.get(move)
-        if reply is None:
-            reply = accepts[move] = Accept(move)
-        return reply
-
-    def challenge(hit: Position) -> Challenge:
-        reply = challenges.get(hit)
-        if reply is None:
-            reply = challenges[hit] = Challenge(hit, hit[k + 1])
-        return reply
 
     def locator(strategy: Strategy):
         first = strategy.owner is Player.I
         chosen = strategy.choices
-        quiet_claims: dict = {}
-        rebased_claims: dict = {}
+        scans: dict = {}
 
-        def quiet_claim(p: Position, a: Label) -> Claim:
-            """The claim of exactly the frontier part the strategy never
-            challenges, whatever the claimed set."""
-            claim = quiet_claims.get((p, a))
-            if claim is None:
+        def scan(p: Position, a: Label) -> tuple[Claim, dict]:
+            """II's replies to every claim on ``(p, a)``, read once: the claim
+            of exactly the frontier part never challenged, and for each
+            challenged position the first claim (binary-counter order)
+            answered by challenging it."""
+            found = scans.get((p, a))
+            if found is None:
                 front = frontiers[(p, a)]
-                challenged = set()
-                if not source.is_terminal(p + (Claim(a, ()),)):
+                rebased: dict[Position, Claim] = {}
+                if front:  # with nothing to claim there is nothing to challenge
                     for claimed in _subsets_counter(front):
-                        reply = chosen[p + (Claim(a, claimed),)]
+                        claim = Claim(a, claimed)
+                        reply = chosen[p + (claim,)]
                         if isinstance(reply, Challenge):
-                            challenged.add(reply.target)
-                claim = Claim(a, tuple(q for q in front if q not in challenged))
-                quiet_claims[(p, a)] = claim
-            return claim
-
-        def rebased_claim(p: Position, a: Label, hit: Position) -> Claim:
-            """The first claim (binary-counter order) the strategy answers
-            by challenging ``hit``."""
-            if (p, a, hit) not in rebased_claims:
-                for claimed in _subsets_counter(frontiers[(p, a)]):
-                    if hit not in claimed:
-                        continue
-                    reply = chosen[p + (Claim(a, claimed),)]
-                    if isinstance(reply, Challenge) and reply.target == hit:
-                        rebased_claims[(p, a, hit)] = Claim(a, claimed)
-                        break
-                else:
-                    raise InternalInvariantError("no claimed set challenges the position")
-            return rebased_claims[(p, a, hit)]
+                            rebased.setdefault(reply.target, claim)
+                quiet = Claim(a, tuple(q for q in front if q not in rebased))
+                found = scans[(p, a)] = (quiet, rebased)
+            return found
 
         def locate(x: Position) -> tuple[Position | None, bool]:
             p, a = x[:k], x[k]
@@ -401,17 +372,19 @@ def _strategy_maps(tree: GameTree, source: GameTree, k: int, frontiers):
                 if claim.move != a:
                     return None, False  # off the described play
             else:
-                claim = quiet_claim(p, a)
+                claim, rebased = scan(p, a)
             if len(x) == k + 1:
                 return p + (claim,), True
-            hit = frontier_prefix(x, (p, a))
+            hit = frontier_prefix(x)
             if hit is None:
-                return p + (claim, accept(x[k + 1])) + x[k + 2 :], True
+                return p + (claim, accepts[x[k + 1]]) + x[k + 2 :], True
             if first and hit in claim.claimed:
-                return p + (claim, challenge(hit)) + x[k + 2 :], True
+                return p + (claim, challenges[hit]) + x[k + 2 :], True
             if not first and hit not in claim.claimed:
-                return p + (rebased_claim(p, a, hit), challenge(hit)) + x[k + 2 :], True
-            return p + (claim, accept(x[k + 1])) + hit[k + 2 :], False
+                if hit not in rebased:
+                    raise InternalInvariantError("no claimed set challenges the position")
+                return p + (rebased[hit], challenges[hit]) + x[k + 2 :], True
+            return p + (claim, accepts[x[k + 1]]) + hit[k + 2 :], False
 
         return locate
 

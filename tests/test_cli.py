@@ -1,7 +1,11 @@
 import contextlib
 import dataclasses
+import hashlib
 import io
+import json
 import random
+
+import pytest
 
 from unraveling import cli
 from unraveling.cli import main
@@ -137,6 +141,16 @@ def test_fuzz_two_hundred_samples_seed_seven():
     assert "check all-samples: ok (200/200)" in out
 
 
+def test_fuzz_depth_two_draws_only_admissible_generators():
+    # a depth-2 game admits no generator at the level-0 covering's floor
+    code, out, _ = run_cli("fuzz", "--depth", "2", "--samples", "20")
+    assert code == 0
+    assert "check all-samples: ok (20/20)" in out
+    assert out.rstrip().endswith("result: verified")
+    for depth in ("3", "0", "-2"):
+        assert run_cli("fuzz", "--depth", depth)[0] == 1
+
+
 def test_verify_union_payoff(fixtures_dir):
     code, out, _ = run_cli(
         "verify", game(fixtures_dir, "union.game"), "--k", "0", "--samples", "4", "--seed", "2"
@@ -203,6 +217,32 @@ def test_verify_lift_failure_names_first_play(fixtures_dir, monkeypatch):
     owner, play = first[0]
     assert "check lift: FAIL (1 of " in out
     assert f"plays fail; first: a strategy of player {owner}, play {format_position(play)})" in out
+
+
+# --------------------------------------------------------- pinned reports
+
+# The stdout of each command on each fixture, as sha256 digest and length,
+# with its exit code, kept in fixtures/reports.json; `export-dot` takes
+# `--covering`, and `unravel` takes `--union` on the union payoff.
+
+
+@pytest.mark.parametrize("name", ["ex1", "ex2", "ex3", "rootdet", "union"])
+@pytest.mark.parametrize("command", ["solve", "prune", "unravel", "verify", "export-dot"])
+def test_fixture_reports_are_byte_identical(fixtures_dir, monkeypatch, command, name):
+    monkeypatch.chdir(fixtures_dir)  # the report names the file as given
+    argv = [command, f"{name}.game"]
+    if command == "export-dot":
+        argv.append("--covering")
+    if command == "unravel" and name == "union":
+        argv.append("--union")
+    code, out, _ = run_cli(*argv)
+    data = out.encode()
+    pinned = json.loads((fixtures_dir / "reports.json").read_text())[f"{name}.game {command}"]
+    assert (code, len(data), hashlib.sha256(data).hexdigest()) == (
+        pinned["exit"],
+        pinned["bytes"],
+        pinned["sha256"],
+    )
 
 
 # ------------------------------------------------------------- exit codes

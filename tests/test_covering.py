@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from unraveling.core import (
+    GameTree,
     Player,
     Strategy,
     consistent_plays,
@@ -9,6 +10,7 @@ from unraveling.core import (
     random_strategy,
 )
 from unraveling.covering import (
+    CheckResult,
     Covering,
     check_position_map,
     check_strategy_locality,
@@ -97,6 +99,34 @@ def test_position_map_catches_taboo_violation():
     result = check_position_map(broken)
     assert not result
     assert "taboo" in result.detail
+
+
+@pytest.mark.parametrize(
+    "fault, expected",
+    [
+        ("no image", "no image for 0/0"),
+        ("image not in target", "image of 1/1 not in target"),
+        ("not the identity", "not the identity at level 2 <= 2"),
+        ("children differ", "children differ at -"),
+        ("taboo tags differ", "taboo tags differ at 0/0"),
+    ],
+)
+def test_position_map_catches_each_fault(ex1, ex2, fault, expected):
+    source, target, level = ex1, ex1, 0
+    table = {p: p for p in ex1.positions()}
+    if fault == "no image":
+        del table[(0, 0)]
+    elif fault == "image not in target":
+        table[(1, 1)] = (1, 2)
+    elif fault == "not the identity":
+        level, table[(0, 0)] = 2, (0, 1)
+    elif fault == "children differ":  # the source drops the root's move 1
+        source = GameTree.from_nodes(4, [p for p in ex1.positions() if p and p[0] == 0])
+        level, table = 2, {p: p for p in source.positions()}
+    else:  # the source tags 0/0 as a taboo the target does not have
+        source, level, table = ex2, 2, {p: p for p in ex2.positions()}
+    broken = Covering(source, target, level, table, lambda s: s, lambda s, x: x)
+    assert check_position_map(broken) == CheckResult(False, expected)
 
 
 def test_locality_catches_lookahead(ex1):
