@@ -19,8 +19,10 @@ from .payoff import (
     Closed,
     ClosedSpec,
     ClosedUnion,
+    Not,
     Open,
     PayoffSpec,
+    Union,
     decided_by_depth,
     realize,
 )
@@ -45,6 +47,7 @@ from .unravel import (
     Claim,
     build_base_covering,
     frontier,
+    unravel_payoff,
     unravel_union,
 )
 

@@ -42,17 +42,17 @@ from .covering import (
 )
 from .dot import covering_dot, tree_dot
 from .gamedoc import GameDocError, format_game, parse_game_bytes, to_document
-from .payoff import Closed, ClosedUnion, Open, decided_by_depth, realize
+from .payoff import Closed, decided_by_depth, realize, undecided_pair
 from .randgen import random_game, rng_for
 from .solver import prune, solve, transfer_from_pruned
 from .unravel import (
-    Accept,
     BaseCovering,
     DEFAULT_FRONTIER_MAX,
     DEFAULT_NODE_MAX,
     _generator_floor,
     build_base_covering,
-    unravel_union,
+    check_accept_set,
+    unravel_payoff,
 )
 
 EXIT_OK = 0
@@ -111,9 +111,9 @@ def _node_max() -> int:
         raise _UsageError(f"UNRAVEL_NODE_MAX is not an integer: {value!r}") from None
 
 
-def _check_samples(samples: int) -> None:
-    if samples < 1:
-        raise _UsageError(f"--samples must be at least 1, got {samples}")
+def _check_at_least(option: str, value: int, least: int) -> None:
+    if value < least:
+        raise _UsageError(f"{option} must be at least {least}, got {value}")
 
 
 def _strategy_lines(strategy: Strategy) -> list[str]:
@@ -122,15 +122,14 @@ def _strategy_lines(strategy: Strategy) -> list[str]:
 
 
 def _load(path: str):
-    """The tree and payoff of a game file."""
+    """The tree and payoff of a game file, and the set of plays it denotes."""
     with open(path, "rb") as handle:
         document = parse_game_bytes(handle.read())
-    return document.tree, document.payoff
+    return document.tree, document.payoff, realize(document.tree, document.payoff)
 
 
 def cmd_solve(args) -> int:
-    tree, payoff = _load(args.file)
-    leaves = realize(tree, payoff)
+    tree, _, leaves = _load(args.file)
     solution = solve(tree, leaves)
     report = Report("solve")
     report.add("file", args.file)
@@ -143,8 +142,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_prune(args) -> int:
-    tree, payoff = _load(args.file)
-    leaves = realize(tree, payoff)
+    tree, _, leaves = _load(args.file)
     result = prune(tree)
     report = Report("prune")
     report.add("file", args.file)
@@ -168,32 +166,21 @@ def cmd_prune(args) -> int:
     return EXIT_OK if report.ok else EXIT_VIOLATION
 
 
-def _covering_for(tree, payoff, level, *, union: bool, node_max: int):
+def _covering_for(tree, payoff, level, *, node_max: int):
     """Build the covering a document's payoff calls for.
 
-    Open payoffs reuse the covering of their closed complement (a covering
-    unravels a set iff it unravels the complement); unions go through the
-    iterated construction.  A precondition the construction rejects (the
-    level ``--k`` or the file's generators) is a usage error.
+    A precondition the construction rejects (the level ``--k`` or the
+    file's generators) is a usage error.
     """
-    if isinstance(payoff, ClosedUnion) and not union:
-        raise _UsageError("union payoff requires --union")
     try:
-        if union:
-            parts = payoff.parts if isinstance(payoff, ClosedUnion) else [payoff.spec]
-            return unravel_union(tree, parts, level, node_max=node_max)
-        covering = build_base_covering(tree, payoff.spec, level, node_max=node_max)
+        return unravel_payoff(tree, payoff, level, node_max=node_max)
     except ValueError as error:
         raise _UsageError(str(error)) from None
-    return covering, covering.level + 2
 
 
 def cmd_unravel(args) -> int:
-    tree, payoff = _load(args.file)
-    leaves = realize(tree, payoff)
-    covering, decided_depth = _covering_for(
-        tree, payoff, args.k, union=args.union, node_max=_node_max()
-    )
+    tree, payoff, leaves = _load(args.file)
+    covering, decided_depth = _covering_for(tree, payoff, args.k, node_max=_node_max())
     report = Report("unravel")
     report.add("file", args.file)
     report.add("k", covering.level)
@@ -210,9 +197,8 @@ def cmd_unravel(args) -> int:
         report.add("claim-moves", claim_moves)
     report.add("source-nodes", covering.source.node_count)
     report.add("decided-at", decided_depth)
-    report.check(
-        "certificate", decided_by_depth(covering.source, pullback(covering, leaves), decided_depth)
-    )
+    pulled = pullback(covering, leaves)
+    report.check("certificate", *_certificate(covering.source, pulled, decided_depth))
     solution = solve_via_covering(covering, leaves, decided_depth)
     report.add("winner", solution.winner)
     report.check(
@@ -224,27 +210,15 @@ def cmd_unravel(args) -> int:
     return EXIT_OK if report.ok else EXIT_VIOLATION
 
 
-def _run_covering_checks(
-    report, tree, leaves, closed_leaves, covering, decided_depth, samples, seed
-) -> None:
+def _run_covering_checks(report, tree, leaves, covering, decided_depth, samples, seed) -> None:
     report.check("position-map", *_split(check_position_map(covering)))
     report.check("strategy-locality", *_split(check_strategy_locality(covering, samples, seed)))
-    pulled = pullback(covering, leaves)
-    report.check("certificate", decided_by_depth(covering.source, pulled, decided_depth))
+    source = covering.source
+    report.check("certificate", *_certificate(source, pullback(covering, leaves), decided_depth))
     if isinstance(covering, BaseCovering):
-        # The accept branch realizes the closed orientation of the payoff,
-        # whichever orientation the document asked to solve for.
-        accepts = frozenset(
-            leaf
-            for leaf in covering.source.full_depth_plays()
-            if isinstance(leaf[covering.level + 1], Accept)
-        )
-        report.check("pullback-is-accept-set", pullback(covering, closed_leaves) == accepts)
-        complement = frozenset(tree.full_depth_plays()) - leaves
-        report.check(
-            "complement-certificate",
-            decided_by_depth(covering.source, pullback(covering, complement), decided_depth),
-        )
+        report.check("pullback-is-accept-set", *_split(check_accept_set(covering)))
+        complement = pullback(covering, frozenset(tree.full_depth_plays()) - leaves)
+        report.check("complement-certificate", *_certificate(source, complement, decided_depth))
     rng = rng_for(f"verify:{seed}")
     lift_failures = 0
     plays_checked = 0
@@ -274,30 +248,35 @@ def _split(result) -> tuple[bool, str]:
     return bool(result), result.detail or ""
 
 
-def cmd_verify(args) -> int:
-    _check_samples(args.samples)
-    tree, payoff = _load(args.file)
-    leaves = realize(tree, payoff)
-    closed_leaves = leaves
-    if isinstance(payoff, Open):
-        closed_leaves = frozenset(tree.full_depth_plays()) - leaves
-    covering, decided_depth = _covering_for(
-        tree, payoff, args.k, union=isinstance(payoff, ClosedUnion), node_max=_node_max()
+def _certificate(source, pulled, depth: int) -> tuple[bool, str]:
+    """The check that ``pulled`` is decided by ``depth``; when it is not,
+    two plays that share their length-``depth`` prefix name the failure."""
+    if decided_by_depth(source, pulled, depth):
+        return True, ""
+    inside, outside = undecided_pair(source, pulled, depth)
+    return False, (
+        f"plays {format_position(inside)} (in) and {format_position(outside)} (out)"
+        f" share the length-{depth} prefix"
     )
+
+
+def cmd_verify(args) -> int:
+    _check_at_least("--samples", args.samples, 1)
+    tree, payoff, leaves = _load(args.file)
+    covering, decided_depth = _covering_for(tree, payoff, args.k, node_max=_node_max())
     report = Report("verify")
     report.add("file", args.file)
     report.add("k", covering.level)
     report.add("samples", args.samples)
     report.add("seed", args.seed)
-    _run_covering_checks(
-        report, tree, leaves, closed_leaves, covering, decided_depth, args.samples, args.seed
-    )
+    _run_covering_checks(report, tree, leaves, covering, decided_depth, args.samples, args.seed)
     print(report.render(), end="")
     return EXIT_OK if report.ok else EXIT_VIOLATION
 
 
 def cmd_fuzz(args) -> int:
-    _check_samples(args.samples)
+    _check_at_least("--samples", args.samples, 1)
+    _check_at_least("--zmax", args.zmax, 0)
     report = Report("fuzz")
     report.add("samples", args.samples)
     report.add("seed", args.seed)
@@ -313,6 +292,7 @@ def cmd_fuzz(args) -> int:
                 taboos=3,
                 generators=3,
                 min_generator_depth=_generator_floor(0, args.depth),
+                node_max=_node_max(),
             )
         except ValueError as error:  # --depth or --branch out of range
             raise _UsageError(str(error)) from None
@@ -366,12 +346,9 @@ def _fuzz_one(tree, spec, leaves, args) -> str | None:
 
 
 def cmd_export_dot(args) -> int:
-    tree, payoff = _load(args.file)
-    leaves = realize(tree, payoff)
+    tree, payoff, leaves = _load(args.file)
     if args.covering:
-        covering, _ = _covering_for(
-            tree, payoff, args.k, union=isinstance(payoff, ClosedUnion), node_max=_node_max()
-        )
+        covering, _ = _covering_for(tree, payoff, args.k, node_max=_node_max())
         text = covering_dot(covering, leaves, node_max=_node_max())
     else:
         text = tree_dot(tree, leaves, node_max=_node_max())
@@ -398,7 +375,6 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("unravel", help="build the covering and solve through it")
     p.add_argument("file")
     p.add_argument("--k", type=int, default=0)
-    p.add_argument("--union", action="store_true")
     p.set_defaults(run=cmd_unravel)
 
     p = sub.add_parser("verify", help="run every covering check on a game file")

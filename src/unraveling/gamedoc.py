@@ -18,7 +18,9 @@ Positions are slash paths of labels (``-`` is the root); every non-root
 position is listed under NODES and must come with its parent.  TABOOS tags
 early terminals with the player they are a loss for; the tags must cover
 exactly the terminals above full depth.  PAYOFF is ``closed`` or ``open``
-followed by generator paths, or ``union`` followed by ``CLOSED`` blocks.
+followed by generator paths, or ``union`` followed by ``CLOSED`` blocks:
+the expressions ``Closed(spec)``, ``Not(Closed(spec))`` and
+``Union(Closed(spec), ...)``.  No other payoff expression can be written.
 
 A parsed document is ``GameDocument(alphabet, tree, payoff)``.  The parser
 checks the text; the tree is built once, and ``GameTree`` and
@@ -39,7 +41,7 @@ import re
 from dataclasses import dataclass
 
 from .core import ArenaError, GameTree, Player, Position, format_position
-from .payoff import Closed, ClosedSpec, ClosedUnion, Open, PayoffSpec, check_generators
+from .payoff import Closed, ClosedSpec, ClosedUnion, Not, Open, PayoffSpec, Union, check_generators
 
 VERSION = "v1"
 
@@ -267,23 +269,31 @@ def format_game(document: GameDocument) -> str:
     out.extend(format_position(p) for p in tree.positions()[1:])
     out.append("TABOOS")
     out.extend(f"{format_position(p)} {owner}" for p, owner in tree.taboo_items())
-    payoff = document.payoff
-    if isinstance(payoff, Closed):
-        out.append("PAYOFF closed")
-        out.extend(format_position(g) for g in payoff.spec.generators)
-    elif isinstance(payoff, Open):
-        out.append("PAYOFF open")
-        out.extend(format_position(g) for g in payoff.spec.generators)
-    else:
-        out.append("PAYOFF union")
-        for part in payoff.parts:
+    kind, specs = _written_form(document.payoff)
+    out.append(f"PAYOFF {kind}")
+    for spec in specs:
+        if kind == "union":
             out.append("CLOSED")
-            out.extend(format_position(g) for g in part.generators)
+        out.extend(format_position(g) for g in spec.generators)
     return "\n".join(out) + "\n"
 
 
+def _written_form(payoff: PayoffSpec) -> tuple[str, list[ClosedSpec]]:
+    """The PAYOFF kind and generator blocks of the expressions the format
+    can write: a closed set, its complement, and a union of closed sets."""
+    if isinstance(payoff, Closed):
+        return "closed", [payoff.spec]
+    if isinstance(payoff, Not) and isinstance(payoff.payoff, Closed):
+        return "open", [payoff.payoff.spec]
+    if isinstance(payoff, Union) and all(isinstance(part, Closed) for part in payoff.parts):
+        return "union", [part.spec for part in payoff.parts]
+    raise ValueError(f"GAME {VERSION} cannot write the payoff {payoff!r}")
+
+
 def to_document(tree: GameTree, payoff: PayoffSpec) -> GameDocument:
-    """Wrap a base game (integer labels only) for printing; the tree is shared."""
+    """Wrap a base game (integer labels only) and a payoff the format can
+    write for printing; the tree is shared."""
+    _written_form(payoff)
     labels = [label for p in tree.positions() for label in p]
     if any(not isinstance(label, int) for label in labels):
         raise ValueError("only base games with integer labels are serializable")

@@ -7,6 +7,10 @@ so the generator representation is what carries the topological content;
 generators are restricted to non-terminal positions strictly between the
 root and the depth bound.
 
+A payoff is one expression: ``Closed(spec)``, ``Not(e)`` (the complement
+within the full-depth plays) or ``Union(e, ...)``.  ``Open(spec)`` builds
+``Not(Closed(spec))`` and ``ClosedUnion(specs)`` a union of closed sets.
+
 "Decided by depth d" is the finite rendering of clopen: membership of a
 full-depth play depends only on its length-``d`` prefix.
 """
@@ -42,22 +46,38 @@ class Closed:
 
 
 @dataclass(frozen=True)
-class Open:
-    spec: ClosedSpec
+class Not:
+    payoff: PayoffSpec
 
 
 @dataclass(frozen=True)
-class ClosedUnion:
-    parts: tuple[ClosedSpec, ...]
+class Union:
+    parts: tuple[PayoffSpec, ...]
 
-    def __init__(self, parts):
-        parts = tuple(parts)
+    def __init__(self, *parts):
         if not parts:
             raise ValueError("union payoff must have at least one member")
         object.__setattr__(self, "parts", parts)
 
 
-PayoffSpec = Closed | Open | ClosedUnion
+PayoffSpec = Closed | Not | Union
+
+
+def Open(spec: ClosedSpec) -> Not:
+    return Not(Closed(spec))
+
+
+def ClosedUnion(specs) -> Union:
+    return Union(*map(Closed, specs))
+
+
+def map_closed(payoff: PayoffSpec, leaf) -> PayoffSpec:
+    """``payoff`` with each ``Closed(spec)`` replaced by ``Closed(leaf(spec))``."""
+    if isinstance(payoff, Closed):
+        return Closed(leaf(payoff.spec))
+    if isinstance(payoff, Not):
+        return Not(map_closed(payoff.payoff, leaf))
+    return Union(*(map_closed(part, leaf) for part in payoff.parts))
 
 
 def check_generators(tree: GameTree, spec: ClosedSpec) -> None:
@@ -74,40 +94,39 @@ def check_generators(tree: GameTree, spec: ClosedSpec) -> None:
         raise ArenaError(fault.format(format_position(generator)), generator)
 
 
-def _closed_leaves(tree: GameTree, spec: ClosedSpec) -> frozenset:
-    check_generators(tree, spec)
-    return frozenset(
-        leaf
-        for leaf in tree.full_depth_plays()
-        if not any(is_prefix(g, leaf) for g in spec.generators)
-    )
-
-
 def realize(tree: GameTree, payoff: PayoffSpec) -> frozenset:
-    """The explicit set of full-depth plays a payoff spec denotes."""
+    """The explicit set of full-depth plays a payoff expression denotes."""
     if isinstance(payoff, Closed):
-        return _closed_leaves(tree, payoff.spec)
-    if isinstance(payoff, Open):
-        return frozenset(tree.full_depth_plays()) - _closed_leaves(tree, payoff.spec)
-    if isinstance(payoff, ClosedUnion):
-        out: frozenset = frozenset()
-        for part in payoff.parts:
-            out |= _closed_leaves(tree, part)
-        return out
+        check_generators(tree, payoff.spec)
+        return frozenset(
+            leaf
+            for leaf in tree.full_depth_plays()
+            if not any(is_prefix(g, leaf) for g in payoff.spec.generators)
+        )
+    if isinstance(payoff, Not):
+        return frozenset(tree.full_depth_plays()) - realize(tree, payoff.payoff)
+    if isinstance(payoff, Union):
+        return frozenset().union(*(realize(tree, part) for part in payoff.parts))
     raise TypeError(f"not a payoff spec: {payoff!r}")
 
 
 def decided_by_depth(tree: GameTree, leaves, depth: int) -> bool:
     """True iff membership depends only on the length-``depth`` prefix."""
+    return undecided_pair(tree, leaves, depth) is None
+
+
+def undecided_pair(tree: GameTree, leaves, depth: int) -> tuple[Position, Position] | None:
+    """Two full-depth plays with the same length-``depth`` prefix, the first
+    in ``leaves`` and the second not; None if membership is decided there."""
     if not 0 <= depth <= tree.depth:
         raise ValueError("depth out of range")
-    verdict_by_prefix: dict[Position, bool] = {}
+    first_by_prefix: dict[Position, tuple[bool, Position]] = {}
     for leaf in tree.full_depth_plays():
-        prefix = leaf[:depth]
         verdict = leaf in leaves
-        if verdict_by_prefix.setdefault(prefix, verdict) != verdict:
-            return False
-    return True
+        first_verdict, first = first_by_prefix.setdefault(leaf[:depth], (verdict, leaf))
+        if first_verdict != verdict:
+            return (first, leaf) if first_verdict else (leaf, first)
+    return None
 
 
 def _complement_generators(tree: GameTree, leaves, depth: int) -> ClosedSpec:

@@ -8,8 +8,9 @@ from __future__ import annotations
 
 import random
 
-from .core import GameTree, Player, Position, is_prefix
+from .core import GameTree, Player, Position, ResourceLimitError, is_prefix
 from .payoff import ClosedSpec
+from .unravel import DEFAULT_NODE_MAX
 
 
 def rng_for(seed) -> random.Random:
@@ -22,8 +23,13 @@ def random_tree(
     depth: int = 4,
     branching: int = 2,
     taboos: int = 2,
+    node_max: int = DEFAULT_NODE_MAX,
 ) -> GameTree:
-    """Random arena: grow a full tree, then cut an antichain into taboos."""
+    """Random arena: grow a full tree, then cut an antichain into taboos.
+
+    Growing more than ``node_max`` positions raises ``ResourceLimitError``;
+    the cap only counts, so an arena within it is drawn as without one.
+    """
     # Depth first with an explicit stack, so deep trees cannot hit the
     # recursion limit; children are pushed in reverse so that positions are
     # grown, and ``rng`` is called, in preorder.
@@ -31,6 +37,8 @@ def random_tree(
     stack: list[Position] = [()]
     while stack:
         position = stack.pop()
+        if len(children) >= node_max:
+            raise ResourceLimitError(f"random arena exceeds {node_max} nodes")
         if len(position) >= depth:  # >=: a negative depth still ends the walk
             children[position] = []
             continue
@@ -85,9 +93,10 @@ def random_game(
     taboos: int = 2,
     generators: int = 3,
     min_generator_depth: int = 1,
+    node_max: int = DEFAULT_NODE_MAX,
 ) -> tuple[GameTree, ClosedSpec]:
     rng = rng_for(seed)
-    tree = random_tree(rng, depth=depth, branching=branching, taboos=taboos)
+    tree = random_tree(rng, depth=depth, branching=branching, taboos=taboos, node_max=node_max)
     spec = random_closed_spec(
         rng, tree, max_generators=generators, min_depth=min_generator_depth
     )

@@ -1,4 +1,4 @@
-"""Closed-set unraveling: decorated claim games and iterated coverings.
+"""Unraveling: decorated claim games, and the induction over payoff expressions.
 
 Given a structurally closed payoff set, the base construction builds a
 covering whose pulled-back payoff is decided two levels past the covering's
@@ -17,10 +17,10 @@ extensions from whose subtrees the payoff set is unreachable: the claimed
 subset is exactly the part of the frontier the first player asserts they
 can still win through taboos.
 
-``unravel_union`` iterates the construction over a finite list of closed
-specs, pulling each one through the composite built so far at climbing
-identity levels, and finishes with one more base covering over the (now
-prefix-decided) complement of the pulled-back union.
+``unravel_payoff`` unravels any payoff expression by induction: unions
+stack their parts' coverings at climbing identity levels and finish with
+one more base covering over the decided complement of the pulled-back
+union; a complement reuses its operand's covering.
 """
 
 from __future__ import annotations
@@ -41,13 +41,23 @@ from .core import (
     label_key,
     position_key,
 )
-from .covering import Covering, compose, identity_covering, pullback, pullback_closed_spec
+from .covering import (
+    CheckResult,
+    Covering,
+    compose,
+    identity_covering,
+    pullback,
+    pullback_closed_spec,
+)
 from .payoff import (
     Closed,
     ClosedSpec,
     ClosedUnion,
+    Not,
+    PayoffSpec,
     _complement_generators,
     decided_by_depth,
+    map_closed,
     realize,
 )
 
@@ -189,9 +199,29 @@ def _frontier(tree: GameTree, meets: set, start: Position) -> tuple[Position, ..
 
 @dataclass(frozen=True)
 class BaseCovering(Covering):
-    """A base-construction covering plus its per-move frontier tables."""
+    """A base-construction covering plus its per-move frontier tables and
+    the closed set it was built for."""
 
     frontiers: Mapping[tuple[Position, Label], tuple[Position, ...]]
+    spec: ClosedSpec
+
+
+def check_accept_set(covering: BaseCovering) -> CheckResult:
+    """The pullback of the closed set a base covering was built for is
+    exactly the full-depth plays of its accept branch, whichever orientation
+    of the set a game asks to solve for; if not, one play on which the two
+    differ is named with the side it is on."""
+    pulled = pullback(covering, realize(covering.target, Closed(covering.spec)))
+    accepts = frozenset(
+        leaf
+        for leaf in covering.source.full_depth_plays()
+        if isinstance(leaf[covering.level + 1], Accept)
+    )
+    if pulled == accepts:
+        return CheckResult(True)
+    play = min(pulled ^ accepts, key=position_key)
+    side = "pullback, not the accept set" if play in pulled else "accept set, not the pullback"
+    return CheckResult(False, f"play {format_position(play)} is in the {side}")
 
 
 def build_base_covering(
@@ -312,7 +342,7 @@ def build_base_covering(
 
     source = GameTree(tree.depth, children, taboo)
     transform, lift = _strategy_maps(tree, k, frontiers, accepts, challenges)
-    return BaseCovering(source, tree, k, table, transform, lift, frontiers)
+    return BaseCovering(source, tree, k, table, transform, lift, frontiers, spec)
 
 
 def _strategy_maps(tree: GameTree, k: int, frontiers, accepts, challenges):
@@ -425,6 +455,59 @@ def _strategy_maps(tree: GameTree, k: int, frontiers, accepts, challenges):
     return transform, lift
 
 
+def unravel_payoff(
+    tree: GameTree,
+    payoff: PayoffSpec,
+    level: int,
+    *,
+    frontier_max: int = DEFAULT_FRONTIER_MAX,
+    node_max: int = DEFAULT_NODE_MAX,
+) -> tuple[Covering, int]:
+    """Covering unraveling a payoff expression, plus the depth at which the
+    pulled-back payoff is decided, by induction on the expression.
+
+    A closed set is one base covering, decided two levels past ``level``;
+    a complement takes its operand's covering and depth.  A union unravels
+    part ``n``, pulled back through the composite so far, at the smallest
+    even level at least ``level + n``; the complement of the pulled-back
+    union is then closed at the deepest depth the parts return, and one
+    more base covering at ``level`` finishes.
+    """
+    caps = dict(frontier_max=frontier_max, node_max=node_max)
+    if isinstance(payoff, Closed):
+        covering = build_base_covering(tree, payoff.spec, level, **caps)
+        return covering, covering.level + 2
+    if isinstance(payoff, Not):
+        return unravel_payoff(tree, payoff.payoff, level, **caps)
+
+    k = level + level % 2
+    composite: Covering | None = None
+    current = tree
+    deepest = 0
+    for n, part in enumerate(payoff.parts):
+        stage = k + n
+        stage += stage % 2
+        if composite is not None:
+            part = map_closed(part, lambda spec: pullback_closed_spec(composite, spec))
+        try:
+            built, decided = unravel_payoff(current, part, stage, **caps)
+        except ValueError as error:
+            raise ValueError(f"stage {n}: {error}") from None
+        composite = built if composite is None else compose(composite, built)
+        current = composite.source
+        deepest = max(deepest, decided)
+
+    if len(payoff.parts) == 1:
+        return composite, deepest
+
+    union_leaves = pullback(composite, realize(tree, payoff))
+    if not decided_by_depth(current, union_leaves, deepest):
+        raise InternalInvariantError("pulled-back union not decided at the stage depth")
+    complement = _complement_generators(current, union_leaves, deepest)
+    finishing = build_base_covering(current, complement, k, **caps)
+    return compose(composite, finishing), k + 2
+
+
 def unravel_union(
     tree: GameTree,
     specs: Iterable[ClosedSpec],
@@ -433,45 +516,10 @@ def unravel_union(
     frontier_max: int = DEFAULT_FRONTIER_MAX,
     node_max: int = DEFAULT_NODE_MAX,
 ) -> tuple[Covering, int]:
-    """Covering unraveling a finite union of closed sets, plus the depth at
-    which the pulled-back union is decided.
-
-    Stage ``n`` base-covers the current source at the smallest even level
-    at least ``level + n``, unraveling the pullback of the n-th spec.  Once
-    every part is decided, the complement of the pulled-back union is again
-    structurally closed (its generators sit at the deepest stage level plus
-    two), so one more base covering at the original level finishes the job.
-    """
-    k = level + level % 2
+    """``unravel_payoff`` on a union of closed sets; of none, the identity."""
     specs = list(specs)
     if not specs:
         return identity_covering(tree), 0
-
-    composite: Covering | None = None
-    current = tree
-    deepest = k
-    for n, spec in enumerate(specs):
-        stage = k + n
-        stage += stage % 2
-        pulled = spec if composite is None else pullback_closed_spec(composite, spec)
-        try:
-            built = build_base_covering(
-                current, pulled, stage, frontier_max=frontier_max, node_max=node_max
-            )
-        except ValueError as error:
-            raise ValueError(f"stage {n}: {error}") from None
-        composite = built if composite is None else compose(composite, built)
-        current = composite.source
-        deepest = max(deepest, stage)
-
-    if len(specs) == 1:
-        return composite, k + 2
-
-    union_leaves = pullback(composite, realize(tree, ClosedUnion(specs)))
-    if not decided_by_depth(current, union_leaves, deepest + 2):
-        raise InternalInvariantError("pulled-back union not decided at the stage depth")
-    complement = _complement_generators(current, union_leaves, deepest + 2)
-    finishing = build_base_covering(
-        current, complement, k, frontier_max=frontier_max, node_max=node_max
+    return unravel_payoff(
+        tree, ClosedUnion(specs), level, frontier_max=frontier_max, node_max=node_max
     )
-    return compose(composite, finishing), k + 2

@@ -1,9 +1,11 @@
+import argparse
 import contextlib
 import dataclasses
 import hashlib
 import io
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -73,15 +75,10 @@ def test_unravel_reports_are_deterministic(fixtures_dir):
 
 
 def test_unravel_union(fixtures_dir):
-    code, out, _ = run_cli("unravel", game(fixtures_dir, "union.game"), "--k", "0", "--union")
+    # the payoff alone selects the union construction
+    code, out, _ = run_cli("unravel", game(fixtures_dir, "union.game"), "--k", "0")
     assert code == 0
     assert "winner: I" in out
-
-
-def test_unravel_union_without_flag_is_usage_error(fixtures_dir):
-    code, _, err = run_cli("unravel", game(fixtures_dir, "union.game"), "--k", "0")
-    assert code == 1
-    assert "--union" in err
 
 
 # ----------------------------------------------------------------- verify
@@ -149,6 +146,20 @@ def test_fuzz_depth_two_draws_only_admissible_generators():
     assert out.rstrip().endswith("result: verified")
     for depth in ("3", "0", "-2"):
         assert run_cli("fuzz", "--depth", depth)[0] == 1
+
+
+def test_fuzz_zmax_below_zero_is_usage_error():
+    code, out, err = run_cli("fuzz", "--zmax", "-1")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: --zmax must be at least 0")
+    assert run_cli("fuzz", "--zmax", "0", "--samples", "3")[0] == 0
+
+
+def test_fuzz_draws_arenas_within_the_node_cap(monkeypatch):
+    monkeypatch.setenv("UNRAVEL_NODE_MAX", "50")
+    code, out, err = run_cli("fuzz", "--depth", "14", "--branch", "3", "--samples", "2")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: random arena exceeds 50 nodes")
 
 
 def test_verify_union_payoff(fixtures_dir):
@@ -219,11 +230,42 @@ def test_verify_lift_failure_names_first_play(fixtures_dir, monkeypatch):
     assert f"plays fail; first: a strategy of player {owner}, play {format_position(play)})" in out
 
 
+def test_verify_failing_certificates_name_their_plays(fixtures_dir, monkeypatch):
+    """A position map that moves one accept-branch play of ``ex1`` out of
+    the closed set breaks both certificates and the accept-set identity;
+    each failure names the plays behind it."""
+    build = cli._covering_for
+
+    def with_moved_play(*args, **kwargs):
+        covering, decided_depth = build(*args, **kwargs)
+        table = dict(covering.position_map)
+        (moved,) = [leaf for leaf, image in table.items() if image == (0, 0, 0, 1)]
+        table[moved] = (1, 0, 0, 1)
+        return dataclasses.replace(covering, position_map=table), decided_depth
+
+    monkeypatch.setattr(cli, "_covering_for", with_moved_play)
+    code, out, _ = run_cli("verify", game(fixtures_dir, "ex1.game"))
+    assert code == 2
+    kept, moved = "0[]/acc(0)/0/0", "0[]/acc(0)/0/1"
+    assert (
+        f"check certificate: FAIL (plays {kept} (in) and {moved} (out)"
+        " share the length-2 prefix)\n"
+    ) in out
+    assert (
+        f"check pullback-is-accept-set: FAIL (play {moved} is in the accept set,"
+        " not the pullback)\n"
+    ) in out
+    assert (
+        f"check complement-certificate: FAIL (plays {moved} (in) and {kept} (out)"
+        " share the length-2 prefix)\n"
+    ) in out
+
+
 # --------------------------------------------------------- pinned reports
 
 # The stdout of each command on each fixture, as sha256 digest and length,
 # with its exit code, kept in fixtures/reports.json; `export-dot` takes
-# `--covering`, and `unravel` takes `--union` on the union payoff.
+# `--covering`.
 
 
 @pytest.mark.parametrize("name", ["ex1", "ex2", "ex3", "rootdet", "union"])
@@ -233,8 +275,6 @@ def test_fixture_reports_are_byte_identical(fixtures_dir, monkeypatch, command, 
     argv = [command, f"{name}.game"]
     if command == "export-dot":
         argv.append("--covering")
-    if command == "unravel" and name == "union":
-        argv.append("--union")
     code, out, _ = run_cli(*argv)
     data = out.encode()
     pinned = json.loads((fixtures_dir / "reports.json").read_text())[f"{name}.game {command}"]
@@ -274,7 +314,7 @@ def test_negative_level_is_usage_error_naming_it(fixtures_dir):
         ("unravel", ex1, "--k", "-2"),
         ("verify", ex1, "--k", "-2"),
         ("export-dot", ex1, "--covering", "--k", "-2"),
-        ("unravel", game(fixtures_dir, "union.game"), "--union", "--k", "-2"),
+        ("unravel", game(fixtures_dir, "union.game"), "--k", "-2"),
     ):
         code, out, err = run_cli(*argv)
         assert (code, out) == (1, ""), argv
@@ -295,12 +335,12 @@ def test_sample_count_below_one_is_usage_error(fixtures_dir):
 
 ARGV_POOL = [
     "solve", "prune", "unravel", "verify", "fuzz", "export-dot", "bogus",
-    "--k", "--samples", "--seed", "--depth", "--branch", "--zmax", "--union", "--covering",
+    "--k", "--samples", "--seed", "--depth", "--branch", "--zmax", "--covering",
     "--output", "-3", "-1", "0", "1", "2", "3", "x", "",
 ]
 NODE_MAX_VALUES = ["", "0", "-5", "1", "3", "many", "1e3", " 7 ", "99999999999999999999"]
 COMMANDS = [
-    ("solve",), ("prune",), ("unravel",), ("unravel", "--union"),
+    ("solve",), ("prune",), ("unravel",),
     ("verify", "--samples", "2"), ("export-dot",), ("export-dot", "--covering"),
 ]
 
@@ -422,12 +462,12 @@ def test_prune_root_determined_game(fixtures_dir):
     assert "check witness-wins-outright: ok" in out
 
 
-def test_unravel_union_flag_on_closed_payoff(fixtures_dir):
-    # a single closed payoff through the union pipeline: one base covering
-    code, out, _ = run_cli("unravel", game(fixtures_dir, "ex1.game"), "--k", "0", "--union")
-    assert code == 0
-    assert "winner: I" in out
-    assert "decided-at: 2" in out
+def test_unravel_has_no_union_flag(fixtures_dir):
+    # the payoff selects the construction, so there is no flag to choose it
+    for name in ("ex1.game", "union.game"):
+        code, out, err = run_cli("unravel", game(fixtures_dir, name), "--union")
+        assert (code, out) == (1, "")
+        assert "unrecognized arguments: --union" in err
 
 
 def test_fuzz_violation_reports_counterexample(monkeypatch):
@@ -447,3 +487,29 @@ def test_export_dot_respects_node_cap(fixtures_dir, monkeypatch):
     code, _, err = run_cli("export-dot", game(fixtures_dir, "ex3.game"))
     assert code == 1
     assert "export cap" in err
+
+
+def test_readme_synopsis_matches_the_parser():
+    """The CLI block of README.md lists every subcommand with exactly the
+    options its parser defines."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```\n", 2)[1]
+    listed = {}
+    for line in block.splitlines():
+        _, command, *words = line.split()
+        listed[command] = {w.strip("[]") for w in words if w.strip("[]").startswith("--")}
+    (commands,) = [
+        action
+        for action in cli._build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    defined = {
+        command: {
+            option
+            for action in parser._actions
+            for option in action.option_strings
+            if option not in ("-h", "--help")
+        }
+        for command, parser in commands.choices.items()
+    }
+    assert listed == defined

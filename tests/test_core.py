@@ -14,6 +14,7 @@ from unraveling.core import (
     strategy_from,
     subtree_at,
 )
+from unraveling.core import ResourceLimitError
 from unraveling.randgen import random_tree, rng_for
 
 import oracles
@@ -64,6 +65,19 @@ def test_positions_match_sort_oracle(seed):
     rebuilt = GameTree(tree.depth, children, dict(tree.taboo_items()))
     assert list(rebuilt.positions()) == oracles.canonical_order_by_sort(nodes)
     assert rebuilt == tree
+
+
+def test_random_tree_node_cap_only_counts():
+    # within the cap an arena and the rng draws are those of an uncapped walk
+    for seed in range(10):
+        free, capped = rng_for(f"cap:{seed}"), rng_for(f"cap:{seed}")
+        tree = random_tree(free, depth=6, branching=3, taboos=3)
+        assert random_tree(capped, depth=6, branching=3, taboos=3, node_max=1093) == tree
+        assert capped.getstate() == free.getstate()
+    # a chain of depth 6 grows 7 positions
+    assert random_tree(rng_for("chain"), depth=6, branching=1, taboos=0, node_max=7).node_count == 7
+    with pytest.raises(ResourceLimitError, match="random arena exceeds 6 nodes"):
+        random_tree(rng_for("chain"), depth=6, branching=1, taboos=0, node_max=6)
 
 
 def test_complete_deep_chain_within_default_recursion_limit():

@@ -6,9 +6,13 @@ from unraveling.payoff import (
     ClosedSpec,
     ClosedUnion,
     Open,
+    Not,
+    Union,
     _complement_generators,
     decided_by_depth,
+    map_closed,
     realize,
+    undecided_pair,
 )
 from unraveling.randgen import random_closed_spec, random_tree, rng_for
 from unraveling.unravel import _meets
@@ -143,3 +147,37 @@ def test_realize_rejects_non_payoff(ex1):
 def test_decided_depth_range(ex1):
     with pytest.raises(ValueError, match="out of range"):
         decided_by_depth(ex1, frozenset(), 5)
+
+
+# ------------------------------------------------------------ expressions
+
+
+def test_open_and_closed_union_are_expressions():
+    spec, other = ClosedSpec([(1,)]), ClosedSpec([(0,)])
+    assert Open(spec) == Not(Closed(spec))
+    assert ClosedUnion([spec, other]) == Union(Closed(spec), Closed(other))
+
+
+def test_realize_recurses_over_nested_expressions(ex1):
+    left, right = ClosedSpec([(1,)]), ClosedSpec([(1, 0)])
+    everything = frozenset(ex1.full_depth_plays())
+    nested = Not(Union(Closed(left), Not(Closed(right))))
+    expected = everything - (realize(ex1, Closed(left)) | (everything - realize(ex1, Closed(right))))
+    assert realize(ex1, nested) == expected
+    assert expected == leaves_with(ex1, lambda l: l[:2] == (1, 1))
+
+
+def test_map_closed_keeps_the_shape_and_maps_every_leaf():
+    nested = Not(Union(Closed(ClosedSpec([(1,)])), Not(Closed(ClosedSpec([(0, 0)])))))
+    mapped = map_closed(nested, lambda spec: ClosedSpec(g + (1,) for g in spec.generators))
+    assert mapped == Not(Union(Closed(ClosedSpec([(1, 1)])), Not(Closed(ClosedSpec([(0, 0, 1)])))))
+
+
+def test_undecided_pair_names_plays_on_both_sides(ex1):
+    payoff = leaves_with(ex1, lambda l: l[:2] == (0, 0) or l == (1, 1, 0, 1))
+    assert undecided_pair(ex1, payoff, 2) == ((1, 1, 0, 1), (1, 1, 0, 0))
+    assert undecided_pair(ex1, payoff, 3) == ((1, 1, 0, 1), (1, 1, 0, 0))
+    assert undecided_pair(ex1, payoff, 4) is None
+    assert not decided_by_depth(ex1, payoff, 3) and decided_by_depth(ex1, payoff, 4)
+    complement = frozenset(ex1.full_depth_plays()) - payoff
+    assert undecided_pair(ex1, complement, 2) == ((1, 1, 0, 0), (1, 1, 0, 1))

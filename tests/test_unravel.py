@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -10,8 +11,10 @@ from unraveling.core import (
     ResourceLimitError,
     Strategy,
     consistent_plays,
+    format_position,
     is_prefix,
     is_winning_strategy,
+    position_key,
     random_strategy,
     strategy_from,
 )
@@ -22,8 +25,22 @@ from unraveling.covering import (
     solve_via_covering,
     verify_lift,
 )
-from unraveling.payoff import Closed, ClosedSpec, ClosedUnion, decided_by_depth, realize
-from unraveling.randgen import random_game, random_union_instance, rng_for
+from unraveling.payoff import (
+    Closed,
+    ClosedSpec,
+    ClosedUnion,
+    Not,
+    Union,
+    decided_by_depth,
+    realize,
+)
+from unraveling.randgen import (
+    random_closed_spec,
+    random_game,
+    random_tree,
+    random_union_instance,
+    rng_for,
+)
 from unraveling.solver import solve
 from unraveling.unravel import (
     Accept,
@@ -31,7 +48,9 @@ from unraveling.unravel import (
     Challenge,
     Claim,
     build_base_covering,
+    check_accept_set,
     frontier,
+    unravel_payoff,
     unravel_union,
 )
 
@@ -300,6 +319,84 @@ def test_union_matches_direct_solve(seed):
     assert is_winning_strategy(tree, payoff, via.strategy)
 
 
+# ----------------------------------------------------------- unravel_payoff
+
+
+def _random_payoff(rng, tree, nesting):
+    """A closed set, or with ``nesting`` left a union of 2-3 such
+    expressions, each under a ``Not`` three times in ten."""
+    if nesting and rng.random() < (0.9 if nesting == 2 else 0.5):
+        payoff = Union(*(_random_payoff(rng, tree, nesting - 1) for _ in range(rng.randint(2, 3))))
+    else:
+        payoff = Closed(random_closed_spec(rng, tree, max_generators=2, min_generators=1))
+    return Not(payoff) if rng.random() < 0.3 else payoff
+
+
+def _bare(payoff):
+    while isinstance(payoff, Not):
+        payoff = payoff.payoff
+    return payoff
+
+
+def _nests(payoff):
+    """True iff the expression is a union with a union among its parts,
+    complements aside."""
+    payoff = _bare(payoff)
+    return isinstance(payoff, Union) and any(isinstance(_bare(p), Union) for p in payoff.parts)
+
+
+def test_payoff_expressions_unravel_by_induction():
+    """Random expressions with complements at any level and unions nested
+    two deep, on depth-8 trees with frontier cap 3: each covering that
+    builds is a covering, certifies the payoff at the depth it returns,
+    and decides the game as the direct solver does."""
+    built = nested = 0
+    for index in range(40):
+        rng = rng_for(f"expression:{index}")
+        tree = random_tree(rng, depth=8, branching=2, taboos=8)
+        payoff = _random_payoff(rng, tree, 2)
+        try:  # the node cap keeps the test fast; a capped draw is skipped
+            covering, decided_depth = unravel_payoff(
+                tree, payoff, 0, frontier_max=3, node_max=4000
+            )
+        except ResourceLimitError:
+            continue
+        leaves = realize(tree, payoff)
+        assert check_position_map(covering)
+        assert decided_by_depth(covering.source, pullback(covering, leaves), decided_depth)
+        via = solve_via_covering(covering, leaves, decided_depth)
+        assert via.winner is solve(tree, leaves).winner
+        assert is_winning_strategy(tree, leaves, via.strategy)
+        built += 1
+        nested += _nests(payoff)
+    assert built >= 18 and nested >= 10, (built, nested)
+
+
+def test_complement_takes_the_covering_of_its_operand(ex1):
+    spec = ClosedSpec([(1,)])
+    closed, closed_depth = unravel_payoff(ex1, Closed(spec), 0)
+    opened, open_depth = unravel_payoff(ex1, Not(Not(Not(Closed(spec)))), 0)
+    assert open_depth == closed_depth == 2
+    assert opened.source == closed.source
+    assert opened.position_map == closed.position_map
+
+
+def test_check_accept_set_names_a_play_on_the_wrong_side(ex1):
+    covering = build_base_covering(ex1, ClosedSpec([(1,)]), 0)
+    assert check_accept_set(covering)
+    challenged = min(
+        (leaf for leaf in covering.source.full_depth_plays() if isinstance(leaf[1], Challenge)),
+        key=position_key,
+    )
+    table = dict(covering.position_map)
+    table[challenged] = (0, 0, 0, 0)  # into the closed set
+    result = check_accept_set(dataclasses.replace(covering, position_map=table))
+    assert not result
+    assert result.detail == (
+        f"play {format_position(challenged)} is in the pullback, not the accept set"
+    )
+
+
 # --------------------------------------------------- end-to-end determinacy
 
 
@@ -356,41 +453,78 @@ def test_composite_lifts_satisfy_the_lifting_condition():
     assert checked > 0
 
 
-def test_every_strategy_lifts_and_transfers_wins_on_small_coverings():
-    """Exhaustive over every strategy of both players on small coverings:
-    each play consistent with a strategy's image lifts, and each strategy
+def _strategy_count(tree, owner):
+    nodes = oracles.decision_positions(tree, owner)
+    return math.prod(len(tree.children_of(p)) for p in nodes)
+
+
+def _check_every_strategy(tree, payoff, covering):
+    """Each play consistent with a strategy's image lifts, and each strategy
     winning the pulled-back game maps to one winning the target."""
+    pulled = pullback(covering, payoff)
+    source = covering.source
+    for owner in Player:
+        nodes = oracles.decision_positions(source, owner)
+        for combo in itertools.product(*(source.children_of(p) for p in nodes)):
+            strategy = Strategy(owner, dict(zip(nodes, combo)))
+            mapped = covering.strategy_transform(strategy)
+            for play in consistent_plays(tree, mapped):
+                assert verify_lift(covering, strategy, play).ok
+            if is_winning_strategy(source, pulled, strategy):
+                assert is_winning_strategy(tree, payoff, mapped)
 
-    def strategy_count(tree, owner):
-        nodes = oracles.decision_positions(tree, owner)
-        return math.prod(len(tree.children_of(p)) for p in nodes)
 
-    instances = []
+def _small_base_coverings(prefix, count, k, strategies_max, **shape):
+    """Base coverings at level ``k`` with a frontier of at least two (so the
+    challenge and rebased-claim branches are reached) and at most
+    ``strategies_max`` strategies per player."""
+    found = []
     for index in range(600):
-        tree, spec = random_game(f"exh:{index}", depth=4, branching=2, taboos=2, generators=3)
-        covering = build_base_covering(tree, spec, 0)
-        if max(map(len, covering.frontiers.values())) < 2:
-            continue  # too small to reach the challenge and rebased-claim branches
-        if any(strategy_count(covering.source, owner) > 4096 for owner in Player):
+        tree, spec = random_game(f"{prefix}:{index}", **shape)
+        covering = build_base_covering(tree, spec, k)
+        if max(map(len, covering.frontiers.values()), default=0) < 2:
             continue
-        instances.append((tree, spec, covering))
-        if len(instances) == 20:
+        if any(_strategy_count(covering.source, owner) > strategies_max for owner in Player):
+            continue
+        found.append((tree, realize(tree, Closed(spec)), covering))
+        if len(found) == count:
             break
-    assert len(instances) == 20
+    assert len(found) == count
+    return found
 
-    for tree, spec, covering in instances:
-        payoff = realize(tree, Closed(spec))
-        pulled = pullback(covering, payoff)
+
+def test_every_strategy_lifts_and_transfers_wins_on_small_coverings():
+    """Exhaustive over every strategy of both players on small coverings."""
+    shape = dict(depth=4, branching=2, taboos=2, generators=3)
+    for instance in _small_base_coverings("exh", 20, 0, 4096, **shape):
+        _check_every_strategy(*instance)
+
+
+def test_every_strategy_lifts_and_transfers_wins_at_level_two():
+    shape = dict(depth=6, branching=2, taboos=4, generators=3)
+    for instance in _small_base_coverings("exh2", 10, 2, 1024, **shape):
+        _check_every_strategy(*instance)
+
+
+def test_every_strategy_lifts_and_transfers_wins_on_union_composites():
+    """Two stages and the finishing covering, composed; each instance has a
+    non-empty claim and 16 to 1024 strategies per player."""
+    instances = []
+    for index in range(400):
+        tree, specs = random_union_instance(f"exhu:{index}", depth=6, branching=2, taboos=3)
+        covering, _ = unravel_union(tree, specs, 0)
         source = covering.source
-        for owner in Player:
-            nodes = oracles.decision_positions(source, owner)
-            for combo in itertools.product(*(source.children_of(p) for p in nodes)):
-                strategy = Strategy(owner, dict(zip(nodes, combo)))
-                mapped = covering.strategy_transform(strategy)
-                for play in consistent_plays(tree, mapped):
-                    assert verify_lift(covering, strategy, play).ok
-                if is_winning_strategy(source, pulled, strategy):
-                    assert is_winning_strategy(tree, payoff, mapped)
+        counts = [_strategy_count(source, owner) for owner in Player]
+        if not 16 <= min(counts) <= max(counts) <= 1024:
+            continue
+        if not any(isinstance(a, Claim) and a.claimed for p in source.positions() for a in p):
+            continue
+        instances.append((tree, realize(tree, ClosedUnion(specs)), covering))
+        if len(instances) == 10:
+            break
+    assert len(instances) == 10
+    for instance in instances:
+        _check_every_strategy(*instance)
 
 
 @given(st.integers(0, 200))
