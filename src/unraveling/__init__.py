@@ -13,7 +13,6 @@ from .core import (
     least_strategy,
     random_strategy,
     strategy_from,
-    subtree_at,
 )
 from .payoff import (
     Closed,
@@ -26,7 +25,7 @@ from .payoff import (
     decided_by_depth,
     realize,
 )
-from .solver import PruneResult, Solution, prune, solve, taboo_strategy, transfer_from_pruned
+from .solver import PruneResult, Solution, prune, solve, transfer_from_pruned
 from .covering import (
     CheckResult,
     Covering,

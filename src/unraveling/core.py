@@ -313,31 +313,6 @@ def random_strategy(rng: random.Random, tree: GameTree, owner: Player) -> Strate
     return strategy_from(tree, owner, lambda _, labels: rng.choice(labels))
 
 
-def subtree_at(tree: GameTree, position: Position) -> GameTree:
-    """The game subtree: the chain up to ``position`` plus everything below it.
-
-    Positions above keep only the single child leading toward ``position``,
-    so every play of the subtree passes through it.  The depth bound and
-    the taboo tags of surviving terminals are unchanged.
-    """
-    if position not in tree:
-        raise ValueError(f"unknown position {format_position(position)}")
-    children: dict[Position, tuple[Label, ...]] = {}
-    taboo: dict[Position, Player] = {}
-    for k in range(len(position)):
-        children[position[:k]] = (position[k],)
-    stack = [position]
-    while stack:
-        current = stack.pop()
-        labels = tree.children_of(current)
-        children[current] = labels
-        owner = tree.taboo_owner(current)
-        if owner is not None:
-            taboo[current] = owner
-        stack.extend(current + (label,) for label in labels)
-    return GameTree(tree.depth, children, taboo)
-
-
 def is_consistent(position: Position, strategy: Strategy) -> bool:
     """True iff the owner's moves along ``position`` all follow the strategy."""
     start = 0 if strategy.owner is Player.I else 1

@@ -50,7 +50,7 @@ def _check_size(count: int, node_max: int) -> None:
         raise ResourceLimitError(f"{count} nodes exceed the export cap {node_max}")
 
 
-def tree_dot(tree: GameTree, payoff_leaves=None, *, node_max: int = 200_000) -> str:
+def tree_dot(tree: GameTree, payoff_leaves=None, *, node_max: int) -> str:
     _check_size(tree.node_count, node_max)
     lines = ["digraph game {", "  rankdir=TB;"]
     lines.extend(_node_lines(tree, payoff_leaves, ""))
@@ -58,7 +58,7 @@ def tree_dot(tree: GameTree, payoff_leaves=None, *, node_max: int = 200_000) -> 
     return "\n".join(lines) + "\n"
 
 
-def covering_dot(covering: Covering, payoff_leaves=None, *, node_max: int = 200_000) -> str:
+def covering_dot(covering: Covering, payoff_leaves=None, *, node_max: int) -> str:
     """Both trees plus dashed position-map links from the decorated levels."""
     _check_size(covering.source.node_count + covering.target.node_count, node_max)
     lines = ["digraph covering {", "  rankdir=TB;"]

@@ -77,7 +77,9 @@ def map_closed(payoff: PayoffSpec, leaf) -> PayoffSpec:
         return Closed(leaf(payoff.spec))
     if isinstance(payoff, Not):
         return Not(map_closed(payoff.payoff, leaf))
-    return Union(*(map_closed(part, leaf) for part in payoff.parts))
+    if isinstance(payoff, Union):
+        return Union(*(map_closed(part, leaf) for part in payoff.parts))
+    raise TypeError(f"not a payoff spec: {payoff!r}")
 
 
 def check_generators(tree: GameTree, spec: ClosedSpec) -> None:
@@ -131,14 +133,14 @@ def undecided_pair(tree: GameTree, leaves, depth: int) -> tuple[Position, Positi
 
 def _complement_generators(tree: GameTree, leaves, depth: int) -> ClosedSpec:
     """Generators at ``depth`` whose closed realization is the complement of
-    a set decided by ``depth``.  Positions without full-depth descendants
-    are skipped: they exclude nothing, and in a taboo tree they may be
-    terminal."""
-    generators = []
-    for position in tree.positions():
-        if len(position) != depth or tree.is_terminal(position):
-            continue
-        below = [leaf for leaf in tree.full_depth_plays() if is_prefix(position, leaf)]
-        if below and all(leaf in leaves for leaf in below):
-            generators.append(position)
-    return ClosedSpec(generators)
+    a set decided by ``depth``: the non-terminal length-``depth`` prefixes
+    all of whose full-depth plays lie in the set.  Positions without
+    full-depth descendants are never candidates: they exclude nothing, and
+    in a taboo tree they may be terminal."""
+    all_inside: dict[Position, bool] = {}
+    for leaf in tree.full_depth_plays():
+        prefix = leaf[:depth]
+        all_inside[prefix] = all_inside.get(prefix, True) and leaf in leaves
+    return ClosedSpec(
+        prefix for prefix, inside in all_inside.items() if inside and not tree.is_terminal(prefix)
+    )

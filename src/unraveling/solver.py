@@ -5,9 +5,10 @@ Every finite game with taboos is determined.  One backward-induction kernel,
 (a node is won by its mover iff some child is), and one extraction,
 ``_least_winning``, turns a labeling into a strategy, tie-breaking by the
 lexicographically least move so results are reproducible.  ``solve`` is
-the kernel with the payoff at the leaves; ``taboo_strategy`` and ``prune``
-use it with the leaf rule "the player wins exactly the opponent's taboos",
-whose labeling is the player's taboo attractor.
+the kernel with the payoff at the leaves; ``prune`` uses it with the leaf
+rule "the player wins exactly the opponent's taboos", whose labeling is the
+player's taboo attractor, and reads every forcing strategy off that one
+labeling.
 
 ``prune`` removes from the tree every position from which some player can
 force every play into a taboo against the opponent.  The removed region is
@@ -33,7 +34,6 @@ from .core import (
     _check_payoff,
     _evaluate,
     format_position,
-    subtree_at,
 )
 
 
@@ -62,11 +62,11 @@ def _winners(tree: GameTree, leaf_winner) -> dict[Position, Player]:
     return values
 
 
-def _least_winning(tree: GameTree, owner: Player, values) -> Strategy:
-    """At each of the owner's decision positions, the least child the owner
-    wins by ``values``, or else the least child."""
+def _least_winning(tree: GameTree, owner: Player, values, positions) -> Strategy:
+    """At each of the owner's decision positions among ``positions``, the
+    least child the owner wins by ``values``, or else the least child."""
     choices = {}
-    for position in tree.positions():
+    for position in positions:
         labels = tree.children_of(position)
         if not labels or Player.to_move(position) is not owner:
             continue
@@ -91,15 +91,7 @@ def solve(tree: GameTree, payoff) -> Solution:
     _check_payoff(tree, payoff)
     values = _winners(tree, lambda play: _evaluate(tree, play, payoff))
     winner = values[()]
-    return Solution(winner, _least_winning(tree, winner, values), values)
-
-
-def taboo_strategy(tree: GameTree, position: Position, player: Player) -> Strategy | None:
-    """A strategy in the subtree at ``position`` forcing every play into a
-    taboo for the opponent, if one exists."""
-    subtree = subtree_at(tree, position)
-    values = _winners(subtree, _taboo_leaf(subtree, player))
-    return _least_winning(subtree, player, values) if values[()] is player else None
+    return Solution(winner, _least_winning(tree, winner, values, tree.positions()), values)
 
 
 @dataclass(frozen=True)
@@ -108,10 +100,12 @@ class PruneResult:
 
     ``determined`` maps each taboo-determined position to the forcing
     player; ``removed`` is its upward closure, the positions actually cut;
-    ``witnesses`` holds a forcing strategy at each minimal removed position
-    so transfer never has to re-solve.  If the root itself is determined
-    there is no remainder tree and ``root_determined`` names the player who
-    wins the original game outright, whatever the payoff.
+    ``witnesses`` maps each minimal removed position to the forcing player's
+    least forcing strategy over the removed region, which forces a taboo
+    against the opponent at and below that position, so transfer never has
+    to re-solve.  If the root itself is determined there is no remainder
+    tree and ``root_determined`` names the player who wins the original game
+    outright, whatever the payoff.
     """
 
     tree: GameTree | None
@@ -137,23 +131,23 @@ def prune(tree: GameTree) -> PruneResult:
         elif for_ii:
             determined[position] = Player.II
 
-    removed: set[Position] = set()
+    removed: dict[Position, None] = {}  # canonical order
     minimal: list[Position] = []
     for position in tree.positions():  # parents precede children
         if position and position[:-1] in removed:
-            removed.add(position)
+            removed[position] = None
         elif position in determined:
-            removed.add(position)
+            removed[position] = None
             minimal.append(position)
 
-    # Below a minimal position the subtree is the full tree's, so its
-    # labeling is the attractor's; above it the subtree has a single child.
-    witnesses = {
-        position: _least_winning(
-            subtree_at(tree, position), determined[position], attractor[determined[position]]
-        )
-        for position in minimal
+    # The removed region holds every position below a minimal one, so one
+    # strategy per player over it forces a taboo below each minimal
+    # position that player determines.
+    forcing = {
+        player: _least_winning(tree, player, attractor[player], removed)
+        for player in {determined[position] for position in minimal}
     }
+    witnesses = {position: forcing[determined[position]] for position in minimal}
 
     if () in determined:
         return PruneResult(None, determined[()], determined, frozenset(removed), witnesses)

@@ -55,6 +55,7 @@ from .payoff import (
     ClosedUnion,
     Not,
     PayoffSpec,
+    Union,
     _complement_generators,
     decided_by_depth,
     map_closed,
@@ -479,6 +480,8 @@ def unravel_payoff(
         return covering, covering.level + 2
     if isinstance(payoff, Not):
         return unravel_payoff(tree, payoff.payoff, level, **caps)
+    if not isinstance(payoff, Union):
+        raise TypeError(f"not a payoff spec: {payoff!r}")
 
     k = level + level % 2
     composite: Covering | None = None

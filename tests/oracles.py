@@ -14,10 +14,10 @@ from unraveling.core import (
     Player,
     Position,
     Strategy,
+    format_position,
     is_consistent,
     is_prefix,
     position_key,
-    subtree_at,
 )
 from unraveling.solver import solve
 from unraveling.unravel import Accept, Claim
@@ -46,6 +46,31 @@ def fresh_label_key(label) -> tuple:
     if isinstance(label, Accept):
         return (2, fresh_label_key(label.move))
     return (3, fresh_position(label.target), fresh_label_key(label.move))
+
+
+def subtree_at(tree: GameTree, position: Position) -> GameTree:
+    """The game subtree: the chain up to ``position`` plus everything below it.
+
+    Positions above keep only the single child leading toward ``position``,
+    so every play of the subtree passes through it.  The depth bound and
+    the taboo tags of surviving terminals are unchanged.
+    """
+    if position not in tree:
+        raise ValueError(f"unknown position {format_position(position)}")
+    children: dict[Position, tuple] = {}
+    taboo: dict[Position, Player] = {}
+    for k in range(len(position)):
+        children[position[:k]] = (position[k],)
+    stack = [position]
+    while stack:
+        current = stack.pop()
+        labels = tree.children_of(current)
+        children[current] = labels
+        owner = tree.taboo_owner(current)
+        if owner is not None:
+            taboo[current] = owner
+        stack.extend(current + (label,) for label in labels)
+    return GameTree(tree.depth, children, taboo)
 
 
 def subtree_nodes(tree: GameTree, position: Position) -> set[Position]:

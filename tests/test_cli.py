@@ -230,10 +230,9 @@ def test_verify_lift_failure_names_first_play(fixtures_dir, monkeypatch):
     assert f"plays fail; first: a strategy of player {owner}, play {format_position(play)})" in out
 
 
-def test_verify_failing_certificates_name_their_plays(fixtures_dir, monkeypatch):
-    """A position map that moves one accept-branch play of ``ex1`` out of
-    the closed set breaks both certificates and the accept-set identity;
-    each failure names the plays behind it."""
+def move_one_accept_play(monkeypatch):
+    """Make the CLI's coverings map one accept-branch play of ``ex1`` out
+    of the closed set."""
     build = cli._covering_for
 
     def with_moved_play(*args, **kwargs):
@@ -244,6 +243,13 @@ def test_verify_failing_certificates_name_their_plays(fixtures_dir, monkeypatch)
         return dataclasses.replace(covering, position_map=table), decided_depth
 
     monkeypatch.setattr(cli, "_covering_for", with_moved_play)
+
+
+def test_verify_failing_certificates_name_their_plays(fixtures_dir, monkeypatch):
+    """A position map that moves one accept-branch play of ``ex1`` out of
+    the closed set breaks both certificates and the accept-set identity;
+    each failure names the plays behind it."""
+    move_one_accept_play(monkeypatch)
     code, out, _ = run_cli("verify", game(fixtures_dir, "ex1.game"))
     assert code == 2
     kept, moved = "0[]/acc(0)/0/0", "0[]/acc(0)/0/1"
@@ -259,6 +265,14 @@ def test_verify_failing_certificates_name_their_plays(fixtures_dir, monkeypatch)
         f"check complement-certificate: FAIL (plays {moved} (in) and {kept} (out)"
         " share the length-2 prefix)\n"
     ) in out
+
+
+def test_unravel_failing_certificate_prints_no_report(fixtures_dir, monkeypatch):
+    move_one_accept_play(monkeypatch)
+    code, out, err = run_cli("unravel", game(fixtures_dir, "ex1.game"))
+    assert code == 2
+    assert out == ""
+    assert "does not unravel" in err
 
 
 # --------------------------------------------------------- pinned reports

@@ -12,7 +12,6 @@ from unraveling.core import (
     least_strategy,
     random_strategy,
     strategy_from,
-    subtree_at,
 )
 from unraveling.core import ResourceLimitError
 from unraveling.randgen import random_tree, rng_for
@@ -92,22 +91,22 @@ def test_ex_fixture_sizes(ex1, ex2, ex3):
     assert ex3.node_count == 7
 
 
-# ------------------------------------------------------------- subtree_at
+# ----------------------------------------------------- oracles.subtree_at
 
 
 def test_subtree_at_root_is_identity(ex1):
-    assert subtree_at(ex1, ()) == ex1
+    assert oracles.subtree_at(ex1, ()) == ex1
 
 
 def test_subtree_at_level_one(ex1):
-    sub = subtree_at(ex1, (1,))
+    sub = oracles.subtree_at(ex1, (1,))
     assert sub.children_of(()) == (1,)
     assert sub.children_of((1,)) == (0, 1)
     assert sub.node_count == 1 + 1 + 2 + 4 + 8
 
 
 def test_subtree_at_taboo_chain(ex2):
-    sub = subtree_at(ex2, (0, 0))
+    sub = oracles.subtree_at(ex2, (0, 0))
     assert sorted(sub.positions(), key=len) == [(), (0,), (0, 0)]
     assert sub.taboo_owner((0, 0)) is Player.II
     assert sub.depth == 4
@@ -115,7 +114,7 @@ def test_subtree_at_taboo_chain(ex2):
 
 def test_subtree_unknown_position(ex1):
     with pytest.raises(ValueError, match="unknown position"):
-        subtree_at(ex1, (5,))
+        oracles.subtree_at(ex1, (5,))
 
 
 @given(st.integers(0, 400))
@@ -124,7 +123,7 @@ def test_subtree_matches_set_comprehension_oracle(seed):
     tree = random_tree(rng_for(f"sub:{seed}"), depth=4, branching=3, taboos=2)
     rng = rng_for(f"sub-pick:{seed}")
     position = rng.choice(list(tree.positions()))
-    sub = subtree_at(tree, position)
+    sub = oracles.subtree_at(tree, position)
     assert set(sub.positions()) == oracles.subtree_nodes(tree, position)
     for q in sub.positions():
         assert sub.taboo_owner(q) == tree.taboo_owner(q)

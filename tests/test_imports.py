@@ -1,9 +1,10 @@
-"""Every module of the package uses each name it imports."""
+"""Every module of the package and every test module uses each name it imports."""
 
 import ast
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "unraveling"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "unraveling"
 
 
 def unused_imports(source: str) -> list[tuple[int, str]]:
@@ -22,8 +23,8 @@ def unused_imports(source: str) -> list[tuple[int, str]]:
 
 def test_modules_use_every_imported_name():
     unused = [
-        f"{path.name}:{line}: {name}"
-        for path in sorted(PACKAGE.glob("*.py"))
+        f"{path.parent.name}/{path.name}:{line}: {name}"
+        for path in sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py"))
         if path.name != "__init__.py"
         for line, name in unused_imports(path.read_text())
     ]

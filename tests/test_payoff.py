@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from unraveling.core import GameTree
 from unraveling.payoff import (
     Closed,
     ClosedSpec,
@@ -15,7 +16,7 @@ from unraveling.payoff import (
     undecided_pair,
 )
 from unraveling.randgen import random_closed_spec, random_tree, rng_for
-from unraveling.unravel import _meets
+from unraveling.unravel import _meets, unravel_payoff
 
 import oracles
 
@@ -142,6 +143,17 @@ def test_union_must_be_non_empty():
 def test_realize_rejects_non_payoff(ex1):
     with pytest.raises(TypeError, match="not a payoff spec"):
         realize(ex1, ClosedSpec())
+
+
+def test_expression_walks_reject_non_payoff():
+    tree = GameTree.complete(4, 2)
+    for call in (
+        lambda: unravel_payoff(tree, ClosedSpec(), 0),
+        lambda: unravel_payoff(tree, Union(ClosedSpec()), 0),
+        lambda: map_closed(ClosedSpec(), lambda spec: spec),
+    ):
+        with pytest.raises(TypeError, match="not a payoff spec"):
+            call()
 
 
 def test_decided_depth_range(ex1):

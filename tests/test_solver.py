@@ -10,7 +10,7 @@ from unraveling.core import (
 )
 from unraveling.payoff import Closed, realize
 from unraveling.randgen import random_game, random_tree, rng_for
-from unraveling.solver import prune, solve, taboo_strategy, transfer_from_pruned
+from unraveling.solver import prune, solve, transfer_from_pruned
 
 import oracles
 
@@ -55,12 +55,10 @@ def test_solve_degenerate_root_terminal():
 
 
 def test_solve_labels_every_node_with_its_subgame_winner(ex2):
-    from unraveling.core import subtree_at
-
     payoff = leaves_with(ex2, lambda l: l[1] == 0)
     solution = solve(ex2, payoff)
     for position in ex2.positions():
-        subgame = subtree_at(ex2, position)
+        subgame = oracles.subtree_at(ex2, position)
         sub_payoff = payoff & frozenset(subgame.full_depth_plays())
         assert solution.values[position] is solve(subgame, sub_payoff).winner
 
@@ -86,39 +84,57 @@ def test_zermelo_agreement_on_small_games(seed):
     assert oracles.zermelo_winner(tree, payoff) is solution.winner
 
 
-# ----------------------------------------------------------- taboo_strategy
+# ------------------------------------------------------------ prune witnesses
 
 
-def test_taboo_strategy_at_terminal_taboo(ex2):
-    strategy = taboo_strategy(ex2, (0, 0), Player.I)
-    assert strategy is not None
-    assert strategy.owner is Player.I
-
-
-def test_taboo_strategy_escape(ex2):
-    assert taboo_strategy(ex2, (0,), Player.I) is None  # II escapes by playing 1
-
-
-def test_taboo_strategy_none_without_taboos(ex1):
-    assert taboo_strategy(ex1, (), Player.I) is None
-    assert taboo_strategy(ex1, (), Player.II) is None
+def choices_below(strategy, position):
+    return {p: move for p, move in strategy.choices.items() if is_prefix(position, p)}
 
 
 def test_taboo_strategy_and_prune_witnesses_match_solve_oracle():
-    forcing = witnessed = 0
+    witnessed = 0
     for seed in range(30):
         tree = random_tree(rng_for(f"taboo-oracle:{seed}"), depth=6, branching=2, taboos=4)
-        for position in tree.positions():
-            for player in Player:
-                expected = oracles.taboo_strategy_by_solve(tree, position, player)
-                assert taboo_strategy(tree, position, player) == expected
-                forcing += expected is not None
         result = prune(tree)
         for position, witness in result.witnesses.items():
             owner = result.determined[position]
-            assert witness == oracles.taboo_strategy_by_solve(tree, position, owner)
+            expected = oracles.taboo_strategy_by_solve(tree, position, owner)
+            assert witness.owner is owner
+            assert choices_below(witness, position) == choices_below(expected, position)
             witnessed += 1
-    assert forcing > 100 and witnessed > 30
+    assert witnessed > 30
+
+
+def test_prune_builds_only_the_remainder_and_shares_witnesses(monkeypatch):
+    """Player I forces a taboo at 0/0 and at 1/0, player II at 1/1/1: three
+    minimal removed positions, one forcing strategy per player, no tree
+    built but the remainder."""
+    nodes = [
+        (0,), (0, 0), (0, 0, 0), (0, 0, 1), (0, 0, 1, 0), (0, 1), (0, 1, 0), (0, 1, 0, 0),
+        (1,), (1, 0), (1, 0, 0), (1, 0, 1), (1, 0, 0, 0),
+        (1, 1), (1, 1, 0), (1, 1, 0, 0), (1, 1, 1),
+    ]
+    taboo = {(0, 0, 0): Player.II, (1, 0, 1): Player.II, (1, 1, 1): Player.I}
+    tree = GameTree.from_nodes(4, nodes, taboo)
+    built = []
+    init = GameTree.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(GameTree, "__init__", counting_init)
+    result = prune(tree)
+    assert result.determined == {
+        (0, 0): Player.I, (0, 0, 0): Player.I, (1, 0): Player.I,
+        (1, 0, 1): Player.I, (1, 1, 1): Player.II,
+    }
+    assert len(built) == 1 and built[0] is result.tree
+    assert set(result.witnesses) == {(0, 0), (1, 0), (1, 1, 1)}
+    forcing = result.witnesses[(0, 0)]
+    assert result.witnesses[(1, 0)] is forcing
+    assert forcing.choices[(0, 0)] == 0 and forcing.choices[(1, 0)] == 1
+    assert result.witnesses[(1, 1, 1)].owner is Player.II
 
 
 # --------------------------------------------------------------------- prune
