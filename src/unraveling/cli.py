@@ -2,14 +2,19 @@
 
 Commands parse a game document, run the corresponding library operation,
 and print a deterministic report to standard output (timing goes to
-standard error so reports compare byte for byte across runs).
+standard error so reports compare byte for byte across runs).  ``fuzz``
+runs the reports of ``solve``, ``prune`` and level-0 ``verify`` on random
+games, the drawn closed set on even samples and its complement on odd
+ones; a sample fails on the first check that fails, named with its
+command, and a sample whose covering is over the caps only has its
+``solve`` and ``prune`` checks run, and is counted.
 
 Exit codes: 0 success or verified, 1 usage or parse errors (bad arguments,
 files, environment values, caps, and covering preconditions the file or
 ``--k`` breaks), 2 property violation (the report then carries a
 counterexample) or internal failure, reported in one line.  The environment
-variable ``UNRAVEL_NODE_MAX`` overrides the node cap used by tree
-construction and DOT export.
+variable ``UNRAVEL_NODE_MAX`` (at least 1) overrides the node cap used by
+tree construction and DOT export.
 """
 
 from __future__ import annotations
@@ -42,7 +47,7 @@ from .covering import (
 )
 from .dot import covering_dot, tree_dot
 from .gamedoc import GameDocError, format_game, parse_game_bytes, to_document
-from .payoff import Closed, decided_by_depth, realize, undecided_pair
+from .payoff import Closed, Open, decided_by_depth, realize, undecided_pair
 from .randgen import random_game, rng_for
 from .solver import prune, solve, transfer_from_pruned
 from .unravel import (
@@ -50,7 +55,6 @@ from .unravel import (
     DEFAULT_FRONTIER_MAX,
     DEFAULT_NODE_MAX,
     _generator_floor,
-    build_base_covering,
     check_accept_set,
     unravel_payoff,
 )
@@ -58,6 +62,8 @@ from .unravel import (
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VIOLATION = 2
+
+FUZZ_VERIFY_SAMPLES = 4  # the ``verify --samples`` of each fuzzed game
 
 
 class _UsageError(Exception):
@@ -75,6 +81,7 @@ class Report:
     fields: list[tuple[str, str]] = field(default_factory=list)
     checks: list[tuple[str, bool, str]] = field(default_factory=list)
     counterexample: str | None = None
+    strategy: Strategy | None = None  # printed after the verdict
 
     def add(self, name: str, value) -> None:
         self.fields.append((name, str(value)))
@@ -98,6 +105,9 @@ class Report:
             lines.extend("  " + row for row in self.counterexample.splitlines())
         if self.checks:
             lines.append(f"result: {'verified' if self.ok else 'VIOLATION'}")
+        if self.strategy is not None:
+            lines.append("strategy:")
+            lines.append("\n".join(_strategy_lines(self.strategy)))
         return "\n".join(lines) + "\n"
 
 
@@ -106,9 +116,11 @@ def _node_max() -> int:
     if not value:
         return DEFAULT_NODE_MAX
     try:
-        return int(value)
+        node_max = int(value)
     except ValueError:
         raise _UsageError(f"UNRAVEL_NODE_MAX is not an integer: {value!r}") from None
+    _check_at_least("UNRAVEL_NODE_MAX", node_max, 1)
+    return node_max
 
 
 def _check_at_least(option: str, value: int, least: int) -> None:
@@ -128,32 +140,31 @@ def _load(path: str):
     return document.tree, document.payoff, realize(document.tree, document.payoff)
 
 
-def cmd_solve(args) -> int:
-    tree, _, leaves = _load(args.file)
-    solution = solve(tree, leaves)
-    report = Report("solve")
-    report.add("file", args.file)
-    report.add("winner", solution.winner)
-    report.check("winning-strategy", is_winning_strategy(tree, leaves, solution.strategy))
+def _print(report: Report) -> int:
     print(report.render(), end="")
-    print("strategy:")
-    print("\n".join(_strategy_lines(solution.strategy)))
     return EXIT_OK if report.ok else EXIT_VIOLATION
 
 
-def cmd_prune(args) -> int:
-    tree, _, leaves = _load(args.file)
+def solve_report(name, tree, payoff, leaves) -> Report:
+    solution = solve(tree, leaves)
+    report = Report("solve", strategy=solution.strategy)
+    report.add("file", name)
+    report.add("winner", solution.winner)
+    report.check("winning-strategy", is_winning_strategy(tree, leaves, solution.strategy))
+    return report
+
+
+def prune_report(name, tree, payoff, leaves) -> Report:
     result = prune(tree)
     report = Report("prune")
-    report.add("file", args.file)
+    report.add("file", name)
     report.add("taboo-determined", len(result.determined))
     report.add("removed", len(result.removed))
     if result.tree is None:
         report.add("root-determined", result.root_determined)
         witness = result.witnesses[()]
         report.check("witness-wins-outright", is_winning_strategy(tree, leaves, witness))
-        print(report.render(), end="")
-        return EXIT_OK if report.ok else EXIT_VIOLATION
+        return report
     report.add("remainder-nodes", result.tree.node_count)
     remainder_leaves = leaves & frozenset(result.tree.full_depth_plays())
     solution = solve(result.tree, remainder_leaves)
@@ -162,25 +173,34 @@ def cmd_prune(args) -> int:
     report.check("winner-matches-direct-solve", solution.winner is direct.winner)
     transferred = transfer_from_pruned(tree, result, solution.strategy)
     report.check("transferred-strategy-wins", is_winning_strategy(tree, leaves, transferred))
-    print(report.render(), end="")
-    return EXIT_OK if report.ok else EXIT_VIOLATION
+    return report
 
 
-def _covering_for(tree, payoff, level, *, node_max: int):
+def cmd_solve(args) -> int:
+    return _print(solve_report(args.file, *_load(args.file)))
+
+
+def cmd_prune(args) -> int:
+    return _print(prune_report(args.file, *_load(args.file)))
+
+
+def _covering_for(tree, payoff, level, frontier_max=DEFAULT_FRONTIER_MAX):
     """Build the covering a document's payoff calls for.
 
     A precondition the construction rejects (the level ``--k`` or the
     file's generators) is a usage error.
     """
     try:
-        return unravel_payoff(tree, payoff, level, node_max=node_max)
+        return unravel_payoff(
+            tree, payoff, level, frontier_max=frontier_max, node_max=_node_max()
+        )
     except ValueError as error:
         raise _UsageError(str(error)) from None
 
 
 def cmd_unravel(args) -> int:
     tree, payoff, leaves = _load(args.file)
-    covering, decided_depth = _covering_for(tree, payoff, args.k, node_max=_node_max())
+    covering, decided_depth = _covering_for(tree, payoff, args.k)
     report = Report("unravel")
     report.add("file", args.file)
     report.add("k", covering.level)
@@ -204,13 +224,19 @@ def cmd_unravel(args) -> int:
     report.check(
         "transferred-strategy-wins", is_winning_strategy(tree, leaves, solution.strategy)
     )
-    print(report.render(), end="")
-    print("strategy:")
-    print("\n".join(_strategy_lines(solution.strategy)))
-    return EXIT_OK if report.ok else EXIT_VIOLATION
+    report.strategy = solution.strategy
+    return _print(report)
 
 
-def _run_covering_checks(report, tree, leaves, covering, decided_depth, samples, seed) -> None:
+def verify_report(
+    name, tree, payoff, leaves, k, samples, seed, frontier_max=DEFAULT_FRONTIER_MAX
+) -> Report:
+    covering, decided_depth = _covering_for(tree, payoff, k, frontier_max)
+    report = Report("verify")
+    report.add("file", name)
+    report.add("k", covering.level)
+    report.add("samples", samples)
+    report.add("seed", seed)
     report.check("position-map", *_split(check_position_map(covering)))
     report.check("strategy-locality", *_split(check_strategy_locality(covering, samples, seed)))
     source = covering.source
@@ -242,6 +268,7 @@ def _run_covering_checks(report, tree, leaves, covering, decided_depth, samples,
     report.check("lift", lift_failures == 0, detail)
     transfer = check_winning_transfer(covering, leaves, samples, seed)
     report.check("winning-transfer", *_split(transfer))
+    return report
 
 
 def _split(result) -> tuple[bool, str]:
@@ -262,16 +289,7 @@ def _certificate(source, pulled, depth: int) -> tuple[bool, str]:
 
 def cmd_verify(args) -> int:
     _check_at_least("--samples", args.samples, 1)
-    tree, payoff, leaves = _load(args.file)
-    covering, decided_depth = _covering_for(tree, payoff, args.k, node_max=_node_max())
-    report = Report("verify")
-    report.add("file", args.file)
-    report.add("k", covering.level)
-    report.add("samples", args.samples)
-    report.add("seed", args.seed)
-    _run_covering_checks(report, tree, leaves, covering, decided_depth, args.samples, args.seed)
-    print(report.render(), end="")
-    return EXIT_OK if report.ok else EXIT_VIOLATION
+    return _print(verify_report(args.file, *_load(args.file), args.k, args.samples, args.seed))
 
 
 def cmd_fuzz(args) -> int:
@@ -282,7 +300,7 @@ def cmd_fuzz(args) -> int:
     report.add("seed", args.seed)
     report.add("depth", args.depth)
     report.add("branch", args.branch)
-    passed = 0
+    over_caps = 0
     for index in range(args.samples):
         try:
             tree, spec = random_game(
@@ -296,59 +314,45 @@ def cmd_fuzz(args) -> int:
             )
         except ValueError as error:  # --depth or --branch out of range
             raise _UsageError(str(error)) from None
-        leaves = realize(tree, Closed(spec))
-        failure = _fuzz_one(tree, spec, leaves, args)
+        payoff = Open(spec) if index % 2 else Closed(spec)
+        leaves = realize(tree, payoff)
+        try:
+            failure = _fuzz_one(tree, payoff, leaves, index, args.zmax)
+        except ResourceLimitError:  # the covering is over the caps: solve and prune passed
+            over_caps += 1
+            continue
         if failure is not None:
             report.check(f"sample-{index}", False, failure)
-            document = to_document(tree, Closed(spec))
-            report.counterexample = format_game(document)
-            print(report.render(), end="")
-            return EXIT_VIOLATION
-        passed += 1
-    report.check("all-samples", True, f"{passed}/{args.samples}")
-    print(report.render(), end="")
-    return EXIT_OK
+            report.counterexample = format_game(to_document(tree, payoff))
+            return _print(report)
+    detail = f"{args.samples}/{args.samples}"
+    if over_caps:
+        detail += f"; {over_caps} over the caps, covering not checked"
+    report.check("all-samples", True, detail)
+    return _print(report)
 
 
-def _fuzz_one(tree, spec, leaves, args) -> str | None:
-    solution = solve(tree, leaves)
-    if not is_winning_strategy(tree, leaves, solution.strategy):
-        return "solver strategy does not win"
-    result = prune(tree)
-    if result.tree is None:
-        if result.root_determined is not solution.winner:
-            return "root determination disagrees with solve"
-        if not is_winning_strategy(tree, leaves, result.witnesses[()]):
-            return "root witness does not win"
-    else:
-        remainder = leaves & frozenset(result.tree.full_depth_plays())
-        pruned_solution = solve(result.tree, remainder)
-        if pruned_solution.winner is not solution.winner:
-            return "pruned winner differs"
-        transferred = transfer_from_pruned(tree, result, pruned_solution.strategy)
-        if not is_winning_strategy(tree, leaves, transferred):
-            return "transferred strategy does not win"
-    try:
-        covering = build_base_covering(
-            tree, spec, 0, frontier_max=args.zmax, node_max=_node_max()
-        )
-    except ResourceLimitError:
-        return None  # over the caps: nothing to check
-    if not check_position_map(covering):
-        return "position map axioms fail"
-    pulled = pullback(covering, leaves)
-    if not decided_by_depth(covering.source, pulled, 2):
-        return "pullback not decided at level 2"
-    via = solve_via_covering(covering, leaves, 2)
-    if via.winner is not solution.winner:
-        return "covering winner differs"
+def _fuzz_one(tree, payoff, leaves, index, zmax) -> str | None:
+    """The first check of the ``solve``, ``prune`` and ``verify`` reports
+    on one random game that fails, named with its command, or ``None``.
+    A covering over the caps raises ``ResourceLimitError``."""
+    name = f"sample-{index}"
+    for build, extra in (
+        (solve_report, ()),
+        (prune_report, ()),
+        (verify_report, (0, FUZZ_VERIFY_SAMPLES, index, zmax)),
+    ):
+        report = build(name, tree, payoff, leaves, *extra)
+        for check, ok, detail in report.checks:
+            if not ok:
+                return f"{report.command} {check}" + (f": {detail}" if detail else "")
     return None
 
 
 def cmd_export_dot(args) -> int:
     tree, payoff, leaves = _load(args.file)
     if args.covering:
-        covering, _ = _covering_for(tree, payoff, args.k, node_max=_node_max())
+        covering, _ = _covering_for(tree, payoff, args.k)
         text = covering_dot(covering, leaves, node_max=_node_max())
     else:
         text = tree_dot(tree, leaves, node_max=_node_max())

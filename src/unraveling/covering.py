@@ -303,4 +303,4 @@ def solve_via_covering(covering: Covering, payoff_leaves, decided_depth: int) ->
     mapped = covering.strategy_transform(solution.strategy)
     if not is_winning_strategy(covering.target, payoff_leaves, mapped):
         raise InternalInvariantError("mapped strategy fails to win the target game")
-    return Solution(solution.winner, mapped, solution.values)
+    return Solution(solution.winner, mapped)

@@ -39,11 +39,10 @@ from .core import (
 
 @dataclass(frozen=True)
 class Solution:
-    """Winner, a verified winning strategy for them, and the node labeling."""
+    """Winner and a winning strategy for them."""
 
     winner: Player
     strategy: Strategy
-    values: Mapping[Position, Player]
 
 
 def _winners(tree: GameTree, leaf_winner) -> dict[Position, Player]:
@@ -91,7 +90,7 @@ def solve(tree: GameTree, payoff) -> Solution:
     _check_payoff(tree, payoff)
     values = _winners(tree, lambda play: _evaluate(tree, play, payoff))
     winner = values[()]
-    return Solution(winner, _least_winning(tree, winner, values, tree.positions()), values)
+    return Solution(winner, _least_winning(tree, winner, values, tree.positions()))
 
 
 @dataclass(frozen=True)

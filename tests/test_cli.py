@@ -12,7 +12,10 @@ import pytest
 from unraveling import cli
 from unraveling.cli import main
 from unraveling.core import format_position
-from unraveling.gamedoc import GameDocError, parse_game_bytes
+from unraveling.covering import CheckResult
+from unraveling.gamedoc import GameDocError, format_game, parse_game_bytes, to_document
+from unraveling.payoff import Closed, Not, Open
+from unraveling.randgen import random_game
 
 
 def run_cli(*argv):
@@ -494,6 +497,60 @@ def test_fuzz_violation_reports_counterexample(monkeypatch):
     assert "counterexample:" in out
     assert "GAME v1" in out  # the offending game is serialized into the report
     assert out.rstrip().endswith("result: VIOLATION")
+
+
+@pytest.mark.parametrize(
+    "check, name",
+    [("check_strategy_locality", "strategy-locality"), ("check_position_map", "position-map")],
+)
+def test_fuzz_fails_on_the_verify_report_check_that_fails(monkeypatch, check, name):
+    """Fuzz verdicts are the checks ``verify`` prints, named with the command."""
+    monkeypatch.setattr(cli, check, lambda *a, **k: CheckResult(False, "forced"))
+    code, out, _ = run_cli("fuzz", "--samples", "3", "--seed", "1")
+    assert code == 2
+    assert f"check sample-0: FAIL (verify {name}: forced)\n" in out
+    assert "counterexample:\n  GAME v1\n" in out
+    assert out.rstrip().endswith("result: VIOLATION")
+
+
+def test_fuzz_counts_the_samples_over_the_caps():
+    code, out, _ = run_cli("fuzz", "--zmax", "0", "--samples", "100", "--seed", "0")
+    assert code == 0
+    assert "check all-samples: ok (100/100; 71 over the caps, covering not checked)\n" in out
+
+
+def test_fuzz_odd_samples_use_the_open_payoff(monkeypatch):
+    """Sample 1 fuzzes the complement of its drawn closed set, and its
+    counterexample is that game with ``PAYOFF open``."""
+    solve_report = cli.solve_report
+    payoffs = []
+
+    def failing_second(name, tree, payoff, leaves):
+        payoffs.append(payoff)
+        report = solve_report(name, tree, payoff, leaves)
+        report.check("forced", len(payoffs) < 2)
+        return report
+
+    monkeypatch.setattr(cli, "solve_report", failing_second)
+    code, out, _ = run_cli("fuzz", "--samples", "3", "--seed", "1")
+    assert code == 2
+    assert [type(payoff) for payoff in payoffs] == [Closed, Not]
+    assert "check sample-1: FAIL (solve forced)\n" in out
+    tree, spec = random_game("1:1", depth=4, branching=2, taboos=3, generators=3)
+    expected = format_game(to_document(tree, Open(spec)))
+    assert "PAYOFF open" in expected
+    assert out.split("counterexample:\n", 1)[1].startswith(
+        "".join("  " + line + "\n" for line in expected.splitlines())
+    )
+
+
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_node_cap_below_one_is_usage_error_naming_it(fixtures_dir, monkeypatch, value):
+    monkeypatch.setenv("UNRAVEL_NODE_MAX", value)
+    for argv in (("unravel", game(fixtures_dir, "ex1.game")), ("fuzz", "--samples", "2")):
+        code, out, err = run_cli(*argv)
+        assert (code, out) == (1, "")
+        assert err == f"error: UNRAVEL_NODE_MAX must be at least 1, got {value}\n"
 
 
 def test_export_dot_respects_node_cap(fixtures_dir, monkeypatch):

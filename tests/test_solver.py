@@ -4,13 +4,14 @@ from hypothesis import given, settings, strategies as st
 from unraveling.core import (
     GameTree,
     Player,
+    _evaluate,
     is_prefix,
     is_winning_strategy,
     least_strategy,
 )
 from unraveling.payoff import Closed, realize
 from unraveling.randgen import random_game, random_tree, rng_for
-from unraveling.solver import prune, solve, transfer_from_pruned
+from unraveling.solver import _winners, prune, solve, transfer_from_pruned
 
 import oracles
 
@@ -55,12 +56,13 @@ def test_solve_degenerate_root_terminal():
 
 
 def test_solve_labels_every_node_with_its_subgame_winner(ex2):
+    # the labeling of the kernel under ``solve``'s leaf rule
     payoff = leaves_with(ex2, lambda l: l[1] == 0)
-    solution = solve(ex2, payoff)
+    values = _winners(ex2, lambda play: _evaluate(ex2, play, payoff))
     for position in ex2.positions():
         subgame = oracles.subtree_at(ex2, position)
         sub_payoff = payoff & frozenset(subgame.full_depth_plays())
-        assert solution.values[position] is solve(subgame, sub_payoff).winner
+        assert values[position] is solve(subgame, sub_payoff).winner
 
 
 @given(st.integers(0, 1000))
