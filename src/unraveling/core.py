@@ -272,7 +272,9 @@ class Strategy:
     ``choices`` maps every non-terminal position of the owner's parity to
     the label of the chosen child.  Totality keeps consistency checks and
     play enumeration decidable; unreachable positions simply carry a
-    default choice.
+    default choice.  ``choices`` is never mutated after construction (a
+    variant is a new strategy over a copied dict), so a strategy map may
+    remember a strategy by identity.
     """
 
     owner: Player

@@ -47,7 +47,10 @@ class Covering:
     ``position_map`` is an explicit node table over every source position.
     ``strategy_transform`` maps source strategies to target strategies;
     ``lift`` maps (source strategy, target play consistent with its image)
-    to the witnessing source play.
+    to the witnessing source play.  A base covering's two maps remember the
+    last strategy they saw, by identity, so mapping a strategy again, or
+    lifting its plays after mapping it, does not map it again; a composite
+    gets the same from the coverings it composes.
     """
 
     source: GameTree

@@ -364,6 +364,11 @@ def _strategy_maps(tree: GameTree, k: int, frontiers, accepts, challenges):
     ``challenges`` by frontier position (its keys are every frontier
     position).  The transform follows the strategy at exact nodes and
     takes the least move elsewhere; the lift is the located node.
+
+    The two maps remember the last strategy they saw, by identity (a
+    strategy's choices never change), with its locator and its image, so a
+    check that maps a strategy and then lifts its plays maps it once and
+    scans II's replies once.
     """
 
     def frontier_prefix(x: Position) -> Position | None:
@@ -419,8 +424,22 @@ def _strategy_maps(tree: GameTree, k: int, frontiers, accepts, challenges):
 
         return locate
 
+    last = (None, None, None)  # the last strategy seen, its locate, its image once mapped
+
+    def remembered(strategy: Strategy):
+        nonlocal last
+        if last[0] is not strategy:  # identity, not ==: strategies compare whole dicts
+            last = (strategy, locator(strategy), None)
+        return last[1]
+
     def transform(strategy: Strategy) -> Strategy:
-        locate = locator(strategy)
+        nonlocal last
+        locate = remembered(strategy)
+        if last[2] is None:
+            last = (strategy, locate, image(strategy, locate))
+        return last[2]
+
+    def image(strategy: Strategy, locate) -> Strategy:
         chosen = strategy.choices
         parity = 0 if strategy.owner is Player.I else 1  # the owner moves at these lengths
         choices = {}
@@ -451,7 +470,7 @@ def _strategy_maps(tree: GameTree, k: int, frontiers, accepts, challenges):
         return Strategy(strategy.owner, choices)
 
     def lift(strategy: Strategy, x: Position) -> Position:
-        return x if len(x) <= k else locator(strategy)(x)[0]
+        return x if len(x) <= k else remembered(strategy)(x)[0]
 
     return transform, lift
 

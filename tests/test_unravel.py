@@ -42,6 +42,7 @@ from unraveling.randgen import (
     rng_for,
 )
 from unraveling.solver import solve
+import unraveling.unravel as unravel_module
 from unraveling.unravel import (
     Accept,
     BaseCovering,
@@ -506,6 +507,10 @@ def test_every_strategy_lifts_and_transfers_wins_at_level_two():
         _check_every_strategy(*instance)
 
 
+def _claims_something(source):
+    return any(isinstance(a, Claim) and a.claimed for p in source.positions() for a in p)
+
+
 def test_every_strategy_lifts_and_transfers_wins_on_union_composites():
     """Two stages and the finishing covering, composed; each instance has a
     non-empty claim and 16 to 1024 strategies per player."""
@@ -517,7 +522,7 @@ def test_every_strategy_lifts_and_transfers_wins_on_union_composites():
         counts = [_strategy_count(source, owner) for owner in Player]
         if not 16 <= min(counts) <= max(counts) <= 1024:
             continue
-        if not any(isinstance(a, Claim) and a.claimed for p in source.positions() for a in p):
+        if not _claims_something(source):
             continue
         instances.append((tree, realize(tree, ClosedUnion(specs)), covering))
         if len(instances) == 10:
@@ -525,6 +530,70 @@ def test_every_strategy_lifts_and_transfers_wins_on_union_composites():
     assert len(instances) == 10
     for instance in instances:
         _check_every_strategy(*instance)
+
+
+def _claiming_composite(prefix):
+    """The first two-part union composite over a seed of ``prefix`` whose
+    source has a claim with a non-empty claimed set."""
+    for index in range(100):
+        tree, specs = random_union_instance(f"{prefix}:{index}", depth=6, branching=2)
+        if _claims_something(unravel_union(tree, specs, 0)[0].source):
+            return lambda: unravel_union(tree, specs, 0)[0]
+    raise AssertionError("no composite with a non-empty claim")
+
+
+def _covering_builder(kind):
+    """A function building the same covering afresh on each call."""
+    if kind == "union":
+        return _claiming_composite("memo-union")
+    k = int(kind[1:])
+    shape = dict(depth=4 + k, branching=2, taboos=2 + k, generators=3)
+    _, _, covering = _small_base_coverings(f"memo-{kind}", 1, k, 4096, **shape)[0]
+    return lambda: build_base_covering(covering.target, covering.spec, k)
+
+
+@pytest.mark.parametrize("kind", ["k0", "k2", "union"])
+def test_strategy_maps_remember_only_the_last_strategy(kind):
+    """Mapping A, B, then A again, and lifting A's plays while B is the last
+    strategy mapped, gives what freshly built coverings give; mapping one
+    strategy twice in a row returns the same image object."""
+    build = _covering_builder(kind)
+    covering = build()
+    rng = rng_for(f"memo-strategies:{kind}")
+    lifted = 0
+    for owner in Player:
+        first, second = (random_strategy(rng, covering.source, owner) for _ in range(2))
+        image_first = covering.strategy_transform(first)
+        assert covering.strategy_transform(first) is image_first
+        image_second = covering.strategy_transform(second)
+        plays = consistent_plays(covering.target, image_first)
+        lifts = [covering.lift(first, play) for play in plays]
+        again = covering.strategy_transform(first)
+        assert covering.strategy_transform(first) is again
+        fresh_first, fresh_second = build(), build()
+        assert image_first == again == fresh_first.strategy_transform(first)
+        assert image_second == fresh_second.strategy_transform(second)
+        assert lifts == [fresh_first.lift(first, play) for play in plays]
+        assert all(verify_lift(covering, first, play).ok for play in plays)
+        lifted += len(plays)
+    assert lifted > 0
+
+
+@pytest.mark.parametrize("kind", ["k0", "union"])
+def test_lifting_a_mapped_strategy_maps_it_no_more(kind, monkeypatch):
+    """Once a strategy is mapped, checking the lift of every play consistent
+    with its image builds no further ``Strategy`` in the construction."""
+    covering = _covering_builder(kind)()
+    strategy = random_strategy(rng_for(f"memo-lift:{kind}"), covering.source, Player.II)
+    mapped = covering.strategy_transform(strategy)
+    built = []
+    real = unravel_module.Strategy
+    monkeypatch.setattr(unravel_module, "Strategy", lambda *args: built.append(args) or real(*args))
+    plays = consistent_plays(covering.target, mapped)
+    assert plays
+    for play in plays:
+        assert verify_lift(covering, strategy, play).ok
+    assert built == []
 
 
 @given(st.integers(0, 200))
