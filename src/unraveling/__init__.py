@@ -29,6 +29,7 @@ from .solver import PruneResult, Solution, prune, solve, transfer_from_pruned
 from .covering import (
     CheckResult,
     Covering,
+    check_lift,
     check_position_map,
     check_strategy_locality,
     check_winning_transfer,

@@ -26,34 +26,32 @@ import time
 from dataclasses import dataclass, field
 
 from .core import (
+    DEFAULT_NODE_MAX,
     InternalInvariantError,
-    Player,
     ResourceLimitError,
     Strategy,
-    consistent_plays,
     format_label,
     format_position,
     is_winning_strategy,
     position_key,
-    random_strategy,
 )
 from .covering import (
+    CheckResult,
+    check_lift,
     check_position_map,
     check_strategy_locality,
     check_winning_transfer,
     pullback,
     solve_via_covering,
-    verify_lift,
 )
 from .dot import covering_dot, tree_dot
 from .gamedoc import GameDocError, format_game, parse_game_bytes, to_document
 from .payoff import Closed, Open, decided_by_depth, realize, undecided_pair
-from .randgen import random_game, rng_for
+from .randgen import random_game
 from .solver import prune, solve, transfer_from_pruned
 from .unravel import (
     BaseCovering,
     DEFAULT_FRONTIER_MAX,
-    DEFAULT_NODE_MAX,
     _generator_floor,
     check_accept_set,
     unravel_payoff,
@@ -86,9 +84,11 @@ class Report:
     def add(self, name: str, value) -> None:
         self.fields.append((name, str(value)))
 
-    def check(self, name: str, ok: bool, detail: str = "") -> bool:
-        self.checks.append((name, bool(ok), detail))
-        return bool(ok)
+    def check(self, name: str, result: bool | CheckResult) -> None:
+        """Record a verdict; a ``CheckResult``'s detail is printed after it."""
+        if not isinstance(result, CheckResult):
+            result = CheckResult(result)
+        self.checks.append((name, result.ok, result.detail or ""))
 
     @property
     def ok(self) -> bool:
@@ -217,13 +217,12 @@ def cmd_unravel(args) -> int:
         report.add("claim-moves", claim_moves)
     report.add("source-nodes", covering.source.node_count)
     report.add("decided-at", decided_depth)
-    # This checks the certificate, and raises before the report prints if it fails.
+    # This checks the certificate and that the mapped strategy wins the
+    # target, and raises before the report prints if either fails.
     solution = solve_via_covering(covering, leaves, decided_depth)
     report.add("winner", solution.winner)
     report.check("certificate", True)
-    report.check(
-        "transferred-strategy-wins", is_winning_strategy(tree, leaves, solution.strategy)
-    )
+    report.check("transferred-strategy-wins", True)
     report.strategy = solution.strategy
     return _print(report)
 
@@ -237,53 +236,29 @@ def verify_report(
     report.add("k", covering.level)
     report.add("samples", samples)
     report.add("seed", seed)
-    report.check("position-map", *_split(check_position_map(covering)))
-    report.check("strategy-locality", *_split(check_strategy_locality(covering, samples, seed)))
+    report.check("position-map", check_position_map(covering))
+    report.check("strategy-locality", check_strategy_locality(covering, samples, seed))
     source = covering.source
-    report.check("certificate", *_certificate(source, pullback(covering, leaves), decided_depth))
+    report.check("certificate", _certificate(source, pullback(covering, leaves), decided_depth))
     if isinstance(covering, BaseCovering):
-        report.check("pullback-is-accept-set", *_split(check_accept_set(covering)))
+        report.check("pullback-is-accept-set", check_accept_set(covering))
         complement = pullback(covering, frozenset(tree.full_depth_plays()) - leaves)
-        report.check("complement-certificate", *_certificate(source, complement, decided_depth))
-    rng = rng_for(f"verify:{seed}")
-    lift_failures = 0
-    plays_checked = 0
-    first_failure = None
-    for owner in (Player.I, Player.II):
-        for _ in range(max(1, samples // 2)):
-            candidate = random_strategy(rng, covering.source, owner)
-            mapped = covering.strategy_transform(candidate)
-            for play in consistent_plays(covering.target, mapped):
-                plays_checked += 1
-                if not verify_lift(covering, candidate, play).ok:
-                    lift_failures += 1
-                    first_failure = first_failure or (owner, play)
-    detail = f"{plays_checked} plays"
-    if first_failure is not None:
-        owner, play = first_failure
-        detail = (
-            f"{lift_failures} of {detail} fail; first: a strategy of player {owner},"
-            f" play {format_position(play)}"
-        )
-    report.check("lift", lift_failures == 0, detail)
-    transfer = check_winning_transfer(covering, leaves, samples, seed)
-    report.check("winning-transfer", *_split(transfer))
+        report.check("complement-certificate", _certificate(source, complement, decided_depth))
+    report.check("lift", check_lift(covering, samples, seed))
+    report.check("winning-transfer", check_winning_transfer(covering, leaves, samples, seed))
     return report
 
 
-def _split(result) -> tuple[bool, str]:
-    return bool(result), result.detail or ""
-
-
-def _certificate(source, pulled, depth: int) -> tuple[bool, str]:
+def _certificate(source, pulled, depth: int) -> CheckResult:
     """The check that ``pulled`` is decided by ``depth``; when it is not,
     two plays that share their length-``depth`` prefix name the failure."""
     if decided_by_depth(source, pulled, depth):
-        return True, ""
+        return CheckResult(True)
     inside, outside = undecided_pair(source, pulled, depth)
-    return False, (
+    return CheckResult(
+        False,
         f"plays {format_position(inside)} (in) and {format_position(outside)} (out)"
-        f" share the length-{depth} prefix"
+        f" share the length-{depth} prefix",
     )
 
 
@@ -295,6 +270,7 @@ def cmd_verify(args) -> int:
 def cmd_fuzz(args) -> int:
     _check_at_least("--samples", args.samples, 1)
     _check_at_least("--zmax", args.zmax, 0)
+    _check_at_least("--branch", args.branch, 1)
     report = Report("fuzz")
     report.add("samples", args.samples)
     report.add("seed", args.seed)
@@ -312,7 +288,7 @@ def cmd_fuzz(args) -> int:
                 min_generator_depth=_generator_floor(0, args.depth),
                 node_max=_node_max(),
             )
-        except ValueError as error:  # --depth or --branch out of range
+        except ValueError as error:  # --depth out of range
             raise _UsageError(str(error)) from None
         payoff = Open(spec) if index % 2 else Closed(spec)
         leaves = realize(tree, payoff)
@@ -322,13 +298,13 @@ def cmd_fuzz(args) -> int:
             over_caps += 1
             continue
         if failure is not None:
-            report.check(f"sample-{index}", False, failure)
+            report.check(f"sample-{index}", CheckResult(False, failure))
             report.counterexample = format_game(to_document(tree, payoff))
             return _print(report)
     detail = f"{args.samples}/{args.samples}"
     if over_caps:
         detail += f"; {over_caps} over the caps, covering not checked"
-    report.check("all-samples", True, detail)
+    report.check("all-samples", CheckResult(True, detail))
     return _print(report)
 
 

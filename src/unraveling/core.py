@@ -31,6 +31,9 @@ class ResourceLimitError(RuntimeError):
     """A configurable size cap was exceeded; nothing was silently truncated."""
 
 
+DEFAULT_NODE_MAX = 200_000
+
+
 class ArenaError(ValueError):
     """A tree or a generator set breaks a structural rule of the arena.
 

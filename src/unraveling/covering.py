@@ -37,6 +37,7 @@ from .core import (
     random_strategy,
 )
 from .payoff import ClosedSpec, decided_by_depth
+from .randgen import rng_for
 from .solver import Solution, solve
 
 
@@ -160,47 +161,60 @@ def check_strategy_locality(covering: Covering, trials: int, seed: int) -> Check
     return CheckResult(True)
 
 
-@dataclass(frozen=True)
-class LiftReport:
-    """The three lifting-condition checks for one play."""
-
-    play: Position
-    lifted: Position
-    valid_play: bool
-    consistent_with_strategy: bool
-    projects_within: bool
-    exact_or_taboo: bool
-
-    @property
-    def ok(self) -> bool:
-        return (
-            self.valid_play
-            and self.consistent_with_strategy
-            and self.projects_within
-            and self.exact_or_taboo
-        )
-
-
-def verify_lift(covering: Covering, strategy: Strategy, play: Position) -> LiftReport:
-    """Lift one target play and check the three lifting conditions on it."""
+def verify_lift(covering: Covering, strategy: Strategy, play: Position) -> CheckResult:
+    """Lift one target play and check the lifting conditions on it; a failure
+    names the lift and the first condition it breaks."""
     target = covering.target
     if not target.is_terminal(play):
         raise ValueError(f"{format_position(play)} is not a play of the target")
     if not is_consistent(play, covering.strategy_transform(strategy)):
         raise ValueError("play is not consistent with the mapped strategy")
     lifted = covering.lift(strategy, play)
-    valid = lifted in covering.source and covering.source.is_terminal(lifted)
-    if not valid:
-        return LiftReport(play, lifted, False, False, False, False)
-    image = covering.position_map[lifted]
-    taboo_for_owner = covering.source.taboo_owner(lifted) is strategy.owner
-    return LiftReport(
-        play,
-        lifted,
-        True,
-        is_consistent(lifted, strategy),
-        is_prefix(image, play),
-        image == play or taboo_for_owner,
+    source = covering.source
+    if lifted not in source or not source.is_terminal(lifted):
+        fault = "is not a source play"
+    elif not is_consistent(lifted, strategy):
+        fault = "is not consistent with the strategy"
+    elif not is_prefix(image := covering.position_map[lifted], play):
+        fault = f"has the image {format_position(image)}, not a prefix of the play"
+    elif image != play and source.taboo_owner(lifted) is not strategy.owner:
+        fault = (
+            f"has the image {format_position(image)}, short of the play,"
+            f" with no taboo against player {strategy.owner}"
+        )
+    else:
+        return CheckResult(True)
+    return CheckResult(False, f"lift {format_position(lifted)} {fault}")
+
+
+def check_lift(covering: Covering, samples: int, seed: int) -> CheckResult:
+    """Sampled lifting condition.
+
+    For ``max(1, samples // 2)`` random source strategies of player I, then
+    as many of player II, every target play consistent with the mapped
+    strategy must pass ``verify_lift``.  The detail counts the plays checked
+    and, on a failure, names the first failing strategy's owner and play.
+    """
+    rng = rng_for(f"verify:{seed}")
+    plays_checked = failures = 0
+    first_failure = None
+    for owner in (Player.I, Player.II):
+        for _ in range(max(1, samples // 2)):
+            candidate = random_strategy(rng, covering.source, owner)
+            mapped = covering.strategy_transform(candidate)
+            for play in consistent_plays(covering.target, mapped):
+                plays_checked += 1
+                # the module-level name, so a wrapper bound to it sees every play
+                if not verify_lift(covering, candidate, play):
+                    failures += 1
+                    first_failure = first_failure or (owner, play)
+    if first_failure is None:
+        return CheckResult(True, f"{plays_checked} plays")
+    owner, play = first_failure
+    return CheckResult(
+        False,
+        f"{failures} of {plays_checked} plays fail; first: a strategy of player {owner},"
+        f" play {format_position(play)}",
     )
 
 

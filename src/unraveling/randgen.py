@@ -8,9 +8,8 @@ from __future__ import annotations
 
 import random
 
-from .core import GameTree, Player, Position, ResourceLimitError, is_prefix
+from .core import DEFAULT_NODE_MAX, GameTree, Player, Position, ResourceLimitError, is_prefix
 from .payoff import ClosedSpec
-from .unravel import DEFAULT_NODE_MAX
 
 
 def rng_for(seed) -> random.Random:

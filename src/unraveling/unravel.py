@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
 from .core import (
+    DEFAULT_NODE_MAX,
     GameTree,
     InternalInvariantError,
     Label,
@@ -63,7 +64,6 @@ from .payoff import (
 )
 
 DEFAULT_FRONTIER_MAX = 10
-DEFAULT_NODE_MAX = 200_000
 
 
 class _KeptKeys:

@@ -318,7 +318,10 @@ def test_exit_code_contract(fixtures_dir, tmp_path):
 
 def test_argument_and_environment_errors_exit_one(fixtures_dir, monkeypatch):
     assert run_cli("fuzz", "--depth", "3")[0] == 1
-    assert run_cli("fuzz", "--branch", "0")[0] == 1
+    for branch in ("0", "-1"):
+        assert run_cli("fuzz", "--branch", branch) == (
+            1, "", f"error: --branch must be at least 1, got {branch}\n"
+        )
     monkeypatch.setenv("UNRAVEL_NODE_MAX", "many")
     code, _, err = run_cli("unravel", game(fixtures_dir, "ex1.game"))
     assert code == 1
@@ -501,7 +504,11 @@ def test_fuzz_violation_reports_counterexample(monkeypatch):
 
 @pytest.mark.parametrize(
     "check, name",
-    [("check_strategy_locality", "strategy-locality"), ("check_position_map", "position-map")],
+    [
+        ("check_strategy_locality", "strategy-locality"),
+        ("check_position_map", "position-map"),
+        ("check_lift", "lift"),
+    ],
 )
 def test_fuzz_fails_on_the_verify_report_check_that_fails(monkeypatch, check, name):
     """Fuzz verdicts are the checks ``verify`` prints, named with the command."""

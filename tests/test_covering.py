@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,6 +14,7 @@ from unraveling.core import (
 from unraveling.covering import (
     CheckResult,
     Covering,
+    check_lift,
     check_position_map,
     check_strategy_locality,
     check_winning_transfer,
@@ -43,8 +46,9 @@ def test_identity_covering_passes_all_checks(ex1):
     assert check_winning_transfer(identity, payoff, 5, seed=3)
     strategy = least_strategy(ex1, Player.I)
     for play in consistent_plays(ex1, strategy):
-        report = verify_lift(identity, strategy, play)
-        assert report.ok and report.lifted == play
+        assert verify_lift(identity, strategy, play)
+        assert identity.lift(strategy, play) == play
+    assert check_lift(identity, 4, seed=0) == CheckResult(True, "16 plays")
 
 
 def test_identity_pullback_is_identity(ex1):
@@ -320,9 +324,45 @@ def test_verify_lift_flags_invalid_lift(ex1):
         lambda s: s,
         lambda s, x: (9, 9, 9),  # not a source position at all
     )
-    report = verify_lift(broken, least_strategy(ex1, Player.I), (0, 0, 0, 0))
-    assert not report.ok
-    assert not report.valid_play
+    result = verify_lift(broken, least_strategy(ex1, Player.I), (0, 0, 0, 0))
+    assert result == CheckResult(False, "lift 9/9/9 is not a source play")
+
+
+def test_verify_lift_flags_inconsistent_lift(ex1):
+    broken = dataclasses.replace(identity_covering(ex1), lift=lambda s, x: (1,) + x[1:])
+    result = verify_lift(broken, least_strategy(ex1, Player.I), (0, 0, 0, 0))
+    assert result == CheckResult(False, "lift 1/0/0/0 is not consistent with the strategy")
+
+
+def test_verify_lift_flags_image_off_the_play(ex1):
+    identity = identity_covering(ex1)
+    broken = dataclasses.replace(
+        identity, position_map={**identity.position_map, (0, 0, 0, 0): (0, 0, 0, 1)}
+    )
+    result = verify_lift(broken, least_strategy(ex1, Player.I), (0, 0, 0, 0))
+    assert result == CheckResult(
+        False, "lift 0/0/0/0 has the image 0/0/0/1, not a prefix of the play"
+    )
+
+
+def test_verify_lift_flags_short_image_without_taboo_against_owner(ex1, ex2):
+    """A lift may stop short of the play only at a taboo against the owner:
+    ``0/0`` of ``ex2`` is a loss for player II, so it serves player II's
+    strategy and not player I's."""
+    broken = Covering(
+        ex2,
+        ex1,
+        0,
+        {p: p for p in ex2.positions()},
+        lambda s: least_strategy(ex1, s.owner),
+        lambda s, x: x[:2],
+    )
+    play = (0, 0, 0, 0)
+    assert verify_lift(broken, least_strategy(ex2, Player.II), play)
+    result = verify_lift(broken, least_strategy(ex2, Player.I), play)
+    assert result == CheckResult(
+        False, "lift 0/0 has the image 0/0, short of the play, with no taboo against player I"
+    )
 
 
 def test_winning_transfer_reports_counterexample(ex1):

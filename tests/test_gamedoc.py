@@ -11,7 +11,8 @@ from unraveling.gamedoc import (
     parse_game_bytes,
     to_document,
 )
-from unraveling.payoff import Closed, ClosedSpec, ClosedUnion, Open
+from unraveling.payoff import Closed, ClosedSpec, ClosedUnion, Not, Open
+from unraveling.unravel import build_base_covering
 
 MINIMAL = """\
 GAME v1
@@ -193,6 +194,14 @@ MORE_REJECTIONS = [
     (lambda t: t.replace("GAME v1\n", ""), "expected 'GAME'", 1),
     (lambda t: t.split("PAYOFF")[0], "missing PAYOFF", 11),
     (lambda t: "GAME v1\nALPHABET 2\n", "missing DEPTH", 2),
+    (lambda t: t.replace("DEPTH 2", "DEPTH 2 3"), "DEPTH takes 1 argument", 3),
+    (lambda t: t.split("TABOOS")[0], "missing TABOOS", 10),
+    (lambda t: t + "CLOSED\n", "unexpected 'CLOSED'", 13),
+    (
+        lambda t: t.replace("PAYOFF closed\n", "PAYOFF union\n1\nCLOSED\n"),
+        "expected 'CLOSED', got '1'",
+        13,
+    ),
 ]
 
 
@@ -231,3 +240,14 @@ def test_union_closed_header_takes_no_arguments(ex1):
     text = format_game(to_document(ex1, ClosedUnion([ClosedSpec([(1,)])])))
     with pytest.raises(GameDocError, match="no arguments"):
         parse_game(text.replace("CLOSED\n", "CLOSED yes\n"))
+
+
+def test_printer_refuses_what_the_format_cannot_write(ex1):
+    not_union = Not(ClosedUnion([ClosedSpec([(1,)])]))
+    with pytest.raises(ValueError, match="cannot write the payoff"):
+        format_game(GameDocument(2, ex1, not_union))
+    with pytest.raises(ValueError, match="cannot write the payoff"):
+        to_document(ex1, not_union)
+    covering = build_base_covering(ex1, ClosedSpec([(1,)]), 0)
+    with pytest.raises(ValueError, match="only base games with integer labels"):
+        to_document(covering.source, Closed(ClosedSpec()))

@@ -202,11 +202,13 @@ def test_lift_accept_branch_exact_projection(ex1):
         return labels[0]
 
     strategy = strategy_from(covering.source, Player.I, first_move)
-    play = (0, 1, 0, 1)
-    report = verify_lift(covering, strategy, play)
-    assert report.ok
-    assert report.lifted == (Claim(0, ()), Accept(1), 0, 1)
-    assert covering.position_map[report.lifted] == play
+    plays = consistent_plays(ex1, covering.strategy_transform(strategy))
+    assert len(plays) == 4
+    for play in plays:
+        assert verify_lift(covering, strategy, play)
+        lifted = covering.lift(strategy, play)
+        assert lifted == (Claim(0, ()), Accept(play[1]), 0, play[3])
+        assert covering.position_map[lifted] == play
 
 
 def test_lift_truncates_at_conceded_frontier(ex1):
@@ -220,12 +222,14 @@ def test_lift_truncates_at_conceded_frontier(ex1):
     strategy = strategy_from(covering.source, Player.I, first_move)
     mapped = covering.strategy_transform(strategy)
     assert mapped.choices[()] == 1
-    for play in consistent_plays(ex1, mapped):
-        report = verify_lift(covering, strategy, play)
-        assert report.ok
-        assert report.lifted == (Claim(1, ()), Accept(play[1]))
-        assert covering.source.taboo_owner(report.lifted) is Player.I
-        assert covering.position_map[report.lifted] == play[:2]
+    plays = consistent_plays(ex1, mapped)
+    assert len(plays) == 4
+    for play in plays:
+        assert verify_lift(covering, strategy, play)
+        lifted = covering.lift(strategy, play)
+        assert lifted == (Claim(1, ()), Accept(play[1]))
+        assert covering.source.taboo_owner(lifted) is Player.I
+        assert covering.position_map[lifted] == play[:2]
 
 
 def test_lift_switches_to_challenge_on_claimed_frontier(ex1):
@@ -238,13 +242,13 @@ def test_lift_switches_to_challenge_on_claimed_frontier(ex1):
         return labels[0]
 
     strategy = strategy_from(covering.source, Player.I, first_move)
-    mapped = covering.strategy_transform(strategy)
-    play = tuple(mapped.choices[()] for _ in ())  # placeholder, build explicitly below
-    for play in consistent_plays(ex1, mapped):
-        report = verify_lift(covering, strategy, play)
-        assert report.ok
-        assert isinstance(report.lifted[1], Challenge)
-        assert covering.position_map[report.lifted] == play
+    plays = consistent_plays(ex1, covering.strategy_transform(strategy))
+    assert len(plays) == 4
+    for play in plays:
+        assert verify_lift(covering, strategy, play)
+        lifted = covering.lift(strategy, play)
+        assert isinstance(lifted[1], Challenge)
+        assert covering.position_map[lifted] == play
 
 
 def test_second_player_strategy_maps_are_consistent(ex2):
@@ -431,10 +435,9 @@ def test_lift_of_play_inside_copied_levels():
     mapped = covering.strategy_transform(strategy)
     plays = consistent_plays(tree, mapped)
     for play in plays:
-        report = verify_lift(covering, strategy, play)
-        assert report.ok
+        assert verify_lift(covering, strategy, play)
         if len(play) <= 2:
-            assert report.lifted == play
+            assert covering.lift(strategy, play) == play
     assert any(len(play) <= 2 for play in plays) or mapped.choices[()] == 0
 
 
