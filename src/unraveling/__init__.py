@@ -10,7 +10,6 @@ from .core import (
     consistent_plays,
     is_consistent,
     is_winning_strategy,
-    least_strategy,
     random_strategy,
     strategy_from,
 )
@@ -34,7 +33,6 @@ from .covering import (
     check_strategy_locality,
     check_winning_transfer,
     compose,
-    identity_covering,
     pullback,
     pullback_closed_spec,
     solve_via_covering,
@@ -46,7 +44,6 @@ from .unravel import (
     Challenge,
     Claim,
     build_base_covering,
-    frontier,
     unravel_payoff,
     unravel_union,
 )

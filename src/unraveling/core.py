@@ -245,10 +245,6 @@ class GameTree:
             if owner is not None:
                 yield position, owner
 
-    def plays(self) -> Iterator[Position]:
-        """All terminal positions (the plays), canonical order."""
-        return (p for p in self._ordered if not self._children[p])
-
     def full_depth_plays(self) -> Iterator[Position]:
         """The depth-bound plays, i.e. the stand-ins for infinite plays."""
         return (p for p in self._ordered if len(p) == self.depth)
@@ -307,11 +303,6 @@ def strategy_from(
                 raise ValueError(f"illegal choice at {format_position(position)}")
             choices[position] = choice
     return Strategy(owner, choices)
-
-
-def least_strategy(tree: GameTree, owner: Player) -> Strategy:
-    """The lexicographic default: always the least available move."""
-    return strategy_from(tree, owner, lambda _, labels: labels[0])
 
 
 def random_strategy(rng: random.Random, tree: GameTree, owner: Player) -> Strategy:

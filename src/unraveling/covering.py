@@ -37,7 +37,6 @@ from .core import (
     random_strategy,
 )
 from .payoff import ClosedSpec, decided_by_depth
-from .randgen import rng_for
 from .solver import Solution, solve
 
 
@@ -60,17 +59,6 @@ class Covering:
     position_map: Mapping[Position, Position]
     strategy_transform: Callable[[Strategy], Strategy]
     lift: Callable[[Strategy, Position], Position]
-
-
-def identity_covering(tree: GameTree, level: int | None = None) -> Covering:
-    return Covering(
-        source=tree,
-        target=tree,
-        level=tree.depth if level is None else level,
-        position_map={p: p for p in tree.positions()},
-        strategy_transform=lambda s: s,
-        lift=lambda s, x: x,
-    )
 
 
 @dataclass(frozen=True)
@@ -193,9 +181,10 @@ def check_lift(covering: Covering, samples: int, seed: int) -> CheckResult:
     For ``max(1, samples // 2)`` random source strategies of player I, then
     as many of player II, every target play consistent with the mapped
     strategy must pass ``verify_lift``.  The detail counts the plays checked
-    and, on a failure, names the first failing strategy's owner and play.
+    and, on a failure, names the first failing strategy's owner and play and
+    what ``verify_lift`` found wrong with its lift.
     """
-    rng = rng_for(f"verify:{seed}")
+    rng = random.Random(f"unraveling:verify:{seed}")  # the stream the pinned reports sampled
     plays_checked = failures = 0
     first_failure = None
     for owner in (Player.I, Player.II):
@@ -205,16 +194,17 @@ def check_lift(covering: Covering, samples: int, seed: int) -> CheckResult:
             for play in consistent_plays(covering.target, mapped):
                 plays_checked += 1
                 # the module-level name, so a wrapper bound to it sees every play
-                if not verify_lift(covering, candidate, play):
+                result = verify_lift(covering, candidate, play)
+                if not result:
                     failures += 1
-                    first_failure = first_failure or (owner, play)
+                    first_failure = first_failure or (owner, play, result.detail)
     if first_failure is None:
         return CheckResult(True, f"{plays_checked} plays")
-    owner, play = first_failure
+    owner, play, detail = first_failure
     return CheckResult(
         False,
         f"{failures} of {plays_checked} plays fail; first: a strategy of player {owner},"
-        f" play {format_position(play)}",
+        f" play {format_position(play)}: {detail}",
     )
 
 

@@ -101,7 +101,7 @@ def _parse_path(token: str, line: int, col: int, alphabet: int) -> Position:
         return ()
     labels = []
     for part in token.split("/"):
-        if not part.isdigit():
+        if not (part.isascii() and part.isdigit()):
             raise GameDocError(f"bad path component {part!r}", line, col)
         label = int(part)
         if label >= alphabet:
@@ -123,7 +123,7 @@ def _expect_header(lines: _Lines, keyword: str, argc: int):
 
 
 def _int_arg(keyword: str, line: int, col: int, token: str) -> int:
-    if not token.isdigit():
+    if not (token.isascii() and token.isdigit()):
         raise GameDocError(f"{keyword} must be a non-negative integer", line, col)
     return int(token)
 

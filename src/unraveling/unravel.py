@@ -46,7 +46,6 @@ from .covering import (
     CheckResult,
     Covering,
     compose,
-    identity_covering,
     pullback,
     pullback_closed_spec,
 )
@@ -166,27 +165,13 @@ def _generator_floor(k: int, depth: int) -> int:
     return 1 if k + 2 < depth else k + 2
 
 
-def frontier(tree: GameTree, payoff_leaves, prefix: Position, move: Label):
-    """Minimal non-terminal extensions of ``prefix + (move,)`` from whose
-    subtrees the payoff set is unreachable; always an antichain.
-
-    Minimality means every position strictly in between still meets the
-    payoff set, so the walk descends only through meeting positions.
-    """
-    start = prefix + (move,)
-    if start not in tree:
-        raise ValueError(f"unknown position {format_position(start)}")
-    if tree.is_terminal(start):
-        raise ValueError(f"{format_position(start)} is terminal")
-    return _frontier(tree, _meets(tree, payoff_leaves), start)
-
-
 def _meets(tree: GameTree, payoff_leaves) -> set:
     """Every position some play of the payoff set passes through."""
     return {leaf[:i] for leaf in payoff_leaves for i in range(tree.depth + 1)}
 
 
 def _frontier(tree: GameTree, meets: set, start: Position) -> tuple[Position, ...]:
+    """The frontier below ``start``: its minimal non-terminal extensions outside ``meets``."""
     out = []
     stack = [start + (label,) for label in tree.children_of(start)]
     while stack:
@@ -538,10 +523,8 @@ def unravel_union(
     frontier_max: int = DEFAULT_FRONTIER_MAX,
     node_max: int = DEFAULT_NODE_MAX,
 ) -> tuple[Covering, int]:
-    """``unravel_payoff`` on a union of closed sets; of none, the identity."""
-    specs = list(specs)
-    if not specs:
-        return identity_covering(tree), 0
+    """``unravel_payoff`` on the union of ``specs``; kept only because the
+    ``union`` bench workload calls and traces it under this name."""
     return unravel_payoff(
         tree, ClosedUnion(specs), level, frontier_max=frontier_max, node_max=node_max
     )

@@ -18,9 +18,33 @@ from unraveling.core import (
     is_consistent,
     is_prefix,
     position_key,
+    strategy_from,
 )
+from unraveling.covering import Covering
 from unraveling.solver import solve
 from unraveling.unravel import Accept, Claim
+
+
+def plays(tree: GameTree) -> list[Position]:
+    """The terminal positions, in canonical order."""
+    return [p for p in tree.positions() if tree.is_terminal(p)]
+
+
+def least_strategy(tree: GameTree, owner: Player) -> Strategy:
+    """The lexicographic default: always the least available move."""
+    return strategy_from(tree, owner, lambda _, labels: labels[0])
+
+
+def identity_covering(tree: GameTree, level: int | None = None) -> Covering:
+    """A tree covering itself, identity at ``level`` (default: the depth)."""
+    return Covering(
+        source=tree,
+        target=tree,
+        level=tree.depth if level is None else level,
+        position_map={p: p for p in tree.positions()},
+        strategy_transform=lambda s: s,
+        lift=lambda s, x: x,
+    )
 
 
 def canonical_order_by_sort(nodes) -> list[Position]:
@@ -86,7 +110,7 @@ def consistent_plays_filter(tree: GameTree, strategy: Strategy) -> set[Position]
     """Filter every play of the tree by the consistency predicate."""
     return {
         play
-        for play in tree.plays()
+        for play in plays(tree)
         if is_consistent(play, strategy)
     }
 

@@ -29,7 +29,7 @@ from unraveling.gamedoc import GameDocError, GameDocument, format_game, parse_ga
 from unraveling.payoff import Closed, ClosedSpec, ClosedUnion, decided_by_depth, realize
 from unraveling.randgen import random_game, random_union_instance, rng_for
 from unraveling.solver import prune, solve, transfer_from_pruned
-from unraveling.unravel import Accept, build_base_covering, frontier, unravel_union
+from unraveling.unravel import Accept, build_base_covering, unravel_payoff
 
 import oracles
 
@@ -198,7 +198,9 @@ def test_criterion_6_union_unraveling():
         )
         attempt += 1
         try:
-            covering, decided_depth = unravel_union(tree, specs, 0, node_max=60_000)
+            covering, decided_depth = unravel_payoff(
+                tree, ClosedUnion(specs), 0, node_max=60_000
+            )
         except ResourceLimitError:
             continue
         built += 1
@@ -216,8 +218,8 @@ def test_criterion_6_union_unraveling():
 
 def test_criterion_7_worked_example_goldens(ex1, ex2):
     payoff = realize(ex1, Closed(ClosedSpec([(1,)])))
-    front = frontier(ex1, payoff, (), 1)
     covering = build_base_covering(ex1, ClosedSpec([(1,)]), 0)
+    front = covering.frontiers[((), 1)]
     winner_1 = solve_via_covering(covering, payoff, 2).winner
     winner_2 = solve_via_covering(build_base_covering(ex2, ClosedSpec(), 0), frozenset(), 2).winner
 

@@ -230,7 +230,11 @@ def test_verify_lift_failure_names_first_play(fixtures_dir, monkeypatch):
     assert code == 2
     owner, play = first[0]
     assert "check lift: FAIL (1 of " in out
-    assert f"plays fail; first: a strategy of player {owner}, play {format_position(play)})" in out
+    play = format_position(play)
+    assert (
+        f"plays fail; first: a strategy of player {owner}, play {play}:"
+        f" lift {play} is not a source play)"
+    ) in out
 
 
 def move_one_accept_play(monkeypatch):
@@ -313,6 +317,10 @@ def test_exit_code_contract(fixtures_dir, tmp_path):
     code, _, err = run_cli("solve", str(bad))
     assert code == 1
     assert "line 2" in err
+    bad.write_bytes("GAME v1\nALPHABET 2\nDEPTH 2\nNODES\n\u00b3\n".encode())
+    assert run_cli("solve", str(bad)) == (
+        1, "", "error: line 5, col 1: bad path component '\u00b3'\n"
+    )
     assert run_cli("unravel", game(fixtures_dir, "ex1.game"), "--k", "6")[0] == 1
 
 

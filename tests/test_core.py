@@ -9,7 +9,6 @@ from unraveling.core import (
     consistent_plays,
     is_consistent,
     is_winning_strategy,
-    least_strategy,
     random_strategy,
     strategy_from,
 )
@@ -150,7 +149,7 @@ def test_classify_taboo_and_full_depth(ex2):
 def test_partition_property(seed):
     """Every play is either full-depth or tagged with exactly one taboo owner."""
     tree = random_tree(rng_for(f"part:{seed}"), depth=6, branching=2, taboos=3)
-    for play in tree.plays():
+    for play in oracles.plays(tree):
         owner = tree.taboo_owner(play)
         if len(play) == tree.depth:
             assert owner is None
@@ -162,8 +161,8 @@ def test_partition_property(seed):
 
 
 def test_root_consistent_with_anything(ex1):
-    assert is_consistent((), least_strategy(ex1, Player.I))
-    assert is_consistent((), least_strategy(ex1, Player.II))
+    assert is_consistent((), oracles.least_strategy(ex1, Player.I))
+    assert is_consistent((), oracles.least_strategy(ex1, Player.II))
 
 
 def test_consistency_examples(ex1):
@@ -176,7 +175,8 @@ def test_consistency_examples(ex1):
 
 
 def test_single_branching_gives_unique_play(ex3):
-    for strategy in (least_strategy(ex3, Player.I), strategy_from(ex3, Player.I, always(1))):
+    least = oracles.least_strategy(ex3, Player.I)
+    for strategy in (least, strategy_from(ex3, Player.I, always(1))):
         plays = consistent_plays(ex3, strategy)
         assert len(plays) == 1
 
@@ -216,7 +216,7 @@ def test_evaluate_play_clauses(ex1, ex2):
 
 def test_evaluate_rejects_early_terminal_in_payoff(ex2):
     with pytest.raises(ValueError, match="full-depth"):
-        is_winning_strategy(ex2, frozenset({(0, 0)}), least_strategy(ex2, Player.I))
+        is_winning_strategy(ex2, frozenset({(0, 0)}), oracles.least_strategy(ex2, Player.I))
 
 
 def test_is_winning_strategy_examples(ex1, ex2):

@@ -8,7 +8,6 @@ from unraveling.core import (
     Player,
     Strategy,
     consistent_plays,
-    least_strategy,
     random_strategy,
 )
 from unraveling.covering import (
@@ -19,7 +18,6 @@ from unraveling.covering import (
     check_strategy_locality,
     check_winning_transfer,
     compose,
-    identity_covering,
     pullback,
     pullback_closed_spec,
     solve_via_covering,
@@ -30,6 +28,8 @@ from unraveling.randgen import random_game, rng_for
 from unraveling.solver import solve
 from unraveling.unravel import build_base_covering
 
+import oracles
+
 
 def leaves_with(tree, predicate):
     return frozenset(l for l in tree.full_depth_plays() if predicate(l))
@@ -39,12 +39,12 @@ def leaves_with(tree, predicate):
 
 
 def test_identity_covering_passes_all_checks(ex1):
-    identity = identity_covering(ex1)
+    identity = oracles.identity_covering(ex1)
     assert check_position_map(identity)
     assert check_strategy_locality(identity, 20, seed=3)
     payoff = leaves_with(ex1, lambda l: l[0] == 0)
     assert check_winning_transfer(identity, payoff, 5, seed=3)
-    strategy = least_strategy(ex1, Player.I)
+    strategy = oracles.least_strategy(ex1, Player.I)
     for play in consistent_plays(ex1, strategy):
         assert verify_lift(identity, strategy, play)
         assert identity.lift(strategy, play) == play
@@ -52,7 +52,7 @@ def test_identity_covering_passes_all_checks(ex1):
 
 
 def test_identity_pullback_is_identity(ex1):
-    identity = identity_covering(ex1)
+    identity = oracles.identity_covering(ex1)
     payoff = leaves_with(ex1, lambda l: l[1] == 1)
     assert pullback(identity, payoff) == payoff
     assert pullback(identity, frozenset()) == frozenset()
@@ -61,7 +61,7 @@ def test_identity_pullback_is_identity(ex1):
 def test_identity_solve_via_covering_matches_solve(ex1):
     payoff = leaves_with(ex1, lambda l: l[0] == 0)
     direct = solve(ex1, payoff)
-    via = solve_via_covering(identity_covering(ex1), payoff, 2)
+    via = solve_via_covering(oracles.identity_covering(ex1), payoff, 2)
     assert via.winner is direct.winner
 
 
@@ -69,7 +69,7 @@ def test_identity_solve_via_covering_matches_solve(ex1):
 
 
 def test_position_map_catches_length_violation(ex1):
-    identity = identity_covering(ex1)
+    identity = oracles.identity_covering(ex1)
     broken_table = dict(identity.position_map)
     broken_table[(0, 0)] = (0,)
     broken = Covering(
@@ -81,7 +81,7 @@ def test_position_map_catches_length_violation(ex1):
 
 
 def test_position_map_catches_monotonicity_violation(ex1):
-    identity = identity_covering(ex1)
+    identity = oracles.identity_covering(ex1)
     broken_table = dict(identity.position_map)
     broken_table[(0, 0)] = (1, 0)
     broken = Covering(
@@ -155,16 +155,16 @@ def test_locality_catches_lookahead(ex1):
 
 
 def test_verify_lift_rejects_inconsistent_play(ex1):
-    identity = identity_covering(ex1)
-    strategy = least_strategy(ex1, Player.I)  # always 0
+    identity = oracles.identity_covering(ex1)
+    strategy = oracles.least_strategy(ex1, Player.I)  # always 0
     with pytest.raises(ValueError, match="not consistent"):
         verify_lift(identity, strategy, (1, 0, 0, 0))
 
 
 def test_verify_lift_rejects_non_play(ex1):
-    identity = identity_covering(ex1)
+    identity = oracles.identity_covering(ex1)
     with pytest.raises(ValueError, match="not a play"):
-        verify_lift(identity, least_strategy(ex1, Player.I), (0,))
+        verify_lift(identity, oracles.least_strategy(ex1, Player.I), (0,))
 
 
 # -------------------------------------------------------------- composition
@@ -175,12 +175,12 @@ def test_compose_with_identity_behaves_like_original(ex1):
     payoff = realize(ex1, Closed(spec))
     base = build_base_covering(ex1, spec, 0)
 
-    left = compose(identity_covering(ex1), base)
-    right = compose(base, identity_covering(base.source))
+    left = compose(oracles.identity_covering(ex1), base)
+    right = compose(base, oracles.identity_covering(base.source))
     for composite in (left, right):
         assert composite.position_map == dict(base.position_map)
         assert check_position_map(composite)
-        strategy = least_strategy(base.source, Player.I)
+        strategy = oracles.least_strategy(base.source, Player.I)
         composed_image = composite.strategy_transform(strategy)
         assert composed_image.choices == base.strategy_transform(strategy).choices
         via = solve_via_covering(composite, payoff, 2)
@@ -189,16 +189,16 @@ def test_compose_with_identity_behaves_like_original(ex1):
 
 def test_compose_level_is_minimum(ex1):
     base = build_base_covering(ex1, ClosedSpec([(1,)]), 0)
-    assert compose(identity_covering(ex1, level=4), base).level == 0
-    two = identity_covering(ex1, level=2)
-    four = identity_covering(ex1, level=4)
+    assert compose(oracles.identity_covering(ex1, level=4), base).level == 0
+    two = oracles.identity_covering(ex1, level=2)
+    four = oracles.identity_covering(ex1, level=4)
     assert compose(four, two).level == 2
     assert compose(two, four).level == 2
 
 
 def test_compose_rejects_mismatched_trees(ex1, ex2):
     with pytest.raises(ValueError, match="mismatch"):
-        compose(identity_covering(ex1), identity_covering(ex2))
+        compose(oracles.identity_covering(ex1), oracles.identity_covering(ex2))
 
 
 def test_compose_two_base_coverings_passes_checks():
@@ -258,7 +258,7 @@ def test_winning_transfer_examples(ex1, ex2):
 def test_solve_via_covering_requires_certificate(ex1):
     payoff = leaves_with(ex1, lambda l: l[3] == 0)  # decided only at depth 4
     with pytest.raises(ValueError, match="does not unravel"):
-        solve_via_covering(identity_covering(ex1), payoff, 2)
+        solve_via_covering(oracles.identity_covering(ex1), payoff, 2)
 
 
 def test_complement_certificate_equivalence(ex1):
@@ -290,7 +290,7 @@ def test_lift_reports_clean_on_built_coverings(seed):
 
 def test_locality_catches_owner_flip(ex1):
     def owner_flipping(strategy: Strategy) -> Strategy:
-        flipped = least_strategy(ex1, strategy.owner.opponent)
+        flipped = oracles.least_strategy(ex1, strategy.owner.opponent)
         return flipped
 
     broken = Covering(
@@ -324,22 +324,22 @@ def test_verify_lift_flags_invalid_lift(ex1):
         lambda s: s,
         lambda s, x: (9, 9, 9),  # not a source position at all
     )
-    result = verify_lift(broken, least_strategy(ex1, Player.I), (0, 0, 0, 0))
+    result = verify_lift(broken, oracles.least_strategy(ex1, Player.I), (0, 0, 0, 0))
     assert result == CheckResult(False, "lift 9/9/9 is not a source play")
 
 
 def test_verify_lift_flags_inconsistent_lift(ex1):
-    broken = dataclasses.replace(identity_covering(ex1), lift=lambda s, x: (1,) + x[1:])
-    result = verify_lift(broken, least_strategy(ex1, Player.I), (0, 0, 0, 0))
+    broken = dataclasses.replace(oracles.identity_covering(ex1), lift=lambda s, x: (1,) + x[1:])
+    result = verify_lift(broken, oracles.least_strategy(ex1, Player.I), (0, 0, 0, 0))
     assert result == CheckResult(False, "lift 1/0/0/0 is not consistent with the strategy")
 
 
 def test_verify_lift_flags_image_off_the_play(ex1):
-    identity = identity_covering(ex1)
+    identity = oracles.identity_covering(ex1)
     broken = dataclasses.replace(
         identity, position_map={**identity.position_map, (0, 0, 0, 0): (0, 0, 0, 1)}
     )
-    result = verify_lift(broken, least_strategy(ex1, Player.I), (0, 0, 0, 0))
+    result = verify_lift(broken, oracles.least_strategy(ex1, Player.I), (0, 0, 0, 0))
     assert result == CheckResult(
         False, "lift 0/0/0/0 has the image 0/0/0/1, not a prefix of the play"
     )
@@ -354,12 +354,12 @@ def test_verify_lift_flags_short_image_without_taboo_against_owner(ex1, ex2):
         ex1,
         0,
         {p: p for p in ex2.positions()},
-        lambda s: least_strategy(ex1, s.owner),
+        lambda s: oracles.least_strategy(ex1, s.owner),
         lambda s, x: x[:2],
     )
     play = (0, 0, 0, 0)
-    assert verify_lift(broken, least_strategy(ex2, Player.II), play)
-    result = verify_lift(broken, least_strategy(ex2, Player.I), play)
+    assert verify_lift(broken, oracles.least_strategy(ex2, Player.II), play)
+    result = verify_lift(broken, oracles.least_strategy(ex2, Player.I), play)
     assert result == CheckResult(
         False, "lift 0/0 has the image 0/0, short of the play, with no taboo against player I"
     )

@@ -202,6 +202,11 @@ MORE_REJECTIONS = [
         "expected 'CLOSED', got '1'",
         13,
     ),
+    # str.isdigit accepts these, int() does not (or reads them as ASCII digits)
+    (lambda t: t.replace("NODES\n0\n", "NODES\n\u00b3\n"), "bad path component '\u00b3'", 5),
+    (lambda t: t.replace("0/0\n", "\u0660/0\n"), "bad path component '\u0660'", 7),
+    (lambda t: t.replace("ALPHABET 2", "ALPHABET \u00b2"), "ALPHABET must be a non-negative", 2),
+    (lambda t: t.replace("DEPTH 2", "DEPTH \u00b2"), "DEPTH must be a non-negative", 3),
 ]
 
 

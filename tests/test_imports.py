@@ -1,10 +1,17 @@
-"""Every module of the package and every test module uses each name it imports."""
+"""Every module of the package and every test module uses each name it
+imports, every public function and class has a caller outside the tests,
+and the README's quick start runs."""
 
 import ast
+import inspect
+import re
 from pathlib import Path
 
+import unraveling
+
 TESTS = Path(__file__).resolve().parent
-PACKAGE = TESTS.parent / "src" / "unraveling"
+ROOT = TESTS.parent
+PACKAGE = ROOT / "src" / "unraveling"
 
 
 def unused_imports(source: str) -> list[tuple[int, str]]:
@@ -29,3 +36,32 @@ def test_modules_use_every_imported_name():
         for line, name in unused_imports(path.read_text())
     ]
     assert not unused, "imported but unused: " + ", ".join(unused)
+
+
+def read_names(source: str) -> set[str]:
+    """Every name the module reads, bare or as an attribute."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def test_every_public_function_and_class_has_a_caller_outside_the_tests():
+    callers = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+    callers += ROOT.glob("bench/*.py")
+    read = set().union(*(read_names(path.read_text()) for path in callers))
+    unread = []
+    for name in unraveling.__all__:
+        value = getattr(unraveling, name)
+        if (inspect.isfunction(value) or inspect.isclass(value)) and name not in read:
+            unread.append(name)
+    assert not unread, "public names read only by tests: " + ", ".join(unread)
+
+
+def test_readme_quick_start_runs():
+    readme = (ROOT / "README.md").read_text()
+    (block,) = re.findall(r"```python\n(.*?)```", readme, re.DOTALL)
+    exec(compile(block, "README.md", "exec"), {})

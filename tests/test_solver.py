@@ -7,7 +7,6 @@ from unraveling.core import (
     _evaluate,
     is_prefix,
     is_winning_strategy,
-    least_strategy,
 )
 from unraveling.payoff import Closed, realize
 from unraveling.randgen import random_game, random_tree, rng_for
@@ -154,7 +153,7 @@ def test_prune_removes_taboo_node(ex2):
     assert result.determined == {(0, 0): Player.I}
     assert result.removed == frozenset({(0, 0)})
     assert result.tree.node_count == ex2.node_count - 1
-    assert all(len(p) == 4 for p in result.tree.plays())
+    assert all(len(p) == 4 for p in oracles.plays(result.tree))
 
 
 def test_prune_root_determined():
@@ -192,7 +191,7 @@ def test_prune_closure_counterexample():
     assert remainder is not None
     for position in remainder.positions():
         assert all(position[:n] in remainder for n in range(len(position)))
-    assert all(len(p) == remainder.depth for p in remainder.plays())
+    assert all(len(p) == remainder.depth for p in oracles.plays(remainder))
 
     # The level-by-level equivalence still holds on this very tree.
     payoff = frozenset()
@@ -218,7 +217,7 @@ def test_prune_structure_properties(seed):
         for child_label in tree.children_of(position):
             assert position + (child_label,) in result.removed
     if result.tree is not None:
-        assert all(len(p) == tree.depth for p in result.tree.plays())
+        assert all(len(p) == tree.depth for p in oracles.plays(result.tree))
 
 
 # ------------------------------------------------------ transfer_from_pruned
@@ -226,7 +225,7 @@ def test_prune_structure_properties(seed):
 
 def test_transfer_identity_when_nothing_removed(ex1):
     result = prune(ex1)
-    strategy = least_strategy(result.tree, Player.I)
+    strategy = oracles.least_strategy(result.tree, Player.I)
     transferred = transfer_from_pruned(ex1, result, strategy)
     assert transferred.choices == strategy.choices
 
@@ -261,8 +260,9 @@ def test_transfer_follows_witness_on_deviation():
 def test_transfer_rejects_root_determined():
     tree = GameTree.from_nodes(2, [(0,)], {(0,): Player.II})
     result = prune(tree)
+    other = oracles.least_strategy(GameTree.complete(2, 1), Player.I)
     with pytest.raises(ValueError, match="root"):
-        transfer_from_pruned(tree, result, least_strategy(GameTree.complete(2, 1), Player.I))
+        transfer_from_pruned(tree, result, other)
 
 
 @given(st.integers(0, 800))

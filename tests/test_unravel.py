@@ -50,7 +50,6 @@ from unraveling.unravel import (
     Claim,
     build_base_covering,
     check_accept_set,
-    frontier,
     unravel_payoff,
     unravel_union,
 )
@@ -70,47 +69,36 @@ def left_half(ex1):
 
 
 def test_frontier_golden_values(ex1):
-    payoff = left_half(ex1)
-    assert frontier(ex1, payoff, (), 1) == ((1, 0), (1, 1))
-    assert frontier(ex1, payoff, (), 0) == ()
+    frontiers = build_base_covering(ex1, ClosedSpec([(1,)]), 0).frontiers
+    assert frontiers[((), 1)] == ((1, 0), (1, 1))
+    assert frontiers[((), 0)] == ()
 
 
 def test_frontier_empty_when_payoff_everywhere(ex1, ex2):
     for tree in (ex1, ex2):
-        everything = frozenset(tree.full_depth_plays())
-        for a in tree.children_of(()):
-            if not tree.is_terminal((a,)):
-                assert frontier(tree, everything, (), a) == ()
-
-
-def test_frontier_rejects_bad_positions(ex1, ex2):
-    with pytest.raises(ValueError, match="unknown position"):
-        frontier(ex1, frozenset(), (), 7)
-    with pytest.raises(ValueError, match="terminal"):
-        frontier(ex2, frozenset(), (0,), 0)
+        covering = build_base_covering(tree, ClosedSpec(), 0)
+        assert covering.frontiers.keys() == {((), a) for a in tree.children_of(())}
+        assert all(front == () for front in covering.frontiers.values())
 
 
 @given(st.integers(0, 500))
 @settings(max_examples=50, deadline=None)
 def test_frontier_matches_condition_scan_oracle(seed):
-    rng = rng_for(f"front:{seed}")
     tree, spec = random_game(f"front:{seed}", depth=6, branching=2, taboos=2)
     payoff = realize(tree, Closed(spec))
-    for p in tree.positions():
-        if len(p) != 2:
-            continue
-        for a in tree.children_of(p):
-            if tree.is_terminal(p + (a,)):
-                continue
-            computed = frontier(tree, payoff, p, a)
-            assert sorted(computed) == sorted(oracles.frontier_by_scan(tree, payoff, p, a))
-            # antichain, and at most one member on any play
-            for q in computed:
-                for r in computed:
-                    assert q == r or not is_prefix(q, r)
-            for play in tree.plays():
-                hits = [q for q in computed if is_prefix(q, play)]
-                assert len(hits) <= 1
+    frontiers = build_base_covering(tree, spec, 2).frontiers
+    assert frontiers.keys() == {
+        (p, a) for p in tree.positions() if len(p) == 2 for a in tree.children_of(p)
+    }
+    for (p, a), computed in frontiers.items():
+        assert sorted(computed) == sorted(oracles.frontier_by_scan(tree, payoff, p, a))
+        # antichain, and at most one member on any play
+        for q in computed:
+            for r in computed:
+                assert q == r or not is_prefix(q, r)
+        for play in oracles.plays(tree):
+            hits = [q for q in computed if is_prefix(q, play)]
+            assert len(hits) <= 1
 
 
 # ------------------------------------------------------- build_base_covering
@@ -268,18 +256,22 @@ def test_strategy_map_locality_and_identity(ex1):
     assert check_strategy_locality(covering, 30, seed=13)
 
 
-# ------------------------------------------------------------ unravel_union
+# ------------------------------------------------------------ closed unions
 
 
-def test_union_of_nothing_is_identity(ex1):
-    covering, decided_depth = unravel_union(ex1, [], 0)
-    assert decided_depth == 0
-    assert covering.source == ex1
-    assert covering.position_map[()] == ()
+def test_unravel_union_is_unravel_payoff_of_the_closed_union():
+    tree, specs = random_union_instance("union-entry", depth=6, branching=2, parts=2)
+    covering, decided_depth = unravel_union(tree, specs, 0)
+    direct, direct_depth = unravel_payoff(tree, ClosedUnion(specs), 0)
+    assert decided_depth == direct_depth
+    assert covering.source == direct.source
+    assert covering.position_map == direct.position_map
+    with pytest.raises(ValueError, match="at least one member"):
+        unravel_union(tree, [], 0)
 
 
 def test_union_single_spec_is_single_base_covering(ex1):
-    covering, decided_depth = unravel_union(ex1, [ClosedSpec([(1,)])], 0)
+    covering, decided_depth = unravel_payoff(ex1, ClosedUnion([ClosedSpec([(1,)])]), 0)
     assert isinstance(covering, BaseCovering)
     assert decided_depth == 2
     direct = build_base_covering(ex1, ClosedSpec([(1,)]), 0)
@@ -292,7 +284,7 @@ def test_union_two_specs_enlarged_tree():
     specs = [ClosedSpec([(1,)]), ClosedSpec([(0,)])]
     payoff = realize(tree, ClosedUnion(specs))
     assert payoff == frozenset(tree.full_depth_plays())
-    covering, decided_depth = unravel_union(tree, specs, 0)
+    covering, decided_depth = unravel_payoff(tree, ClosedUnion(specs), 0)
     assert covering.level == 0
     assert check_position_map(covering)
     via = solve_via_covering(covering, payoff, decided_depth)
@@ -304,11 +296,11 @@ def test_union_exhaustion_errors_name_their_stage():
     # boundary, where no generator is deep enough
     tree = GameTree.complete(4, 2)
     with pytest.raises(ValueError, match="stage 1"):
-        unravel_union(tree, [ClosedSpec([(1,)]), ClosedSpec([(0,)])], 0)
+        unravel_payoff(tree, ClosedUnion([ClosedSpec([(1,)]), ClosedSpec([(0,)])]), 0)
     # and once the stage level itself would need to exceed the bound
     deep = GameTree.complete(6, 2)
     with pytest.raises(ValueError, match="stage 3"):
-        unravel_union(deep, [ClosedSpec()] * 4, 2)
+        unravel_payoff(deep, ClosedUnion([ClosedSpec()] * 4), 2)
 
 
 @given(st.integers(0, 300))
@@ -316,7 +308,7 @@ def test_union_exhaustion_errors_name_their_stage():
 def test_union_matches_direct_solve(seed):
     tree, specs = random_union_instance(f"union:{seed}", depth=6, branching=2, parts=2)
     payoff = realize(tree, ClosedUnion(specs))
-    covering, decided_depth = unravel_union(tree, specs, 0)
+    covering, decided_depth = unravel_payoff(tree, ClosedUnion(specs), 0)
     assert check_position_map(covering)
     via = solve_via_covering(covering, payoff, decided_depth)
     direct = solve(tree, payoff)
@@ -444,7 +436,7 @@ def test_lift_of_play_inside_copied_levels():
 def test_composite_lifts_satisfy_the_lifting_condition():
     """verify_lift through a full union composite (two stages + finishing)."""
     tree, specs = random_union_instance("composite-lift", depth=6, branching=2, parts=2)
-    covering, _ = unravel_union(tree, specs, 0)
+    covering, _ = unravel_payoff(tree, ClosedUnion(specs), 0)
     rng = rng_for("composite-lift-strategies")
     checked = 0
     for owner in (Player.I, Player.II):
@@ -520,7 +512,7 @@ def test_every_strategy_lifts_and_transfers_wins_on_union_composites():
     instances = []
     for index in range(400):
         tree, specs = random_union_instance(f"exhu:{index}", depth=6, branching=2, taboos=3)
-        covering, _ = unravel_union(tree, specs, 0)
+        covering, _ = unravel_payoff(tree, ClosedUnion(specs), 0)
         source = covering.source
         counts = [_strategy_count(source, owner) for owner in Player]
         if not 16 <= min(counts) <= max(counts) <= 1024:
@@ -540,8 +532,8 @@ def _claiming_composite(prefix):
     source has a claim with a non-empty claimed set."""
     for index in range(100):
         tree, specs = random_union_instance(f"{prefix}:{index}", depth=6, branching=2)
-        if _claims_something(unravel_union(tree, specs, 0)[0].source):
-            return lambda: unravel_union(tree, specs, 0)[0]
+        if _claims_something(unravel_payoff(tree, ClosedUnion(specs), 0)[0].source):
+            return lambda: unravel_payoff(tree, ClosedUnion(specs), 0)[0]
     raise AssertionError("no composite with a non-empty claim")
 
 
@@ -619,7 +611,7 @@ def test_wider_branching_coverings(seed):
 
 def test_union_at_level_two():
     tree, specs = random_union_instance("level2-union", depth=8, branching=2, parts=2, level=2)
-    covering, decided_depth = unravel_union(tree, specs, 2)
+    covering, decided_depth = unravel_payoff(tree, ClosedUnion(specs), 2)
     assert covering.level == 2
     payoff = realize(tree, ClosedUnion(specs))
     assert solve_via_covering(covering, payoff, decided_depth).winner is solve(tree, payoff).winner
@@ -638,7 +630,7 @@ def test_construction_is_deterministic(ex1):
 
 def _nested_union_covering():
     tree, specs = random_union_instance("order:5", depth=6, branching=2, parts=3)
-    covering, _ = unravel_union(tree, specs, 0)
+    covering, _ = unravel_payoff(tree, ClosedUnion(specs), 0)
     return covering
 
 
