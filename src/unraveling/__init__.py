@@ -1,6 +1,7 @@
 """Finite games with taboos: solving, pruning, coverings, and unraveling."""
 
 from .core import (
+    CheckResult,
     GameTree,
     InternalInvariantError,
     Player,
@@ -26,7 +27,6 @@ from .payoff import (
 )
 from .solver import PruneResult, Solution, prune, solve, transfer_from_pruned
 from .covering import (
-    CheckResult,
     Covering,
     check_lift,
     check_position_map,

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 
 from .core import (
     DEFAULT_NODE_MAX,
+    CheckResult,
     InternalInvariantError,
     ResourceLimitError,
     Strategy,
@@ -36,7 +37,6 @@ from .core import (
     position_key,
 )
 from .covering import (
-    CheckResult,
     check_lift,
     check_position_map,
     check_strategy_locality,
@@ -46,7 +46,7 @@ from .covering import (
 )
 from .dot import covering_dot, tree_dot
 from .gamedoc import GameDocError, format_game, parse_game_bytes, to_document
-from .payoff import Closed, Open, decided_by_depth, realize, undecided_pair
+from .payoff import Closed, Open, decided_by_depth, realize
 from .randgen import random_game
 from .solver import prune, solve, transfer_from_pruned
 from .unravel import (
@@ -84,10 +84,8 @@ class Report:
     def add(self, name: str, value) -> None:
         self.fields.append((name, str(value)))
 
-    def check(self, name: str, result: bool | CheckResult) -> None:
-        """Record a verdict; a ``CheckResult``'s detail is printed after it."""
-        if not isinstance(result, CheckResult):
-            result = CheckResult(result)
+    def check(self, name: str, result: CheckResult) -> None:
+        """Record a verdict; its detail is printed after it."""
         self.checks.append((name, result.ok, result.detail or ""))
 
     @property
@@ -170,7 +168,9 @@ def prune_report(name, tree, payoff, leaves) -> Report:
     solution = solve(result.tree, remainder_leaves)
     direct = solve(tree, leaves)
     report.add("winner", solution.winner)
-    report.check("winner-matches-direct-solve", solution.winner is direct.winner)
+    matches = solution.winner is direct.winner
+    detail = None if matches else f"the direct solve is won by {direct.winner}"
+    report.check("winner-matches-direct-solve", CheckResult(matches, detail))
     transferred = transfer_from_pruned(tree, result, solution.strategy)
     report.check("transferred-strategy-wins", is_winning_strategy(tree, leaves, transferred))
     return report
@@ -207,10 +207,7 @@ def cmd_unravel(args) -> int:
     if isinstance(covering, BaseCovering):
         sizes = " ".join(
             f"{format_position(p + (a,))}={len(front)}"
-            for (p, a), front in sorted(
-                covering.frontiers.items(),
-                key=lambda kv: (len(kv[0][0]), format_position(kv[0][0] + (kv[0][1],))),
-            )
+            for (p, a), front in covering.frontiers.items()
         )
         report.add("frontier-sizes", sizes if sizes else "none")
         claim_moves = sum(1 << len(front) for front in covering.frontiers.values())
@@ -221,8 +218,8 @@ def cmd_unravel(args) -> int:
     # target, and raises before the report prints if either fails.
     solution = solve_via_covering(covering, leaves, decided_depth)
     report.add("winner", solution.winner)
-    report.check("certificate", True)
-    report.check("transferred-strategy-wins", True)
+    report.check("certificate", CheckResult(True))
+    report.check("transferred-strategy-wins", CheckResult(True))
     report.strategy = solution.strategy
     return _print(report)
 
@@ -239,27 +236,15 @@ def verify_report(
     report.check("position-map", check_position_map(covering))
     report.check("strategy-locality", check_strategy_locality(covering, samples, seed))
     source = covering.source
-    report.check("certificate", _certificate(source, pullback(covering, leaves), decided_depth))
+    pulled = pullback(covering, leaves)
+    report.check("certificate", decided_by_depth(source, pulled, decided_depth))
     if isinstance(covering, BaseCovering):
         report.check("pullback-is-accept-set", check_accept_set(covering))
         complement = pullback(covering, frozenset(tree.full_depth_plays()) - leaves)
-        report.check("complement-certificate", _certificate(source, complement, decided_depth))
+        report.check("complement-certificate", decided_by_depth(source, complement, decided_depth))
     report.check("lift", check_lift(covering, samples, seed))
     report.check("winning-transfer", check_winning_transfer(covering, leaves, samples, seed))
     return report
-
-
-def _certificate(source, pulled, depth: int) -> CheckResult:
-    """The check that ``pulled`` is decided by ``depth``; when it is not,
-    two plays that share their length-``depth`` prefix name the failure."""
-    if decided_by_depth(source, pulled, depth):
-        return CheckResult(True)
-    inside, outside = undecided_pair(source, pulled, depth)
-    return CheckResult(
-        False,
-        f"plays {format_position(inside)} (in) and {format_position(outside)} (out)"
-        f" share the length-{depth} prefix",
-    )
 
 
 def cmd_verify(args) -> int:

@@ -264,6 +264,17 @@ class GameTree:
         return f"GameTree(depth={self.depth}, nodes={self.node_count})"
 
 
+@dataclass(frozen=True)
+class CheckResult:
+    """Boolean verdict plus the first counterexample found, if any."""
+
+    ok: bool
+    detail: str | None = None
+
+    def __bool__(self) -> bool:
+        return self.ok
+
+
 @dataclass(frozen=True, eq=True)
 class Strategy:
     """Total choice function for one player.
@@ -355,10 +366,11 @@ def _evaluate(tree: GameTree, play: Position, payoff) -> Player:
     return Player.I if play in payoff else Player.II
 
 
-def is_winning_strategy(tree: GameTree, payoff, strategy: Strategy) -> bool:
-    """True iff every play consistent with the strategy is a win for its owner."""
+def is_winning_strategy(tree: GameTree, payoff, strategy: Strategy) -> CheckResult:
+    """Passes iff every play consistent with the strategy is a win for its
+    owner; a failure names the first lost play in ``consistent_plays`` order."""
     _check_payoff(tree, payoff)
-    return all(
-        _evaluate(tree, play, payoff) is strategy.owner
-        for play in consistent_plays(tree, strategy)
-    )
+    for play in consistent_plays(tree, strategy):
+        if _evaluate(tree, play, payoff) is not strategy.owner:
+            return CheckResult(False, f"loses play {format_position(play)}")
+    return CheckResult(True)

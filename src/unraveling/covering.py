@@ -23,12 +23,12 @@ from dataclasses import dataclass
 from typing import Callable, Mapping
 
 from .core import (
+    CheckResult,
     GameTree,
     InternalInvariantError,
     Player,
     Position,
     Strategy,
-    _evaluate,
     consistent_plays,
     format_position,
     is_consistent,
@@ -59,17 +59,6 @@ class Covering:
     position_map: Mapping[Position, Position]
     strategy_transform: Callable[[Strategy], Strategy]
     lift: Callable[[Strategy, Position], Position]
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    """Boolean verdict plus the first counterexample found, if any."""
-
-    ok: bool
-    detail: str | None = None
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def check_position_map(covering: Covering) -> CheckResult:
@@ -285,12 +274,9 @@ def check_winning_transfer(
             winning.append(candidate)
     for index, candidate in enumerate(winning):
         mapped = covering.strategy_transform(candidate)
-        for play in consistent_plays(covering.target, mapped):
-            if _evaluate(covering.target, play, payoff_leaves) is not winner:
-                return CheckResult(
-                    False,
-                    f"sample {index}: mapped strategy loses play {format_position(play)}",
-                )
+        result = is_winning_strategy(covering.target, payoff_leaves, mapped)
+        if not result:
+            return CheckResult(False, f"sample {index}: mapped strategy {result.detail}")
     return CheckResult(True)
 
 
@@ -302,12 +288,17 @@ def solve_via_covering(covering: Covering, payoff_leaves, decided_depth: int) ->
     maps the winner's strategy down, and verifies it before returning.
     """
     source_payoff = pullback(covering, payoff_leaves)
-    if not decided_by_depth(covering.source, source_payoff, decided_depth):
+    certificate = decided_by_depth(covering.source, source_payoff, decided_depth)
+    if not certificate:
         raise ValueError(
-            f"covering does not unravel the payoff set at depth {decided_depth}"
+            f"covering does not unravel the payoff set at depth {decided_depth}:"
+            f" {certificate.detail}"
         )
     solution = solve(covering.source, source_payoff)
     mapped = covering.strategy_transform(solution.strategy)
-    if not is_winning_strategy(covering.target, payoff_leaves, mapped):
-        raise InternalInvariantError("mapped strategy fails to win the target game")
+    wins = is_winning_strategy(covering.target, payoff_leaves, mapped)
+    if not wins:
+        raise InternalInvariantError(
+            f"mapped strategy fails to win the target game: {wins.detail}"
+        )
     return Solution(solution.winner, mapped)

@@ -21,12 +21,12 @@ def _quoted(text: str) -> str:
 
 
 def _node_lines(tree: GameTree, payoff_leaves, prefix: str) -> list[str]:
+    positions = tree.positions()
+    names = {position: _quoted(prefix + format_position(position)) for position in positions}
     lines = []
-    for position in tree.positions():
-        name = _quoted(prefix + format_position(position))
-        label = format_position(position)
+    for position in positions:
         owner = tree.taboo_owner(position)
-        attrs = [f"label={_quoted(label)}"]
+        attrs = [f"label={_quoted(format_position(position))}"]
         if owner is not None:
             attrs.append("shape=box")
             attrs.append(f"xlabel={_quoted(f'taboo:{owner}')}")
@@ -34,14 +34,9 @@ def _node_lines(tree: GameTree, payoff_leaves, prefix: str) -> list[str]:
             attrs.append("shape=doublecircle")
         else:
             attrs.append("shape=ellipse")
-        lines.append(f"  {name} [{', '.join(attrs)}];")
-    for position in tree.positions():
-        for move in tree.children_of(position):
-            child = position + (move,)
-            lines.append(
-                f"  {_quoted(prefix + format_position(position))} ->"
-                f" {_quoted(prefix + format_position(child))};"
-            )
+        lines.append(f"  {names[position]} [{', '.join(attrs)}];")
+    # canonical order lists each parent's children together, parents in order
+    lines.extend(f"  {names[p[:-1]]} -> {names[p]};" for p in positions[1:])
     return lines
 
 

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 from .core import (
     ArenaError,
+    CheckResult,
     GameTree,
     Position,
     format_position,
@@ -112,14 +113,10 @@ def realize(tree: GameTree, payoff: PayoffSpec) -> frozenset:
     raise TypeError(f"not a payoff spec: {payoff!r}")
 
 
-def decided_by_depth(tree: GameTree, leaves, depth: int) -> bool:
-    """True iff membership depends only on the length-``depth`` prefix."""
-    return undecided_pair(tree, leaves, depth) is None
-
-
-def undecided_pair(tree: GameTree, leaves, depth: int) -> tuple[Position, Position] | None:
-    """Two full-depth plays with the same length-``depth`` prefix, the first
-    in ``leaves`` and the second not; None if membership is decided there."""
+def decided_by_depth(tree: GameTree, leaves, depth: int) -> CheckResult:
+    """Passes iff membership depends only on the length-``depth`` prefix; a
+    failure names two full-depth plays with that prefix in common, the
+    first in ``leaves`` and the second not."""
     if not 0 <= depth <= tree.depth:
         raise ValueError("depth out of range")
     first_by_prefix: dict[Position, tuple[bool, Position]] = {}
@@ -127,8 +124,13 @@ def undecided_pair(tree: GameTree, leaves, depth: int) -> tuple[Position, Positi
         verdict = leaf in leaves
         first_verdict, first = first_by_prefix.setdefault(leaf[:depth], (verdict, leaf))
         if first_verdict != verdict:
-            return (first, leaf) if first_verdict else (leaf, first)
-    return None
+            inside, outside = (first, leaf) if first_verdict else (leaf, first)
+            return CheckResult(
+                False,
+                f"plays {format_position(inside)} (in) and {format_position(outside)} (out)"
+                f" share the length-{depth} prefix",
+            )
+    return CheckResult(True)
 
 
 def _complement_generators(tree: GameTree, leaves, depth: int) -> ClosedSpec:

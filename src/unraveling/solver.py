@@ -1,14 +1,15 @@
 """Brute-force ground truth: backward induction and taboo-pruning.
 
 Every finite game with taboos is determined.  One backward-induction kernel,
-``_winners``, labels each node with its winner under a rule for the leaves
-(a node is won by its mover iff some child is), and one extraction,
-``_least_winning``, turns a labeling into a strategy, tie-breaking by the
-lexicographically least move so results are reproducible.  ``solve`` is
-the kernel with the payoff at the leaves; ``prune`` uses it with the leaf
-rule "the player wins exactly the opponent's taboos", whose labeling is the
-player's taboo attractor, and reads every forcing strategy off that one
-labeling.
+``_winners``, labels each node with its winner, or with ``None`` where
+neither player wins, under a rule for the leaves (a node is won by its
+mover if some child is), and one extraction, ``_least_winning``, turns a
+labeling into a strategy, tie-breaking by the lexicographically least move
+so results are reproducible.  ``solve`` is the kernel with the payoff at
+the leaves; ``prune`` runs it once with the leaf rule "a taboo is won by
+its owner's opponent, a full-depth play by neither player", whose labeling
+names at each position the player who can force a taboo against the other,
+if any, and reads every forcing strategy off that one labeling.
 
 ``prune`` removes from the tree every position from which some player can
 force every play into a taboo against the opponent.  The removed region is
@@ -45,11 +46,12 @@ class Solution:
     strategy: Strategy
 
 
-def _winners(tree: GameTree, leaf_winner) -> dict[Position, Player]:
+def _winners(tree: GameTree, leaf_winner) -> dict[Position, Player | None]:
     """Backward induction: the winner of every node, given the winner of
-    every play by ``leaf_winner``.  A node is won by its mover iff some
-    child is."""
-    values: dict[Position, Player] = {}
+    every play by ``leaf_winner`` (``None`` for neither player).  A node is
+    won by its mover if some child is; otherwise it is won by neither if
+    some child is, and by the opponent if not."""
+    values: dict[Position, Player | None] = {}
     for position in reversed(tree.positions()):
         labels = tree.children_of(position)
         if not labels:
@@ -57,7 +59,10 @@ def _winners(tree: GameTree, leaf_winner) -> dict[Position, Player]:
             continue
         mover = Player.I if len(position) % 2 == 0 else Player.II
         child_values = [values[position + (label,)] for label in labels]
-        values[position] = mover if mover in child_values else mover.opponent
+        if mover in child_values:
+            values[position] = mover
+        else:
+            values[position] = None if None in child_values else mover.opponent
     return values
 
 
@@ -74,10 +79,10 @@ def _least_winning(tree: GameTree, owner: Player, values, positions) -> Strategy
     return Strategy(owner, choices)
 
 
-def _taboo_leaf(tree: GameTree, player: Player):
-    """Leaf rule of forcing a taboo: ``player`` wins exactly the opponent's taboos."""
-    opponent = player.opponent
-    return lambda play: player if tree.taboo_owner(play) is opponent else opponent
+def _taboo_leaf(tree: GameTree):
+    """Leaf rule of forcing a taboo: a taboo is won by its owner's opponent,
+    a full-depth play by neither player."""
+    return lambda play: None if (owner := tree.taboo_owner(play)) is None else owner.opponent
 
 
 def solve(tree: GameTree, payoff) -> Solution:
@@ -115,20 +120,8 @@ class PruneResult:
 
 
 def prune(tree: GameTree) -> PruneResult:
-    attractor = {player: _winners(tree, _taboo_leaf(tree, player)) for player in Player}
-    won_by_i, won_by_ii = attractor[Player.I], attractor[Player.II]
-    determined: dict[Position, Player] = {}
-    for position in tree.positions():
-        for_i = won_by_i[position] is Player.I
-        for_ii = won_by_ii[position] is Player.II
-        if for_i and for_ii:
-            raise InternalInvariantError(
-                f"{format_position(position)} taboo-determined for both players"
-            )
-        if for_i:
-            determined[position] = Player.I
-        elif for_ii:
-            determined[position] = Player.II
+    forced = _winners(tree, _taboo_leaf(tree))
+    determined = {p: forced[p] for p in tree.positions() if forced[p] is not None}
 
     removed: dict[Position, None] = {}  # canonical order
     minimal: list[Position] = []
@@ -143,7 +136,7 @@ def prune(tree: GameTree) -> PruneResult:
     # strategy per player over it forces a taboo below each minimal
     # position that player determines.
     forcing = {
-        player: _least_winning(tree, player, attractor[player], removed)
+        player: _least_winning(tree, player, forced, removed)
         for player in {determined[position] for position in minimal}
     }
     witnesses = {position: forcing[determined[position]] for position in minimal}

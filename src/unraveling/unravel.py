@@ -30,6 +30,7 @@ from typing import Iterable, Iterator, Mapping
 
 from .core import (
     DEFAULT_NODE_MAX,
+    CheckResult,
     GameTree,
     InternalInvariantError,
     Label,
@@ -43,7 +44,6 @@ from .core import (
     position_key,
 )
 from .covering import (
-    CheckResult,
     Covering,
     compose,
     pullback,
@@ -508,8 +508,11 @@ def unravel_payoff(
         return composite, deepest
 
     union_leaves = pullback(composite, realize(tree, payoff))
-    if not decided_by_depth(current, union_leaves, deepest):
-        raise InternalInvariantError("pulled-back union not decided at the stage depth")
+    certificate = decided_by_depth(current, union_leaves, deepest)
+    if not certificate:
+        raise InternalInvariantError(
+            f"pulled-back union not decided at the stage depth: {certificate.detail}"
+        )
     complement = _complement_generators(current, union_leaves, deepest)
     finishing = build_base_covering(current, complement, k, **caps)
     return compose(composite, finishing), k + 2

@@ -11,8 +11,7 @@ import pytest
 
 from unraveling import cli
 from unraveling.cli import main
-from unraveling.core import format_position
-from unraveling.covering import CheckResult
+from unraveling.core import CheckResult, format_position, strategy_from
 from unraveling.gamedoc import GameDocError, format_game, parse_game_bytes, to_document
 from unraveling.payoff import Closed, Not, Open
 from unraveling.randgen import random_game
@@ -46,6 +45,26 @@ def test_solve_ex2_empty_payoff(fixtures_dir):
     assert "winner: II" in out
 
 
+def solve_picking_the_last_child(monkeypatch):
+    """Make ``cli.solve`` keep its winner but return the strategy that
+    always moves to the last child."""
+    real_solve = cli.solve
+
+    def last_child(tree, leaves):
+        solution = real_solve(tree, leaves)
+        strategy = strategy_from(tree, solution.winner, lambda _, labels: labels[-1])
+        return dataclasses.replace(solution, strategy=strategy)
+
+    monkeypatch.setattr(cli, "solve", last_child)
+
+
+def test_solve_failure_names_the_lost_play(fixtures_dir, monkeypatch):
+    solve_picking_the_last_child(monkeypatch)
+    code, out, _ = run_cli("solve", game(fixtures_dir, "ex1.game"))
+    assert code == 2
+    assert "check winning-strategy: FAIL (loses play 1/0/1/0)\nresult: VIOLATION\n" in out
+
+
 # ------------------------------------------------------------------ prune
 
 
@@ -55,6 +74,34 @@ def test_prune_ex2(fixtures_dir):
     assert "taboo-determined: 1" in out
     assert "winner: II" in out
     assert "check transferred-strategy-wins: ok" in out
+
+
+def test_prune_failure_names_the_lost_play(fixtures_dir, monkeypatch):
+    solve_picking_the_last_child(monkeypatch)
+    code, out, _ = run_cli("prune", game(fixtures_dir, "ex1.game"))
+    assert code == 2
+    assert "check winner-matches-direct-solve: ok\n" in out
+    assert "check transferred-strategy-wins: FAIL (loses play 1/0/1/0)\n" in out
+
+
+def test_prune_winner_mismatch_names_the_direct_winner(fixtures_dir, monkeypatch):
+    """The remainder is solved first; flip its winner and the check names
+    the winner of the direct solve."""
+    real_solve = cli.solve
+    calls = []
+
+    def flipped_first(tree, leaves):
+        solution = real_solve(tree, leaves)
+        calls.append(tree)
+        if len(calls) > 1:
+            return solution
+        return dataclasses.replace(solution, winner=solution.winner.opponent)
+
+    monkeypatch.setattr(cli, "solve", flipped_first)
+    code, out, _ = run_cli("prune", game(fixtures_dir, "ex1.game"))
+    assert code == 2
+    assert "winner: II\n" in out
+    assert "check winner-matches-direct-solve: FAIL (the direct solve is won by I)\n" in out
 
 
 # ---------------------------------------------------------------- unravel
@@ -68,6 +115,21 @@ def test_unravel_ex1_report(fixtures_dir):
     assert "decided-at: 2" in out
     assert "winner: I" in out
     assert "check transferred-strategy-wins: ok" in out
+
+
+def test_unravel_frontier_sizes_in_canonical_order(tmp_path):
+    """On a 12-letter alphabet, move 10 comes after move 9, not after 1:
+    only move 3 leads on, to 3/0, which the generator keeps out of the
+    closed set; every other first move is a taboo."""
+    nodes = [str(a) for a in range(12)] + ["3/0", "3/0/0", "3/0/0/0"]
+    taboos = [f"{a} I" for a in range(12) if a != 3]
+    lines = ["GAME v1", "ALPHABET 12", "DEPTH 4", "NODES", *nodes, "TABOOS", *taboos]
+    path = tmp_path / "wide.game"
+    path.write_text("\n".join(lines + ["PAYOFF closed", "3/0"]) + "\n")
+    code, out, _ = run_cli("unravel", str(path))
+    assert code == 0
+    sizes = " ".join(f"{a}={int(a == 3)}" for a in range(12))
+    assert f"frontier-sizes: {sizes}\n" in out
 
 
 def test_unravel_reports_are_deterministic(fixtures_dir):
@@ -543,7 +605,7 @@ def test_fuzz_odd_samples_use_the_open_payoff(monkeypatch):
     def failing_second(name, tree, payoff, leaves):
         payoffs.append(payoff)
         report = solve_report(name, tree, payoff, leaves)
-        report.check("forced", len(payoffs) < 2)
+        report.check("forced", CheckResult(len(payoffs) < 2))
         return report
 
     monkeypatch.setattr(cli, "solve_report", failing_second)

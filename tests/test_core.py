@@ -226,6 +226,13 @@ def test_is_winning_strategy_examples(ex1, ex2):
     assert is_winning_strategy(ex2, frozenset(), strategy_from(ex2, Player.II, always(1)))
 
 
+def test_is_winning_strategy_names_the_first_lost_play(ex1):
+    payoff = frozenset(l for l in ex1.full_depth_plays() if l[0] == 0)
+    assert is_winning_strategy(ex1, payoff, strategy_from(ex1, Player.I, always(0))).detail is None
+    losing = is_winning_strategy(ex1, payoff, strategy_from(ex1, Player.I, always(1)))
+    assert losing.detail == "loses play 1/0/1/0"
+
+
 # ----------------------------------------------------------------- misc
 
 

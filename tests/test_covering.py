@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from unraveling.core import (
     GameTree,
+    InternalInvariantError,
     Player,
     Strategy,
     consistent_plays,
@@ -257,7 +258,11 @@ def test_winning_transfer_examples(ex1, ex2):
 
 def test_solve_via_covering_requires_certificate(ex1):
     payoff = leaves_with(ex1, lambda l: l[3] == 0)  # decided only at depth 4
-    with pytest.raises(ValueError, match="does not unravel"):
+    with pytest.raises(
+        ValueError,
+        match="does not unravel the payoff set at depth 2: plays 0/0/0/0 \\(in\\)"
+        " and 0/0/0/1 \\(out\\) share the length-2 prefix",
+    ):
         solve_via_covering(oracles.identity_covering(ex1), payoff, 2)
 
 
@@ -268,8 +273,8 @@ def test_complement_certificate_equivalence(ex1):
     payoff = realize(ex1, Closed(spec))
     complement = frozenset(ex1.full_depth_plays()) - payoff
     for depth in range(ex1.depth + 1):
-        assert decided_by_depth(base.source, pullback(base, payoff), depth) == \
-            decided_by_depth(base.source, pullback(base, complement), depth)
+        assert bool(decided_by_depth(base.source, pullback(base, payoff), depth)) == \
+            bool(decided_by_depth(base.source, pullback(base, complement), depth))
 
 
 @given(st.integers(0, 300))
@@ -380,3 +385,8 @@ def test_winning_transfer_reports_counterexample(ex1):
     result = check_winning_transfer(broken, payoff, 3, seed=4)
     assert not result
     assert "loses play" in result.detail
+    with pytest.raises(
+        InternalInvariantError,
+        match="mapped strategy fails to win the target game: loses play 1/0/0/0",
+    ):
+        solve_via_covering(broken, payoff, 1)

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from unraveling.core import GameTree
+from unraveling.core import CheckResult, GameTree
 from unraveling.payoff import (
     Closed,
     ClosedSpec,
@@ -13,7 +13,6 @@ from unraveling.payoff import (
     decided_by_depth,
     map_closed,
     realize,
-    undecided_pair,
 )
 from unraveling.randgen import random_closed_spec, random_tree, rng_for
 from unraveling.unravel import _meets, unravel_payoff
@@ -185,11 +184,14 @@ def test_map_closed_keeps_the_shape_and_maps_every_leaf():
     assert mapped == Not(Union(Closed(ClosedSpec([(1, 1)])), Not(Closed(ClosedSpec([(0, 0, 1)])))))
 
 
-def test_undecided_pair_names_plays_on_both_sides(ex1):
+def test_certificate_names_plays_on_both_sides(ex1):
     payoff = leaves_with(ex1, lambda l: l[:2] == (0, 0) or l == (1, 1, 0, 1))
-    assert undecided_pair(ex1, payoff, 2) == ((1, 1, 0, 1), (1, 1, 0, 0))
-    assert undecided_pair(ex1, payoff, 3) == ((1, 1, 0, 1), (1, 1, 0, 0))
-    assert undecided_pair(ex1, payoff, 4) is None
-    assert not decided_by_depth(ex1, payoff, 3) and decided_by_depth(ex1, payoff, 4)
+    for depth in (2, 3):
+        assert decided_by_depth(ex1, payoff, depth).detail == (
+            f"plays 1/1/0/1 (in) and 1/1/0/0 (out) share the length-{depth} prefix"
+        )
+    assert decided_by_depth(ex1, payoff, 4) == CheckResult(True)
     complement = frozenset(ex1.full_depth_plays()) - payoff
-    assert undecided_pair(ex1, complement, 2) == ((1, 1, 0, 0), (1, 1, 0, 1))
+    assert decided_by_depth(ex1, complement, 2).detail == (
+        "plays 1/1/0/0 (in) and 1/1/0/1 (out) share the length-2 prefix"
+    )

@@ -106,6 +106,26 @@ def test_taboo_strategy_and_prune_witnesses_match_solve_oracle():
     assert witnessed > 30
 
 
+def test_prune_labels_each_position_with_its_one_forcing_player_or_none():
+    """``determined`` names, at every position, the one player with a
+    forcing strategy by the solve oracle, and misses the positions where
+    neither player can force a taboo against the other."""
+    undetermined = 0
+    for seed in range(30):
+        tree = random_tree(rng_for(f"taboo-labels:{seed}"), depth=6, branching=2, taboos=4)
+        result = prune(tree)
+        for position in tree.positions():
+            forcing = [
+                player
+                for player in Player
+                if oracles.taboo_strategy_by_solve(tree, position, player) is not None
+            ]
+            assert len(forcing) <= 1
+            assert result.determined.get(position) is (forcing[0] if forcing else None)
+            undetermined += not forcing
+    assert undetermined > 30
+
+
 def test_prune_builds_only_the_remainder_and_shares_witnesses(monkeypatch):
     """Player I forces a taboo at 0/0 and at 1/0, player II at 1/1/1: three
     minimal removed positions, one forcing strategy per player, no tree
