@@ -20,6 +20,7 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, Protocol, Union
 
 
@@ -178,6 +179,7 @@ class GameTree:
         self._children = table
         self._taboo = dict(taboo)
         self._ordered = tuple(ordered)
+        self._decisions: dict[Player, Mapping[Position, tuple[Label, ...]]] = {}
 
     @classmethod
     def from_nodes(
@@ -216,6 +218,20 @@ class GameTree:
     def positions(self) -> tuple[Position, ...]:
         """All positions in canonical order (by length, then lexicographic)."""
         return self._ordered
+
+    def decisions(self, owner: Player) -> Mapping[Position, tuple[Label, ...]]:
+        """The owner's non-terminal positions, each with its child labels, in
+        canonical order: a read-only table built once per player."""
+        table = self._decisions.get(owner)
+        if table is None:
+            parity = 0 if owner is Player.I else 1
+            owned = {
+                p: labels
+                for p, labels in self._children.items()
+                if labels and len(p) % 2 == parity
+            }
+            table = self._decisions[owner] = MappingProxyType(owned)
+        return table
 
     @property
     def node_count(self) -> int:
@@ -279,12 +295,13 @@ class CheckResult:
 class Strategy:
     """Total choice function for one player.
 
-    ``choices`` maps every non-terminal position of the owner's parity to
-    the label of the chosen child.  Totality keeps consistency checks and
-    play enumeration decidable; unreachable positions simply carry a
-    default choice.  ``choices`` is never mutated after construction (a
-    variant is a new strategy over a copied dict), so a strategy map may
-    remember a strategy by identity.
+    ``choices`` is a read-only ``Mapping`` from every non-terminal position
+    of the owner's parity to the label of the chosen child.  Totality keeps
+    consistency checks and play enumeration decidable; unreachable positions
+    simply carry a default choice.  ``choices`` is never mutated after
+    construction (a variant is a new strategy over a copied dict), so a
+    strategy map may remember a strategy by identity; a mapped strategy's
+    choices may be computed on lookup (see ``unraveling.unravel``).
     """
 
     owner: Player
@@ -306,13 +323,11 @@ def strategy_from(
 ) -> Strategy:
     """Total strategy built by calling ``choose`` at each decision position."""
     choices = {}
-    for position in tree.positions():
-        labels = tree.children_of(position)
-        if labels and Player.to_move(position) is owner:
-            choice = choose(position, labels)
-            if choice not in labels:
-                raise ValueError(f"illegal choice at {format_position(position)}")
-            choices[position] = choice
+    for position, labels in tree.decisions(owner).items():
+        choice = choose(position, labels)
+        if choice not in labels:
+            raise ValueError(f"illegal choice at {format_position(position)}")
+        choices[position] = choice
     return Strategy(owner, choices)
 
 
@@ -335,6 +350,7 @@ def consistent_plays(tree: GameTree, strategy: Strategy) -> tuple[Position, ...]
     Never empty: the tree is finite and the strategy total, so following it
     always terminates.
     """
+    parity = 0 if strategy.owner is Player.I else 1  # the owner moves at these lengths
     out: list[Position] = []
     stack: list[Position] = [()]
     while stack:
@@ -342,7 +358,7 @@ def consistent_plays(tree: GameTree, strategy: Strategy) -> tuple[Position, ...]
         labels = tree.children_of(position)
         if not labels:
             out.append(position)
-        elif Player.to_move(position) is strategy.owner:
+        elif len(position) % 2 == parity:
             stack.append(position + (strategy.move_at(position),))
         else:
             stack.extend(position + (label,) for label in reversed(labels))

@@ -47,10 +47,13 @@ class Covering:
     ``position_map`` is an explicit node table over every source position.
     ``strategy_transform`` maps source strategies to target strategies;
     ``lift`` maps (source strategy, target play consistent with its image)
-    to the witnessing source play.  A base covering's two maps remember the
+    to the witnessing source play.  A base covering's strategy map is lazy:
+    its image computes each choice on first lookup, and the map's
+    invariants on a choice are checked then.  Its two maps remember the
     last strategy they saw, by identity, so mapping a strategy again, or
-    lifting its plays after mapping it, does not map it again; a composite
-    gets the same from the coverings it composes.
+    lifting its plays after mapping it, does not map it again and keeps the
+    choices already computed; a composite gets the same from the coverings
+    it composes.
     """
 
     source: GameTree
@@ -103,38 +106,48 @@ def check_strategy_locality(covering: Covering, trials: int, seed: int) -> Check
     """Sampled check that the strategy map is owner-preserving and local.
 
     For random pairs of source strategies agreeing below a sampled level n,
-    the mapped strategies must agree below n; below the covering's identity
-    level the map must be the identity.
+    the mapped strategies must have a choice at each of the owner's target
+    decision positions below n and agree there; below the covering's
+    identity level the map must be the identity.  Only those choices are
+    read, so a lazily mapped strategy computes no others.
     """
     rng = random.Random(f"locality:{seed}")
-    source = covering.source
+    source, target = covering.source, covering.target
     transform = covering.strategy_transform
     for trial in range(trials):
         owner = rng.choice([Player.I, Player.II])
         cutoff = rng.randint(0, source.depth)
         first = random_strategy(rng, source, owner)
         second_choices = dict(first.choices)
-        for position in second_choices:
+        for position, labels in source.decisions(owner).items():
             if len(position) >= cutoff:
-                second_choices[position] = rng.choice(source.children_of(position))
+                second_choices[position] = rng.choice(labels)
         second = Strategy(owner, second_choices)
         mapped_first, mapped_second = transform(first), transform(second)
         if mapped_first.owner is not owner or mapped_second.owner is not owner:
             return CheckResult(False, f"trial {trial}: owner not preserved")
-        for position, choice in mapped_first.choices.items():
-            if len(position) < cutoff and mapped_second.choices.get(position) != choice:
+        # Breadth first: every position past the first at the cutoff is at
+        # least as long, so only the choices below it are read.
+        for position in target.decisions(owner):
+            if len(position) >= cutoff:
+                break
+            if position not in mapped_first.choices or position not in mapped_second.choices:
+                return CheckResult(
+                    False, f"trial {trial}: no mapped choice at {format_position(position)}"
+                )
+            if mapped_first.choices[position] != mapped_second.choices[position]:
                 return CheckResult(
                     False,
                     f"trial {trial}: images differ at {format_position(position)}"
                     f" below level {cutoff}",
                 )
         for position, choice in first.choices.items():
-            if len(position) < covering.level:
-                if mapped_first.choices.get(position) != choice:
-                    return CheckResult(
-                        False,
-                        f"trial {trial}: not the identity at {format_position(position)}",
-                    )
+            if len(position) >= covering.level:
+                break
+            if mapped_first.choices.get(position) != choice:
+                return CheckResult(
+                    False, f"trial {trial}: not the identity at {format_position(position)}"
+                )
     return CheckResult(True)
 
 
@@ -266,9 +279,9 @@ def check_winning_transfer(
     while len(winning) < samples + 1 and attempts < samples * 8:
         attempts += 1
         choices = dict(solution.strategy.choices)
-        for position in choices:
+        for position, labels in covering.source.decisions(winner).items():
             if rng.random() < 0.3:
-                choices[position] = rng.choice(covering.source.children_of(position))
+                choices[position] = rng.choice(labels)
         candidate = Strategy(winner, choices)
         if is_winning_strategy(covering.source, source_payoff, candidate):
             winning.append(candidate)

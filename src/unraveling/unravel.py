@@ -25,8 +25,8 @@ union; a complement reuses its operand's covering.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
 
 from .core import (
     DEFAULT_NODE_MAX,
@@ -331,6 +331,48 @@ def build_base_covering(
     return BaseCovering(source, tree, k, table, transform, lift, frontiers, spec)
 
 
+class _LazyChoices(Mapping):
+    """The choices of a mapped strategy, each computed on its first lookup
+    and then kept.  The keys are the owner's decision positions of the
+    target (``GameTree.decisions``), so ``len``, iteration and ``in`` never
+    compute a choice.
+
+    ``Mapping.get`` reads a ``KeyError`` as "no choice", so one raised while
+    a choice is computed (a source strategy that is not total) leaves as a
+    ``ValueError`` naming the position instead.
+    """
+
+    __slots__ = ("_keys", "_choose", "_known")
+
+    def __init__(self, keys: Mapping[Position, tuple[Label, ...]], choose):
+        self._keys = keys
+        self._choose = choose
+        self._known: dict[Position, Label] = {}
+
+    def __getitem__(self, position: Position) -> Label:
+        try:
+            return self._known[position]
+        except KeyError:
+            labels = self._keys[position]  # a KeyError here is "no choice"
+        try:
+            choice = self._known[position] = self._choose(position, labels)
+        except KeyError:
+            raise ValueError(
+                f"mapped strategy has no choice at {format_position(position)}:"
+                " the source strategy is not total"
+            ) from None
+        return choice
+
+    def __iter__(self) -> Iterator[Position]:
+        return iter(self._keys)
+
+    def __len__(self) -> int:
+        return len(self._keys)
+
+    def __contains__(self, position: object) -> bool:
+        return position in self._keys
+
+
 def _strategy_maps(tree: GameTree, k: int, frontiers, accepts, challenges):
     """The strategy map and the constructive lift of a base covering.
 
@@ -350,10 +392,17 @@ def _strategy_maps(tree: GameTree, k: int, frontiers, accepts, challenges):
     position).  The transform follows the strategy at exact nodes and
     takes the least move elsewhere; the lift is the located node.
 
+    The image is lazy: its choices are a ``_LazyChoices`` over the target's
+    decision table, and each is located and computed on its first lookup,
+    so a check that reads only the choices along consistent plays computes
+    only those.  The invariant that player II's reply to the
+    never-challenged claim is an accept is therefore checked when that
+    choice is looked up, not when the strategy is mapped.
+
     The two maps remember the last strategy they saw, by identity (a
     strategy's choices never change), with its locator and its image, so a
-    check that maps a strategy and then lifts its plays maps it once and
-    scans II's replies once.
+    check that maps a strategy and then lifts its plays maps it once, scans
+    II's replies once, and keeps the choices already computed.
     """
 
     def frontier_prefix(x: Position) -> Position | None:
@@ -426,33 +475,26 @@ def _strategy_maps(tree: GameTree, k: int, frontiers, accepts, challenges):
 
     def image(strategy: Strategy, locate) -> Strategy:
         chosen = strategy.choices
-        parity = 0 if strategy.owner is Player.I else 1  # the owner moves at these lengths
-        choices = {}
-        for x in tree.positions():
+
+        def choose(x: Position, labels: tuple[Label, ...]) -> Label:
             n = len(x)
-            if n % 2 != parity:
-                continue
-            labels = tree.children_of(x)
-            if not labels:
-                continue
             if n < k:
-                choices[x] = chosen[x]
-            elif n == k:
-                choices[x] = chosen[x].move
-            else:
-                node, exact = locate(x)
-                if not exact:
-                    choices[x] = labels[0]  # off the play or past a conceded frontier
-                    continue
-                choice = chosen[node]
-                if n == k + 1:  # player II's reply to the never-challenged claim
-                    if not isinstance(choice, Accept):
-                        raise InternalInvariantError(
-                            "reply to the never-challenged claim must be an accept"
-                        )
-                    choice = choice.move
-                choices[x] = choice
-        return Strategy(strategy.owner, choices)
+                return chosen[x]
+            if n == k:
+                return chosen[x].move
+            node, exact = locate(x)
+            if not exact:
+                return labels[0]  # off the play or past a conceded frontier
+            choice = chosen[node]
+            if n == k + 1:  # player II's reply to the never-challenged claim
+                if not isinstance(choice, Accept):
+                    raise InternalInvariantError(
+                        "reply to the never-challenged claim must be an accept"
+                    )
+                return choice.move
+            return choice
+
+        return Strategy(strategy.owner, _LazyChoices(tree.decisions(strategy.owner), choose))
 
     def lift(strategy: Strategy, x: Position) -> Position:
         return x if len(x) <= k else remembered(strategy)(x)[0]

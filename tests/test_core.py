@@ -263,5 +263,25 @@ def test_strategy_from_rejects_illegal_choice(ex1):
         strategy_from(ex1, Player.I, lambda p, labels: 9)
 
 
+@given(st.integers(0, 400))
+@settings(max_examples=30, deadline=None)
+def test_decisions_filter_positions_once_per_player(seed):
+    tree = random_tree(rng_for(f"decisions:{seed}"), depth=6, branching=3, taboos=3)
+    for owner in Player:
+        table = tree.decisions(owner)
+        assert list(table) == oracles.decision_positions(tree, owner)
+        assert all(labels == tree.children_of(p) for p, labels in table.items())
+        assert tree.decisions(owner) is table
+        with pytest.raises(TypeError):
+            table[()] = ()  # read-only: shared by every strategy over the tree
+        # a random strategy draws one choice per decision position, in canonical order
+        drawn, replay = rng_for(f"draw:{seed}"), rng_for(f"draw:{seed}")
+        expected = {
+            p: replay.choice(tree.children_of(p))
+            for p in oracles.decision_positions(tree, owner)
+        }
+        assert random_strategy(drawn, tree, owner).choices == expected
+
+
 def test_tree_repr(ex1):
     assert repr(ex1) == "GameTree(depth=4, nodes=31)"

@@ -320,6 +320,21 @@ def test_locality_requires_identity_below_level(ex1):
     assert not result
 
 
+def test_locality_names_a_decision_position_the_image_lacks(ex1):
+    """A mapped strategy without a choice at one of the owner's target
+    decision positions fails the check, naming the position."""
+
+    def dropping(strategy: Strategy) -> Strategy:
+        return Strategy(
+            strategy.owner, {p: c for p, c in strategy.choices.items() if p != (0, 1)}
+        )
+
+    broken = Covering(ex1, ex1, 0, {p: p for p in ex1.positions()}, dropping, lambda s, x: x)
+    result = check_strategy_locality(broken, 30, seed=2)
+    assert not result
+    assert result.detail.endswith(": no mapped choice at 0/1")
+
+
 def test_verify_lift_flags_invalid_lift(ex1):
     broken = Covering(
         ex1,

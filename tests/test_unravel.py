@@ -7,11 +7,13 @@ from hypothesis import given, settings, strategies as st
 
 from unraveling.core import (
     GameTree,
+    InternalInvariantError,
     Player,
     ResourceLimitError,
     Strategy,
     consistent_plays,
     format_position,
+    is_consistent,
     is_prefix,
     is_winning_strategy,
     position_key,
@@ -589,6 +591,91 @@ def test_lifting_a_mapped_strategy_maps_it_no_more(kind, monkeypatch):
     for play in plays:
         assert verify_lift(covering, strategy, play).ok
     assert built == []
+
+
+@pytest.mark.parametrize("kind", ["k0", "k2", "union"])
+def test_images_are_the_same_in_any_reading_order(kind):
+    """An image read backwards equals one read forwards, and its keys, size
+    and membership are the target's decision table, read without computing
+    a choice."""
+    build = _covering_builder(kind)
+    covering = build()
+    rng = rng_for(f"lazy-order:{kind}")
+    for owner in Player:
+        strategy = random_strategy(rng, covering.source, owner)
+        forward = covering.strategy_transform(strategy).choices
+        backward = build().strategy_transform(strategy).choices
+        table = covering.target.decisions(owner)
+        assert len(forward) == len(table)
+        assert list(forward) == list(table)
+        assert all(p in forward for p in table)
+        assert not any(p in forward for p in covering.target.positions() if p not in table)
+        assert forward._known == {}
+        read_backwards = {p: backward[p] for p in reversed(list(backward))}
+        assert read_backwards == {p: forward[p] for p in forward}
+
+
+@pytest.mark.parametrize("kind", ["k0", "k2", "union"])
+def test_a_win_check_computes_only_the_choices_on_consistent_plays(kind):
+    covering = _covering_builder(kind)()
+    rng = rng_for(f"lazy-win:{kind}")
+    target = covering.target
+    payoff = frozenset(target.full_depth_plays())
+    for owner in Player:
+        mapped = covering.strategy_transform(random_strategy(rng, covering.source, owner))
+        is_winning_strategy(target, payoff, mapped)
+        table = target.decisions(owner)
+        on_plays = {
+            play[:n]
+            for play in consistent_plays(target, mapped)
+            for n in range(len(play))
+            if play[:n] in table
+        }
+        assert set(mapped.choices._known) == on_plays
+        assert len(on_plays) < len(table)
+
+
+def test_a_missing_source_choice_is_an_error_at_lookup_not_no_choice(ex1):
+    """A ``KeyError`` met while a choice is computed must not reach
+    ``Mapping.get``, which would read it as "no choice"."""
+    covering = build_base_covering(ex1, ClosedSpec([(1,)]), 0)
+    claim = Claim(0, ())  # the closed set is every play through 0: no frontier
+    total = strategy_from(
+        covering.source, Player.I, lambda p, labels: claim if p == () else labels[0]
+    )
+    hole = (claim, Accept(1))  # read only for the target position 0/1
+    choices = {p: c for p, c in total.choices.items() if p != hole}
+    mapped = covering.strategy_transform(Strategy(Player.I, choices))
+    assert mapped.choices[()] == 0
+    assert mapped.choices[(0, 0)] == total.choices[(claim, Accept(0))]
+    assert (0, 1) in mapped.choices
+    for read in (mapped.choices.__getitem__, mapped.choices.get, mapped.move_at):
+        with pytest.raises(ValueError, match="no choice at 0/1: the source strategy is not total"):
+            read((0, 1))
+    with pytest.raises(ValueError, match="no choice at 0/1"):
+        is_consistent((0, 1, 0), mapped)
+
+
+@pytest.mark.parametrize("k", [0, 2])
+def test_a_challenged_never_challenged_claim_fails_at_lookup(k):
+    """Player II answers every claim on one move by challenging the same
+    frontier position q0, the claim without q0 too (the strategy is not
+    legal there).  Mapping it computes nothing; reading its reply at length
+    k + 1, directly or through a win check, breaks the accept invariant."""
+    tree = GameTree.complete(4 + k, 2)
+    spec = ClosedSpec([(1,)])
+    covering = build_base_covering(tree, spec, k)
+    (p, a), front = next((key, front) for key, front in covering.frontiers.items() if front)
+    q0 = front[0]
+    choices = dict(strategy_from(covering.source, Player.II, lambda _, labels: labels[0]).choices)
+    for claimed in unravel_module._subsets_counter(front):
+        choices[p + (Claim(a, claimed),)] = Challenge(q0, q0[k + 1])
+    mapped = covering.strategy_transform(Strategy(Player.II, choices))
+    message = "reply to the never-challenged claim must be an accept"
+    with pytest.raises(InternalInvariantError, match=message):
+        mapped.choices[p + (a,)]
+    with pytest.raises(InternalInvariantError, match=message):
+        is_winning_strategy(tree, realize(tree, Closed(spec)), mapped)
 
 
 @given(st.integers(0, 200))
