@@ -13,12 +13,21 @@ once.  Sibling order is always the canonical label order, which makes
 "lexicographically least" tie-breaking well defined everywhere; a tree
 stores all its positions in canonical order, found by one breadth-first
 walk over the sorted siblings.
+
+Inside a tree a node is an integer id, its index in that order.  The walk
+stores each parent's children as one consecutive block of ids, so an
+array of first-child offsets gives every child range, and the taboo tags
+are one byte per id.  Backward induction, taboo-pruning, the base
+construction and the covering checks walk the ids; tuple positions appear
+only at the API and in the file formats.
 """
 
 from __future__ import annotations
 
 import enum
 import random
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, Protocol, Union
@@ -111,10 +120,20 @@ def format_position(position: Position) -> str:
 class GameTree:
     """Immutable finite game arena with a depth bound and taboo tags.
 
-    ``children`` maps every position to its ordered child labels; terminal
-    positions map to the empty tuple.  ``taboo`` tags exactly the terminals
-    of depth less than the bound, partitioning the early plays into losses
-    for player I and player II.
+    ``children`` maps every position to its child labels, in any order;
+    terminal positions map to the empty tuple.  ``taboo`` tags exactly the
+    terminals of depth less than the bound, partitioning the early plays
+    into losses for player I and player II.
+
+    Inside, a node is its integer id: its index in the canonical order
+    (``_ordered``).  The breadth-first walk stores each parent's children
+    as one consecutive block of ids, and the blocks follow one another, so
+    ``_first``, an ``array('i')`` of n + 1 first-child offsets, gives every
+    child range as ``_first[i]:_first[i + 1]``.  ``_labels`` holds each
+    node's child labels by id (one shared tuple per distinct label tuple),
+    and ``_tags`` its taboo tag as one byte by id, an index into
+    ``_OWNERS``.  The package's kernels walk these; tuple positions appear
+    only at the API, through one table from position to child labels.
     """
 
     def __init__(
@@ -128,12 +147,20 @@ class GameTree:
         if () not in children:
             raise ArenaError("missing root position", ())
         # Breadth-first walk over the sorted child tuples: parents come out
-        # in canonical order, so their children do too, level by level.  The
-        # table is keyed by the tuples the walk creates, which the order
-        # shares, so each position is stored once.  Prefix closure: every
-        # named child must be stored, and the walk must reach everything.
+        # in canonical order, so their children do too, level by level, and
+        # a node's id is its index in ``ordered``.  The table is keyed by the
+        # tuples the walk creates, which the order shares, so each position
+        # is stored once.  Prefix closure: every named child must be stored,
+        # and the walk must reach everything.  Taboo tags are read at the
+        # terminals only; a tag the walk does not use is a fault found below.
         table: dict[Position, tuple[Label, ...]] = {}
         ordered: list[Position] = [()]
+        by_id: list[tuple[Label, ...]] = []
+        first = array("i")
+        tags = bytearray()
+        tagged = 0
+        untagged = None  # the first early terminal without a tag
+        shared: dict[tuple[Label, ...], tuple[Label, ...]] = {}  # equal label tuples, kept once
         for position in ordered:  # grows while it is walked
             try:
                 labels = tuple(sorted(children[position], key=label_key))
@@ -141,44 +168,61 @@ class GameTree:
                 raise ArenaError(
                     f"child {format_position(position)} not stored (prefix closure)", position
                 ) from None
-            if len(set(labels)) != len(labels):
-                raise ArenaError(
-                    f"duplicate sibling labels under {format_position(position)}", position
-                )
-            if len(position) == depth and labels:
-                child = position + labels[:1]
-                raise ArenaError(
-                    f"node {format_position(child)} exceeds depth bound {depth}", child
-                )
+            first.append(len(ordered))
+            tag = 0
+            if labels:
+                if len(set(labels)) != len(labels):
+                    raise ArenaError(
+                        f"duplicate sibling labels under {format_position(position)}", position
+                    )
+                if len(position) == depth:
+                    child = position + labels[:1]
+                    raise ArenaError(
+                        f"node {format_position(child)} exceeds depth bound {depth}", child
+                    )
+                labels = shared.setdefault(labels, labels)
+                ordered.extend([position + (label,) for label in labels])
+            elif len(position) < depth:
+                owner = taboo.get(position)
+                if isinstance(owner, Player):
+                    tag = _OWNERS.index(owner)
+                    tagged += 1
+                elif owner is None and untagged is None:
+                    untagged = position
             table[position] = labels
-            ordered.extend(position + (label,) for label in labels)
+            by_id.append(labels)
+            tags.append(tag)
+        first.append(len(ordered))
         if len(ordered) != len(children):
             stray = next(p for p in children if p not in table)
             raise ArenaError(
                 f"position {format_position(stray)} unreachable (prefix closure)", stray
             )
-        for position, owner in taboo.items():
-            if position not in table:
-                fault = "taboo tag on unknown position {}"
-            elif table[position]:
-                fault = "taboo tag on non-terminal position {}"
-            elif len(position) == depth:
-                fault = "taboo at full depth: {}"
-            elif not isinstance(owner, Player):
-                fault = "taboo tag on {} must name a player"
-            else:
-                continue
-            raise ArenaError(fault.format(format_position(position)), position)
-        for position, labels in table.items():
-            if not labels and len(position) < depth and position not in taboo:
-                raise ArenaError(
-                    f"early terminal {format_position(position)} lacks a taboo tag (partition)",
-                    position,
-                )
+        if tagged != len(taboo):
+            for position, owner in taboo.items():
+                if position not in table:
+                    fault = "taboo tag on unknown position {}"
+                elif table[position]:
+                    fault = "taboo tag on non-terminal position {}"
+                elif len(position) == depth:
+                    fault = "taboo at full depth: {}"
+                elif not isinstance(owner, Player):
+                    fault = "taboo tag on {} must name a player"
+                else:
+                    continue
+                raise ArenaError(fault.format(format_position(position)), position)
+        if untagged is not None:
+            raise ArenaError(
+                f"early terminal {format_position(untagged)} lacks a taboo tag (partition)",
+                untagged,
+            )
         self.depth = depth
         self._children = table
         self._taboo = dict(taboo)
         self._ordered = tuple(ordered)
+        self._labels = by_id
+        self._first = first
+        self._tags = tags
         self._decisions: dict[Player, Mapping[Position, tuple[Label, ...]]] = {}
 
     @classmethod
@@ -227,7 +271,7 @@ class GameTree:
             parity = 0 if owner is Player.I else 1
             owned = {
                 p: labels
-                for p, labels in self._children.items()
+                for p, labels in zip(self._ordered, self._labels)
                 if labels and len(p) % 2 == parity
             }
             table = self._decisions[owner] = MappingProxyType(owned)
@@ -235,7 +279,7 @@ class GameTree:
 
     @property
     def node_count(self) -> int:
-        return len(self._children)
+        return len(self._ordered)
 
     def __contains__(self, position: Position) -> bool:
         return position in self._children
@@ -256,28 +300,42 @@ class GameTree:
         return self._taboo.get(position)
 
     def taboo_items(self) -> Iterator[tuple[Position, Player]]:
-        for position in self._ordered:
-            owner = self._taboo.get(position)
-            if owner is not None:
-                yield position, owner
+        for position, tag in zip(self._ordered, self._tags):
+            if tag:
+                yield position, _OWNERS[tag]
+
+    def _full_depth_start(self) -> int:
+        """The id of the first depth-bound play: they end the canonical order."""
+        return bisect_left(self._ordered, self.depth, key=len)
 
     def full_depth_plays(self) -> Iterator[Position]:
         """The depth-bound plays, i.e. the stand-ins for infinite plays."""
-        return (p for p in self._ordered if len(p) == self.depth)
+        return iter(self._ordered[self._full_depth_start() :])
+
+    def _id(self, position: Position) -> int:
+        """The id of a stored position, found by descending the child ranges."""
+        i = 0
+        for label in position:
+            i = self._first[i] + self._labels[i].index(label)
+        return i
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GameTree):
             return NotImplemented
         return (
             self.depth == other.depth
-            and self._children == other._children
-            and self._taboo == other._taboo
+            and self._ordered == other._ordered
+            and self._tags == other._tags
         )
 
     __hash__ = None  # compared by value, never hashed
 
     def __repr__(self) -> str:
         return f"GameTree(depth={self.depth}, nodes={self.node_count})"
+
+
+# A taboo tag byte names its owner; 0 is untagged.
+_OWNERS = (None, Player.I, Player.II)
 
 
 @dataclass(frozen=True)
@@ -366,11 +424,10 @@ def consistent_plays(tree: GameTree, strategy: Strategy) -> tuple[Position, ...]
 
 
 def _check_payoff(tree: GameTree, payoff: Iterable[Position]) -> None:
-    for member in payoff:
-        if len(member) != tree.depth:
-            raise ValueError(
-                f"payoff member {format_position(member)} is not a full-depth play"
-            )
+    if set(map(len, payoff)) <= {tree.depth}:
+        return
+    member = next(m for m in payoff if len(m) != tree.depth)
+    raise ValueError(f"payoff member {format_position(member)} is not a full-depth play")
 
 
 def _evaluate(tree: GameTree, play: Position, payoff) -> Player:

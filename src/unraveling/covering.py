@@ -29,6 +29,7 @@ from .core import (
     Player,
     Position,
     Strategy,
+    _OWNERS,
     consistent_plays,
     format_position,
     is_consistent,
@@ -69,22 +70,31 @@ def check_position_map(covering: Covering) -> CheckResult:
 
     Up to the level the two trees then agree: the identity puts each source
     position in the target, and equal children from the root down put each
-    target position in the source.
+    target position in the source.  The scan walks the source by id, so a
+    parent's image and a source tag are read by id, not looked up again.
     """
     source, target = covering.source, covering.target
     table = covering.position_map
-    for position in source.positions():
-        if position not in table:
+    ordered, first, tags = source._ordered, source._first, source._tags
+    images = []  # by source id
+    parent = 0
+    for i, position in enumerate(ordered):
+        try:
+            image = table[position]
+        except KeyError:
             return CheckResult(False, f"no image for {format_position(position)}")
-        image = table[position]
+        images.append(image)
         if image not in target:
             return CheckResult(False, f"image of {format_position(position)} not in target")
         if len(image) != len(position):
             return CheckResult(False, f"length not preserved at {format_position(position)}")
-        if position and table[position[:-1]] != image[:-1]:
-            return CheckResult(False, f"not prefix-monotone at {format_position(position)}")
-        owner = target.taboo_owner(image)
-        if owner is not None and source.taboo_owner(position) is not owner:
+        if i:
+            while first[parent + 1] <= i:  # the child ranges follow one another
+                parent += 1
+            if images[parent] != image[:-1]:
+                return CheckResult(False, f"not prefix-monotone at {format_position(position)}")
+        owner, tag = target._taboo.get(image), _OWNERS[tags[i]]
+        if owner is not None and tag is not owner:
             return CheckResult(
                 False, f"taboo tag not respected at {format_position(position)}"
             )
@@ -95,9 +105,9 @@ def check_position_map(covering: Covering) -> CheckResult:
                 False, f"not the identity at level {len(position)} <= {covering.level}"
             )
         if len(position) < covering.level:
-            if source.children_of(position) != target.children_of(position):
+            if source._labels[i] != target.children_of(position):
                 return CheckResult(False, f"children differ at {format_position(position)}")
-        if source.taboo_owner(position) is not owner:
+        if tag is not owner:
             return CheckResult(False, f"taboo tags differ at {format_position(position)}")
     return CheckResult(True)
 
@@ -212,10 +222,9 @@ def check_lift(covering: Covering, samples: int, seed: int) -> CheckResult:
 
 def pullback(covering: Covering, payoff_leaves) -> frozenset:
     """Preimage of a payoff set: source leaves whose image lies in it."""
+    table = covering.position_map
     return frozenset(
-        leaf
-        for leaf in covering.source.full_depth_plays()
-        if covering.position_map[leaf] in payoff_leaves
+        leaf for leaf in covering.source.full_depth_plays() if table[leaf] in payoff_leaves
     )
 
 

@@ -25,7 +25,6 @@ from .core import (
     GameTree,
     Position,
     format_position,
-    is_prefix,
     position_key,
 )
 
@@ -101,10 +100,19 @@ def realize(tree: GameTree, payoff: PayoffSpec) -> frozenset:
     """The explicit set of full-depth plays a payoff expression denotes."""
     if isinstance(payoff, Closed):
         check_generators(tree, payoff.spec)
+        # Mark each generator's subtree by one forward pass over the child
+        # ranges: parents precede children.
+        ordered, first = tree._ordered, tree._first
+        banned = bytearray(len(ordered))
+        for generator in payoff.spec.generators:
+            banned[tree._id(generator)] = 1
+        for i in range(len(ordered)):
+            if banned[i]:
+                lo, hi = first[i], first[i + 1]
+                banned[lo:hi] = b"\x01" * (hi - lo)
+        start = tree._full_depth_start()
         return frozenset(
-            leaf
-            for leaf in tree.full_depth_plays()
-            if not any(is_prefix(g, leaf) for g in payoff.spec.generators)
+            ordered[i] for i in range(start, len(ordered)) if not banned[i]
         )
     if isinstance(payoff, Not):
         return frozenset(tree.full_depth_plays()) - realize(tree, payoff.payoff)

@@ -2,12 +2,14 @@
 
 Every finite game with taboos is determined.  One backward-induction kernel,
 ``_winners``, labels each node with its winner, or with ``None`` where
-neither player wins, under a rule for the leaves (a node is won by its
-mover if some child is), and one extraction, ``_least_winning``, turns a
-labeling into a strategy, tie-breaking by the lexicographically least move
-so results are reproducible.  ``solve`` is the kernel with the payoff at
-the leaves; ``prune`` runs it once with the leaf rule "a taboo is won by
-its owner's opponent, a full-depth play by neither player", whose labeling
+neither player wins (a node is won by its mover if some child is), and one
+extraction, ``_least_winning``, turns a labeling into a strategy,
+tie-breaking by the lexicographically least move so results are
+reproducible.  Both run over the tree's integer node ids: a labeling is a
+list by id, child values are read at the first-child offsets, and a taboo
+is won by its owner's opponent, read off its tag byte.  ``solve`` is the
+kernel with the payoff deciding the full-depth plays; ``prune`` runs it
+once with every full-depth play won by neither player, whose labeling
 names at each position the player who can force a taboo against the other,
 if any, and reads every forcing strategy off that one labeling.
 
@@ -32,8 +34,8 @@ from .core import (
     Player,
     Position,
     Strategy,
+    _OWNERS,
     _check_payoff,
-    _evaluate,
     format_position,
 )
 
@@ -46,43 +48,52 @@ class Solution:
     strategy: Strategy
 
 
-def _winners(tree: GameTree, leaf_winner) -> dict[Position, Player | None]:
-    """Backward induction: the winner of every node, given the winner of
-    every play by ``leaf_winner`` (``None`` for neither player).  A node is
-    won by its mover if some child is; otherwise it is won by neither if
-    some child is, and by the opponent if not."""
-    values: dict[Position, Player | None] = {}
-    for position in reversed(tree.positions()):
-        labels = tree.children_of(position)
-        if not labels:
-            values[position] = leaf_winner(position)
+# The winner of a taboo by its tag byte: the opponent of its owner.
+_TABOO_WINNER = tuple(owner and owner.opponent for owner in _OWNERS)
+
+
+def _winners(tree: GameTree, payoff) -> list[Player | None]:
+    """Backward induction over ids: the winner of every node, by id, or
+    ``None`` where neither player wins.  A taboo is won by its owner's
+    opponent, and a full-depth play by I iff it is in ``payoff``, or by
+    neither if ``payoff`` is ``None``.  A node is won by its mover if some
+    child is; otherwise it is won by neither if some child is, and by the
+    opponent if not."""
+    ordered, first, tags = tree._ordered, tree._first, tree._tags
+    start = tree._full_depth_start()  # the full-depth plays end the order
+    values: list[Player | None] = [None] * len(ordered)
+    if payoff is not None:
+        values[start:] = [
+            Player.I if play in payoff else Player.II for play in ordered[start:]
+        ]
+    for i in range(start - 1, -1, -1):  # children before parents
+        lo, hi = first[i], first[i + 1]
+        if lo == hi:
+            values[i] = _TABOO_WINNER[tags[i]]
             continue
-        mover = Player.I if len(position) % 2 == 0 else Player.II
-        child_values = [values[position + (label,)] for label in labels]
+        mover, other = (Player.II, Player.I) if len(ordered[i]) % 2 else (Player.I, Player.II)
+        child_values = values[lo:hi]
         if mover in child_values:
-            values[position] = mover
+            values[i] = mover
         else:
-            values[position] = None if None in child_values else mover.opponent
+            values[i] = None if None in child_values else other
     return values
 
 
-def _least_winning(tree: GameTree, owner: Player, values, positions) -> Strategy:
-    """At each of the owner's decision positions among ``positions``, the
-    least child the owner wins by ``values``, or else the least child."""
+def _least_winning(tree: GameTree, owner: Player, values, ids) -> Strategy:
+    """At each of the owner's decision nodes among ``ids``, the least child
+    the owner wins by ``values``, or else the least child."""
+    ordered, first = tree._ordered, tree._first
+    parity = 0 if owner is Player.I else 1
     choices = {}
-    for position in positions:
-        labels = tree.children_of(position)
-        if not labels or Player.to_move(position) is not owner:
+    for i in ids:
+        lo, hi = first[i], first[i + 1]
+        if lo == hi or len(ordered[i]) % 2 != parity:
             continue
-        winning = [label for label in labels if values[position + (label,)] is owner]
-        choices[position] = winning[0] if winning else labels[0]
+        child_values = values[lo:hi]
+        least = lo + child_values.index(owner) if owner in child_values else lo
+        choices[ordered[i]] = ordered[least][-1]
     return Strategy(owner, choices)
-
-
-def _taboo_leaf(tree: GameTree):
-    """Leaf rule of forcing a taboo: a taboo is won by its owner's opponent,
-    a full-depth play by neither player."""
-    return lambda play: None if (owner := tree.taboo_owner(play)) is None else owner.opponent
 
 
 def solve(tree: GameTree, payoff) -> Solution:
@@ -93,9 +104,9 @@ def solve(tree: GameTree, payoff) -> Solution:
     least child where they are already lost).
     """
     _check_payoff(tree, payoff)
-    values = _winners(tree, lambda play: _evaluate(tree, play, payoff))
-    winner = values[()]
-    return Solution(winner, _least_winning(tree, winner, values, tree.positions()))
+    values = _winners(tree, payoff)
+    winner = values[0]
+    return Solution(winner, _least_winning(tree, winner, values, range(len(values))))
 
 
 @dataclass(frozen=True)
@@ -120,44 +131,56 @@ class PruneResult:
 
 
 def prune(tree: GameTree) -> PruneResult:
-    forced = _winners(tree, _taboo_leaf(tree))
-    determined = {p: forced[p] for p in tree.positions() if forced[p] is not None}
+    ordered, first = tree._ordered, tree._first
+    # Forcing a taboo: a full-depth play is won by neither player.
+    forced = _winners(tree, None)
+    determined = {p: winner for p, winner in zip(ordered, forced) if winner is not None}
 
-    removed: dict[Position, None] = {}  # canonical order
-    minimal: list[Position] = []
-    for position in tree.positions():  # parents precede children
-        if position and position[:-1] in removed:
-            removed[position] = None
-        elif position in determined:
-            removed[position] = None
-            minimal.append(position)
+    # One forward pass: parents precede children, so a removed node marks
+    # its child range before the pass reaches it.
+    cut = bytearray(len(ordered))
+    removed: list[int] = []  # ids, canonical order
+    minimal: list[int] = []
+    for i in range(len(ordered)):
+        if not cut[i]:
+            if forced[i] is None:
+                continue
+            cut[i] = 1
+            minimal.append(i)
+        removed.append(i)
+        lo, hi = first[i], first[i + 1]
+        cut[lo:hi] = b"\x01" * (hi - lo)
 
-    # The removed region holds every position below a minimal one, so one
-    # strategy per player over it forces a taboo below each minimal
-    # position that player determines.
+    # The removed region holds every node below a minimal one, so one
+    # strategy per player over it forces a taboo below each minimal node
+    # that player determines.
     forcing = {
         player: _least_winning(tree, player, forced, removed)
-        for player in {determined[position] for position in minimal}
+        for player in dict.fromkeys(forced[i] for i in minimal)
     }
-    witnesses = {position: forcing[determined[position]] for position in minimal}
+    witnesses = {ordered[i]: forcing[forced[i]] for i in minimal}
+    removed_positions = frozenset(ordered[i] for i in removed)
 
-    if () in determined:
-        return PruneResult(None, determined[()], determined, frozenset(removed), witnesses)
+    if cut[0]:
+        return PruneResult(None, forced[0], determined, removed_positions, witnesses)
 
     children = {}
-    for position in tree.positions():
-        if position in removed:
+    for i, position in enumerate(ordered):
+        if cut[i]:
             continue
-        kept = tuple(l for l in tree.children_of(position) if position + (l,) not in removed)
-        if not kept and len(position) < tree.depth:
-            # Every early terminal is trivially determined, and a position
-            # whose children are all determined is determined itself.
-            raise InternalInvariantError(
-                f"pruning left a new early terminal at {format_position(position)}"
-            )
+        kept = tree._labels[i]
+        lo, hi = first[i], first[i + 1]
+        if cut.find(1, lo, hi) >= 0:
+            kept = tuple(label for label, gone in zip(kept, cut[lo:hi]) if not gone)
+            if not kept and len(position) < tree.depth:
+                # Every early terminal is trivially determined, and a node
+                # whose children are all determined is determined itself.
+                raise InternalInvariantError(
+                    f"pruning left a new early terminal at {format_position(position)}"
+                )
         children[position] = kept
     return PruneResult(
-        GameTree(tree.depth, children), None, determined, frozenset(removed), witnesses
+        GameTree(tree.depth, children), None, determined, removed_positions, witnesses
     )
 
 

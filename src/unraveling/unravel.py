@@ -38,6 +38,7 @@ from .core import (
     Position,
     ResourceLimitError,
     Strategy,
+    _OWNERS,
     format_label,
     format_position,
     label_key,
@@ -144,8 +145,8 @@ class Challenge(_KeptKeys):
         return f"chal({format_position(self.target)})"
 
 
-def _subsets_counter(items: tuple) -> Iterator[tuple]:
-    """All subsets of an ordered tuple, in binary-counter order."""
+def _subsets_counter(items) -> Iterator[tuple]:
+    """All subsets of an ordered sequence, in binary-counter order."""
     for mask in range(1 << len(items)):
         yield tuple(item for i, item in enumerate(items) if mask >> i & 1)
 
@@ -165,22 +166,35 @@ def _generator_floor(k: int, depth: int) -> int:
     return 1 if k + 2 < depth else k + 2
 
 
-def _meets(tree: GameTree, payoff_leaves) -> set:
-    """Every position some play of the payoff set passes through."""
-    return {leaf[:i] for leaf in payoff_leaves for i in range(tree.depth + 1)}
+def _meets(tree: GameTree, payoff_leaves) -> bytearray:
+    """By id, 1 on every node some play of the payoff set passes through:
+    one reverse pass, children before parents."""
+    ordered, first = tree._ordered, tree._first
+    meets = bytearray(len(ordered))
+    for i in range(len(ordered) - 1, -1, -1):
+        lo, hi = first[i], first[i + 1]
+        if lo < hi:
+            meets[i] = meets.find(1, lo, hi) >= 0
+        elif ordered[i] in payoff_leaves:
+            meets[i] = 1
+    return meets
 
 
-def _frontier(tree: GameTree, meets: set, start: Position) -> tuple[Position, ...]:
-    """The frontier below ``start``: its minimal non-terminal extensions outside ``meets``."""
+def _frontier(tree: GameTree, meets: bytearray, start: int) -> list[int]:
+    """The frontier below node ``start``: the ids of its minimal non-terminal
+    extensions outside ``meets``.  Depth first, least child first, so the
+    antichain comes out in lexicographic order."""
+    first = tree._first
     out = []
-    stack = [start + (label,) for label in tree.children_of(start)]
+    stack = list(range(first[start + 1] - 1, first[start] - 1, -1))
     while stack:
-        position = stack.pop()
-        if position in meets:
-            stack.extend(position + (label,) for label in tree.children_of(position))
-        elif not tree.is_terminal(position):
-            out.append(position)
-    return tuple(sorted(out, key=position_key))
+        i = stack.pop()
+        lo, hi = first[i], first[i + 1]
+        if meets[i]:
+            stack.extend(range(hi - 1, lo - 1, -1))
+        elif lo < hi:
+            out.append(i)
+    return out
 
 
 @dataclass(frozen=True)
@@ -240,6 +254,7 @@ def build_base_covering(
                 f" (need depth >= {floor})"
             )
     meets = _meets(tree, leaves)
+    ordered, first, labels_of, tags = tree._ordered, tree._first, tree._labels, tree._tags
 
     children: dict[Position, list] = {}
     taboo: dict[Position, Player] = {}
@@ -248,18 +263,20 @@ def build_base_covering(
     accepts: dict[Label, Accept] = {}
     challenges: dict[Position, Challenge] = {}
 
-    def add(node: Position, image: Position, tag: Player | None) -> None:
-        children[node] = []
-        table[node] = image
+    def add(node: Position, image: int, tag: Player | None) -> list:
+        """Store ``node`` with target node ``image`` as its image; its child list."""
+        kids = children[node] = []
+        table[node] = ordered[image]
         if tag is not None:
             taboo[node] = tag
         if len(children) > node_max:
             raise ResourceLimitError(f"covering source exceeds {node_max} nodes")
+        return kids
 
     def copy(node, image, cut, path=()):
-        """Copy the subtree at ``image`` below ``node``: a position in ``cut``
-        is a terminal with the verdict it maps to, and above the end of
-        ``path`` only the move along ``path`` is kept.
+        """Copy the subtree at target node ``image`` below ``node``: a target
+        node in ``cut`` is a terminal with the verdict it maps to, and above
+        the end of ``path`` only the move along ``path`` is kept.
 
         Depth first with an explicit stack, so deep chains cannot hit the
         recursion limit; children are pushed in reverse so nodes are added
@@ -271,60 +288,68 @@ def build_base_covering(
             if image in cut:
                 add(node, image, cut[image])
                 continue
-            add(node, image, tree.taboo_owner(image))
-            if len(image) < len(path):
-                if tree.is_terminal(image):
+            kids = add(node, image, _OWNERS[tags[image]])
+            lo, labels = first[image], labels_of[image]
+            if len(node) < len(path):
+                if not labels:
                     raise InternalInvariantError(
-                        f"terminal position {format_position(image)} on a challenged chain"
+                        f"terminal position {format_position(ordered[image])}"
+                        " on a challenged chain"
                     )
-                labels = (path[len(image)],)
+                move = path[len(node)]
+                kids.append(move)
+                stack.append((node + (move,), lo + labels.index(move)))
             else:
-                labels = tree.children_of(image)
-            children[node].extend(labels)
-            stack.extend((node + (label,), image + (label,)) for label in reversed(labels))
+                kids.extend(labels)
+                stack.extend((node + (labels[n],), lo + n) for n in reversed(range(len(labels))))
 
-    for position in tree.positions():
+    level_k: list[int] = []
+    for i, position in enumerate(ordered):
         if len(position) > k:
             break
-        add(position, position, tree.taboo_owner(position))
+        kids = add(position, i, _OWNERS[tags[i]])
         if len(position) < k:
-            children[position] = list(tree.children_of(position))
+            kids.extend(labels_of[i])
+        else:
+            level_k.append(i)
 
-    for p in tree.positions():
-        if len(p) != k:
-            continue
-        for a in tree.children_of(p):
-            base_child = p + (a,)
-            child_tag = tree.taboo_owner(base_child)
-            if tree.is_terminal(base_child):
-                front: tuple[Position, ...] = ()
-            else:
-                front = _frontier(tree, meets, base_child)
-                if len(front) > frontier_max:
-                    raise ResourceLimitError(
-                        f"frontier size {len(front)} exceeds cap {frontier_max}"
-                        f" at {format_position(base_child)}"
-                    )
+    for i in level_k:
+        p = ordered[i]
+        for base in range(first[i], first[i + 1]):
+            base_child = ordered[base]
+            a = base_child[-1]
+            child_tag = _OWNERS[tags[base]]
+            front_ids = _frontier(tree, meets, base)
+            if len(front_ids) > frontier_max:
+                raise ResourceLimitError(
+                    f"frontier size {len(front_ids)} exceeds cap {frontier_max}"
+                    f" at {format_position(base_child)}"
+                )
+            front = tuple(ordered[q] for q in front_ids)
             frontiers[(p, a)] = front
             challenges.update((q, Challenge(q, q[k + 1])) for q in front)
-            for claimed in _subsets_counter(front):
+            for claimed_ids in _subsets_counter(front_ids):
+                claimed = tuple(ordered[q] for q in claimed_ids)
                 move = Claim(a, claimed)
                 node = p + (move,)
                 children[p].append(move)
-                add(node, base_child, child_tag)
+                kids = add(node, base, child_tag)
                 if child_tag is not None:
                     continue
                 # Claim verdict: claimed frontier positions are losses for the
                 # second player, unclaimed ones concessions by the first.
-                verdicts = {q: Player.II if q in claimed else Player.I for q in front}
-                for b in tree.children_of(base_child):
+                verdicts = dict.fromkeys(front_ids, Player.I)
+                verdicts.update(dict.fromkeys(claimed_ids, Player.II))
+                lo = first[base]
+                for n, b in enumerate(labels_of[base]):
                     reply = accepts.setdefault(b, Accept(b))
-                    children[node].append(reply)
-                    copy(node + (reply,), base_child + (b,), verdicts)
+                    kids.append(reply)
+                    copy(node + (reply,), lo + n, verdicts)
                 for challenged in claimed:
                     reply = challenges[challenged]
-                    children[node].append(reply)
-                    copy(node + (reply,), base_child + (reply.move,), {}, challenged)
+                    kids.append(reply)
+                    step = lo + labels_of[base].index(reply.move)
+                    copy(node + (reply,), step, {}, challenged)
 
     source = GameTree(tree.depth, children, taboo)
     transform, lift = _strategy_maps(tree, k, frontiers, accepts, challenges)

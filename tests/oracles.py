@@ -21,7 +21,7 @@ from unraveling.core import (
     strategy_from,
 )
 from unraveling.covering import Covering
-from unraveling.solver import solve
+from unraveling.solver import PruneResult, Solution, solve
 from unraveling.unravel import Accept, Claim
 
 
@@ -198,3 +198,79 @@ def taboo_strategy_by_solve(tree: GameTree, position: Position, player: Player):
     payoff = frozenset() if player is Player.I else frozenset(subtree.full_depth_plays())
     solution = solve(subtree, payoff)
     return solution.strategy if solution.winner is player else None
+
+
+# The tuple-keyed backward induction the id kernel in ``unraveling.solver``
+# replaced, kept as the reference that ``solve`` and ``prune`` must match
+# exactly: winners, choices and their key order, and the pruned remainder.
+
+
+def reference_winners(tree: GameTree, leaf_winner) -> dict[Position, Player | None]:
+    """Backward induction keyed by position: the winner of every node, given
+    the winner of every play by ``leaf_winner`` (``None`` for neither)."""
+    values: dict[Position, Player | None] = {}
+    for position in reversed(tree.positions()):
+        labels = tree.children_of(position)
+        if not labels:
+            values[position] = leaf_winner(position)
+            continue
+        mover = Player.I if len(position) % 2 == 0 else Player.II
+        child_values = [values[position + (label,)] for label in labels]
+        if mover in child_values:
+            values[position] = mover
+        else:
+            values[position] = None if None in child_values else mover.opponent
+    return values
+
+
+def reference_least_winning(tree: GameTree, owner: Player, values, positions) -> Strategy:
+    """At each of the owner's decision positions among ``positions``, the
+    least child the owner wins by ``values``, or else the least child."""
+    choices = {}
+    for position in positions:
+        labels = tree.children_of(position)
+        if not labels or Player.to_move(position) is not owner:
+            continue
+        winning = [label for label in labels if values[position + (label,)] is owner]
+        choices[position] = winning[0] if winning else labels[0]
+    return Strategy(owner, choices)
+
+
+def reference_solve(tree: GameTree, payoff) -> Solution:
+    values = reference_winners(tree, lambda play: play_winner(tree, play, payoff))
+    winner = values[()]
+    return Solution(winner, reference_least_winning(tree, winner, values, tree.positions()))
+
+
+def reference_prune(tree: GameTree) -> PruneResult:
+    def taboo_leaf(play):
+        owner = tree.taboo_owner(play)
+        return None if owner is None else owner.opponent
+
+    forced = reference_winners(tree, taboo_leaf)
+    determined = {p: forced[p] for p in tree.positions() if forced[p] is not None}
+    removed: dict[Position, None] = {}
+    minimal: list[Position] = []
+    for position in tree.positions():
+        if position and position[:-1] in removed:
+            removed[position] = None
+        elif position in determined:
+            removed[position] = None
+            minimal.append(position)
+    forcing = {
+        player: reference_least_winning(tree, player, forced, removed)
+        for player in {determined[position] for position in minimal}
+    }
+    witnesses = {position: forcing[determined[position]] for position in minimal}
+    if () in determined:
+        return PruneResult(None, determined[()], determined, frozenset(removed), witnesses)
+    children = {
+        position: tuple(
+            label for label in tree.children_of(position) if position + (label,) not in removed
+        )
+        for position in tree.positions()
+        if position not in removed
+    }
+    return PruneResult(
+        GameTree(tree.depth, children), None, determined, frozenset(removed), witnesses
+    )

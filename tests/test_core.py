@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from unraveling.core import (
+    ArenaError,
     GameTree,
     Player,
     Strategy,
@@ -50,6 +51,69 @@ def test_tree_rejects_taboo_at_full_depth():
 def test_tree_rejects_taboo_on_internal_node(ex1):
     with pytest.raises(ValueError, match="non-terminal"):
         GameTree.from_nodes(4, [p for p in ex1.positions() if p], {(0,): Player.I})
+
+
+I, II = Player.I, Player.II
+
+
+@pytest.mark.parametrize(
+    "depth, children, taboo, message, position",
+    [
+        pytest.param(
+            4,
+            {(): [0, 1], (0,): [0], (0, 0): [], (1,): [0], (1, 0): [0], (1, 0, 0): [0],
+             (1, 0, 0, 0): [], (5, 5): []},
+            {},
+            "position 5/5 unreachable (prefix closure)",
+            (5, 5),
+            id="stray-node-and-untagged-early-terminal",
+        ),
+        pytest.param(
+            4, {(): [0], (0,): [1, 1], (0, 1): []}, {(0,): I},
+            "duplicate sibling labels under 0", (0,),
+            id="duplicate-siblings-and-tag-on-non-terminal",
+        ),
+        pytest.param(
+            2, {(): [0, 1], (0,): [], (1,): [2], (1, 2): [3], (1, 2, 3): []}, {(0,): "I"},
+            "node 1/2/3 exceeds depth bound 2", (1, 2, 3),
+            id="tag-naming-no-player-and-node-past-depth",
+        ),
+        pytest.param(
+            4,
+            {(): [0, 1], (0,): [0], (0, 0): [0], (0, 0, 0): [0], (0, 0, 0, 0): [], (1,): []},
+            {(0, 0, 0, 0): I, (9,): II},
+            "taboo at full depth: 0/0/0/0",
+            (0, 0, 0, 0),
+            id="full-depth-tag-before-unknown-tag-and-untagged-early-terminal",
+        ),
+        pytest.param(
+            4,
+            {(): [0, 1, 2, 3], (0,): [], (1,): [], (2,): [0], (2, 0): [0], (2, 0, 0): [0],
+             (2, 0, 0, 0): [], (3,): []},
+            {(0,): I, (1,): None, (2,): II},
+            "taboo tag on 1 must name a player",
+            (1,),
+            id="valid-tag-then-tag-naming-no-player-then-non-terminal-tag",
+        ),
+        pytest.param(
+            4, {(): [1, 0], (0,): [], (2,): []}, {},
+            "child 1 not stored (prefix closure)", (1,),
+            id="missing-child-and-stray-node",
+        ),
+        pytest.param(
+            4, {(): [0, 1], (1,): [], (0,): [0], (0, 0): []}, {},
+            "early terminal 1 lacks a taboo tag (partition)", (1,),
+            id="two-untagged-early-terminals-first-in-canonical-order",
+        ),
+    ],
+)
+def test_tree_names_its_first_fault_on_inputs_with_several(
+    depth, children, taboo, message, position
+):
+    with pytest.raises(ArenaError) as raised:
+        GameTree(depth, children, taboo)
+    assert str(raised.value) == message
+    assert raised.value.position == position
 
 
 @given(st.integers(0, 400))

@@ -4,13 +4,15 @@ from hypothesis import given, settings, strategies as st
 from unraveling.core import (
     GameTree,
     Player,
-    _evaluate,
+    ResourceLimitError,
     is_prefix,
     is_winning_strategy,
 )
-from unraveling.payoff import Closed, realize
-from unraveling.randgen import random_game, random_tree, rng_for
+from unraveling.covering import pullback
+from unraveling.payoff import Closed, ClosedUnion, realize
+from unraveling.randgen import random_game, random_tree, random_union_instance, rng_for
 from unraveling.solver import _winners, prune, solve, transfer_from_pruned
+from unraveling.unravel import build_base_covering, unravel_payoff
 
 import oracles
 
@@ -55,13 +57,14 @@ def test_solve_degenerate_root_terminal():
 
 
 def test_solve_labels_every_node_with_its_subgame_winner(ex2):
-    # the labeling of the kernel under ``solve``'s leaf rule
+    # the kernel's labeling for ``payoff``, by id, against each subgame's
+    # winner by enumeration of every strategy
     payoff = leaves_with(ex2, lambda l: l[1] == 0)
-    values = _winners(ex2, lambda play: _evaluate(ex2, play, payoff))
-    for position in ex2.positions():
+    values = _winners(ex2, payoff)
+    for i, position in enumerate(ex2.positions()):
         subgame = oracles.subtree_at(ex2, position)
         sub_payoff = payoff & frozenset(subgame.full_depth_plays())
-        assert values[position] is solve(subgame, sub_payoff).winner
+        assert values[i] is oracles.zermelo_winner(subgame, sub_payoff)
 
 
 @given(st.integers(0, 1000))
@@ -302,3 +305,62 @@ def test_level_by_level_equivalence(seed):
     assert pruned_solution.winner is direct.winner
     transferred = transfer_from_pruned(tree, result, pruned_solution.strategy)
     assert is_winning_strategy(tree, payoff, transferred)
+
+
+# ------------------------------------------- the tuple-keyed reference kernel
+
+
+def assert_matches_reference(tree, payoff):
+    """``solve`` and ``prune`` agree exactly with the tuple-keyed kernel in
+    ``oracles``: winners, every choice, the key order of the choices, the
+    determined map, the removed set, the witnesses and the remainder."""
+    solution, expected = solve(tree, payoff), oracles.reference_solve(tree, payoff)
+    assert solution.winner is expected.winner
+    assert solution.strategy.owner is expected.strategy.owner
+    assert list(solution.strategy.choices.items()) == list(expected.strategy.choices.items())
+
+    result, reference = prune(tree), oracles.reference_prune(tree)
+    assert result.root_determined is reference.root_determined
+    assert list(result.determined.items()) == list(reference.determined.items())
+    assert result.removed == reference.removed
+    assert list(result.witnesses) == list(reference.witnesses)
+    for position, witness in result.witnesses.items():
+        other = reference.witnesses[position]
+        assert witness.owner is other.owner
+        assert list(witness.choices.items()) == list(other.choices.items())
+    if reference.tree is None:
+        assert result.tree is None
+    else:
+        assert result.tree == reference.tree
+        assert result.tree.positions() == reference.tree.positions()
+
+
+@given(st.integers(0, 10**6), st.sampled_from([4, 6, 8]), st.sampled_from([2, 3]))
+@settings(max_examples=40, deadline=None)
+def test_solve_and_prune_match_the_reference_on_random_arenas(seed, depth, branching):
+    tree, spec = random_game(f"reference:{seed}", depth=depth, branching=branching, taboos=4)
+    assert_matches_reference(tree, realize(tree, Closed(spec)))
+
+
+@given(st.integers(0, 10**6), st.sampled_from([0, 2]))
+@settings(max_examples=30, deadline=None)
+def test_solve_and_prune_match_the_reference_on_base_covering_sources(seed, k):
+    tree, spec = random_game(f"reference-base:{seed}", depth=6, branching=3, taboos=3)
+    try:
+        covering = build_base_covering(tree, spec, k, frontier_max=4)
+    except ResourceLimitError:
+        return
+    leaves = realize(tree, Closed(spec))
+    assert_matches_reference(covering.source, pullback(covering, leaves))
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=20, deadline=None)
+def test_solve_and_prune_match_the_reference_on_composite_sources(seed):
+    tree, specs = random_union_instance(f"reference-union:{seed}", depth=6, taboos=2, parts=2)
+    payoff = ClosedUnion(specs)
+    try:
+        covering, _ = unravel_payoff(tree, payoff, 0, frontier_max=3)
+    except ResourceLimitError:
+        return
+    assert_matches_reference(covering.source, pullback(covering, realize(tree, payoff)))
