@@ -18,8 +18,16 @@ Inside a tree a node is an integer id, its index in that order.  The walk
 stores each parent's children as one consecutive block of ids, so an
 array of first-child offsets gives every child range, and the taboo tags
 are one byte per id.  Backward induction, taboo-pruning, the base
-construction and the covering checks walk the ids; tuple positions appear
-only at the API and in the file formats.
+construction, the covering checks and the strategy checks walk the ids;
+tuple positions appear only at the API and in the file formats.
+
+A tree has two entries.  ``GameTree(depth, children, taboo)`` takes
+positions in any order, sorts them and checks every structural rule.
+Derived trees (covering sources, pruned remainders) are written by their
+builders already in id form and enter through ``GameTree._from_ids``,
+which re-checks only what needs no hashing.  The tables keyed by position
+(``in``, ``children_of``, ``taboo_owner``) are built on first use, so a
+derived tree that is only walked by id never hashes its positions.
 """
 
 from __future__ import annotations
@@ -29,6 +37,8 @@ import random
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, Protocol, Union
 
@@ -133,7 +143,14 @@ class GameTree:
     node's child labels by id (one shared tuple per distinct label tuple),
     and ``_tags`` its taboo tag as one byte by id, an index into
     ``_OWNERS``.  The package's kernels walk these; tuple positions appear
-    only at the API, through one table from position to child labels.
+    only at the API, through two tables keyed by position: ``_children``
+    (child labels) and ``_taboo`` (owners of the tagged terminals).
+
+    The constructor checks every structural rule and keeps the child table
+    it builds on the way.  ``_from_ids`` takes positions, child labels and
+    tags from a builder that wrote them in canonical order, derives the
+    offsets and checks only the tags and the depth bound; its tree builds
+    each position table on the first lookup that needs it.
     """
 
     def __init__(
@@ -216,14 +233,58 @@ class GameTree:
                 f"early terminal {format_position(untagged)} lacks a taboo tag (partition)",
                 untagged,
             )
+        self._store(depth, ordered, by_id, first, tags)
+        self._children = table  # shadows the table built on first use
+
+    def _store(self, depth, ordered, labels, first, tags) -> None:
         self.depth = depth
-        self._children = table
-        self._taboo = dict(taboo)
         self._ordered = tuple(ordered)
-        self._labels = by_id
+        self._labels = labels
         self._first = first
         self._tags = tags
         self._decisions: dict[Player, Mapping[Position, tuple[Label, ...]]] = {}
+
+    @classmethod
+    def _from_ids(
+        cls,
+        depth: int,
+        ordered: list[Position],
+        labels: list[tuple[Label, ...]],
+        tags: bytearray,
+    ) -> "GameTree":
+        """A tree from arrays its builder wrote in canonical order: the
+        positions, their child labels and their tag bytes, by id.
+
+        Breadth first, node i's children come after the root and the
+        children of every node before it, which gives the first-child
+        offsets.  Only the checks that need no hashing run: exactly the
+        early terminals carry a tag, and no node lies past the depth bound.
+        A failure is a fault of the builder, not of any input.
+        """
+        if len(ordered[-1]) > depth:
+            raise InternalInvariantError(
+                f"node {format_position(ordered[-1])} exceeds depth bound {depth}"
+            )
+        start = bisect_left(ordered, depth, key=len)  # the full-depth plays end the order
+        fault = next((i for i in range(start) if bool(labels[i]) == bool(tags[i])), None)
+        if fault is None and any(tags[start:]):
+            fault = next(i for i in range(start, len(tags)) if tags[i])
+        if fault is not None:
+            raise InternalInvariantError(
+                f"taboo tag at {format_position(ordered[fault])} does not match an early terminal"
+            )
+        tree = cls.__new__(cls)
+        first = array("i", accumulate(map(len, labels), initial=1))
+        tree._store(depth, ordered, labels, first, tags)
+        return tree
+
+    @cached_property
+    def _children(self) -> dict[Position, tuple[Label, ...]]:
+        return dict(zip(self._ordered, self._labels))
+
+    @cached_property
+    def _taboo(self) -> dict[Position, Player]:
+        return {p: _OWNERS[tag] for p, tag in zip(self._ordered, self._tags) if tag}
 
     @classmethod
     def from_nodes(
@@ -402,25 +463,40 @@ def is_consistent(position: Position, strategy: Strategy) -> bool:
     return True
 
 
+def _consistent_ids(tree: GameTree, strategy: Strategy) -> list[int]:
+    """The ids of the plays consistent with the strategy, depth first, least
+    child first; the owner's moves are read from the strategy."""
+    ordered, first, labels_of = tree._ordered, tree._first, tree._labels
+    parity = 0 if strategy.owner is Player.I else 1  # the owner moves at these lengths
+    out: list[int] = []
+    stack = [0]
+    while stack:
+        i = stack.pop()
+        lo, hi = first[i], first[i + 1]
+        if lo == hi:
+            out.append(i)
+        elif len(ordered[i]) % 2 == parity:
+            position = ordered[i]
+            move = strategy.move_at(position)
+            try:
+                stack.append(lo + labels_of[i].index(move))
+            except ValueError:
+                raise ValueError(
+                    f"unknown position {format_position(position + (move,))}"
+                ) from None
+        else:
+            stack.extend(range(hi - 1, lo - 1, -1))
+    return out
+
+
 def consistent_plays(tree: GameTree, strategy: Strategy) -> tuple[Position, ...]:
     """All plays consistent with the strategy, branching only over the opponent.
 
     Never empty: the tree is finite and the strategy total, so following it
     always terminates.
     """
-    parity = 0 if strategy.owner is Player.I else 1  # the owner moves at these lengths
-    out: list[Position] = []
-    stack: list[Position] = [()]
-    while stack:
-        position = stack.pop()
-        labels = tree.children_of(position)
-        if not labels:
-            out.append(position)
-        elif len(position) % 2 == parity:
-            stack.append(position + (strategy.move_at(position),))
-        else:
-            stack.extend(position + (label,) for label in reversed(labels))
-    return tuple(out)
+    ordered = tree._ordered
+    return tuple(ordered[i] for i in _consistent_ids(tree, strategy))
 
 
 def _check_payoff(tree: GameTree, payoff: Iterable[Position]) -> None:
@@ -430,20 +506,21 @@ def _check_payoff(tree: GameTree, payoff: Iterable[Position]) -> None:
     raise ValueError(f"payoff member {format_position(member)} is not a full-depth play")
 
 
-def _evaluate(tree: GameTree, play: Position, payoff) -> Player:
-    """Winner of one play: the opponent of its taboo owner if it is an early
-    terminal (``GameTree`` tags every one), else I iff it lies in the payoff."""
-    owner = tree.taboo_owner(play)
-    if owner is not None:
-        return owner.opponent
-    return Player.I if play in payoff else Player.II
+def _evaluate(tree: GameTree, i: int, payoff) -> Player:
+    """Winner of the play with id ``i``: the opponent of its taboo owner if it
+    is an early terminal (``GameTree`` tags every one), else I iff it lies in
+    the payoff."""
+    tag = tree._tags[i]
+    if tag:
+        return _OWNERS[tag].opponent
+    return Player.I if tree._ordered[i] in payoff else Player.II
 
 
 def is_winning_strategy(tree: GameTree, payoff, strategy: Strategy) -> CheckResult:
     """Passes iff every play consistent with the strategy is a win for its
     owner; a failure names the first lost play in ``consistent_plays`` order."""
     _check_payoff(tree, payoff)
-    for play in consistent_plays(tree, strategy):
-        if _evaluate(tree, play, payoff) is not strategy.owner:
-            return CheckResult(False, f"loses play {format_position(play)}")
+    for i in _consistent_ids(tree, strategy):
+        if _evaluate(tree, i, payoff) is not strategy.owner:
+            return CheckResult(False, f"loses play {format_position(tree._ordered[i])}")
     return CheckResult(True)

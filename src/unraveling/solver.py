@@ -164,24 +164,28 @@ def prune(tree: GameTree) -> PruneResult:
     if cut[0]:
         return PruneResult(None, forced[0], determined, removed_positions, witnesses)
 
-    children = {}
-    for i, position in enumerate(ordered):
-        if cut[i]:
-            continue
+    # The kept ids are in canonical order already.
+    kept_ids = [i for i in range(len(ordered)) if not cut[i]]
+    labels: list[tuple] = []
+    for i in kept_ids:
         kept = tree._labels[i]
         lo, hi = first[i], first[i + 1]
         if cut.find(1, lo, hi) >= 0:
             kept = tuple(label for label, gone in zip(kept, cut[lo:hi]) if not gone)
-            if not kept and len(position) < tree.depth:
+            if not kept and len(ordered[i]) < tree.depth:
                 # Every early terminal is trivially determined, and a node
                 # whose children are all determined is determined itself.
                 raise InternalInvariantError(
-                    f"pruning left a new early terminal at {format_position(position)}"
+                    f"pruning left a new early terminal at {format_position(ordered[i])}"
                 )
-        children[position] = kept
-    return PruneResult(
-        GameTree(tree.depth, children), None, determined, removed_positions, witnesses
+        labels.append(kept)
+    remainder = GameTree._from_ids(
+        tree.depth,
+        [ordered[i] for i in kept_ids],
+        labels,
+        bytearray(len(kept_ids)),
     )
+    return PruneResult(remainder, None, determined, removed_positions, witnesses)
 
 
 def transfer_from_pruned(tree: GameTree, pruned: PruneResult, strategy: Strategy) -> Strategy:

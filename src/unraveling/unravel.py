@@ -17,6 +17,15 @@ extensions from whose subtrees the payoff set is unreachable: the claimed
 subset is exactly the part of the frontier the first player asserts they
 can still win through taboos.
 
+The construction writes its source in id form (see ``unraveling.core``),
+breadth first and so already in canonical order: each node gets its id
+when its parent is walked, and its child labels and tag are its target
+image's unless it is a claim, a reply, a cut frontier position or a node
+on a challenged chain.  Before any node is written the frontier of every
+move is found and the source's exact node count is summed move by move
+from subtree sizes of the target, so either cap fails at the same move,
+with the same message, as if the nodes were built one by one.
+
 ``unravel_payoff`` unravels any payoff expression by induction: unions
 stack their parts' coverings at climbing identity levels and finish with
 one more base covering over the decided complement of the pulled-back
@@ -25,8 +34,11 @@ union; a complement reuses its operand's covering.
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
+from itertools import count, islice
 
 from .core import (
     DEFAULT_NODE_MAX,
@@ -239,6 +251,14 @@ def build_base_covering(
     avoids every generator (see ``_generator_floor``), so the pulled-back
     payoff is exactly the accept-branch full-depth plays and is decided at
     ``level + 2``; the same certificate covers the complement.
+
+    The source is written breadth first, level by level: up to ``level``
+    the target's own nodes and ids, then the claims on each move in the
+    order of their claimed index tuples, then each claim's accepts in
+    base-label order and its challenges in claimed order, then the copies.
+    Both caps are checked first, from the exact node count of each move's
+    claims (see ``_checked_frontiers``); the position map is built once at
+    the end, from the finished source positions and their target images.
     """
     if level < 0:
         raise ValueError(f"level {level} is negative")
@@ -255,105 +275,152 @@ def build_base_covering(
             )
     meets = _meets(tree, leaves)
     ordered, first, labels_of, tags = tree._ordered, tree._first, tree._labels, tree._tags
+    at_k = bisect_left(ordered, k, key=len)  # the first level-k id
+    moves = bisect_left(ordered, k + 1, key=len)  # the first move on a level-k node
+    fronts = _checked_frontiers(tree, meets, k, frontier_max, node_max)
 
-    children: dict[Position, list] = {}
-    taboo: dict[Position, Player] = {}
-    table: dict[Position, Position] = {}
+    # A node copies the child labels and the tag of its image unless
+    # ``labels_at`` or ``tags_at`` names others.
+    out: list[Position] = list(ordered[:moves])  # source positions by id
+    images = array("i", range(moves))  # target image ids by source id
+    labels_at: dict[int, tuple[Label, ...]] = {}
+    tags_at: dict[int, int] = {}
     frontiers: dict[tuple[Position, Label], tuple[Position, ...]] = {}
     accepts: dict[Label, Accept] = {}
     challenges: dict[Position, Challenge] = {}
 
-    def add(node: Position, image: int, tag: Player | None) -> list:
-        """Store ``node`` with target node ``image`` as its image; its child list."""
-        kids = children[node] = []
-        table[node] = ordered[image]
-        if tag is not None:
-            taboo[node] = tag
-        if len(children) > node_max:
-            raise ResourceLimitError(f"covering source exceeds {node_max} nodes")
-        return kids
-
-    def copy(node, image, cut, path=()):
-        """Copy the subtree at target node ``image`` below ``node``: a target
-        node in ``cut`` is a terminal with the verdict it maps to, and above
-        the end of ``path`` only the move along ``path`` is kept.
-
-        Depth first with an explicit stack, so deep chains cannot hit the
-        recursion limit; children are pushed in reverse so nodes are added
-        in preorder, the order the position table keeps.
-        """
-        stack = [(node, image)]
-        while stack:
-            node, image = stack.pop()
-            if image in cut:
-                add(node, image, cut[image])
-                continue
-            kids = add(node, image, _OWNERS[tags[image]])
-            lo, labels = first[image], labels_of[image]
-            if len(node) < len(path):
-                if not labels:
-                    raise InternalInvariantError(
-                        f"terminal position {format_position(ordered[image])}"
-                        " on a challenged chain"
-                    )
-                move = path[len(node)]
-                kids.append(move)
-                stack.append((node + (move,), lo + labels.index(move)))
-            else:
-                kids.extend(labels)
-                stack.extend((node + (labels[n],), lo + n) for n in reversed(range(len(labels))))
-
-    level_k: list[int] = []
-    for i, position in enumerate(ordered):
-        if len(position) > k:
-            break
-        kids = add(position, i, _OWNERS[tags[i]])
-        if len(position) < k:
-            kids.extend(labels_of[i])
-        else:
-            level_k.append(i)
-
-    for i in level_k:
+    # The claims on a move come in the order of their claimed index tuples:
+    # the frontier is in lexicographic order, so that is the label order.
+    claim_rows = []  # per claim: its move's (id, frontier ids, accepts, challenges), claimed indices
+    for i in range(at_k, moves):
         p = ordered[i]
-        for base in range(first[i], first[i + 1]):
-            base_child = ordered[base]
-            a = base_child[-1]
-            child_tag = _OWNERS[tags[base]]
-            front_ids = _frontier(tree, meets, base)
-            if len(front_ids) > frontier_max:
-                raise ResourceLimitError(
-                    f"frontier size {len(front_ids)} exceeds cap {frontier_max}"
-                    f" at {format_position(base_child)}"
-                )
+        claims = []
+        for base, a in zip(range(first[i], first[i + 1]), labels_of[i]):
+            front_ids = fronts[base - moves]
             front = tuple(ordered[q] for q in front_ids)
             frontiers[(p, a)] = front
-            challenges.update((q, Challenge(q, q[k + 1])) for q in front)
-            for claimed_ids in _subsets_counter(front_ids):
-                claimed = tuple(ordered[q] for q in claimed_ids)
-                move = Claim(a, claimed)
-                node = p + (move,)
-                children[p].append(move)
-                kids = add(node, base, child_tag)
-                if child_tag is not None:
-                    continue
-                # Claim verdict: claimed frontier positions are losses for the
-                # second player, unclaimed ones concessions by the first.
-                verdicts = dict.fromkeys(front_ids, Player.I)
-                verdicts.update(dict.fromkeys(claimed_ids, Player.II))
-                lo = first[base]
-                for n, b in enumerate(labels_of[base]):
-                    reply = accepts.setdefault(b, Accept(b))
-                    kids.append(reply)
-                    copy(node + (reply,), lo + n, verdicts)
-                for challenged in claimed:
-                    reply = challenges[challenged]
-                    kids.append(reply)
-                    step = lo + labels_of[base].index(reply.move)
-                    copy(node + (reply,), step, {}, challenged)
+            row = (
+                base,
+                front_ids,
+                tuple(accepts.setdefault(b, Accept(b)) for b in labels_of[base]),
+                [challenges.setdefault(q, Challenge(q, q[k + 1])) for q in front],
+            )
+            for claimed in sorted(_subsets_counter(range(len(front)))):
+                claim = Claim(a, tuple(front[n] for n in claimed))
+                claims.append(claim)
+                out.append(p + (claim,))
+                images.append(base)
+                claim_rows.append((row, claimed))
+        labels_at[i] = tuple(claims)
 
-    source = GameTree(tree.depth, children, taboo)
+    # A claim's replies: its accepts in base-label order, each copying the
+    # child it names with the claim's verdicts cut in, then its challenges
+    # in claimed order, each following the chain to its claimed position
+    # and copying that whole.  Claimed frontier positions are losses for
+    # the second player, unclaimed ones concessions by the first.
+    against_i, against_ii = _OWNERS.index(Player.I), _OWNERS.index(Player.II)
+    whole: dict[int, int] = {}  # the verdicts of a whole copy: none
+    branches: list = []  # by id from level k + 2 on: verdicts, or the chain's end
+    for i, ((base, front_ids, kept, replies), claimed) in enumerate(claim_rows, moves):
+        position, lo, base_labels = out[i], first[base], labels_of[base]
+        verdicts = dict.fromkeys(front_ids, against_i)
+        verdicts.update((front_ids[n], against_ii) for n in claimed)
+        out += [position + (reply,) for reply in kept]
+        images.extend(range(lo, lo + len(kept)))
+        branches += [verdicts] * len(kept)
+        chosen = tuple(replies[n] for n in claimed)
+        for reply in chosen:
+            out.append(position + (reply,))
+            images.append(lo + base_labels.index(reply.move))
+            branches.append(reply.target if len(reply.target) > k + 2 else whole)
+        labels_at[i] = kept + chosen
+
+    # Every later node copies its image: whole or up to the verdicts cut in,
+    # or, on a challenged chain, only the move toward the chain's end.
+    start = moves + len(claim_rows)
+    walk = zip(count(start), islice(out, start, None), islice(images, start, None), branches)
+    for i, position, image, branch in walk:  # the lists grow while they are walked
+        if branch.__class__ is dict:
+            verdict = branch.get(image)
+            if verdict is not None:
+                labels_at[i], tags_at[i] = (), verdict
+                continue
+            labels = labels_of[image]
+            if labels:
+                lo = first[image]
+                out += [position + (label,) for label in labels]
+                images.extend(range(lo, lo + len(labels)))
+                branches += [branch] * len(labels)
+        else:
+            labels = labels_of[image]
+            if not labels:
+                raise InternalInvariantError(
+                    f"terminal position {format_position(ordered[image])} on a challenged chain"
+                )
+            move = branch[len(position)]
+            labels_at[i] = (move,)
+            out.append(position + (move,))
+            images.append(first[image] + labels.index(move))
+            branches.append(branch if len(position) + 1 < len(branch) else whole)
+    del branches, claim_rows
+
+    out_labels = list(map(labels_of.__getitem__, images))
+    for i, labels in labels_at.items():
+        out_labels[i] = labels
+    out_tags = bytearray(map(tags.__getitem__, images))
+    for i, tag in tags_at.items():
+        out_tags[i] = tag
+    source = GameTree._from_ids(tree.depth, out, out_labels, out_tags)
+    table = dict(zip(source._ordered, map(ordered.__getitem__, images)))
     transform, lift = _strategy_maps(tree, k, frontiers, accepts, challenges)
     return BaseCovering(source, tree, k, table, transform, lift, frontiers, spec)
+
+
+def _checked_frontiers(
+    tree: GameTree, meets: bytearray, k: int, frontier_max: int, node_max: int
+) -> list[list[int]]:
+    """The frontier ids of every move on a level-``k`` node, in move order,
+    checked against both caps in the order the construction meets them.
+
+    The source counts its nodes up to level ``k``, then, move by move,
+    checks the move's frontier and adds the nodes of its claims; either cap
+    fails at the first move past it, before any node is built.  A claim on
+    move ``b`` with claimed set S has 1 node, plus the accept copies of the
+    children of ``b`` (a subtree where a node outside ``meets`` is a leaf:
+    its frontier is cut), plus for each claimed ``q`` the chain of
+    ``len(q) - (k + 2)`` nodes down to it and its whole subtree.  Summed
+    over the subsets S of the frontier, each ``q`` is in half of them.
+    """
+    ordered, first = tree._ordered, tree._first
+    moves = bisect_left(ordered, k + 1, key=len)
+    below = bisect_left(ordered, k + 2, key=len)  # the first id past the moves
+    total = moves
+    if total > node_max:
+        raise ResourceLimitError(f"covering source exceeds {node_max} nodes")
+    size = [1] * len(ordered)  # subtree sizes by id, past the moves
+    cut = [1] * len(ordered)  # the same with a node outside ``meets`` a leaf
+    for i in range(len(ordered) - 1, below - 1, -1):
+        lo, hi = first[i], first[i + 1]
+        if lo < hi:
+            size[i] += sum(size[lo:hi])
+            if meets[i]:
+                cut[i] += sum(cut[lo:hi])
+    fronts = []
+    for base in range(moves, below):
+        front = _frontier(tree, meets, base)
+        if len(front) > frontier_max:
+            raise ResourceLimitError(
+                f"frontier size {len(front)} exceeds cap {frontier_max}"
+                f" at {format_position(ordered[base])}"
+            )
+        claims = 1 << len(front)
+        accepted = sum(cut[first[base] : first[base + 1]])
+        chains = sum(len(ordered[q]) - (k + 2) + size[q] for q in front)
+        total += claims * (1 + accepted) + claims // 2 * chains
+        if total > node_max:
+            raise ResourceLimitError(f"covering source exceeds {node_max} nodes")
+        fronts.append(front)
+    return fronts
 
 
 class _LazyChoices(Mapping):

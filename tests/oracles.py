@@ -25,6 +25,23 @@ from unraveling.solver import PruneResult, Solution, solve
 from unraveling.unravel import Accept, Claim
 
 
+def assert_matches_checked_build(tree: GameTree) -> None:
+    """``tree`` is, array for array, the tree that the checked constructor
+    builds from its positions and taboo tags, and every position query on
+    it answers as on that tree."""
+    checked = GameTree.from_nodes(tree.depth, tree.positions(), dict(tree.taboo_items()))
+    assert tree._ordered == checked._ordered
+    assert tree._first == checked._first
+    assert tree._labels == checked._labels
+    assert tree._tags == checked._tags
+    for position in checked.positions():
+        assert position in tree
+        assert tree.children_of(position) == checked.children_of(position)
+        assert tree.taboo_owner(position) is checked.taboo_owner(position)
+    assert list(tree.taboo_items()) == list(checked.taboo_items())
+    assert (-1,) not in tree
+
+
 def plays(tree: GameTree) -> list[Position]:
     """The terminal positions, in canonical order."""
     return [p for p in tree.positions() if tree.is_terminal(p)]

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 from unraveling.core import (
     ArenaError,
     GameTree,
+    InternalInvariantError,
     Player,
     Strategy,
     _evaluate,
@@ -198,14 +199,15 @@ def test_subtree_matches_set_comprehension_oracle(seed):
 def test_classify_full_depth_leaves(ex1):
     for leaf in ex1.full_depth_plays():
         assert ex1.taboo_owner(leaf) is None
-        assert _evaluate(ex1, leaf, frozenset()) is Player.II
-        assert _evaluate(ex1, leaf, frozenset({leaf})) is Player.I
+        assert _evaluate(ex1, ex1._id(leaf), frozenset()) is Player.II
+        assert _evaluate(ex1, ex1._id(leaf), frozenset({leaf})) is Player.I
 
 
 def test_classify_taboo_and_full_depth(ex2):
     everything = frozenset(ex2.full_depth_plays())
-    assert _evaluate(ex2, (0, 0), everything) is Player.I  # taboo for II, whatever the payoff
-    assert _evaluate(ex2, (1, 1, 0, 0), frozenset()) is Player.II
+    # taboo for II, whatever the payoff
+    assert _evaluate(ex2, ex2._id((0, 0)), everything) is Player.I
+    assert _evaluate(ex2, ex2._id((1, 1, 0, 0)), frozenset()) is Player.II
 
 
 @given(st.integers(0, 400))
@@ -272,10 +274,10 @@ def test_consistent_plays_match_filter_oracle_and_nonempty(seed):
 
 
 def test_evaluate_play_clauses(ex1, ex2):
-    assert _evaluate(ex2, (0, 0), frozenset()) is Player.I  # taboo for II
+    assert _evaluate(ex2, ex2._id((0, 0)), frozenset()) is Player.I  # taboo for II
     leaf = (1, 1, 0, 0)
-    assert _evaluate(ex1, leaf, frozenset()) is Player.II
-    assert _evaluate(ex1, leaf, frozenset({leaf})) is Player.I
+    assert _evaluate(ex1, ex1._id(leaf), frozenset()) is Player.II
+    assert _evaluate(ex1, ex1._id(leaf), frozenset({leaf})) is Player.I
 
 
 def test_evaluate_rejects_early_terminal_in_payoff(ex2):
@@ -345,6 +347,27 @@ def test_decisions_filter_positions_once_per_player(seed):
             for p in oracles.decision_positions(tree, owner)
         }
         assert random_strategy(drawn, tree, owner).choices == expected
+
+
+def test_id_form_entry_checks_the_tags_and_the_depth_bound(ex2):
+    arrays = list(ex2._ordered), list(ex2._labels)
+
+    def rebuilt(depth, tags):
+        return GameTree._from_ids(depth, *arrays, tags)
+
+    assert rebuilt(4, ex2._tags) == ex2
+    faults = {
+        "0/0": (ex2._id((0, 0)), 0),  # an early terminal left untagged
+        "-": (0, 1),  # a tag on an inner node
+        "1/1/1/1": (ex2.node_count - 1, 2),  # a tag on a full-depth play
+    }
+    for position, (i, tag) in faults.items():
+        tags = bytearray(ex2._tags)
+        tags[i] = tag
+        with pytest.raises(InternalInvariantError, match=f"taboo tag at {position} does not"):
+            rebuilt(4, tags)
+    with pytest.raises(InternalInvariantError, match="1/1/1/1 exceeds depth bound 2"):
+        rebuilt(2, ex2._tags)
 
 
 def test_tree_repr(ex1):

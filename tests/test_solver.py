@@ -141,13 +141,13 @@ def test_prune_builds_only_the_remainder_and_shares_witnesses(monkeypatch):
     taboo = {(0, 0, 0): Player.II, (1, 0, 1): Player.II, (1, 1, 1): Player.I}
     tree = GameTree.from_nodes(4, nodes, taboo)
     built = []
-    init = GameTree.__init__
+    store = GameTree._store  # both entries, the checked one and ``_from_ids``, end here
 
-    def counting_init(self, *args, **kwargs):
+    def counting_store(self, *args):
         built.append(self)
-        init(self, *args, **kwargs)
+        store(self, *args)
 
-    monkeypatch.setattr(GameTree, "__init__", counting_init)
+    monkeypatch.setattr(GameTree, "_store", counting_store)
     result = prune(tree)
     assert result.determined == {
         (0, 0): Player.I, (0, 0, 0): Player.I, (1, 0): Player.I,

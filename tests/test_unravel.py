@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import json
 import math
 
 import pytest
@@ -27,6 +28,7 @@ from unraveling.covering import (
     solve_via_covering,
     verify_lift,
 )
+from unraveling.gamedoc import parse_game_bytes
 from unraveling.payoff import (
     Closed,
     ClosedSpec,
@@ -43,7 +45,7 @@ from unraveling.randgen import (
     random_union_instance,
     rng_for,
 )
-from unraveling.solver import solve
+from unraveling.solver import prune, solve
 import unraveling.unravel as unravel_module
 from unraveling.unravel import (
     Accept,
@@ -761,3 +763,90 @@ def test_structured_labels_keep_equal_hashes_and_fresh_sort_keys():
         assert label.sort_key() == oracles.fresh_label_key(label)
         assert label.sort_key() is label.sort_key()
         assert twin.sort_key() == label.sort_key()
+
+
+# ----------------------------------------- derived trees in id form, caps
+
+
+def _derived_trees(covering, tree):
+    """A covering's source and the pruned remainders of it and of ``tree``."""
+    remainders = (prune(covering.source).tree, prune(tree).tree)
+    return [covering.source] + [r for r in remainders if r is not None]
+
+
+@pytest.mark.parametrize("k", [0, 2])
+@pytest.mark.parametrize("name", ["ex1", "ex2", "ex3", "depth6", "union"])
+def test_derived_trees_match_the_checked_constructor_on_fixtures(fixtures_dir, name, k):
+    document = parse_game_bytes((fixtures_dir / f"{name}.game").read_bytes())
+    try:
+        covering, _ = unravel_payoff(document.tree, document.payoff, k)
+    except ValueError as error:  # a generator too shallow for level k
+        assert "too shallow" in str(error)
+        covering = build_base_covering(document.tree, ClosedSpec(), k)
+    for derived in _derived_trees(covering, document.tree):
+        oracles.assert_matches_checked_build(derived)
+
+
+@given(st.integers(0, 400), st.sampled_from([(4, 3), (6, 2), (6, 3), (8, 2)]))
+@settings(max_examples=25, deadline=None)
+def test_derived_trees_match_the_checked_constructor_on_seeded_arenas(seed, shape):
+    depth, branching = shape
+    tree, spec = random_game(f"ids:{seed}", depth=depth, branching=branching, taboos=4)
+    for k in (0, 2):
+        if k + 2 == depth:  # no generator is deep enough (see _generator_floor)
+            spec = ClosedSpec()
+        try:
+            covering = build_base_covering(tree, spec, k, frontier_max=4, node_max=20_000)
+        except ResourceLimitError:
+            continue
+        for derived in _derived_trees(covering, tree):
+            oracles.assert_matches_checked_build(derived)
+
+
+def test_nested_union_source_matches_the_checked_constructor():
+    covering = _nested_union_covering()
+    for derived in _derived_trees(covering, covering.target):
+        oracles.assert_matches_checked_build(derived)
+
+
+def test_checking_a_base_covering_builds_no_position_table_on_its_source():
+    tree, spec = random_game("no-table:3", depth=6, branching=3, taboos=3)
+    payoff = realize(tree, Closed(spec))
+    for k in (0, 2):
+        covering = build_base_covering(tree, spec, k)
+        assert check_position_map(covering)
+        pulled = pullback(covering, payoff)
+        assert decided_by_depth(covering.source, pulled, k + 2)
+        assert solve_via_covering(covering, payoff, k + 2).winner is solve(tree, payoff).winner
+        assert "_children" not in vars(covering.source)
+        assert "_taboo" not in vars(covering.source)
+
+
+def test_cap_rejections_keep_their_messages_and_order(fixtures_dir):
+    """Outcomes of a cap sweep, recorded from a construction that added its
+    nodes one by one and checked the caps as it went: a node count, or the
+    exact cap message."""
+    recorded = json.loads((fixtures_dir / "cap_sweep.json").read_text())
+    trees = {}
+    for key, expected in recorded.items():
+        seed, k, frontier_max, node_max = map(int, key.split("/"))
+        if seed not in trees:
+            trees[seed] = random_game(f"caps:{seed}", depth=6, branching=3)
+        tree, spec = trees[seed]
+        try:
+            outcome = build_base_covering(
+                tree, spec, k, frontier_max=frontier_max, node_max=node_max
+            ).source.node_count
+        except ResourceLimitError as error:
+            outcome = str(error)
+        assert outcome == expected, key
+
+
+def test_node_cap_admits_exactly_the_node_count():
+    for seed in range(6):
+        tree, spec = random_game(f"caps:{seed}", depth=6, branching=3)
+        for k in (0, 2):
+            count = build_base_covering(tree, spec, k).source.node_count
+            assert build_base_covering(tree, spec, k, node_max=count).source.node_count == count
+            with pytest.raises(ResourceLimitError, match=f"exceeds {count - 1} nodes"):
+                build_base_covering(tree, spec, k, node_max=count - 1)
