@@ -18,8 +18,10 @@ Inside a tree a node is an integer id, its index in that order.  The walk
 stores each parent's children as one consecutive block of ids, so an
 array of first-child offsets gives every child range, and the taboo tags
 are one byte per id.  Backward induction, taboo-pruning, the base
-construction, the covering checks and the strategy checks walk the ids;
-tuple positions appear only at the API and in the file formats.
+construction, the covering checks and the strategy checks walk the ids,
+and a covering's position map is an array of target ids by source id
+(``Covering.images``); tuple positions appear only at the API and in the
+file formats.
 
 A tree has two entries.  ``GameTree(depth, children, taboo)`` takes
 positions in any order, sorts them and checks every structural rule.

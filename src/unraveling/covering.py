@@ -19,8 +19,9 @@ take an explicit sample count and seed and are reproducible bit for bit.
 from __future__ import annotations
 
 import random
+from array import array
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable
 
 from .core import (
     CheckResult,
@@ -45,22 +46,23 @@ from .solver import Solution, solve
 class Covering:
     """Source tree, target tree, identity level, and the three maps.
 
-    ``position_map`` is an explicit node table over every source position.
-    ``strategy_transform`` maps source strategies to target strategies;
-    ``lift`` maps (source strategy, target play consistent with its image)
-    to the witnessing source play.  A base covering's strategy map is lazy:
-    its image computes each choice on first lookup, and the map's
-    invariants on a choice are checked then.  Its two maps remember the
-    last strategy they saw, by identity, so mapping a strategy again, or
-    lifting its plays after mapping it, does not map it again and keeps the
-    choices already computed; a composite gets the same from the coverings
-    it composes.
+    ``images`` is the position map by node id: for every source id, the
+    target id of that node's image, in an ``array('i')`` as long as the
+    source's node count.  ``strategy_transform`` maps source strategies to
+    target strategies; ``lift`` maps (source strategy, target play
+    consistent with its image) to the witnessing source play.  A base
+    covering's strategy map is lazy: its image computes each choice on
+    first lookup, and the map's invariants on a choice are checked then.
+    Its two maps remember the last strategy they saw, by identity, so
+    mapping a strategy again, or lifting its plays after mapping it, does
+    not map it again and keeps the choices already computed; a composite
+    gets the same from the coverings it composes.
     """
 
     source: GameTree
     target: GameTree
     level: int
-    position_map: Mapping[Position, Position]
+    images: array
     strategy_transform: Callable[[Strategy], Strategy]
     lift: Callable[[Strategy, Position], Position]
 
@@ -68,46 +70,48 @@ class Covering:
 def check_position_map(covering: Covering) -> CheckResult:
     """Exhaustive scan of the position-map axioms and the level identity.
 
-    Up to the level the two trees then agree: the identity puts each source
-    position in the target, and equal children from the root down put each
-    target position in the source.  The scan walks the source by id, so a
-    parent's image and a source tag are read by id, not looked up again.
+    The scan walks the source by id and checks each image by id: one per
+    source node, in the target, of the same length, a child of the
+    parent's image, and, where the image is tagged, tagged like the source
+    node.  Up to the level the two trees then agree: the identity puts each
+    source position in the target, and equal children from the root down
+    put each target position in the source.
     """
-    source, target = covering.source, covering.target
-    table = covering.position_map
+    source, target, level = covering.source, covering.target, covering.level
+    images = covering.images
     ordered, first, tags = source._ordered, source._first, source._tags
-    images = []  # by source id
+    target_ordered, target_first, target_tags = target._ordered, target._first, target._tags
+    if len(images) < len(ordered):
+        return CheckResult(False, f"no image for {format_position(ordered[len(images)])}")
+    if len(images) > len(ordered):
+        return CheckResult(False, f"{len(images)} images for {len(ordered)} source positions")
     parent = 0
     for i, position in enumerate(ordered):
-        try:
-            image = table[position]
-        except KeyError:
-            return CheckResult(False, f"no image for {format_position(position)}")
-        images.append(image)
-        if image not in target:
+        image = images[i]
+        if not 0 <= image < len(target_ordered):
             return CheckResult(False, f"image of {format_position(position)} not in target")
-        if len(image) != len(position):
+        if len(target_ordered[image]) != len(position):
             return CheckResult(False, f"length not preserved at {format_position(position)}")
         if i:
             while first[parent + 1] <= i:  # the child ranges follow one another
                 parent += 1
-            if images[parent] != image[:-1]:
+            above = images[parent]
+            if not target_first[above] <= image < target_first[above + 1]:
                 return CheckResult(False, f"not prefix-monotone at {format_position(position)}")
-        owner, tag = target._taboo.get(image), _OWNERS[tags[i]]
-        if owner is not None and tag is not owner:
+        owner, tag = target_tags[image], tags[i]
+        if owner and tag != owner:
             return CheckResult(
                 False, f"taboo tag not respected at {format_position(position)}"
             )
-        if len(position) > covering.level:
+        if len(position) > level:
             continue
-        if image != position:
+        if target_ordered[image] != position:
             return CheckResult(
-                False, f"not the identity at level {len(position)} <= {covering.level}"
+                False, f"not the identity at level {len(position)} <= {level}"
             )
-        if len(position) < covering.level:
-            if source._labels[i] != target.children_of(position):
-                return CheckResult(False, f"children differ at {format_position(position)}")
-        if tag is not owner:
+        if len(position) < level and source._labels[i] != target._labels[image]:
+            return CheckResult(False, f"children differ at {format_position(position)}")
+        if tag != owner:
             return CheckResult(False, f"taboo tags differ at {format_position(position)}")
     return CheckResult(True)
 
@@ -171,13 +175,17 @@ def verify_lift(covering: Covering, strategy: Strategy, play: Position) -> Check
         raise ValueError("play is not consistent with the mapped strategy")
     lifted = covering.lift(strategy, play)
     source = covering.source
-    if lifted not in source or not source.is_terminal(lifted):
+    try:
+        i = source._id(lifted)
+    except ValueError:
+        i = None
+    if i is None or source._labels[i]:
         fault = "is not a source play"
     elif not is_consistent(lifted, strategy):
         fault = "is not consistent with the strategy"
-    elif not is_prefix(image := covering.position_map[lifted], play):
+    elif not is_prefix(image := covering.target._ordered[covering.images[i]], play):
         fault = f"has the image {format_position(image)}, not a prefix of the play"
-    elif image != play and source.taboo_owner(lifted) is not strategy.owner:
+    elif image != play and _OWNERS[source._tags[i]] is not strategy.owner:
         fault = (
             f"has the image {format_position(image)}, short of the play,"
             f" with no taboo against player {strategy.owner}"
@@ -222,9 +230,12 @@ def check_lift(covering: Covering, samples: int, seed: int) -> CheckResult:
 
 def pullback(covering: Covering, payoff_leaves) -> frozenset:
     """Preimage of a payoff set: source leaves whose image lies in it."""
-    table = covering.position_map
+    ordered, images = covering.source._ordered, covering.images
+    targets = covering.target._ordered
     return frozenset(
-        leaf for leaf in covering.source.full_depth_plays() if table[leaf] in payoff_leaves
+        ordered[i]
+        for i in range(covering.source._full_depth_start(), len(ordered))
+        if targets[images[i]] in payoff_leaves
     )
 
 
@@ -234,13 +245,20 @@ def pullback_closed_spec(covering: Covering, spec: ClosedSpec) -> ClosedSpec:
     The preimage of a structurally closed set is structurally closed: its
     generators are the non-terminal source positions mapping onto the
     original generators (terminal preimages exclude no full-depth play).
-    Generator depths are unchanged because the map preserves lengths.
+    Generator depths are unchanged because the map preserves lengths.  A
+    generator that is not a target position has no preimage.
     """
-    wanted = set(spec.generators)
+    source = covering.source
+    wanted = set()
+    for generator in spec.generators:
+        try:
+            wanted.add(covering.target._id(generator))
+        except ValueError:
+            pass  # not a target position: no preimage
     return ClosedSpec(
         position
-        for position, image in covering.position_map.items()
-        if image in wanted and not covering.source.is_terminal(position)
+        for position, image, labels in zip(source._ordered, covering.images, source._labels)
+        if labels and image in wanted
     )
 
 
@@ -248,10 +266,6 @@ def compose(outer: Covering, inner: Covering) -> Covering:
     """Covering composition; the identity level is the smaller of the two."""
     if inner.target != outer.source:
         raise ValueError("composition mismatch: inner target is not outer source")
-    position_map = {
-        position: outer.position_map[image]
-        for position, image in inner.position_map.items()
-    }
 
     def transform(strategy: Strategy) -> Strategy:
         return outer.strategy_transform(inner.strategy_transform(strategy))
@@ -264,7 +278,7 @@ def compose(outer: Covering, inner: Covering) -> Covering:
         source=inner.source,
         target=outer.target,
         level=min(outer.level, inner.level),
-        position_map=position_map,
+        images=array("i", map(outer.images.__getitem__, inner.images)),
         strategy_transform=transform,
         lift=lift,
     )

@@ -65,9 +65,10 @@ def covering_dot(covering: Covering, payoff_leaves=None, *, node_max: int) -> st
     lines.append('    label="target";')
     lines.extend("  " + line for line in _node_lines(covering.target, payoff_leaves, "t:"))
     lines.append("  }")
-    for position in covering.source.positions():
+    targets = covering.target.positions()
+    for position, image_id in zip(covering.source.positions(), covering.images):
         if covering.level < len(position) <= covering.level + 2:
-            image = covering.position_map[position]
+            image = targets[image_id]
             lines.append(
                 f"  {_quoted('s:' + format_position(position))} ->"
                 f" {_quoted('t:' + format_position(image))}"

@@ -82,30 +82,36 @@ def map_closed(payoff: PayoffSpec, leaf) -> PayoffSpec:
     raise TypeError(f"not a payoff spec: {payoff!r}")
 
 
-def check_generators(tree: GameTree, spec: ClosedSpec) -> None:
-    """Generators must be non-terminal tree positions of depth 1..depth-1."""
+def check_generators(tree: GameTree, spec: ClosedSpec) -> list[int]:
+    """Generators must be non-terminal tree positions of depth 1..depth-1;
+    returns their node ids, in generator order."""
+    ids = []
     for generator in spec.generators:
-        if generator not in tree:
+        try:
+            i = tree._id(generator)
+        except ValueError:
             fault = "generator on unknown position {}"
-        elif not 1 <= len(generator) < tree.depth:
-            fault = f"generator {{}} outside depth range 1..{tree.depth - 1}"
-        elif tree.is_terminal(generator):
-            fault = "generator {} is terminal"
         else:
-            continue
+            if not 1 <= len(generator) < tree.depth:
+                fault = f"generator {{}} outside depth range 1..{tree.depth - 1}"
+            elif not tree._labels[i]:
+                fault = "generator {} is terminal"
+            else:
+                ids.append(i)
+                continue
         raise ArenaError(fault.format(format_position(generator)), generator)
+    return ids
 
 
 def realize(tree: GameTree, payoff: PayoffSpec) -> frozenset:
     """The explicit set of full-depth plays a payoff expression denotes."""
     if isinstance(payoff, Closed):
-        check_generators(tree, payoff.spec)
         # Mark each generator's subtree by one forward pass over the child
         # ranges: parents precede children.
         ordered, first = tree._ordered, tree._first
         banned = bytearray(len(ordered))
-        for generator in payoff.spec.generators:
-            banned[tree._id(generator)] = 1
+        for i in check_generators(tree, payoff.spec):
+            banned[i] = 1
         for i in range(len(ordered)):
             if banned[i]:
                 lo, hi = first[i], first[i + 1]
@@ -146,11 +152,13 @@ def _complement_generators(tree: GameTree, leaves, depth: int) -> ClosedSpec:
     a set decided by ``depth``: the non-terminal length-``depth`` prefixes
     all of whose full-depth plays lie in the set.  Positions without
     full-depth descendants are never candidates: they exclude nothing, and
-    in a taboo tree they may be terminal."""
+    in a taboo tree they may be terminal.  A prefix of a full-depth play is
+    non-terminal exactly when it is shorter than the bound, so at the bound
+    there are none."""
+    if depth == tree.depth:
+        return ClosedSpec()
     all_inside: dict[Position, bool] = {}
     for leaf in tree.full_depth_plays():
         prefix = leaf[:depth]
         all_inside[prefix] = all_inside.get(prefix, True) and leaf in leaves
-    return ClosedSpec(
-        prefix for prefix, inside in all_inside.items() if inside and not tree.is_terminal(prefix)
-    )
+    return ClosedSpec(prefix for prefix, inside in all_inside.items() if inside)

@@ -257,8 +257,9 @@ def build_base_covering(
     order of their claimed index tuples, then each claim's accepts in
     base-label order and its challenges in claimed order, then the copies.
     Both caps are checked first, from the exact node count of each move's
-    claims (see ``_checked_frontiers``); the position map is built once at
-    the end, from the finished source positions and their target images.
+    claims (see ``_checked_frontiers``).  Each node's target image id is
+    recorded when the node is written, and that array is the covering's
+    position map.
     """
     if level < 0:
         raise ValueError(f"level {level} is negative")
@@ -371,9 +372,8 @@ def build_base_covering(
     for i, tag in tags_at.items():
         out_tags[i] = tag
     source = GameTree._from_ids(tree.depth, out, out_labels, out_tags)
-    table = dict(zip(source._ordered, map(ordered.__getitem__, images)))
     transform, lift = _strategy_maps(tree, k, frontiers, accepts, challenges)
-    return BaseCovering(source, tree, k, table, transform, lift, frontiers, spec)
+    return BaseCovering(source, tree, k, images, transform, lift, frontiers, spec)
 
 
 def _checked_frontiers(

@@ -8,6 +8,7 @@ it is used to check.
 from __future__ import annotations
 
 import itertools
+from array import array
 
 from unraveling.core import (
     GameTree,
@@ -58,7 +59,7 @@ def identity_covering(tree: GameTree, level: int | None = None) -> Covering:
         source=tree,
         target=tree,
         level=tree.depth if level is None else level,
-        position_map={p: p for p in tree.positions()},
+        images=array("i", range(tree.node_count)),
         strategy_transform=lambda s: s,
         lift=lambda s, x: x,
     )

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import random
+from array import array
 from pathlib import Path
 
 import pytest
@@ -306,10 +307,11 @@ def move_one_accept_play(monkeypatch):
 
     def with_moved_play(*args, **kwargs):
         covering, decided_depth = build(*args, **kwargs)
-        table = dict(covering.position_map)
-        (moved,) = [leaf for leaf, image in table.items() if image == (0, 0, 0, 1)]
-        table[moved] = (1, 0, 0, 1)
-        return dataclasses.replace(covering, position_map=table), decided_depth
+        target, images = covering.target, array("i", covering.images)
+        kept = target._id((0, 0, 0, 1))
+        (moved,) = [i for i, image in enumerate(images) if image == kept]
+        images[moved] = target._id((1, 0, 0, 1))
+        return dataclasses.replace(covering, images=images), decided_depth
 
     monkeypatch.setattr(cli, "_covering_for", with_moved_play)
 

@@ -1,4 +1,5 @@
 import dataclasses
+from array import array
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -69,12 +70,16 @@ def test_identity_solve_via_covering_matches_solve(ex1):
 # --------------------------------------------------------------- the axioms
 
 
+def identity_images(tree):
+    return array("i", range(tree.node_count))
+
+
 def test_position_map_catches_length_violation(ex1):
     identity = oracles.identity_covering(ex1)
-    broken_table = dict(identity.position_map)
-    broken_table[(0, 0)] = (0,)
+    broken_images = array("i", identity.images)
+    broken_images[ex1._id((0, 0))] = ex1._id((0,))
     broken = Covering(
-        ex1, ex1, 0, broken_table, identity.strategy_transform, identity.lift
+        ex1, ex1, 0, broken_images, identity.strategy_transform, identity.lift
     )
     result = check_position_map(broken)
     assert not result
@@ -83,10 +88,10 @@ def test_position_map_catches_length_violation(ex1):
 
 def test_position_map_catches_monotonicity_violation(ex1):
     identity = oracles.identity_covering(ex1)
-    broken_table = dict(identity.position_map)
-    broken_table[(0, 0)] = (1, 0)
+    broken_images = array("i", identity.images)
+    broken_images[ex1._id((0, 0))] = ex1._id((1, 0))
     broken = Covering(
-        ex1, ex1, 0, broken_table, identity.strategy_transform, identity.lift
+        ex1, ex1, 0, broken_images, identity.strategy_transform, identity.lift
     )
     result = check_position_map(broken)
     assert not result
@@ -99,7 +104,7 @@ def test_position_map_catches_taboo_violation():
     target = GameTree.from_nodes(2, [(0,), (1,), (0, 0)], {(1,): Player.II})
     source = GameTree.from_nodes(2, [(0,), (1,), (0, 0)], {(1,): Player.I})
     broken = Covering(
-        source, target, 0, {p: p for p in source.positions()}, lambda s: s, lambda s, x: x
+        source, target, 0, identity_images(source), lambda s: s, lambda s, x: x
     )
     result = check_position_map(broken)
     assert not result
@@ -110,7 +115,9 @@ def test_position_map_catches_taboo_violation():
     "fault, expected",
     [
         ("no image", "no image for 0/0"),
+        ("too many images", "32 images for 31 source positions"),
         ("image not in target", "image of 1/1 not in target"),
+        ("negative image", "image of 1/1 not in target"),
         ("not the identity", "not the identity at level 2 <= 2"),
         ("children differ", "children differ at -"),
         ("taboo tags differ", "taboo tags differ at 0/0"),
@@ -118,19 +125,25 @@ def test_position_map_catches_taboo_violation():
 )
 def test_position_map_catches_each_fault(ex1, ex2, fault, expected):
     source, target, level = ex1, ex1, 0
-    table = {p: p for p in ex1.positions()}
-    if fault == "no image":
-        del table[(0, 0)]
+    images = identity_images(ex1)
+    if fault == "no image":  # the array stops just before 0/0
+        del images[ex1._id((0, 0)) :]
+    elif fault == "too many images":
+        images.append(0)
     elif fault == "image not in target":
-        table[(1, 1)] = (1, 2)
+        images[ex1._id((1, 1))] = ex1.node_count
+    elif fault == "negative image":
+        images[ex1._id((1, 1))] = -1
     elif fault == "not the identity":
-        level, table[(0, 0)] = 2, (0, 1)
+        level, images[ex1._id((0, 0))] = 2, ex1._id((0, 1))
     elif fault == "children differ":  # the source drops the root's move 1
         source = GameTree.from_nodes(4, [p for p in ex1.positions() if p and p[0] == 0])
-        level, table = 2, {p: p for p in source.positions()}
+        level = 2
+        images = array("i", map(ex1._id, source.positions()))
     else:  # the source tags 0/0 as a taboo the target does not have
-        source, level, table = ex2, 2, {p: p for p in ex2.positions()}
-    broken = Covering(source, target, level, table, lambda s: s, lambda s, x: x)
+        source, level = ex2, 2
+        images = array("i", map(ex1._id, ex2.positions()))
+    broken = Covering(source, target, level, images, lambda s: s, lambda s, x: x)
     assert check_position_map(broken) == CheckResult(False, expected)
 
 
@@ -148,7 +161,7 @@ def test_locality_catches_lookahead(ex1):
         ex1,
         ex1,
         0,
-        {p: p for p in ex1.positions()},
+        identity_images(ex1),
         nonlocal_transform,
         lambda s, x: x,
     )
@@ -179,7 +192,7 @@ def test_compose_with_identity_behaves_like_original(ex1):
     left = compose(oracles.identity_covering(ex1), base)
     right = compose(base, oracles.identity_covering(base.source))
     for composite in (left, right):
-        assert composite.position_map == dict(base.position_map)
+        assert composite.images == base.images
         assert check_position_map(composite)
         strategy = oracles.least_strategy(base.source, Player.I)
         composed_image = composite.strategy_transform(strategy)
@@ -299,7 +312,7 @@ def test_locality_catches_owner_flip(ex1):
         return flipped
 
     broken = Covering(
-        ex1, ex1, 0, {p: p for p in ex1.positions()}, owner_flipping, lambda s, x: x
+        ex1, ex1, 0, identity_images(ex1), owner_flipping, lambda s, x: x
     )
     result = check_strategy_locality(broken, 10, seed=2)
     assert not result
@@ -314,7 +327,7 @@ def test_locality_requires_identity_below_level(ex1):
         return Strategy(strategy.owner, choices)
 
     broken = Covering(
-        ex1, ex1, 2, {p: p for p in ex1.positions()}, shifted, lambda s, x: x
+        ex1, ex1, 2, identity_images(ex1), shifted, lambda s, x: x
     )
     result = check_strategy_locality(broken, 30, seed=2)
     assert not result
@@ -329,7 +342,7 @@ def test_locality_names_a_decision_position_the_image_lacks(ex1):
             strategy.owner, {p: c for p, c in strategy.choices.items() if p != (0, 1)}
         )
 
-    broken = Covering(ex1, ex1, 0, {p: p for p in ex1.positions()}, dropping, lambda s, x: x)
+    broken = Covering(ex1, ex1, 0, identity_images(ex1), dropping, lambda s, x: x)
     result = check_strategy_locality(broken, 30, seed=2)
     assert not result
     assert result.detail.endswith(": no mapped choice at 0/1")
@@ -340,7 +353,7 @@ def test_verify_lift_flags_invalid_lift(ex1):
         ex1,
         ex1,
         0,
-        {p: p for p in ex1.positions()},
+        identity_images(ex1),
         lambda s: s,
         lambda s, x: (9, 9, 9),  # not a source position at all
     )
@@ -356,9 +369,9 @@ def test_verify_lift_flags_inconsistent_lift(ex1):
 
 def test_verify_lift_flags_image_off_the_play(ex1):
     identity = oracles.identity_covering(ex1)
-    broken = dataclasses.replace(
-        identity, position_map={**identity.position_map, (0, 0, 0, 0): (0, 0, 0, 1)}
-    )
+    images = array("i", identity.images)
+    images[ex1._id((0, 0, 0, 0))] = ex1._id((0, 0, 0, 1))
+    broken = dataclasses.replace(identity, images=images)
     result = verify_lift(broken, oracles.least_strategy(ex1, Player.I), (0, 0, 0, 0))
     assert result == CheckResult(
         False, "lift 0/0/0/0 has the image 0/0/0/1, not a prefix of the play"
@@ -373,7 +386,7 @@ def test_verify_lift_flags_short_image_without_taboo_against_owner(ex1, ex2):
         ex2,
         ex1,
         0,
-        {p: p for p in ex2.positions()},
+        array("i", map(ex1._id, ex2.positions())),
         lambda s: oracles.least_strategy(ex1, s.owner),
         lambda s, x: x[:2],
     )
@@ -395,7 +408,7 @@ def test_winning_transfer_reports_counterexample(ex1):
         return Strategy(strategy.owner, choices)
 
     broken = Covering(
-        ex1, ex1, 0, {p: p for p in ex1.positions()}, sabotaged, lambda s, x: x
+        ex1, ex1, 0, identity_images(ex1), sabotaged, lambda s, x: x
     )
     result = check_winning_transfer(broken, payoff, 3, seed=4)
     assert not result

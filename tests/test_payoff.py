@@ -126,6 +126,13 @@ def test_decided_conversion_examples(ex1):
     assert realize(ex1, Closed(full)) == frozenset()
 
 
+def test_complement_at_the_depth_bound_is_empty(ex1, ex2):
+    for tree in (ex1, ex2):
+        everything = frozenset(tree.full_depth_plays())
+        assert _complement_generators(tree, everything, tree.depth) == ClosedSpec()
+        assert _complement_generators(tree, everything, tree.depth - 1) != ClosedSpec()
+
+
 def test_decided_conversion_round_trip(ex1):
     for d in (1, 2):
         for pick in (lambda l: l[0] == 0, lambda l: l[:2] == (1, 0), lambda l: False):

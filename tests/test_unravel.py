@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import json
 import math
+from array import array
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,6 +23,7 @@ from unraveling.core import (
     strategy_from,
 )
 from unraveling.covering import (
+    check_lift,
     check_position_map,
     check_strategy_locality,
     pullback,
@@ -59,6 +61,11 @@ from unraveling.unravel import (
 )
 
 import oracles
+
+
+def image_of(covering, position):
+    """The target position a source position maps to, read through its id."""
+    return covering.target.positions()[covering.images[covering.source._id(position)]]
 
 
 def leaves_with(tree, predicate):
@@ -138,7 +145,7 @@ def test_base_covering_trivial_spec_decorates_only(ex1):
     assert all(front == () for front in covering.frontiers.values())
     # one claim per move and the position map is a bijection on leaves
     assert len(covering.source.children_of(())) == 2
-    images = [covering.position_map[leaf] for leaf in covering.source.full_depth_plays()]
+    images = [image_of(covering, leaf) for leaf in covering.source.full_depth_plays()]
     assert sorted(images) == sorted(ex1.full_depth_plays())
     assert len(set(images)) == len(images)
 
@@ -147,7 +154,7 @@ def test_base_covering_inherits_taboos(ex2):
     covering = build_base_covering(ex2, ClosedSpec(), 0)
     accept_to_taboo = (Claim(0, ()), Accept(0))
     assert covering.source.taboo_owner(accept_to_taboo) is Player.II
-    assert covering.position_map[accept_to_taboo] == (0, 0)
+    assert image_of(covering, accept_to_taboo) == (0, 0)
 
 
 def test_base_covering_taboo_claim_nodes():
@@ -200,7 +207,7 @@ def test_lift_accept_branch_exact_projection(ex1):
         assert verify_lift(covering, strategy, play)
         lifted = covering.lift(strategy, play)
         assert lifted == (Claim(0, ()), Accept(play[1]), 0, play[3])
-        assert covering.position_map[lifted] == play
+        assert image_of(covering, lifted) == play
 
 
 def test_lift_truncates_at_conceded_frontier(ex1):
@@ -221,7 +228,7 @@ def test_lift_truncates_at_conceded_frontier(ex1):
         lifted = covering.lift(strategy, play)
         assert lifted == (Claim(1, ()), Accept(play[1]))
         assert covering.source.taboo_owner(lifted) is Player.I
-        assert covering.position_map[lifted] == play[:2]
+        assert image_of(covering, lifted) == play[:2]
 
 
 def test_lift_switches_to_challenge_on_claimed_frontier(ex1):
@@ -240,7 +247,7 @@ def test_lift_switches_to_challenge_on_claimed_frontier(ex1):
         assert verify_lift(covering, strategy, play)
         lifted = covering.lift(strategy, play)
         assert isinstance(lifted[1], Challenge)
-        assert covering.position_map[lifted] == play
+        assert image_of(covering, lifted) == play
 
 
 def test_second_player_strategy_maps_are_consistent(ex2):
@@ -269,7 +276,7 @@ def test_unravel_union_is_unravel_payoff_of_the_closed_union():
     direct, direct_depth = unravel_payoff(tree, ClosedUnion(specs), 0)
     assert decided_depth == direct_depth
     assert covering.source == direct.source
-    assert covering.position_map == direct.position_map
+    assert covering.images == direct.images
     with pytest.raises(ValueError, match="at least one member"):
         unravel_union(tree, [], 0)
 
@@ -280,7 +287,7 @@ def test_union_single_spec_is_single_base_covering(ex1):
     assert decided_depth == 2
     direct = build_base_covering(ex1, ClosedSpec([(1,)]), 0)
     assert covering.source == direct.source
-    assert covering.position_map == direct.position_map
+    assert covering.images == direct.images
 
 
 def test_union_two_specs_enlarged_tree():
@@ -379,7 +386,7 @@ def test_complement_takes_the_covering_of_its_operand(ex1):
     opened, open_depth = unravel_payoff(ex1, Not(Not(Not(Closed(spec)))), 0)
     assert open_depth == closed_depth == 2
     assert opened.source == closed.source
-    assert opened.position_map == closed.position_map
+    assert opened.images == closed.images
 
 
 def test_check_accept_set_names_a_play_on_the_wrong_side(ex1):
@@ -389,9 +396,9 @@ def test_check_accept_set_names_a_play_on_the_wrong_side(ex1):
         (leaf for leaf in covering.source.full_depth_plays() if isinstance(leaf[1], Challenge)),
         key=position_key,
     )
-    table = dict(covering.position_map)
-    table[challenged] = (0, 0, 0, 0)  # into the closed set
-    result = check_accept_set(dataclasses.replace(covering, position_map=table))
+    images = array("i", covering.images)
+    images[covering.source._id(challenged)] = ex1._id((0, 0, 0, 0))  # into the closed set
+    result = check_accept_set(dataclasses.replace(covering, images=images))
     assert not result
     assert result.detail == (
         f"play {format_position(challenged)} is in the pullback, not the accept set"
@@ -710,7 +717,7 @@ def test_construction_is_deterministic(ex1):
     first = build_base_covering(ex1, ClosedSpec([(1,)]), 0)
     second = build_base_covering(ex1, ClosedSpec([(1,)]), 0)
     assert first.source == second.source
-    assert first.position_map == second.position_map
+    assert first.images == second.images
     assert first.frontiers == second.frontiers
 
 
@@ -746,7 +753,7 @@ def test_union_source_order_matches_sort_oracle():
         for position in source.positions()
         for label in position
     ), "the instance must nest claims inside claimed positions"
-    assert list(source.positions()) == oracles.canonical_order_by_sort(covering.position_map)
+    assert list(source.positions()) == oracles.canonical_order_by_sort(source.positions())
 
 
 def test_structured_labels_keep_equal_hashes_and_fresh_sort_keys():
@@ -809,7 +816,20 @@ def test_nested_union_source_matches_the_checked_constructor():
         oracles.assert_matches_checked_build(derived)
 
 
-def test_checking_a_base_covering_builds_no_position_table_on_its_source():
+def recorded_stages(monkeypatch) -> list:
+    """Every base covering ``unravel_payoff`` builds from now on, in order."""
+    stages = []
+    build = unravel_module.build_base_covering
+
+    def recording(*args, **kwargs):
+        stages.append(build(*args, **kwargs))
+        return stages[-1]
+
+    monkeypatch.setattr(unravel_module, "build_base_covering", recording)
+    return stages
+
+
+def test_checking_a_base_covering_builds_no_position_table_on_its_source(monkeypatch):
     tree, spec = random_game("no-table:3", depth=6, branching=3, taboos=3)
     payoff = realize(tree, Closed(spec))
     for k in (0, 2):
@@ -818,8 +838,56 @@ def test_checking_a_base_covering_builds_no_position_table_on_its_source():
         pulled = pullback(covering, payoff)
         assert decided_by_depth(covering.source, pulled, k + 2)
         assert solve_via_covering(covering, payoff, k + 2).winner is solve(tree, payoff).winner
+        assert check_lift(covering, 4, seed=k)
         assert "_children" not in vars(covering.source)
         assert "_taboo" not in vars(covering.source)
+
+    # A union: its stages, the pulled-back generators and the decided
+    # complement are all found by id.
+    tree, specs = random_union_instance("no-table:union", depth=6, branching=2, parts=3)
+    payoff = realize(tree, ClosedUnion(specs))
+    stages = recorded_stages(monkeypatch)
+    covering, decided_depth = unravel_payoff(tree, ClosedUnion(specs), 0)
+    assert len(stages) == 4 and covering.source is stages[-1].source
+    assert check_position_map(covering)
+    assert decided_by_depth(covering.source, pullback(covering, payoff), decided_depth)
+    via = solve_via_covering(covering, payoff, decided_depth)
+    assert via.winner is solve(tree, payoff).winner
+    assert check_lift(covering, 4, seed=1)
+    for stage in stages:
+        assert "_children" not in vars(stage.source)
+        assert "_taboo" not in vars(stage.source)
+
+
+def test_composed_images_match_the_composed_position_maps(monkeypatch):
+    """A union's composite maps every source position where the stage maps,
+    composed one after the other as position tables, take it."""
+    stages = recorded_stages(monkeypatch)
+    checked = 0
+    for seed in range(6):
+        tree, specs = random_union_instance(f"compose-oracle:{seed}", depth=6, parts=3)
+        stages.clear()
+        try:
+            covering, _ = unravel_payoff(tree, ClosedUnion(specs), 0, frontier_max=3)
+        except ResourceLimitError:
+            continue
+        composed = None
+        for stage in stages:
+            targets = stage.target.positions()
+            table = {
+                position: targets[image]
+                for position, image in zip(stage.source.positions(), stage.images)
+            }
+            if composed is not None:
+                table = {position: composed[middle] for position, middle in table.items()}
+            composed = table
+        targets = covering.target.positions()
+        assert composed == {
+            position: targets[image]
+            for position, image in zip(covering.source.positions(), covering.images)
+        }
+        checked += 1
+    assert checked >= 3, checked
 
 
 def test_cap_rejections_keep_their_messages_and_order(fixtures_dir):
