@@ -34,7 +34,6 @@ from .core import (
     format_label,
     format_position,
     is_winning_strategy,
-    position_key,
 )
 from .covering import (
     check_lift,
@@ -127,7 +126,7 @@ def _check_at_least(option: str, value: int, least: int) -> None:
 
 
 def _strategy_lines(strategy: Strategy) -> list[str]:
-    rows = sorted(strategy.choices.items(), key=lambda kv: (len(kv[0]), position_key(kv[0])))
+    rows = sorted(strategy.choices.items(), key=lambda kv: (len(kv[0]), kv[0]))
     return [f"  {format_position(p)} -> {format_label(move)}" for p, move in rows]
 
 

@@ -7,12 +7,15 @@ the player it is tagged with, independent of any payoff set.
 
 Positions are tuples of move labels.  Labels are small non-negative
 integers in base games; derived games (see :mod:`unraveling.unravel`) use
-structured labels that provide their own ``sort_key``.  Structured labels
-nest, so they are immutable and compute their hash and sort key at most
-once.  Sibling order is always the canonical label order, which makes
-"lexicographically least" tie-breaking well defined everywhere; a tree
-stores all its positions in canonical order, found by one breadth-first
-walk over the sorted siblings.
+structured labels, tuples whose first item is a kind tag, so they hash,
+compare and order as the tuples they are.  In every tree the package
+builds, each index of a position holds either only integers or only
+tagged tuples, so Python's tuple order is the canonical label order: by
+tag first, and a proper prefix before its extensions.  Siblings that do
+not compare are an ``ArenaError``.  Sibling order is always the canonical
+label order, which makes "lexicographically least" tie-breaking well
+defined everywhere; a tree stores all its positions in canonical order,
+found by one breadth-first walk over the sorted siblings.
 
 Inside a tree a node is an integer id, its index in that order.  The walk
 stores each parent's children as one consecutive block of ids, so an
@@ -42,7 +45,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
 from types import MappingProxyType
-from typing import Callable, Iterable, Iterator, Mapping, Protocol, Union
+from typing import Callable, Iterable, Iterator, Mapping
 
 
 class InternalInvariantError(RuntimeError):
@@ -85,33 +88,8 @@ class Player(enum.Enum):
         return self.value
 
 
-class StructuredLabel(Protocol):
-    """A derived move label: immutable and hashable, equal by value.
-
-    Labels are hashed on every lookup of a position that holds them and
-    keyed on every sort, so an implementation computes its hash and its
-    sort key at most once and keeps them.
-    """
-
-    def __hash__(self) -> int: ...
-
-    def sort_key(self) -> tuple: ...
-
-
-Label = Union[int, StructuredLabel]
+Label = int | tuple  # an int in base games, a tagged tuple in derived ones
 Position = tuple
-
-
-def label_key(label: Label) -> tuple:
-    """Total order on move labels; plain integers sort before structured ones."""
-    if isinstance(label, int):
-        return (0, label)
-    return label.sort_key()
-
-
-def position_key(position: Position) -> tuple:
-    """Lexicographic key; a proper prefix sorts before its extensions."""
-    return tuple(label_key(label) for label in position)
 
 
 def is_prefix(p: Position, q: Position) -> bool:
@@ -182,10 +160,16 @@ class GameTree:
         shared: dict[tuple[Label, ...], tuple[Label, ...]] = {}  # equal label tuples, kept once
         for position in ordered:  # grows while it is walked
             try:
-                labels = tuple(sorted(children[position], key=label_key))
+                labels = children[position]
             except KeyError:
                 raise ArenaError(
                     f"child {format_position(position)} not stored (prefix closure)", position
+                ) from None
+            try:
+                labels = tuple(sorted(labels))
+            except TypeError:  # labels of different kinds
+                raise ArenaError(
+                    f"incomparable sibling labels under {format_position(position)}", position
                 ) from None
             first.append(len(ordered))
             tag = 0

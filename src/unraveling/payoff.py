@@ -25,7 +25,6 @@ from .core import (
     GameTree,
     Position,
     format_position,
-    position_key,
 )
 
 
@@ -36,7 +35,7 @@ class ClosedSpec:
     generators: tuple[Position, ...]
 
     def __init__(self, generators=()):
-        ordered = tuple(sorted({tuple(g) for g in generators}, key=position_key))
+        ordered = tuple(sorted({tuple(g) for g in generators}))
         object.__setattr__(self, "generators", ordered)
 
 

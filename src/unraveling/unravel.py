@@ -17,6 +17,13 @@ extensions from whose subtrees the payoff set is unreachable: the claimed
 subset is exactly the part of the frontier the first player asserts they
 can still win through taboos.
 
+The labels are tagged tuples: ``Claim(move, claimed)`` is
+``(1, move, claimed)``, ``Accept(move)`` is ``(2, move)`` and
+``Challenge(target, move)`` is ``(3, target, move)``.  A source holds
+claims only at level k, replies only at k + 1 and its target's labels
+everywhere else, so tuple order is its canonical order: the claims on a
+move by their claimed positions, and accepts before challenges.
+
 The construction writes its source in id form (see ``unraveling.core``),
 breadth first and so already in canonical order: each node gets its id
 when its parent is walked, and its child labels and tag are its target
@@ -39,6 +46,7 @@ from bisect import bisect_left
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from itertools import count, islice
+from operator import itemgetter
 
 from .core import (
     DEFAULT_NODE_MAX,
@@ -53,8 +61,6 @@ from .core import (
     _OWNERS,
     format_label,
     format_position,
-    label_key,
-    position_key,
 )
 from .covering import (
     Covering,
@@ -78,80 +84,54 @@ from .payoff import (
 DEFAULT_FRONTIER_MAX = 10
 
 
-class _KeptKeys:
-    """Shared part of the structured labels below.
-
-    A label's hash is computed once, when the label is built, and its sort
-    key on first use; both are kept.  Labels nest (a claimed position holds
-    earlier labels), so recomputing either would walk the whole nesting on
-    every dict lookup and every sort.  The key is lazy because the strategy
-    transform builds many short-lived labels it only looks up.
-    """
-
-    def sort_key(self) -> tuple:
-        try:
-            return self._sort_key
-        except AttributeError:
-            key = self._compute_sort_key()
-            object.__setattr__(self, "_sort_key", key)
-            return key
+def _fields(label: tuple) -> tuple:
+    """A tagged label's constructor arguments: everything past its tag, so
+    copies and pickles rebuild it through its constructor."""
+    return label[1:]
 
 
-@dataclass(frozen=True)
-class Claim(_KeptKeys):
-    """First player's decorated move: a base move plus the claimed frontier part."""
+class Claim(tuple):
+    """First player's decorated move: a base move plus the claimed frontier
+    part, the tuple ``(1, move, claimed)``."""
 
-    move: Label
-    claimed: tuple[Position, ...]
+    __slots__ = ()
+    move = property(itemgetter(1))
+    claimed = property(itemgetter(2))
+    __getnewargs__ = _fields
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.move, self.claimed)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def _compute_sort_key(self) -> tuple:
-        return (1, label_key(self.move), tuple(position_key(q) for q in self.claimed))
+    def __new__(cls, move: Label, claimed: tuple[Position, ...]):
+        return tuple.__new__(cls, (1, move, claimed))
 
     def __str__(self) -> str:
         inner = ",".join(format_position(q) for q in self.claimed)
         return f"{format_label(self.move)}[{inner}]"
 
 
-@dataclass(frozen=True)
-class Accept(_KeptKeys):
-    """Second player accepts the claim and plays a base move."""
+class Accept(tuple):
+    """Second player accepts the claim and plays a base move: ``(2, move)``."""
 
-    move: Label
+    __slots__ = ()
+    move = property(itemgetter(1))
+    __getnewargs__ = _fields
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.move,)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def _compute_sort_key(self) -> tuple:
-        return (2, label_key(self.move))
+    def __new__(cls, move: Label):
+        return tuple.__new__(cls, (2, move))
 
     def __str__(self) -> str:
         return f"acc({format_label(self.move)})"
 
 
-@dataclass(frozen=True)
-class Challenge(_KeptKeys):
-    """Second player challenges one claimed position; the move toward it is forced."""
+class Challenge(tuple):
+    """Second player challenges one claimed position; the move toward it is
+    forced: ``(3, target, move)``."""
 
-    target: Position
-    move: Label
+    __slots__ = ()
+    target = property(itemgetter(1))
+    move = property(itemgetter(2))
+    __getnewargs__ = _fields
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.target, self.move)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def _compute_sort_key(self) -> tuple:
-        return (3, position_key(self.target), label_key(self.move))
+    def __new__(cls, target: Position, move: Label):
+        return tuple.__new__(cls, (3, target, move))
 
     def __str__(self) -> str:
         return f"chal({format_position(self.target)})"
@@ -231,7 +211,7 @@ def check_accept_set(covering: BaseCovering) -> CheckResult:
     )
     if pulled == accepts:
         return CheckResult(True)
-    play = min(pulled ^ accepts, key=position_key)
+    play = min(pulled ^ accepts)
     side = "pullback, not the accept set" if play in pulled else "accept set, not the pullback"
     return CheckResult(False, f"play {format_position(play)} is in the {side}")
 

@@ -18,7 +18,6 @@ from unraveling.core import (
     format_position,
     is_consistent,
     is_prefix,
-    position_key,
     strategy_from,
 )
 from unraveling.covering import Covering
@@ -66,28 +65,29 @@ def identity_covering(tree: GameTree, level: int | None = None) -> Covering:
 
 
 def canonical_order_by_sort(nodes) -> list[Position]:
-    """Sort every node by length, then lexicographically by label keys."""
-    return sorted(nodes, key=lambda p: (len(p), position_key(p)))
+    """Sort every node by length, then lexicographically by fresh label keys."""
+    return sorted(nodes, key=lambda p: (len(p), fresh_position_key(p)))
 
 
 def fresh_label_key(label) -> tuple:
-    """A label's sort key recomputed through the whole nesting, reading no
-    key a label has kept."""
+    """A label's sort key built from its fields through the whole nesting:
+    integers first, then claims, accepts and challenges."""
     if isinstance(label, int):
         return (0, label)
-
-    def fresh_position(position):
-        return tuple(fresh_label_key(inner) for inner in position)
-
     if isinstance(label, Claim):
         return (
             1,
             fresh_label_key(label.move),
-            tuple(fresh_position(q) for q in label.claimed),
+            tuple(fresh_position_key(q) for q in label.claimed),
         )
     if isinstance(label, Accept):
         return (2, fresh_label_key(label.move))
-    return (3, fresh_position(label.target), fresh_label_key(label.move))
+    return (3, fresh_position_key(label.target), fresh_label_key(label.move))
+
+
+def fresh_position_key(position) -> tuple:
+    """Lexicographic by fresh label keys; a proper prefix sorts first."""
+    return tuple(fresh_label_key(label) for label in position)
 
 
 def subtree_at(tree: GameTree, position: Position) -> GameTree:

@@ -442,6 +442,15 @@ def test_sample_count_below_one_is_usage_error(fixtures_dir):
         assert err.startswith("error: --samples must be at least 1"), argv
 
 
+def test_too_shallow_generator_of_a_later_stage_is_named_as_its_label_path(fixtures_dir):
+    union = game(fixtures_dir, "union.game")
+    code, out, err = run_cli("verify", union, "--k", "2", "--samples", "3")
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: stage 1: generator 0/1/0[]/acc(1) too shallow for level 4 (need depth >= 6)\n"
+    )
+
+
 ARGV_POOL = [
     "solve", "prune", "unravel", "verify", "fuzz", "export-dot", "bogus",
     "--k", "--samples", "--seed", "--depth", "--branch", "--zmax", "--covering",

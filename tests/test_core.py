@@ -9,6 +9,7 @@ from unraveling.core import (
     Strategy,
     _evaluate,
     consistent_plays,
+    format_position,
     is_consistent,
     is_winning_strategy,
     random_strategy,
@@ -16,6 +17,7 @@ from unraveling.core import (
 )
 from unraveling.core import ResourceLimitError
 from unraveling.randgen import random_tree, rng_for
+from unraveling.unravel import Accept, Claim
 
 import oracles
 
@@ -52,6 +54,19 @@ def test_tree_rejects_taboo_at_full_depth():
 def test_tree_rejects_taboo_on_internal_node(ex1):
     with pytest.raises(ValueError, match="non-terminal"):
         GameTree.from_nodes(4, [p for p in ex1.positions() if p], {(0,): Player.I})
+
+
+def test_tree_rejects_siblings_of_different_kinds_naming_their_parent():
+    claim, accept = Claim(0, ()), Accept(1)
+    cases = [
+        ({(): [claim, 0], (0,): [0], (0, 0): [], (claim,): [0], (claim, 0): []}, ()),
+        ({(): [0], (0,): [1, accept], (0, 1): [], (0, accept): []}, (0,)),
+    ]
+    for children, parent in cases:
+        with pytest.raises(ArenaError) as raised:
+            GameTree(2, children)
+        assert str(raised.value) == f"incomparable sibling labels under {format_position(parent)}"
+        assert raised.value.position == parent
 
 
 I, II = Player.I, Player.II

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import json
 import math
+import pickle
 from array import array
 
 import pytest
@@ -18,7 +19,6 @@ from unraveling.core import (
     is_consistent,
     is_prefix,
     is_winning_strategy,
-    position_key,
     random_strategy,
     strategy_from,
 )
@@ -393,8 +393,7 @@ def test_check_accept_set_names_a_play_on_the_wrong_side(ex1):
     covering = build_base_covering(ex1, ClosedSpec([(1,)]), 0)
     assert check_accept_set(covering)
     challenged = min(
-        (leaf for leaf in covering.source.full_depth_plays() if isinstance(leaf[1], Challenge)),
-        key=position_key,
+        leaf for leaf in covering.source.full_depth_plays() if isinstance(leaf[1], Challenge)
     )
     images = array("i", covering.images)
     images[covering.source._id(challenged)] = ex1._id((0, 0, 0, 0))  # into the closed set
@@ -721,7 +720,7 @@ def test_construction_is_deterministic(ex1):
     assert first.frontiers == second.frontiers
 
 
-# ------------------------------------------- kept label keys, canonical order
+# ----------------------------------------- tagged tuple labels, canonical order
 
 
 def _nested_union_covering():
@@ -757,19 +756,25 @@ def test_union_source_order_matches_sort_oracle():
 
 
 def test_structured_labels_keep_equal_hashes_and_fresh_sort_keys():
-    source = _nested_union_covering().source
-    labels = {label for position in source.positions() for label in position}
-    kinds = {type(label) for label in labels}
-    assert {Claim, Accept, Challenge} <= kinds
-    for label in labels:
-        if isinstance(label, int):
-            continue
-        twin = _rebuilt(label)
-        assert twin is not label
-        assert twin == label and hash(twin) == hash(label)
-        assert label.sort_key() == oracles.fresh_label_key(label)
-        assert label.sort_key() is label.sort_key()
-        assert twin.sort_key() == label.sort_key()
+    nested = _nested_union_covering().source
+    base = build_base_covering(GameTree.complete(6, 2), ClosedSpec([(0, 1, 0), (1,)]), 2).source
+    for source in (nested, base):
+        for position in source.positions():
+            labels = source.children_of(position)
+            assert sorted(labels) == sorted(labels, key=oracles.fresh_label_key)
+        labels = {label for position in source.positions() for label in position}
+        assert {Claim, Accept, Challenge} <= {type(label) for label in labels}
+        for label in labels:
+            if isinstance(label, int):
+                continue
+            twin = _rebuilt(label)
+            assert twin is not label
+            assert twin == label and hash(twin) == hash(label)
+            copied = pickle.loads(pickle.dumps(label))
+            assert copied == label and type(copied) is type(label)
+    move, position = 0, (0, 1, 0)
+    assert Claim(position, move) != Challenge(position, move)
+    assert Accept(move) != move and Accept(move) != Claim(move, ())
 
 
 # ----------------------------------------- derived trees in id form, caps
