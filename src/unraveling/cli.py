@@ -20,6 +20,7 @@ tree construction and DOT export.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import time
@@ -31,7 +32,6 @@ from .core import (
     InternalInvariantError,
     ResourceLimitError,
     Strategy,
-    format_label,
     format_position,
     is_winning_strategy,
 )
@@ -127,7 +127,7 @@ def _check_at_least(option: str, value: int, least: int) -> None:
 
 def _strategy_lines(strategy: Strategy) -> list[str]:
     rows = sorted(strategy.choices.items(), key=lambda kv: (len(kv[0]), kv[0]))
-    return [f"  {format_position(p)} -> {format_label(move)}" for p, move in rows]
+    return [f"  {format_position(p)} -> {move}" for p, move in rows]
 
 
 def _load(path: str):
@@ -324,6 +324,7 @@ def cmd_export_dot(args) -> int:
     return EXIT_OK
 
 
+@functools.cache  # parse_args leaves the parser as it was, so in-process callers share one
 def _build_parser() -> _Parser:
     parser = _Parser(prog="unraveling", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

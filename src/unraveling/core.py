@@ -30,9 +30,10 @@ A tree has two entries.  ``GameTree(depth, children, taboo)`` takes
 positions in any order, sorts them and checks every structural rule.
 Derived trees (covering sources, pruned remainders) are written by their
 builders already in id form and enter through ``GameTree._from_ids``,
-which re-checks only what needs no hashing.  The tables keyed by position
-(``in``, ``children_of``, ``taboo_owner``) are built on first use, so a
-derived tree that is only walked by id never hashes its positions.
+which re-checks only what needs no hashing.  The one table keyed by
+position (for ``in``, ``children_of`` and ``taboo_owner``) is built on
+first use, so a derived tree that is only walked by id never hashes its
+positions.
 """
 
 from __future__ import annotations
@@ -96,15 +97,11 @@ def is_prefix(p: Position, q: Position) -> bool:
     return len(p) <= len(q) and q[: len(p)] == p
 
 
-def format_label(label: Label) -> str:
-    return str(label)
-
-
 def format_position(position: Position) -> str:
     """Slash path, ``-`` for the root (matches the game-file syntax)."""
     if not position:
         return "-"
-    return "/".join(format_label(label) for label in position)
+    return "/".join(map(str, position))
 
 
 class GameTree:
@@ -119,18 +116,18 @@ class GameTree:
     (``_ordered``).  The breadth-first walk stores each parent's children
     as one consecutive block of ids, and the blocks follow one another, so
     ``_first``, an ``array('i')`` of n + 1 first-child offsets, gives every
-    child range as ``_first[i]:_first[i + 1]``.  ``_labels`` holds each
-    node's child labels by id (one shared tuple per distinct label tuple),
-    and ``_tags`` its taboo tag as one byte by id, an index into
-    ``_OWNERS``.  The package's kernels walk these; tuple positions appear
-    only at the API, through two tables keyed by position: ``_children``
-    (child labels) and ``_taboo`` (owners of the tagged terminals).
+    child range as ``_first[i]:_first[i + 1]``; both entries derive it from
+    the label counts.  ``_labels`` holds each node's child labels by id (one
+    shared tuple per distinct label tuple), and ``_tags`` its taboo tag as
+    one byte by id, an index into ``_OWNERS``.  The package's kernels walk
+    these; tuple positions appear only at the API, through one table keyed
+    by position, ``_children`` (child labels).
 
     The constructor checks every structural rule and keeps the child table
     it builds on the way.  ``_from_ids`` takes positions, child labels and
-    tags from a builder that wrote them in canonical order, derives the
-    offsets and checks only the tags and the depth bound; its tree builds
-    each position table on the first lookup that needs it.
+    tags from a builder that wrote them in canonical order and checks only
+    the tags and the depth bound; its tree builds the position table on the
+    first lookup that needs it.
     """
 
     def __init__(
@@ -153,7 +150,6 @@ class GameTree:
         table: dict[Position, tuple[Label, ...]] = {}
         ordered: list[Position] = [()]
         by_id: list[tuple[Label, ...]] = []
-        first = array("i")
         tags = bytearray()
         tagged = 0
         untagged = None  # the first early terminal without a tag
@@ -171,7 +167,6 @@ class GameTree:
                 raise ArenaError(
                     f"incomparable sibling labels under {format_position(position)}", position
                 ) from None
-            first.append(len(ordered))
             tag = 0
             if labels:
                 if len(set(labels)) != len(labels):
@@ -195,7 +190,6 @@ class GameTree:
             table[position] = labels
             by_id.append(labels)
             tags.append(tag)
-        first.append(len(ordered))
         if len(ordered) != len(children):
             stray = next(p for p in children if p not in table)
             raise ArenaError(
@@ -219,14 +213,14 @@ class GameTree:
                 f"early terminal {format_position(untagged)} lacks a taboo tag (partition)",
                 untagged,
             )
-        self._store(depth, ordered, by_id, first, tags)
+        self._store(depth, ordered, by_id, tags)
         self._children = table  # shadows the table built on first use
 
-    def _store(self, depth, ordered, labels, first, tags) -> None:
+    def _store(self, depth, ordered, labels, tags) -> None:
         self.depth = depth
         self._ordered = tuple(ordered)
         self._labels = labels
-        self._first = first
+        self._first = array("i", accumulate(map(len, labels), initial=1))
         self._tags = tags
         self._decisions: dict[Player, Mapping[Position, tuple[Label, ...]]] = {}
 
@@ -241,11 +235,9 @@ class GameTree:
         """A tree from arrays its builder wrote in canonical order: the
         positions, their child labels and their tag bytes, by id.
 
-        Breadth first, node i's children come after the root and the
-        children of every node before it, which gives the first-child
-        offsets.  Only the checks that need no hashing run: exactly the
-        early terminals carry a tag, and no node lies past the depth bound.
-        A failure is a fault of the builder, not of any input.
+        Only the checks that need no hashing run: exactly the early
+        terminals carry a tag, and no node lies past the depth bound.  A
+        failure is a fault of the builder, not of any input.
         """
         if len(ordered[-1]) > depth:
             raise InternalInvariantError(
@@ -260,17 +252,12 @@ class GameTree:
                 f"taboo tag at {format_position(ordered[fault])} does not match an early terminal"
             )
         tree = cls.__new__(cls)
-        first = array("i", accumulate(map(len, labels), initial=1))
-        tree._store(depth, ordered, labels, first, tags)
+        tree._store(depth, ordered, labels, tags)
         return tree
 
     @cached_property
     def _children(self) -> dict[Position, tuple[Label, ...]]:
         return dict(zip(self._ordered, self._labels))
-
-    @cached_property
-    def _taboo(self) -> dict[Position, Player]:
-        return {p: _OWNERS[tag] for p, tag in zip(self._ordered, self._tags) if tag}
 
     @classmethod
     def from_nodes(
@@ -344,7 +331,7 @@ class GameTree:
         """The player for whom this early terminal is a loss, if tagged."""
         if position not in self._children:
             raise ValueError(f"unknown position {format_position(position)}")
-        return self._taboo.get(position)
+        return _OWNERS[self._tags[self._id(position)]]
 
     def taboo_items(self) -> Iterator[tuple[Position, Player]]:
         for position, tag in zip(self._ordered, self._tags):

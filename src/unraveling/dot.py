@@ -10,7 +10,7 @@ to their images.
 
 from __future__ import annotations
 
-from .core import GameTree, ResourceLimitError, format_position
+from .core import _OWNERS, GameTree, ResourceLimitError, format_position
 from .covering import Covering
 
 _QUOTE = str.maketrans({'"': '\\"', "\\": "\\\\"})
@@ -20,24 +20,27 @@ def _quoted(text: str) -> str:
     return '"' + text.translate(_QUOTE) + '"'
 
 
-def _node_lines(tree: GameTree, payoff_leaves, prefix: str) -> list[str]:
-    positions = tree.positions()
-    names = {position: _quoted(prefix + format_position(position)) for position in positions}
+def _node_lines(tree: GameTree, payoff_leaves, prefix: str) -> tuple[list[str], list[str]]:
+    """A tree's node and edge lines, and its quoted node names by id."""
+    positions, first, tags = tree.positions(), tree._first, tree._tags
+    paths = [format_position(position) for position in positions]
+    names = [_quoted(prefix + path) for path in paths]
     lines = []
-    for position in positions:
-        owner = tree.taboo_owner(position)
-        attrs = [f"label={_quoted(format_position(position))}"]
-        if owner is not None:
-            attrs.append("shape=box")
-            attrs.append(f"xlabel={_quoted(f'taboo:{owner}')}")
-        elif payoff_leaves is not None and position in payoff_leaves:
-            attrs.append("shape=doublecircle")
+    for i, path in enumerate(paths):
+        if tags[i]:
+            style = f"shape=box, xlabel={_quoted(f'taboo:{_OWNERS[tags[i]]}')}"
+        elif payoff_leaves is not None and positions[i] in payoff_leaves:
+            style = "shape=doublecircle"
         else:
-            attrs.append("shape=ellipse")
-        lines.append(f"  {names[position]} [{', '.join(attrs)}];")
+            style = "shape=ellipse"
+        lines.append(f"  {names[i]} [label={_quoted(path)}, {style}];")
     # canonical order lists each parent's children together, parents in order
-    lines.extend(f"  {names[p[:-1]]} -> {names[p]};" for p in positions[1:])
-    return lines
+    lines.extend(
+        f"  {names[i]} -> {names[child]};"
+        for i in range(len(names))
+        for child in range(first[i], first[i + 1])
+    )
+    return lines, names
 
 
 def _check_size(count: int, node_max: int) -> None:
@@ -48,7 +51,7 @@ def _check_size(count: int, node_max: int) -> None:
 def tree_dot(tree: GameTree, payoff_leaves=None, *, node_max: int) -> str:
     _check_size(tree.node_count, node_max)
     lines = ["digraph game {", "  rankdir=TB;"]
-    lines.extend(_node_lines(tree, payoff_leaves, ""))
+    lines.extend(_node_lines(tree, payoff_leaves, "")[0])
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -56,23 +59,21 @@ def tree_dot(tree: GameTree, payoff_leaves=None, *, node_max: int) -> str:
 def covering_dot(covering: Covering, payoff_leaves=None, *, node_max: int) -> str:
     """Both trees plus dashed position-map links from the decorated levels."""
     _check_size(covering.source.node_count + covering.target.node_count, node_max)
+    source_lines, source_names = _node_lines(covering.source, None, "s:")
+    target_lines, target_names = _node_lines(covering.target, payoff_leaves, "t:")
     lines = ["digraph covering {", "  rankdir=TB;"]
     lines.append("  subgraph cluster_source {")
     lines.append('    label="source";')
-    lines.extend("  " + line for line in _node_lines(covering.source, None, "s:"))
+    lines.extend("  " + line for line in source_lines)
     lines.append("  }")
     lines.append("  subgraph cluster_target {")
     lines.append('    label="target";')
-    lines.extend("  " + line for line in _node_lines(covering.target, payoff_leaves, "t:"))
+    lines.extend("  " + line for line in target_lines)
     lines.append("  }")
-    targets = covering.target.positions()
-    for position, image_id in zip(covering.source.positions(), covering.images):
+    for i, (position, image) in enumerate(zip(covering.source.positions(), covering.images)):
         if covering.level < len(position) <= covering.level + 2:
-            image = targets[image_id]
             lines.append(
-                f"  {_quoted('s:' + format_position(position))} ->"
-                f" {_quoted('t:' + format_position(image))}"
-                " [style=dashed, constraint=false];"
+                f"  {source_names[i]} -> {target_names[image]} [style=dashed, constraint=false];"
             )
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -23,9 +23,10 @@ the expressions ``Closed(spec)``, ``Not(Closed(spec))`` and
 ``Union(Closed(spec), ...)``.  No other payoff expression can be written.
 
 A parsed document is ``GameDocument(alphabet, tree, payoff)``.  The parser
-checks the text; the tree is built once, and ``GameTree`` and
-``check_generators`` are the only structural checks.  Every parse error
-carries a line (and where sensible a column) number: a structural error
+checks the text, reading each list section up to the keyword that ends
+it; the tree is built once, and ``GameTree`` and ``check_generators`` are
+the only structural checks.  Every parse error carries a line (and where
+sensible a column, found in the line's text) number: a structural error
 is reported on the TABOOS line of a tagged position, on the NODES line of
 any other, on the line of a generator, or on the DEPTH line for an illegal
 depth bound.
@@ -68,63 +69,77 @@ class GameDocument:
     payoff: PayoffSpec
 
 
-_TOKEN = re.compile(r"\S+")
+_TOKEN = re.compile(r"\S+")  # a token, as ``str.split`` finds it
+
+
+def _col(raw: str, i: int) -> int:
+    """The column of token ``i`` of a line, worked out only for an error."""
+    return list(_TOKEN.finditer(raw))[i].start() + 1
 
 
 class _Lines:
+    """The rows that are not blank or comments, each as its line number,
+    tokens and text, read from ``cursor`` on."""
+
     def __init__(self, text: str):
-        self.rows: list[tuple[int, list[tuple[int, str]]]] = []
+        self.rows: list[tuple[int, list[str], str]] = []
         for number, raw in enumerate(text.splitlines(), start=1):
-            stripped = raw.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            tokens = [(m.start() + 1, m.group()) for m in _TOKEN.finditer(raw)]
-            self.rows.append((number, tokens))
+            tokens = raw.split()
+            if tokens and not tokens[0].startswith("#"):
+                self.rows.append((number, tokens, raw))
         self.cursor = 0
+        self.last_line = self.rows[-1][0] if self.rows else 1
 
     def peek(self):
         return self.rows[self.cursor] if self.cursor < len(self.rows) else None
 
-    def take(self):
-        row = self.peek()
-        if row is not None:
+    def until(self, keyword: str, missing: str | None = None):
+        """Yield the rows before the next one that starts with ``keyword``;
+        running out of rows raises the error ``missing``, if one is given."""
+        while (row := self.peek()) is not None:
+            if row[1][0] == keyword:
+                return
             self.cursor += 1
-        return row
-
-    @property
-    def last_line(self) -> int:
-        return self.rows[-1][0] if self.rows else 1
+            yield row
+        if missing is not None:
+            raise GameDocError(missing, self.last_line)
 
 
-def _parse_path(token: str, line: int, col: int, alphabet: int) -> Position:
+def _parse_path(token: str, line: int, raw: str, alphabet: int) -> Position:
+    """The position a path token names; paths are the first token of their line."""
     if token == "-":
         return ()
     labels = []
     for part in token.split("/"):
         if not (part.isascii() and part.isdigit()):
-            raise GameDocError(f"bad path component {part!r}", line, col)
+            raise GameDocError(f"bad path component {part!r}", line, _col(raw, 0))
         label = int(part)
         if label >= alphabet:
-            raise GameDocError(f"label {label} outside alphabet 0..{alphabet - 1}", line, col)
+            raise GameDocError(
+                f"label {label} outside alphabet 0..{alphabet - 1}", line, _col(raw, 0)
+            )
         labels.append(label)
     return tuple(labels)
 
 
-def _expect_header(lines: _Lines, keyword: str, argc: int):
-    row = lines.take()
+def _expect_header(lines: _Lines, keyword: str, argc: int) -> tuple[int, list[str], str]:
+    row = lines.peek()
     if row is None:
         raise GameDocError(f"missing {keyword} section", lines.last_line)
-    line, tokens = row
-    if not tokens or tokens[0][1] != keyword:
-        raise GameDocError(f"expected {keyword!r}, got {tokens[0][1]!r}", line, tokens[0][0])
+    lines.cursor += 1
+    line, tokens, raw = row
+    if tokens[0] != keyword:
+        raise GameDocError(f"expected {keyword!r}, got {tokens[0]!r}", line, _col(raw, 0))
     if len(tokens) != 1 + argc:
         raise GameDocError(f"{keyword} takes {argc} argument(s)", line)
-    return line, tokens[1:]
+    return row
 
 
-def _int_arg(keyword: str, line: int, col: int, token: str) -> int:
+def _int_arg(header: tuple[int, list[str], str]) -> int:
+    """The argument of a one-argument header row, a non-negative integer."""
+    line, (keyword, token), raw = header
     if not (token.isascii() and token.isdigit()):
-        raise GameDocError(f"{keyword} must be a non-negative integer", line, col)
+        raise GameDocError(f"{keyword} must be a non-negative integer", line, _col(raw, 1))
     return int(token)
 
 
@@ -137,99 +152,73 @@ def parse_game(text: str) -> GameDocument:
     errors are mapped to the line of the offending entry."""
     lines = _Lines(text)
 
-    line, args = _expect_header(lines, "GAME", 1)
-    version = args[0][1]
+    line, (_, version), raw = _expect_header(lines, "GAME", 1)
     if version != VERSION:
-        raise GameDocError(f"unsupported version {version!r}", line, args[0][0])
-    line, args = _expect_header(lines, "ALPHABET", 1)
-    alphabet = _int_arg("ALPHABET", line, args[0][0], args[0][1])
+        raise GameDocError(f"unsupported version {version!r}", line, _col(raw, 1))
+    header = _expect_header(lines, "ALPHABET", 1)
+    alphabet = _int_arg(header)
     if alphabet < 1:
-        raise GameDocError("ALPHABET must be at least 1", line)
-    depth_line, args = _expect_header(lines, "DEPTH", 1)
-    depth = _int_arg("DEPTH", depth_line, args[0][0], args[0][1])
+        raise GameDocError("ALPHABET must be at least 1", header[0])
+    header = _expect_header(lines, "DEPTH", 1)
+    depth, depth_line = _int_arg(header), header[0]
 
-    nodes_line, _ = _expect_header(lines, "NODES", 0)
+    nodes_line, _, _ = _expect_header(lines, "NODES", 0)
     node_lines: dict[Position, int] = {(): nodes_line}
-    while True:
-        row = lines.peek()
-        if row is None:
-            raise GameDocError("missing TABOOS section", lines.last_line)
-        line, tokens = row
-        if tokens[0][1] == "TABOOS":
-            break
+    for line, tokens, raw in lines.until("TABOOS", "missing TABOOS section"):
         if len(tokens) != 1:
-            raise GameDocError("node lines carry a single path", line, tokens[1][0])
-        col, token = tokens[0]
-        position = _parse_path(token, line, col, alphabet)
+            raise GameDocError("node lines carry a single path", line, _col(raw, 1))
+        position = _parse_path(tokens[0], line, raw, alphabet)
         if not position:
-            raise GameDocError("the root is implicit and not listed", line, col)
+            raise GameDocError("the root is implicit and not listed", line, _col(raw, 0))
         if position in node_lines:
-            raise GameDocError(f"duplicate node {token}", line, col)
+            raise GameDocError(f"duplicate node {tokens[0]}", line, _col(raw, 0))
         node_lines[position] = line
-        lines.take()
 
     _expect_header(lines, "TABOOS", 0)
     taboos: dict[Position, Player] = {}
     taboo_lines: dict[Position, int] = {}
-    while True:
-        row = lines.peek()
-        if row is None:
-            raise GameDocError("missing PAYOFF section", lines.last_line)
-        line, tokens = row
-        if tokens[0][1] == "PAYOFF":
-            break
+    for line, tokens, raw in lines.until("PAYOFF", "missing PAYOFF section"):
         if len(tokens) != 2:
             raise GameDocError("taboo lines carry a path and a player", line)
-        col, token = tokens[0]
-        position = _parse_path(token, line, col, alphabet)
-        owner_col, owner_token = tokens[1]
-        if owner_token not in ("I", "II"):
-            raise GameDocError(f"player must be I or II, got {owner_token!r}", line, owner_col)
+        path, owner = tokens
+        position = _parse_path(path, line, raw, alphabet)
+        if owner not in ("I", "II"):
+            raise GameDocError(f"player must be I or II, got {owner!r}", line, _col(raw, 1))
         if position in taboos:
-            raise GameDocError(f"duplicate taboo for {token}", line, col)
-        taboos[position] = Player(owner_token)
+            raise GameDocError(f"duplicate taboo for {path}", line, _col(raw, 0))
+        taboos[position] = Player(owner)
         taboo_lines[position] = line
-        lines.take()
 
-    header_line, args = _expect_header(lines, "PAYOFF", 1)
-    kind_col, kind = args[0]
+    header_line, (_, kind), raw = _expect_header(lines, "PAYOFF", 1)
     if kind not in ("closed", "open", "union"):
         raise GameDocError(f"payoff kind must be closed, open or union, got {kind!r}",
-                           header_line, kind_col)
+                           header_line, _col(raw, 1))
 
     def read_generators() -> dict[Position, int]:
         """One block of generator paths, each with the line it first appears on."""
         generator_lines: dict[Position, int] = {}
-        while True:
-            row = lines.peek()
-            if row is None:
-                break
-            line, tokens = row
-            if tokens[0][1] == "CLOSED":
-                break
+        for line, tokens, raw in lines.until("CLOSED"):
             if len(tokens) != 1:
-                raise GameDocError("generator lines carry a single path", line, tokens[1][0])
-            col, token = tokens[0]
-            generator_lines.setdefault(_parse_path(token, line, col, alphabet), line)
-            lines.take()
+                raise GameDocError("generator lines carry a single path", line, _col(raw, 1))
+            generator_lines.setdefault(_parse_path(tokens[0], line, raw, alphabet), line)
         return generator_lines
 
     blocks = []
     if kind in ("closed", "open"):
         blocks.append(read_generators())
-        if lines.peek() is not None:
-            line, tokens = lines.peek()
-            raise GameDocError(f"unexpected {tokens[0][1]!r}", line, tokens[0][0])
+        if (row := lines.peek()) is not None:
+            line, tokens, raw = row
+            raise GameDocError(f"unexpected {tokens[0]!r}", line, _col(raw, 0))
     else:
         if lines.peek() is None:
             raise GameDocError("union payoff needs at least one CLOSED block", header_line)
-        while lines.peek() is not None:
-            line, tokens = lines.peek()
-            if tokens[0][1] != "CLOSED":
-                raise GameDocError(f"expected 'CLOSED', got {tokens[0][1]!r}", line, tokens[0][0])
+        while (row := lines.peek()) is not None:
+            line, tokens, raw = row
+            if tokens[0] != "CLOSED":
+                raise GameDocError(f"expected 'CLOSED', got {tokens[0]!r}", line, _col(raw, 0))
             if len(tokens) != 1:
                 raise GameDocError("CLOSED takes no arguments", line)
-            lines.take()
+            lines.cursor += 1
             blocks.append(read_generators())
     specs = [ClosedSpec(block) for block in blocks]
 

@@ -58,8 +58,10 @@ def random_tree(
 
     taboo: dict[Position, Player] = {}
     for position in chosen:
-        for other in [q for q in children if is_prefix(position, q) and q != position]:
-            del children[other]
+        below = [position + (label,) for label in children[position]]
+        while below:  # cut the subtree by walking its child lists
+            node = below.pop()
+            below.extend(node + (label,) for label in children.pop(node))
         children[position] = []
         taboo[position] = rng.choice([Player.I, Player.II])
     return GameTree(depth, children, taboo)

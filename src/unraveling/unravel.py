@@ -59,7 +59,6 @@ from .core import (
     ResourceLimitError,
     Strategy,
     _OWNERS,
-    format_label,
     format_position,
 )
 from .covering import (
@@ -104,7 +103,7 @@ class Claim(tuple):
 
     def __str__(self) -> str:
         inner = ",".join(format_position(q) for q in self.claimed)
-        return f"{format_label(self.move)}[{inner}]"
+        return f"{self.move}[{inner}]"
 
 
 class Accept(tuple):
@@ -118,7 +117,7 @@ class Accept(tuple):
         return tuple.__new__(cls, (2, move))
 
     def __str__(self) -> str:
-        return f"acc({format_label(self.move)})"
+        return f"acc({self.move})"
 
 
 class Challenge(tuple):

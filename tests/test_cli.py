@@ -405,6 +405,16 @@ def test_exit_code_contract(fixtures_dir, tmp_path):
     assert run_cli("unravel", game(fixtures_dir, "ex1.game"), "--k", "6")[0] == 1
 
 
+def test_usage_error_after_a_run_keeps_its_message(fixtures_dir):
+    """One parser serves every call in a process; a run leaves nothing in it."""
+    ex1 = game(fixtures_dir, "ex1.game")
+    before = run_cli("verify", ex1, "--samples", "many")
+    assert run_cli("verify", ex1, "--samples", "2", "--seed", "5")[0] == 0
+    assert run_cli("verify", ex1, "--samples", "many") == before
+    assert before[:2] == (1, "")
+    assert before[2] == "error: argument --samples: invalid int value: 'many'\n"
+
+
 def test_argument_and_environment_errors_exit_one(fixtures_dir, monkeypatch):
     assert run_cli("fuzz", "--depth", "3")[0] == 1
     for branch in ("0", "-1"):
@@ -545,6 +555,16 @@ def test_internal_value_error_exits_two_in_one_line(fixtures_dir, monkeypatch):
     assert len(err.splitlines()) == 1
     assert "not total" in err
     assert "Traceback" not in err
+
+
+def test_internal_invariant_error_exits_two_in_one_line(fixtures_dir, monkeypatch):
+    def broken_prune(tree):
+        raise cli.InternalInvariantError("taboo tag at 0/0 does not match an early terminal")
+
+    monkeypatch.setattr(cli, "prune", broken_prune)
+    assert run_cli("prune", game(fixtures_dir, "ex2.game")) == (
+        2, "", "internal invariant violated: taboo tag at 0/0 does not match an early terminal\n"
+    )
 
 
 def test_fuzz_deep_chain_within_default_recursion_limit():

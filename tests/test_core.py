@@ -121,6 +121,10 @@ I, II = Player.I, Player.II
             "early terminal 1 lacks a taboo tag (partition)", (1,),
             id="two-untagged-early-terminals-first-in-canonical-order",
         ),
+        pytest.param(
+            2, {(1,): []}, {(9,): II}, "missing root position", (),
+            id="missing-root-before-stray-node-and-unknown-tag",
+        ),
     ],
 )
 def test_tree_names_its_first_fault_on_inputs_with_several(
@@ -320,6 +324,10 @@ def test_is_winning_strategy_names_the_first_lost_play(ex1):
 def test_strategy_move_at_missing_position(ex1):
     with pytest.raises(ValueError, match="not total"):
         Strategy(Player.I, {}).move_at((0, 0))
+    choices = dict(strategy_from(ex1, Player.I, always(0)).choices)
+    choices[(0, 1)] = 7  # a label that is not a child
+    with pytest.raises(ValueError, match="unknown position 0/1/7"):
+        consistent_plays(ex1, Strategy(Player.I, choices))
 
 
 def test_tree_equality(ex1):

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -256,3 +257,79 @@ def test_printer_refuses_what_the_format_cannot_write(ex1):
     covering = build_base_covering(ex1, ClosedSpec([(1,)]), 0)
     with pytest.raises(ValueError, match="only base games with integer labels"):
         to_document(covering.source, Closed(ClosedSpec()))
+
+
+# The mutation corpus: case i edits one fixture, chosen and edited by
+# ``random.Random(f"gamedoc-mutation:{i}")``, one to three times.
+MUTATION_CASES = 1200
+_MUTATION_TOKENS = [
+    "0", "1", "2", "3", "-", "0/0", "1/0/1", "0/0/0/0/0", "0//1", "I", "II", "X",
+    "NODES", "TABOOS", "PAYOFF", "CLOSED", "closed", "open", "union", "v2", "#", "\u00b3",
+]
+_MUTATION_LINES = [
+    "", "# note", "0", "0/0", "1/1/1", "- I", "0/1 II", "NODES", "TABOOS",
+    "PAYOFF closed", "PAYOFF open", "PAYOFF union", "CLOSED", "CLOSED 1", "DEPTH 4",
+]
+_MUTATION_SPACES = ["\t", "\u00a0", "\u2003", "\u3000", " \t "]
+
+
+def _mutated(index: int, texts: dict[str, str]) -> tuple[str, str]:
+    """The fixture name and mutated text of case ``index``: tokens inserted
+    or replaced, lines inserted, dropped, duplicated or swapped, and tabs
+    or Unicode spaces as separators and padding."""
+    rng = random.Random(f"gamedoc-mutation:{index}")
+    name = rng.choice(sorted(texts))
+    lines = texts[name].splitlines()
+    for _ in range(rng.randint(1, 3)):
+        op = rng.randrange(7)
+        at = rng.randrange(len(lines))
+        if rng.random() < 0.5:  # the short tail: TABOOS and PAYOFF
+            at = max(0, len(lines) - rng.randint(1, 6))
+        if op in (0, 1):  # insert or replace a token
+            words = lines[at].split(" ")
+            if op == 0:
+                words.insert(rng.randint(0, len(words)), rng.choice(_MUTATION_TOKENS))
+            else:
+                words[rng.randrange(len(words))] = rng.choice(_MUTATION_TOKENS)
+            lines[at] = " ".join(words)
+        elif op == 2:
+            lines.insert(at, rng.choice(_MUTATION_LINES))
+        elif op == 3:
+            if len(lines) > 1:
+                del lines[at]
+        elif op == 4:
+            lines.insert(at, lines[at])
+        elif op == 5:
+            other = rng.randrange(len(lines))
+            lines[at], lines[other] = lines[other], lines[at]
+        else:
+            space = rng.choice(_MUTATION_SPACES)
+            where = rng.randrange(3)
+            if where == 0:
+                lines[at] = lines[at].replace(" ", space)
+            elif where == 1:
+                lines[at] = space + lines[at]
+            else:
+                lines[at] += space
+    return name, "\n".join(lines) + "\n"
+
+
+def _mutation_outcome(text: str, fixture: str):
+    """``None`` for the fixture's own document, the canonical text of any
+    other document, or a rejection's message, line and column."""
+    try:
+        canonical = format_game(parse_game(text))
+    except GameDocError as error:
+        return [error.message, error.line, error.col]
+    return None if canonical == fixture else canonical
+
+
+def test_mutated_fixtures_keep_their_recorded_outcomes(fixtures_dir):
+    """Every case of the mutation corpus parses to the recorded document, or
+    is rejected with the recorded message, line and column."""
+    texts = {path.name: path.read_text() for path in fixtures_dir.glob("*.game")}
+    recorded = json.loads((fixtures_dir / "gamedoc_mutations.json").read_text())
+    assert len(recorded) == MUTATION_CASES
+    for index, expected in enumerate(recorded):
+        name, text = _mutated(index, texts)
+        assert _mutation_outcome(text, texts[name]) == expected, (index, name, text)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from unraveling.core import (
+    DEFAULT_NODE_MAX,
     GameTree,
     InternalInvariantError,
     Player,
@@ -30,6 +31,7 @@ from unraveling.covering import (
     solve_via_covering,
     verify_lift,
 )
+from unraveling.dot import covering_dot
 from unraveling.gamedoc import parse_game_bytes
 from unraveling.payoff import (
     Closed,
@@ -844,8 +846,8 @@ def test_checking_a_base_covering_builds_no_position_table_on_its_source(monkeyp
         assert decided_by_depth(covering.source, pulled, k + 2)
         assert solve_via_covering(covering, payoff, k + 2).winner is solve(tree, payoff).winner
         assert check_lift(covering, 4, seed=k)
+        assert covering_dot(covering, payoff, node_max=DEFAULT_NODE_MAX)
         assert "_children" not in vars(covering.source)
-        assert "_taboo" not in vars(covering.source)
 
     # A union: its stages, the pulled-back generators and the decided
     # complement are all found by id.
@@ -859,9 +861,10 @@ def test_checking_a_base_covering_builds_no_position_table_on_its_source(monkeyp
     via = solve_via_covering(covering, payoff, decided_depth)
     assert via.winner is solve(tree, payoff).winner
     assert check_lift(covering, 4, seed=1)
+    assert covering_dot(covering, payoff, node_max=DEFAULT_NODE_MAX)
     for stage in stages:
+        assert covering_dot(stage, None, node_max=DEFAULT_NODE_MAX)
         assert "_children" not in vars(stage.source)
-        assert "_taboo" not in vars(stage.source)
 
 
 def test_composed_images_match_the_composed_position_maps(monkeypatch):
