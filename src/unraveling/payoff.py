@@ -102,19 +102,26 @@ def check_generators(tree: GameTree, spec: ClosedSpec) -> list[int]:
     return ids
 
 
+def _banned(tree: GameTree, spec: ClosedSpec) -> bytearray:
+    """By id, 1 on every node at or below a generator (``check_generators``
+    first): one forward pass, parents before children.  The closed set is
+    the full-depth plays left at 0."""
+    first = tree._first
+    banned = bytearray(len(tree._ordered))
+    for i in check_generators(tree, spec):
+        banned[i] = 1
+    for i in range(len(banned)):
+        if banned[i]:
+            lo, hi = first[i], first[i + 1]
+            banned[lo:hi] = b"\x01" * (hi - lo)
+    return banned
+
+
 def realize(tree: GameTree, payoff: PayoffSpec) -> frozenset:
-    """The explicit set of full-depth plays a payoff expression denotes."""
+    """The explicit set of full-depth plays a payoff expression denotes; a
+    closed set's are those ``_banned`` leaves at 0."""
     if isinstance(payoff, Closed):
-        # Mark each generator's subtree by one forward pass over the child
-        # ranges: parents precede children.
-        ordered, first = tree._ordered, tree._first
-        banned = bytearray(len(ordered))
-        for i in check_generators(tree, payoff.spec):
-            banned[i] = 1
-        for i in range(len(ordered)):
-            if banned[i]:
-                lo, hi = first[i], first[i + 1]
-                banned[lo:hi] = b"\x01" * (hi - lo)
+        banned, ordered = _banned(tree, payoff.spec), tree._ordered
         start = tree._full_depth_start()
         return frozenset(
             ordered[i] for i in range(start, len(ordered)) if not banned[i]
@@ -148,16 +155,12 @@ def decided_by_depth(tree: GameTree, leaves, depth: int) -> CheckResult:
 
 def _complement_generators(tree: GameTree, leaves, depth: int) -> ClosedSpec:
     """Generators at ``depth`` whose closed realization is the complement of
-    a set decided by ``depth``: the non-terminal length-``depth`` prefixes
-    all of whose full-depth plays lie in the set.  Positions without
-    full-depth descendants are never candidates: they exclude nothing, and
-    in a taboo tree they may be terminal.  A prefix of a full-depth play is
-    non-terminal exactly when it is shorter than the bound, so at the bound
-    there are none."""
+    ``leaves``, which must be decided by ``depth`` (``decided_by_depth``):
+    the length-``depth`` prefixes of its plays, all of whose full-depth
+    plays are then in the set.  Positions without full-depth descendants
+    are never candidates: they exclude nothing, and in a taboo tree they
+    may be terminal.  A prefix of a full-depth play is non-terminal exactly
+    when it is shorter than the bound, so at the bound there are none."""
     if depth == tree.depth:
         return ClosedSpec()
-    all_inside: dict[Position, bool] = {}
-    for leaf in tree.full_depth_plays():
-        prefix = leaf[:depth]
-        all_inside[prefix] = all_inside.get(prefix, True) and leaf in leaves
-    return ClosedSpec(prefix for prefix, inside in all_inside.items() if inside)
+    return ClosedSpec(leaf[:depth] for leaf in leaves)

@@ -29,9 +29,10 @@ breadth first and so already in canonical order: each node gets its id
 when its parent is walked, and its child labels and tag are its target
 image's unless it is a claim, a reply, a cut frontier position or a node
 on a challenged chain.  Before any node is written the frontier of every
-move is found and the source's exact node count is summed move by move
-from subtree sizes of the target, so either cap fails at the same move,
-with the same message, as if the nodes were built one by one.
+move is read off the generator marks, in the reverse pass that sums the
+target's subtree sizes, and the source's exact node count is summed move
+by move from them, so either cap fails at the same move, with the same
+message, as if the nodes were built one by one.
 
 ``unravel_payoff`` unravels any payoff expression by induction: unions
 stack their parts' coverings at climbing identity levels and finish with
@@ -74,6 +75,7 @@ from .payoff import (
     Not,
     PayoffSpec,
     Union,
+    _banned,
     _complement_generators,
     decided_by_depth,
     map_closed,
@@ -157,20 +159,6 @@ def _generator_floor(k: int, depth: int) -> int:
     return 1 if k + 2 < depth else k + 2
 
 
-def _meets(tree: GameTree, payoff_leaves) -> bytearray:
-    """By id, 1 on every node some play of the payoff set passes through:
-    one reverse pass, children before parents."""
-    ordered, first = tree._ordered, tree._first
-    meets = bytearray(len(ordered))
-    for i in range(len(ordered) - 1, -1, -1):
-        lo, hi = first[i], first[i + 1]
-        if lo < hi:
-            meets[i] = meets.find(1, lo, hi) >= 0
-        elif ordered[i] in payoff_leaves:
-            meets[i] = 1
-    return meets
-
-
 def _frontier(tree: GameTree, meets: bytearray, start: int) -> list[int]:
     """The frontier below node ``start``: the ids of its minimal non-terminal
     extensions outside ``meets``.  Depth first, least child first, so the
@@ -245,7 +233,7 @@ def build_base_covering(
     k = level + level % 2
     if k + 2 > tree.depth:
         raise ValueError(f"level {k} needs depth {k + 2}, bound is {tree.depth}")
-    leaves = realize(tree, Closed(spec))  # checks the generators first
+    banned = _banned(tree, spec)  # checks the generators first
     floor = _generator_floor(k, tree.depth)
     for generator in spec.generators:
         if len(generator) < floor:
@@ -253,11 +241,10 @@ def build_base_covering(
                 f"generator {format_position(generator)} too shallow for level {k}"
                 f" (need depth >= {floor})"
             )
-    meets = _meets(tree, leaves)
     ordered, first, labels_of, tags = tree._ordered, tree._first, tree._labels, tree._tags
     at_k = bisect_left(ordered, k, key=len)  # the first level-k id
     moves = bisect_left(ordered, k + 1, key=len)  # the first move on a level-k node
-    fronts = _checked_frontiers(tree, meets, k, frontier_max, node_max)
+    fronts = _checked_frontiers(tree, banned, k, frontier_max, node_max)
 
     # A node copies the child labels and the tag of its image unless
     # ``labels_at`` or ``tags_at`` names others.
@@ -356,10 +343,13 @@ def build_base_covering(
 
 
 def _checked_frontiers(
-    tree: GameTree, meets: bytearray, k: int, frontier_max: int, node_max: int
+    tree: GameTree, banned: bytearray, k: int, frontier_max: int, node_max: int
 ) -> list[list[int]]:
     """The frontier ids of every move on a level-``k`` node, in move order,
     checked against both caps in the order the construction meets them.
+    One reverse pass over the ids past the moves finds subtree sizes and
+    ``meets``, the nodes the closed set passes through: a full-depth play
+    that is not ``banned`` (``_banned``), or a node with such a child.
 
     The source counts its nodes up to level ``k``, then, move by move,
     checks the move's frontier and adds the nodes of its claims; either cap
@@ -373,17 +363,22 @@ def _checked_frontiers(
     ordered, first = tree._ordered, tree._first
     moves = bisect_left(ordered, k + 1, key=len)
     below = bisect_left(ordered, k + 2, key=len)  # the first id past the moves
+    plays = tree._full_depth_start()  # the first full-depth play
     total = moves
     if total > node_max:
         raise ResourceLimitError(f"covering source exceeds {node_max} nodes")
     size = [1] * len(ordered)  # subtree sizes by id, past the moves
     cut = [1] * len(ordered)  # the same with a node outside ``meets`` a leaf
+    meets = bytearray(len(ordered))  # 1 where a play of the closed set passes
     for i in range(len(ordered) - 1, below - 1, -1):
         lo, hi = first[i], first[i + 1]
         if lo < hi:
             size[i] += sum(size[lo:hi])
-            if meets[i]:
+            if meets.find(1, lo, hi) >= 0:
+                meets[i] = 1
                 cut[i] += sum(cut[lo:hi])
+        elif i >= plays and not banned[i]:
+            meets[i] = 1
     fronts = []
     for base in range(moves, below):
         front = _frontier(tree, meets, base)
@@ -470,10 +465,10 @@ def _strategy_maps(tree: GameTree, k: int, frontiers, accepts, challenges):
     never-challenged claim is an accept is therefore checked when that
     choice is looked up, not when the strategy is mapped.
 
-    The two maps remember the last strategy they saw, by identity (a
-    strategy's choices never change), with its locator and its image, so a
-    check that maps a strategy and then lifts its plays maps it once, scans
-    II's replies once, and keeps the choices already computed.
+    The two maps share one record of the last strategy seen, by identity
+    (a strategy's choices never change), with its locator and its image,
+    so a check that maps a strategy and then lifts its plays maps it once,
+    scans II's replies once, and keeps the choices already computed.
     """
 
     def frontier_prefix(x: Position) -> Position | None:
@@ -529,20 +524,14 @@ def _strategy_maps(tree: GameTree, k: int, frontiers, accepts, challenges):
 
         return locate
 
-    last = (None, None, None)  # the last strategy seen, its locate, its image once mapped
+    last = (None, None, None)  # the last strategy seen, its locate and its image
 
-    def remembered(strategy: Strategy):
+    def mapped(strategy: Strategy):
         nonlocal last
         if last[0] is not strategy:  # identity, not ==: strategies compare whole dicts
-            last = (strategy, locator(strategy), None)
-        return last[1]
-
-    def transform(strategy: Strategy) -> Strategy:
-        nonlocal last
-        locate = remembered(strategy)
-        if last[2] is None:
+            locate = locator(strategy)
             last = (strategy, locate, image(strategy, locate))
-        return last[2]
+        return last
 
     def image(strategy: Strategy, locate) -> Strategy:
         chosen = strategy.choices
@@ -567,8 +556,11 @@ def _strategy_maps(tree: GameTree, k: int, frontiers, accepts, challenges):
 
         return Strategy(strategy.owner, _LazyChoices(tree.decisions(strategy.owner), choose))
 
+    def transform(strategy: Strategy) -> Strategy:
+        return mapped(strategy)[2]
+
     def lift(strategy: Strategy, x: Position) -> Position:
-        return x if len(x) <= k else remembered(strategy)(x)[0]
+        return x if len(x) <= k else mapped(strategy)[1](x)[0]
 
     return transform, lift
 
@@ -585,11 +577,12 @@ def unravel_payoff(
     pulled-back payoff is decided, by induction on the expression.
 
     A closed set is one base covering, decided two levels past ``level``;
-    a complement takes its operand's covering and depth.  A union unravels
-    part ``n``, pulled back through the composite so far, at the smallest
-    even level at least ``level + n``; the complement of the pulled-back
-    union is then closed at the deepest depth the parts return, and one
-    more base covering at ``level`` finishes.
+    a complement takes its operand's covering and depth.  A union is
+    realized first, so a bad generator fails before any stage is built;
+    part ``n``, pulled back through the composite so far, unravels at the
+    smallest even level at least ``level + n``; the complement of the
+    pulled-back union is then closed at the deepest depth the parts return,
+    and one more base covering at ``level`` finishes.
     """
     caps = dict(frontier_max=frontier_max, node_max=node_max)
     if isinstance(payoff, Closed):
@@ -601,6 +594,7 @@ def unravel_payoff(
         raise TypeError(f"not a payoff spec: {payoff!r}")
 
     k = level + level % 2
+    leaves = realize(tree, payoff)  # checks every part's generators first
     composite: Covering | None = None
     current = tree
     deepest = 0
@@ -620,7 +614,7 @@ def unravel_payoff(
     if len(payoff.parts) == 1:
         return composite, deepest
 
-    union_leaves = pullback(composite, realize(tree, payoff))
+    union_leaves = pullback(composite, leaves)
     certificate = decided_by_depth(current, union_leaves, deepest)
     if not certificate:
         raise InternalInvariantError(

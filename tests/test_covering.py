@@ -256,6 +256,15 @@ def test_pullback_closed_spec_commutes_with_realize(ex1):
         )
 
 
+def test_pullback_closed_spec_drops_a_generator_that_is_no_target_position(ex1):
+    base = build_base_covering(ex1, ClosedSpec([(1,)]), 0)
+    assert pullback_closed_spec(base, ClosedSpec([(9, 9)])) == ClosedSpec()
+    assert pullback_closed_spec(base, ClosedSpec([(0, 1), (9, 9)])) == pullback_closed_spec(
+        base, ClosedSpec([(0, 1)])
+    )
+    assert pullback_closed_spec(base, ClosedSpec([(0, 1)])) != ClosedSpec()
+
+
 # ------------------------------------------------------------ strategy lift
 
 

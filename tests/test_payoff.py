@@ -15,9 +15,7 @@ from unraveling.payoff import (
     realize,
 )
 from unraveling.randgen import random_closed_spec, random_tree, rng_for
-from unraveling.unravel import _meets, unravel_payoff
-
-import oracles
+from unraveling.unravel import unravel_payoff
 
 
 def leaves_with(tree, predicate):
@@ -57,36 +55,6 @@ def test_closed_open_partition(ex1):
     assert closed | opened == frozenset(ex1.full_depth_plays())
     assert not closed & opened
     assert len(closed) == len(opened) == 8
-
-
-# ------------------------------------------------------------- meets set
-
-
-def meets_set(tree, leaves):
-    """The positions ``_meets`` marks; it marks by id."""
-    return {p for p, marked in zip(tree.positions(), _meets(tree, leaves)) if marked}
-
-
-def test_meets_payoff_examples(ex1):
-    meets = meets_set(ex1, leaves_with(ex1, lambda l: l[0] == 0))
-    assert (0,) in meets
-    assert (1,) not in meets
-    assert meets_set(ex1, frozenset(ex1.full_depth_plays())) == set(ex1.positions())
-
-
-def test_meets_payoff_vacuous_below_taboo(ex2):
-    assert (0, 0) not in meets_set(ex2, frozenset(ex2.full_depth_plays()))
-
-
-@given(st.integers(0, 500))
-@settings(max_examples=50, deadline=None)
-def test_meets_payoff_matches_leaf_walk_oracle(seed):
-    rng = rng_for(f"meets:{seed}")
-    tree = random_tree(rng, depth=4, branching=3, taboos=2)
-    payoff = realize(tree, Closed(random_closed_spec(rng, tree)))
-    meets = meets_set(tree, payoff)
-    for position in tree.positions():
-        assert (position in meets) == oracles.meets_by_leaf_walk(tree, position, payoff)
 
 
 # -------------------------------------------------------- decided_by_depth

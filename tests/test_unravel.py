@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from unraveling.core import (
     DEFAULT_NODE_MAX,
+    ArenaError,
     GameTree,
     InternalInvariantError,
     Player,
@@ -99,19 +100,20 @@ def test_frontier_empty_when_payoff_everywhere(ex1, ex2):
 def test_frontier_matches_condition_scan_oracle(seed):
     tree, spec = random_game(f"front:{seed}", depth=6, branching=2, taboos=2)
     payoff = realize(tree, Closed(spec))
-    frontiers = build_base_covering(tree, spec, 2).frontiers
-    assert frontiers.keys() == {
-        (p, a) for p in tree.positions() if len(p) == 2 for a in tree.children_of(p)
-    }
-    for (p, a), computed in frontiers.items():
-        assert sorted(computed) == sorted(oracles.frontier_by_scan(tree, payoff, p, a))
-        # antichain, and at most one member on any play
-        for q in computed:
-            for r in computed:
-                assert q == r or not is_prefix(q, r)
-        for play in oracles.plays(tree):
-            hits = [q for q in computed if is_prefix(q, play)]
-            assert len(hits) <= 1
+    for k in (0, 2):
+        frontiers = build_base_covering(tree, spec, k).frontiers
+        assert frontiers.keys() == {
+            (p, a) for p in tree.positions() if len(p) == k for a in tree.children_of(p)
+        }
+        for (p, a), computed in frontiers.items():
+            assert sorted(computed) == sorted(oracles.frontier_by_scan(tree, payoff, p, a))
+            # antichain, and at most one member on any play
+            for q in computed:
+                for r in computed:
+                    assert q == r or not is_prefix(q, r)
+            for play in oracles.plays(tree):
+                hits = [q for q in computed if is_prefix(q, play)]
+                assert len(hits) <= 1
 
 
 # ------------------------------------------------------- build_base_covering
@@ -314,6 +316,31 @@ def test_union_exhaustion_errors_name_their_stage():
     deep = GameTree.complete(6, 2)
     with pytest.raises(ValueError, match="stage 3"):
         unravel_payoff(deep, ClosedUnion([ClosedSpec()] * 4), 2)
+
+
+@pytest.mark.parametrize(
+    "first, second, unknown",
+    [((3, 0, 0), (1, 1, 1, 1), "3/0/0"), ((1, 0, 0), (3, 1, 1, 1), "3/1/1/1")],
+    ids=["part-0", "part-1"],
+)
+def test_union_checks_every_parts_generators_before_any_stage(monkeypatch, first, second, unknown):
+    stages = recorded_stages(monkeypatch)
+    union = ClosedUnion([ClosedSpec([first]), ClosedSpec([second])])
+    with pytest.raises(ArenaError, match=f"^generator on unknown position {unknown}$"):
+        unravel_payoff(GameTree.complete(6, 2), union, 0)
+    assert stages == []
+
+
+def test_base_covering_never_realizes_its_closed_set(monkeypatch, ex1, fixtures_dir):
+    """The frontiers are read off the generator marks by id."""
+    depth6 = parse_game_bytes((fixtures_dir / "depth6.game").read_bytes())
+
+    def refuse(*args):
+        raise AssertionError("the base construction realized its closed set")
+
+    monkeypatch.setattr(unravel_module, "realize", refuse)
+    assert build_base_covering(ex1, ClosedSpec([(1,)]), 0).frontiers[((), 1)]
+    assert build_base_covering(depth6.tree, depth6.payoff.spec, 2).frontiers
 
 
 @given(st.integers(0, 300))
