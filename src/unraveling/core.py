@@ -20,11 +20,14 @@ found by one breadth-first walk over the sorted siblings.
 Inside a tree a node is an integer id, its index in that order.  The walk
 stores each parent's children as one consecutive block of ids, so an
 array of first-child offsets gives every child range, and the taboo tags
-are one byte per id.  Backward induction, taboo-pruning, the base
-construction, the covering checks and the strategy checks walk the ids,
-and a covering's position map is an array of target ids by source id
-(``Covering.images``); tuple positions appear only at the API and in the
-file formats.
+are one byte per id.  The walk also makes each depth one consecutive
+range of ids, so ``depth + 2`` level offsets give every level's range:
+the first child of a level's first node starts the next level.  Backward
+induction, taboo-pruning, the base construction, the covering checks and
+the strategy checks walk the ids, one level at a time where the mover or
+the depth matters, and a covering's position map is an array of target
+ids by source id (``Covering.images``); tuple positions appear only at
+the API and in the file formats.
 
 A tree has two entries.  ``GameTree(depth, children, taboo)`` takes
 positions in any order, sorts them and checks every structural rule.
@@ -41,7 +44,6 @@ from __future__ import annotations
 import enum
 import random
 from array import array
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
@@ -117,11 +119,14 @@ class GameTree:
     as one consecutive block of ids, and the blocks follow one another, so
     ``_first``, an ``array('i')`` of n + 1 first-child offsets, gives every
     child range as ``_first[i]:_first[i + 1]``; both entries derive it from
-    the label counts.  ``_labels`` holds each node's child labels by id (one
-    shared tuple per distinct label tuple), and ``_tags`` its taboo tag as
-    one byte by id, an index into ``_OWNERS``.  The package's kernels walk
-    these; tuple positions appear only at the API, through one table keyed
-    by position, ``_children`` (child labels).
+    the label counts.  Each depth is one consecutive range of ids too:
+    ``_levels``, an ``array('i')`` of ``depth + 2`` first ids, gives depth
+    ``d`` as ``_levels[d]:_levels[d + 1]`` (an empty level is ``n:n``).
+    ``_labels`` holds each node's child labels by id (one shared tuple per
+    distinct label tuple), and ``_tags`` its taboo tag as one byte by id,
+    an index into ``_OWNERS``.  The package's kernels walk these; tuple
+    positions appear only at the API, through one table keyed by position,
+    ``_children`` (child labels).
 
     The constructor checks every structural rule and keeps the child table
     it builds on the way.  ``_from_ids`` takes positions, child labels and
@@ -220,7 +225,11 @@ class GameTree:
         self.depth = depth
         self._ordered = tuple(ordered)
         self._labels = labels
-        self._first = array("i", accumulate(map(len, labels), initial=1))
+        self._first = first = array("i", accumulate(map(len, labels), initial=1))
+        # The first child of a level's first node starts the next level.
+        self._levels = levels = array("i", [0])
+        for _ in range(depth + 1):
+            levels.append(first[levels[-1]])
         self._tags = tags
         self._decisions: dict[Player, Mapping[Position, tuple[Label, ...]]] = {}
 
@@ -243,16 +252,18 @@ class GameTree:
             raise InternalInvariantError(
                 f"node {format_position(ordered[-1])} exceeds depth bound {depth}"
             )
-        start = bisect_left(ordered, depth, key=len)  # the full-depth plays end the order
-        fault = next((i for i in range(start) if bool(labels[i]) == bool(tags[i])), None)
-        if fault is None and any(tags[start:]):
-            fault = next(i for i in range(start, len(tags)) if tags[i])
-        if fault is not None:
+        tree = cls.__new__(cls)
+        tree._store(depth, ordered, labels, tags)
+        # A node is untagged iff it has children or is a full-depth play.
+        start = tree._levels[depth]
+        expected = bytearray(map(bool, labels))
+        expected[start:] = b"\x01" * (len(labels) - start)
+        untagged = tags.translate(_UNTAGGED)
+        if untagged != expected:
+            fault = next(i for i, (a, b) in enumerate(zip(untagged, expected)) if a != b)
             raise InternalInvariantError(
                 f"taboo tag at {format_position(ordered[fault])} does not match an early terminal"
             )
-        tree = cls.__new__(cls)
-        tree._store(depth, ordered, labels, tags)
         return tree
 
     @cached_property
@@ -302,12 +313,13 @@ class GameTree:
         canonical order: a read-only table built once per player."""
         table = self._decisions.get(owner)
         if table is None:
-            parity = 0 if owner is Player.I else 1
-            owned = {
-                p: labels
-                for p, labels in zip(self._ordered, self._labels)
-                if labels and len(p) % 2 == parity
-            }
+            ordered, labels_of, levels = self._ordered, self._labels, self._levels
+            owned = {}
+            for d in range(0 if owner is Player.I else 1, self.depth, 2):  # the owner's levels
+                lo, hi = levels[d], levels[d + 1]
+                owned.update(
+                    (p, labels) for p, labels in zip(ordered[lo:hi], labels_of[lo:hi]) if labels
+                )
             table = self._decisions[owner] = MappingProxyType(owned)
         return table
 
@@ -338,13 +350,9 @@ class GameTree:
             if tag:
                 yield position, _OWNERS[tag]
 
-    def _full_depth_start(self) -> int:
-        """The id of the first depth-bound play: they end the canonical order."""
-        return bisect_left(self._ordered, self.depth, key=len)
-
     def full_depth_plays(self) -> Iterator[Position]:
         """The depth-bound plays, i.e. the stand-ins for infinite plays."""
-        return iter(self._ordered[self._full_depth_start() :])
+        return iter(self._ordered[self._levels[self.depth] :])
 
     def _id(self, position: Position) -> int:
         """The id of a stored position, found by descending the child ranges."""
@@ -370,6 +378,7 @@ class GameTree:
 
 # A taboo tag byte names its owner; 0 is untagged.
 _OWNERS = (None, Player.I, Player.II)
+_UNTAGGED = bytes([1]) + bytes(255)  # a ``translate`` table: 1 on the untagged byte
 
 
 @dataclass(frozen=True)
@@ -440,17 +449,22 @@ def _consistent_ids(tree: GameTree, strategy: Strategy) -> list[int]:
     """The ids of the plays consistent with the strategy, depth first, least
     child first; the owner's moves are read from the strategy."""
     ordered, first, labels_of = tree._ordered, tree._first, tree._labels
-    parity = 0 if strategy.owner is Player.I else 1  # the owner moves at these lengths
+    move_at = strategy.move_at
     out: list[int] = []
-    stack = [0]
+    # The stack carries whose move it is: a node where the owner moves is
+    # pushed as its complement ``~i``, which is negative.
+    stack = [~0 if strategy.owner is Player.I else 0]
     while stack:
         i = stack.pop()
+        owned = i < 0
+        if owned:
+            i = ~i
         lo, hi = first[i], first[i + 1]
         if lo == hi:
             out.append(i)
-        elif len(ordered[i]) % 2 == parity:
+        elif owned:
             position = ordered[i]
-            move = strategy.move_at(position)
+            move = move_at(position)
             try:
                 stack.append(lo + labels_of[i].index(move))
             except ValueError:
@@ -458,7 +472,7 @@ def _consistent_ids(tree: GameTree, strategy: Strategy) -> list[int]:
                     f"unknown position {format_position(position + (move,))}"
                 ) from None
         else:
-            stack.extend(range(hi - 1, lo - 1, -1))
+            stack.extend(range(-hi, -lo))  # ~(hi - 1) .. ~lo: the least child on top
     return out
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 import random
 from array import array
 from dataclasses import dataclass
+from itertools import compress
 from typing import Callable
 
 from .core import (
@@ -79,40 +80,47 @@ def check_position_map(covering: Covering) -> CheckResult:
     """
     source, target, level = covering.source, covering.target, covering.level
     images = covering.images
-    ordered, first, tags = source._ordered, source._first, source._tags
+    ordered, first, tags, levels = source._ordered, source._first, source._tags, source._levels
     target_ordered, target_first, target_tags = target._ordered, target._first, target._tags
     if len(images) < len(ordered):
         return CheckResult(False, f"no image for {format_position(ordered[len(images)])}")
     if len(images) > len(ordered):
         return CheckResult(False, f"{len(images)} images for {len(ordered)} source positions")
+    # A length-preserving image of a depth-d node lies in the target's
+    # level d, the ids ``target_levels[d]:target_levels[d + 1]``.
+    target_levels = list(target._levels) + [len(target_ordered)] * len(levels)
     parent = 0
-    for i, position in enumerate(ordered):
-        image = images[i]
-        if not 0 <= image < len(target_ordered):
-            return CheckResult(False, f"image of {format_position(position)} not in target")
-        if len(target_ordered[image]) != len(position):
-            return CheckResult(False, f"length not preserved at {format_position(position)}")
-        if i:
-            while first[parent + 1] <= i:  # the child ranges follow one another
-                parent += 1
-            above = images[parent]
-            if not target_first[above] <= image < target_first[above + 1]:
-                return CheckResult(False, f"not prefix-monotone at {format_position(position)}")
-        owner, tag = target_tags[image], tags[i]
-        if owner and tag != owner:
-            return CheckResult(
-                False, f"taboo tag not respected at {format_position(position)}"
-            )
-        if len(position) > level:
-            continue
-        if target_ordered[image] != position:
-            return CheckResult(
-                False, f"not the identity at level {len(position)} <= {level}"
-            )
-        if len(position) < level and source._labels[i] != target._labels[image]:
-            return CheckResult(False, f"children differ at {format_position(position)}")
-        if tag != owner:
-            return CheckResult(False, f"taboo tags differ at {format_position(position)}")
+    for d in range(source.depth + 1):
+        target_lo, target_hi = target_levels[d], target_levels[d + 1]
+        for i in range(levels[d], levels[d + 1]):
+            image = images[i]
+            if not target_lo <= image < target_hi:
+                fault = "image of {} not in target"
+                if 0 <= image < len(target_ordered):
+                    fault = "length not preserved at {}"
+                return CheckResult(False, fault.format(format_position(ordered[i])))
+            if i:
+                while first[parent + 1] <= i:  # the child ranges follow one another
+                    parent += 1
+                above = images[parent]
+                if not target_first[above] <= image < target_first[above + 1]:
+                    return CheckResult(
+                        False, f"not prefix-monotone at {format_position(ordered[i])}"
+                    )
+            owner, tag = target_tags[image], tags[i]
+            if owner and tag != owner:
+                return CheckResult(
+                    False, f"taboo tag not respected at {format_position(ordered[i])}"
+                )
+            if d > level:
+                continue
+            position = ordered[i]
+            if target_ordered[image] != position:
+                return CheckResult(False, f"not the identity at level {d} <= {level}")
+            if d < level and source._labels[i] != target._labels[image]:
+                return CheckResult(False, f"children differ at {format_position(position)}")
+            if tag != owner:
+                return CheckResult(False, f"taboo tags differ at {format_position(position)}")
     return CheckResult(True)
 
 
@@ -230,13 +238,10 @@ def check_lift(covering: Covering, samples: int, seed: int) -> CheckResult:
 
 def pullback(covering: Covering, payoff_leaves) -> frozenset:
     """Preimage of a payoff set: source leaves whose image lies in it."""
-    ordered, images = covering.source._ordered, covering.images
-    targets = covering.target._ordered
-    return frozenset(
-        ordered[i]
-        for i in range(covering.source._full_depth_start(), len(ordered))
-        if targets[images[i]] in payoff_leaves
-    )
+    source, targets = covering.source, covering.target._ordered
+    start = source._levels[source.depth]
+    inside = map(payoff_leaves.__contains__, map(targets.__getitem__, covering.images[start:]))
+    return frozenset(compress(source._ordered[start:], inside))
 
 
 def pullback_closed_spec(covering: Covering, spec: ClosedSpec) -> ClosedSpec:

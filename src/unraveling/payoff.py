@@ -18,6 +18,8 @@ full-depth play depends only on its length-``d`` prefix.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress, pairwise
+from operator import not_
 
 from .core import (
     ArenaError,
@@ -121,11 +123,9 @@ def realize(tree: GameTree, payoff: PayoffSpec) -> frozenset:
     """The explicit set of full-depth plays a payoff expression denotes; a
     closed set's are those ``_banned`` leaves at 0."""
     if isinstance(payoff, Closed):
-        banned, ordered = _banned(tree, payoff.spec), tree._ordered
-        start = tree._full_depth_start()
-        return frozenset(
-            ordered[i] for i in range(start, len(ordered)) if not banned[i]
-        )
+        banned = _banned(tree, payoff.spec)
+        start = tree._levels[tree.depth]
+        return frozenset(compress(tree._ordered[start:], map(not_, banned[start:])))
     if isinstance(payoff, Not):
         return frozenset(tree.full_depth_plays()) - realize(tree, payoff.payoff)
     if isinstance(payoff, Union):
@@ -136,15 +136,30 @@ def realize(tree: GameTree, payoff: PayoffSpec) -> frozenset:
 def decided_by_depth(tree: GameTree, leaves, depth: int) -> CheckResult:
     """Passes iff membership depends only on the length-``depth`` prefix; a
     failure names two full-depth plays with that prefix in common, the
-    first in ``leaves`` and the second not."""
+    first in ``leaves`` and the second not.
+
+    The full-depth plays below one length-``depth`` node are one
+    consecutive block of ids, found by mapping the level's bounds through
+    the first-child offsets down to the bound; the first block (in id
+    order) whose plays disagree names its first play and the first play
+    in it that disagrees with that one."""
     if not 0 <= depth <= tree.depth:
         raise ValueError("depth out of range")
-    first_by_prefix: dict[Position, tuple[bool, Position]] = {}
-    for leaf in tree.full_depth_plays():
-        verdict = leaf in leaves
-        first_verdict, first = first_by_prefix.setdefault(leaf[:depth], (verdict, leaf))
-        if first_verdict != verdict:
-            inside, outside = (first, leaf) if first_verdict else (leaf, first)
+    ordered, first, levels = tree._ordered, tree._first, tree._levels
+    bounds = range(levels[depth], levels[depth + 1] + 1)
+    for _ in range(tree.depth - depth):
+        bounds = list(map(first.__getitem__, bounds))
+    start = levels[tree.depth]
+    verdicts = bytes(map(leaves.__contains__, ordered[start:]))  # by id past ``start``
+    for lo, hi in pairwise(bounds):
+        if lo == hi:
+            continue  # no full-depth play below this node
+        verdict = verdicts[lo - start]
+        other = verdicts.find(verdict ^ 1, lo - start, hi - start)
+        if other >= 0:
+            inside, outside = ordered[lo], ordered[start + other]
+            if not verdict:
+                inside, outside = outside, inside
             return CheckResult(
                 False,
                 f"plays {format_position(inside)} (in) and {format_position(outside)} (out)"

@@ -26,6 +26,7 @@ turns a winning strategy on the remainder into one on the full tree.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Mapping
 
 from .core import (
@@ -50,6 +51,8 @@ class Solution:
 
 # The winner of a taboo by its tag byte: the opponent of its owner.
 _TABOO_WINNER = tuple(owner and owner.opponent for owner in _OWNERS)
+# The winner of a full-depth play by its payoff membership.
+_PLAY_WINNER = (Player.II, Player.I)
 
 
 def _winners(tree: GameTree, payoff) -> list[Player | None]:
@@ -58,41 +61,42 @@ def _winners(tree: GameTree, payoff) -> list[Player | None]:
     opponent, and a full-depth play by I iff it is in ``payoff``, or by
     neither if ``payoff`` is ``None``.  A node is won by its mover if some
     child is; otherwise it is won by neither if some child is, and by the
-    opponent if not."""
-    ordered, first, tags = tree._ordered, tree._first, tree._tags
-    start = tree._full_depth_start()  # the full-depth plays end the order
+    opponent if not.  The levels are walked deepest first, each with its
+    mover."""
+    ordered, first, tags, levels = tree._ordered, tree._first, tree._tags, tree._levels
+    start = levels[tree.depth]  # the full-depth plays end the order
     values: list[Player | None] = [None] * len(ordered)
     if payoff is not None:
-        values[start:] = [
-            Player.I if play in payoff else Player.II for play in ordered[start:]
-        ]
-    for i in range(start - 1, -1, -1):  # children before parents
-        lo, hi = first[i], first[i + 1]
-        if lo == hi:
-            values[i] = _TABOO_WINNER[tags[i]]
-            continue
-        mover, other = (Player.II, Player.I) if len(ordered[i]) % 2 else (Player.I, Player.II)
-        child_values = values[lo:hi]
-        if mover in child_values:
-            values[i] = mover
-        else:
-            values[i] = None if None in child_values else other
+        values[start:] = map(_PLAY_WINNER.__getitem__, map(payoff.__contains__, ordered[start:]))
+    for d in range(tree.depth - 1, -1, -1):
+        mover, other = (Player.II, Player.I) if d % 2 else (Player.I, Player.II)
+        for i in range(levels[d], levels[d + 1]):
+            lo, hi = first[i], first[i + 1]
+            if lo == hi:
+                values[i] = _TABOO_WINNER[tags[i]]
+                continue
+            child_values = values[lo:hi]
+            if mover in child_values:
+                values[i] = mover
+            else:
+                values[i] = None if None in child_values else other
     return values
 
 
-def _least_winning(tree: GameTree, owner: Player, values, ids) -> Strategy:
-    """At each of the owner's decision nodes among ``ids``, the least child
-    the owner wins by ``values``, or else the least child."""
-    ordered, first = tree._ordered, tree._first
-    parity = 0 if owner is Player.I else 1
+def _least_winning(tree: GameTree, owner: Player, values, within=None) -> Strategy:
+    """At each of the owner's decision nodes (only those ``within`` marks,
+    if given), the least child the owner wins by ``values``, or else the
+    least child."""
+    ordered, first, labels_of, levels = tree._ordered, tree._first, tree._labels, tree._levels
     choices = {}
-    for i in ids:
-        lo, hi = first[i], first[i + 1]
-        if lo == hi or len(ordered[i]) % 2 != parity:
-            continue
-        child_values = values[lo:hi]
-        least = lo + child_values.index(owner) if owner in child_values else lo
-        choices[ordered[i]] = ordered[least][-1]
+    for d in range(0 if owner is Player.I else 1, tree.depth, 2):  # the owner's levels
+        lo, hi = levels[d], levels[d + 1]
+        for i in range(lo, hi) if within is None else compress(range(lo, hi), within[lo:hi]):
+            labels = labels_of[i]
+            if labels:
+                child_values = values[first[i] : first[i + 1]]
+                least = child_values.index(owner) if owner in child_values else 0
+                choices[ordered[i]] = labels[least]
     return Strategy(owner, choices)
 
 
@@ -106,7 +110,7 @@ def solve(tree: GameTree, payoff) -> Solution:
     _check_payoff(tree, payoff)
     values = _winners(tree, payoff)
     winner = values[0]
-    return Solution(winner, _least_winning(tree, winner, values, range(len(values))))
+    return Solution(winner, _least_winning(tree, winner, values))
 
 
 @dataclass(frozen=True)
@@ -138,8 +142,7 @@ def prune(tree: GameTree) -> PruneResult:
 
     # One forward pass: parents precede children, so a removed node marks
     # its child range before the pass reaches it.
-    cut = bytearray(len(ordered))
-    removed: list[int] = []  # ids, canonical order
+    cut = bytearray(len(ordered))  # 1 on the removed ids
     minimal: list[int] = []
     for i in range(len(ordered)):
         if not cut[i]:
@@ -147,7 +150,6 @@ def prune(tree: GameTree) -> PruneResult:
                 continue
             cut[i] = 1
             minimal.append(i)
-        removed.append(i)
         lo, hi = first[i], first[i + 1]
         cut[lo:hi] = b"\x01" * (hi - lo)
 
@@ -155,11 +157,11 @@ def prune(tree: GameTree) -> PruneResult:
     # strategy per player over it forces a taboo below each minimal node
     # that player determines.
     forcing = {
-        player: _least_winning(tree, player, forced, removed)
+        player: _least_winning(tree, player, forced, cut)
         for player in dict.fromkeys(forced[i] for i in minimal)
     }
     witnesses = {ordered[i]: forcing[forced[i]] for i in minimal}
-    removed_positions = frozenset(ordered[i] for i in removed)
+    removed_positions = frozenset(compress(ordered, cut))
 
     if cut[0]:
         return PruneResult(None, forced[0], determined, removed_positions, witnesses)
@@ -172,7 +174,7 @@ def prune(tree: GameTree) -> PruneResult:
         lo, hi = first[i], first[i + 1]
         if cut.find(1, lo, hi) >= 0:
             kept = tuple(label for label, gone in zip(kept, cut[lo:hi]) if not gone)
-            if not kept and len(ordered[i]) < tree.depth:
+            if not kept and i < tree._levels[tree.depth]:
                 # Every early terminal is trivially determined, and a node
                 # whose children are all determined is determined itself.
                 raise InternalInvariantError(
@@ -201,27 +203,43 @@ def transfer_from_pruned(tree: GameTree, pruned: PruneResult, strategy: Strategy
     if pruned.tree is None:
         raise ValueError("no pruned tree: the root is taboo-determined")
     owner = strategy.owner
-    for entry in pruned.witnesses:
-        if Player.to_move(entry[:-1]) is owner.opponent:
-            if pruned.determined[entry] is not owner:
-                raise InternalInvariantError(
-                    f"opponent enters {format_position(entry)} determined against the owner"
-                )
+    parity = 0 if owner is Player.I else 1  # the owner moves at these depths
+    entries = list(pruned.witnesses)  # the minimal removed positions
+    for entry in entries:
+        if len(entry) % 2 == parity and pruned.determined[entry] is not owner:
+            # the opponent moves into ``entry``
+            raise InternalInvariantError(
+                f"opponent enters {format_position(entry)} determined against the owner"
+            )
+
+    # One forward pass, parents before children: by id, the index in
+    # ``entries`` of the minimal removed node at or above it, or -1.
+    ordered, first, labels_of, levels = tree._ordered, tree._first, tree._labels, tree._levels
+    entry_of = [-1] * len(ordered)
+    for n, entry in enumerate(entries):
+        entry_of[tree._id(entry)] = n
+    for i in range(len(ordered)):
+        n = entry_of[i]
+        if n >= 0:
+            lo, hi = first[i], first[i + 1]
+            entry_of[lo:hi] = [n] * (hi - lo)
+    # The witness where the owner determines the entry, else no witness.
+    witness_of = [
+        pruned.witnesses[entry] if pruned.determined[entry] is owner else None
+        for entry in entries
+    ]
 
     choices: dict[Position, object] = {}
-    for position in tree.positions():
-        labels = tree.children_of(position)
-        if not labels or Player.to_move(position) is not owner:
-            continue
-        if position not in pruned.removed:
-            choices[position] = strategy.move_at(position)
-            continue
-        entry = position
-        while entry[:-1] in pruned.removed:
-            entry = entry[:-1]
-        witness = pruned.witnesses[entry]
-        if pruned.determined[entry] is owner:
-            choices[position] = witness.move_at(position)
-        else:
-            choices[position] = labels[0]
+    for d in range(parity, tree.depth, 2):  # the owner's levels
+        for i in range(levels[d], levels[d + 1]):
+            labels = labels_of[i]
+            if not labels:
+                continue
+            position, n = ordered[i], entry_of[i]
+            if n < 0:
+                choices[position] = strategy.move_at(position)
+            elif witness_of[n] is not None:
+                choices[position] = witness_of[n].move_at(position)
+            else:
+                choices[position] = labels[0]
     return Strategy(owner, choices)

@@ -43,7 +43,6 @@ union; a complement reuses its operand's covering.
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from itertools import count, islice
@@ -242,8 +241,7 @@ def build_base_covering(
                 f" (need depth >= {floor})"
             )
     ordered, first, labels_of, tags = tree._ordered, tree._first, tree._labels, tree._tags
-    at_k = bisect_left(ordered, k, key=len)  # the first level-k id
-    moves = bisect_left(ordered, k + 1, key=len)  # the first move on a level-k node
+    at_k, moves = tree._levels[k], tree._levels[k + 1]  # the first level-k id and the first move
     fronts = _checked_frontiers(tree, banned, k, frontier_max, node_max)
 
     # A node copies the child labels and the tag of its image unless
@@ -360,10 +358,10 @@ def _checked_frontiers(
     ``len(q) - (k + 2)`` nodes down to it and its whole subtree.  Summed
     over the subsets S of the frontier, each ``q`` is in half of them.
     """
-    ordered, first = tree._ordered, tree._first
-    moves = bisect_left(ordered, k + 1, key=len)
-    below = bisect_left(ordered, k + 2, key=len)  # the first id past the moves
-    plays = tree._full_depth_start()  # the first full-depth play
+    ordered, first, levels = tree._ordered, tree._first, tree._levels
+    moves = levels[k + 1]
+    below = levels[k + 2]  # the first id past the moves
+    plays = levels[tree.depth]  # the first full-depth play
     total = moves
     if total > node_max:
         raise ResourceLimitError(f"covering source exceeds {node_max} nodes")

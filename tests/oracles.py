@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import itertools
 from array import array
+from bisect import bisect_left
 
 from unraveling.core import (
+    CheckResult,
     GameTree,
     Player,
     Position,
@@ -28,10 +30,15 @@ from unraveling.unravel import Accept, Claim
 def assert_matches_checked_build(tree: GameTree) -> None:
     """``tree`` is, array for array, the tree that the checked constructor
     builds from its positions and taboo tags, and every position query on
-    it answers as on that tree."""
+    it answers as on that tree.  Its level offsets are, for every depth up
+    to one past the bound, the first id of that length in canonical order."""
     checked = GameTree.from_nodes(tree.depth, tree.positions(), dict(tree.taboo_items()))
     assert tree._ordered == checked._ordered
     assert tree._first == checked._first
+    assert tree._levels == checked._levels
+    assert list(tree._levels) == [
+        bisect_left(checked._ordered, d, key=len) for d in range(tree.depth + 2)
+    ]
     assert tree._labels == checked._labels
     assert tree._tags == checked._tags
     for position in checked.positions():
@@ -292,3 +299,52 @@ def reference_prune(tree: GameTree) -> PruneResult:
     return PruneResult(
         GameTree(tree.depth, children), None, determined, frozenset(removed), witnesses
     )
+
+
+# The prefix-keyed certificate scan and the position-walking transfer that
+# the level-walking kernels in ``unraveling.payoff`` and ``unraveling.solver``
+# replaced, kept as the references those must match exactly: verdicts and
+# details, and transferred choices and their key order.
+
+
+def reference_decided_by_depth(tree: GameTree, leaves, depth: int) -> CheckResult:
+    """Groups the full-depth plays by their length-``depth`` prefix, in
+    canonical order, and names the first play that disagrees with the first
+    play of its group."""
+    first_by_prefix: dict[Position, tuple[bool, Position]] = {}
+    for leaf in tree.full_depth_plays():
+        verdict = leaf in leaves
+        first_verdict, first = first_by_prefix.setdefault(leaf[:depth], (verdict, leaf))
+        if first_verdict != verdict:
+            inside, outside = (first, leaf) if first_verdict else (leaf, first)
+            return CheckResult(
+                False,
+                f"plays {format_position(inside)} (in) and {format_position(outside)} (out)"
+                f" share the length-{depth} prefix",
+            )
+    return CheckResult(True)
+
+
+def reference_transfer_from_pruned(
+    tree: GameTree, pruned: PruneResult, strategy: Strategy
+) -> Strategy:
+    """Walks the positions: the strategy inside the remainder, below a
+    removed region's entry (found by walking up) its witness if the entry
+    is the owner's, else the least move."""
+    owner = strategy.owner
+    choices = {}
+    for position in tree.positions():
+        labels = tree.children_of(position)
+        if not labels or Player.to_move(position) is not owner:
+            continue
+        if position not in pruned.removed:
+            choices[position] = strategy.move_at(position)
+            continue
+        entry = position
+        while entry[:-1] in pruned.removed:
+            entry = entry[:-1]
+        if pruned.determined[entry] is owner:
+            choices[position] = pruned.witnesses[entry].move_at(position)
+        else:
+            choices[position] = labels[0]
+    return Strategy(owner, choices)

@@ -166,6 +166,18 @@ def test_complete_deep_chain_within_default_recursion_limit():
     chain = GameTree.complete(3000, 1)
     assert chain.node_count == 3001
     assert chain.positions()[-1] == (0,) * 3000
+    assert list(chain._levels) == [*range(3001), 3001]
+    oracles.assert_matches_checked_build(chain)
+
+
+def test_level_offsets_when_every_play_ends_in_an_early_taboo():
+    """Levels past the deepest node are empty: each starts and ends at n."""
+    tree = GameTree.from_nodes(6, [(0,), (1,), (0, 0)], {(1,): Player.I, (0, 0): Player.II})
+    assert list(tree._levels) == [0, 1, 3, 4, 4, 4, 4, 4]
+    assert list(tree.full_depth_plays()) == []
+    oracles.assert_matches_checked_build(tree)
+    from_ids = GameTree._from_ids(6, list(tree.positions()), tree._labels, tree._tags)
+    oracles.assert_matches_checked_build(from_ids)
 
 
 def test_ex_fixture_sizes(ex1, ex2, ex3):

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from unraveling.core import CheckResult, GameTree
+from unraveling.core import CheckResult, GameTree, ResourceLimitError
 from unraveling.payoff import (
     Closed,
     ClosedSpec,
@@ -14,8 +14,11 @@ from unraveling.payoff import (
     map_closed,
     realize,
 )
-from unraveling.randgen import random_closed_spec, random_tree, rng_for
-from unraveling.unravel import unravel_payoff
+from unraveling.covering import pullback
+from unraveling.randgen import random_closed_spec, random_game, random_tree, rng_for
+from unraveling.unravel import build_base_covering, unravel_payoff
+
+import oracles
 
 
 def leaves_with(tree, predicate):
@@ -77,6 +80,40 @@ def test_decided_monotone_in_depth(seed):
     assert decided_from, "every set is decided at full depth"
     first = decided_from[0]
     assert decided_from == list(range(first, tree.depth + 1))
+
+
+def _assert_certificates_match_the_prefix_scan(tree, rng, payoff):
+    """At every depth, on ``payoff``, its complement and two random sets."""
+    plays = list(tree.full_depth_plays())
+    sets = [payoff, frozenset(plays) - payoff]
+    sets += [frozenset(p for p in plays if rng.random() < 0.5) for _ in range(2)]
+    for leaves in sets:
+        for depth in range(tree.depth + 1):
+            assert decided_by_depth(tree, leaves, depth) == (
+                oracles.reference_decided_by_depth(tree, leaves, depth)
+            )
+
+
+@given(st.integers(0, 10**6), st.sampled_from([(4, 3), (6, 2), (6, 3)]))
+@settings(max_examples=40, deadline=None)
+def test_decided_matches_the_prefix_scan_reference_on_taboo_trees(seed, shape):
+    depth, branching = shape
+    rng = rng_for(f"certificate:{seed}")
+    tree = random_tree(rng, depth=depth, branching=branching, taboos=4)
+    payoff = realize(tree, Closed(random_closed_spec(rng, tree)))
+    _assert_certificates_match_the_prefix_scan(tree, rng, payoff)
+
+
+@given(st.integers(0, 10**6), st.sampled_from([0, 2]))
+@settings(max_examples=20, deadline=None)
+def test_decided_matches_the_prefix_scan_reference_on_covering_sources(seed, k):
+    tree, spec = random_game(f"certificate-source:{seed}", depth=6, branching=2, taboos=3)
+    try:
+        covering = build_base_covering(tree, spec, k, frontier_max=4)
+    except ResourceLimitError:
+        return
+    pulled = pullback(covering, realize(tree, Closed(spec)))
+    _assert_certificates_match_the_prefix_scan(covering.source, rng_for(seed), pulled)
 
 
 # ----------------------------------------------- complement generators

@@ -9,6 +9,7 @@ from unraveling.core import (
     is_winning_strategy,
 )
 from unraveling.covering import pullback
+from unraveling.gamedoc import parse_game_bytes
 from unraveling.payoff import Closed, ClosedUnion, realize
 from unraveling.randgen import random_game, random_tree, random_union_instance, rng_for
 from unraveling.solver import _winners, prune, solve, transfer_from_pruned
@@ -305,6 +306,34 @@ def test_level_by_level_equivalence(seed):
     assert pruned_solution.winner is direct.winner
     transferred = transfer_from_pruned(tree, result, pruned_solution.strategy)
     assert is_winning_strategy(tree, payoff, transferred)
+
+
+def assert_transfers_match_the_reference(tree, payoff):
+    """The winner's strategy on the remainder and the loser's least one
+    transfer to the same choices, in the same order, as the position walk."""
+    result = prune(tree)
+    if result.tree is None:
+        return
+    solution = solve(result.tree, payoff & frozenset(result.tree.full_depth_plays()))
+    loser = oracles.least_strategy(result.tree, solution.winner.opponent)
+    for strategy in (solution.strategy, loser):
+        transferred = transfer_from_pruned(tree, result, strategy)
+        expected = oracles.reference_transfer_from_pruned(tree, result, strategy)
+        assert transferred.owner is expected.owner
+        assert list(transferred.choices.items()) == list(expected.choices.items())
+
+
+def test_transfer_matches_the_reference_on_fixtures(fixtures_dir):
+    for path in sorted(fixtures_dir.glob("*.game")):
+        document = parse_game_bytes(path.read_bytes())
+        payoff = realize(document.tree, document.payoff)
+        assert_transfers_match_the_reference(document.tree, payoff)
+
+
+def test_transfer_matches_the_reference_on_seeded_arenas():
+    for seed in range(200):
+        tree, spec = random_game(f"transfer:{seed}", depth=6, branching=3, taboos=5)
+        assert_transfers_match_the_reference(tree, realize(tree, Closed(spec)))
 
 
 # ------------------------------------------- the tuple-keyed reference kernel
