@@ -34,9 +34,8 @@ positions in any order, sorts them and checks every structural rule.
 Derived trees (covering sources, pruned remainders) are written by their
 builders already in id form and enter through ``GameTree._from_ids``,
 which re-checks only what needs no hashing.  The one table keyed by
-position (for ``in``, ``children_of`` and ``taboo_owner``) is built on
-first use, so a derived tree that is only walked by id never hashes its
-positions.
+position (for ``in`` and ``children_of``) is built on first use, so a
+derived tree that is only walked by id never hashes its positions.
 """
 
 from __future__ import annotations
@@ -81,11 +80,6 @@ class Player(enum.Enum):
     @property
     def opponent(self) -> "Player":
         return Player.II if self is Player.I else Player.I
-
-    @staticmethod
-    def to_move(position: "Position") -> "Player":
-        """Player I moves at even-length positions, player II at odd."""
-        return Player.I if len(position) % 2 == 0 else Player.II
 
     def __str__(self) -> str:
         return self.value
@@ -339,12 +333,6 @@ class GameTree:
     def is_terminal(self, position: Position) -> bool:
         return not self.children_of(position)
 
-    def taboo_owner(self, position: Position) -> Player | None:
-        """The player for whom this early terminal is a loss, if tagged."""
-        if position not in self._children:
-            raise ValueError(f"unknown position {format_position(position)}")
-        return _OWNERS[self._tags[self._id(position)]]
-
     def taboo_items(self) -> Iterator[tuple[Position, Player]]:
         for position, tag in zip(self._ordered, self._tags):
             if tag:
@@ -378,6 +366,11 @@ class GameTree:
 
 # A taboo tag byte names its owner; 0 is untagged.
 _OWNERS = (None, Player.I, Player.II)
+# The two ways a play is won: a taboo by the opponent of its owner, read by
+# tag byte (``None`` on the untagged byte), and a full-depth play by I iff it
+# is in the payoff, read by membership.
+_TABOO_WINNER = tuple(owner and owner.opponent for owner in _OWNERS)
+_PLAY_WINNER = (Player.II, Player.I)
 _UNTAGGED = bytes([1]) + bytes(255)  # a ``translate`` table: 1 on the untagged byte
 
 
@@ -494,13 +487,10 @@ def _check_payoff(tree: GameTree, payoff: Iterable[Position]) -> None:
 
 
 def _evaluate(tree: GameTree, i: int, payoff) -> Player:
-    """Winner of the play with id ``i``: the opponent of its taboo owner if it
-    is an early terminal (``GameTree`` tags every one), else I iff it lies in
-    the payoff."""
-    tag = tree._tags[i]
-    if tag:
-        return _OWNERS[tag].opponent
-    return Player.I if tree._ordered[i] in payoff else Player.II
+    """Winner of the play with id ``i``, by the two winner tables: its taboo
+    tag if it is an early terminal (``GameTree`` tags every one), else its
+    payoff membership."""
+    return _TABOO_WINNER[tree._tags[i]] or _PLAY_WINNER[tree._ordered[i] in payoff]
 
 
 def is_winning_strategy(tree: GameTree, payoff, strategy: Strategy) -> CheckResult:

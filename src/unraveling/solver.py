@@ -35,7 +35,8 @@ from .core import (
     Player,
     Position,
     Strategy,
-    _OWNERS,
+    _PLAY_WINNER,
+    _TABOO_WINNER,
     _check_payoff,
     format_position,
 )
@@ -47,12 +48,6 @@ class Solution:
 
     winner: Player
     strategy: Strategy
-
-
-# The winner of a taboo by its tag byte: the opponent of its owner.
-_TABOO_WINNER = tuple(owner and owner.opponent for owner in _OWNERS)
-# The winner of a full-depth play by its payoff membership.
-_PLAY_WINNER = (Player.II, Player.I)
 
 
 def _winners(tree: GameTree, payoff) -> list[Player | None]:
@@ -204,42 +199,33 @@ def transfer_from_pruned(tree: GameTree, pruned: PruneResult, strategy: Strategy
         raise ValueError("no pruned tree: the root is taboo-determined")
     owner = strategy.owner
     parity = 0 if owner is Player.I else 1  # the owner moves at these depths
-    entries = list(pruned.witnesses)  # the minimal removed positions
-    for entry in entries:
-        if len(entry) % 2 == parity and pruned.determined[entry] is not owner:
-            # the opponent moves into ``entry``
+    ordered, first, labels_of, levels = tree._ordered, tree._first, tree._labels, tree._levels
+    # Who picks the owner's move, by id: ``strategy`` in the remainder; in a
+    # removed region, its entry's witness if the owner determines the entry,
+    # else ``None``, the least move.
+    mover: list[Strategy | None] = [strategy] * len(ordered)
+    for entry, witness in pruned.witnesses.items():  # the minimal removed positions
+        if pruned.determined[entry] is owner:
+            mover[tree._id(entry)] = witness
+        elif len(entry) % 2 == parity:  # the opponent moves into ``entry``
             raise InternalInvariantError(
                 f"opponent enters {format_position(entry)} determined against the owner"
             )
-
-    # One forward pass, parents before children: by id, the index in
-    # ``entries`` of the minimal removed node at or above it, or -1.
-    ordered, first, labels_of, levels = tree._ordered, tree._first, tree._labels, tree._levels
-    entry_of = [-1] * len(ordered)
-    for n, entry in enumerate(entries):
-        entry_of[tree._id(entry)] = n
+        else:
+            mover[tree._id(entry)] = None
+    # One forward pass, parents before children: a removed node hands its
+    # mover on to its child range.
     for i in range(len(ordered)):
-        n = entry_of[i]
-        if n >= 0:
+        who = mover[i]
+        if who is not strategy:
             lo, hi = first[i], first[i + 1]
-            entry_of[lo:hi] = [n] * (hi - lo)
-    # The witness where the owner determines the entry, else no witness.
-    witness_of = [
-        pruned.witnesses[entry] if pruned.determined[entry] is owner else None
-        for entry in entries
-    ]
+            mover[lo:hi] = [who] * (hi - lo)
 
     choices: dict[Position, object] = {}
     for d in range(parity, tree.depth, 2):  # the owner's levels
         for i in range(levels[d], levels[d + 1]):
             labels = labels_of[i]
-            if not labels:
-                continue
-            position, n = ordered[i], entry_of[i]
-            if n < 0:
-                choices[position] = strategy.move_at(position)
-            elif witness_of[n] is not None:
-                choices[position] = witness_of[n].move_at(position)
-            else:
-                choices[position] = labels[0]
+            if labels:
+                position, who = ordered[i], mover[i]
+                choices[position] = labels[0] if who is None else who.move_at(position)
     return Strategy(owner, choices)

@@ -18,12 +18,11 @@ from unraveling.core import (
     Position,
     Strategy,
     format_position,
-    is_consistent,
     is_prefix,
     strategy_from,
 )
 from unraveling.covering import Covering
-from unraveling.solver import PruneResult, Solution, solve
+from unraveling.solver import PruneResult, Solution
 from unraveling.unravel import Accept, Claim
 
 
@@ -44,9 +43,18 @@ def assert_matches_checked_build(tree: GameTree) -> None:
     for position in checked.positions():
         assert position in tree
         assert tree.children_of(position) == checked.children_of(position)
-        assert tree.taboo_owner(position) is checked.taboo_owner(position)
     assert list(tree.taboo_items()) == list(checked.taboo_items())
     assert (-1,) not in tree
+
+
+def to_move(position: Position) -> Player:
+    """Player I moves at even-length positions, player II at odd."""
+    return Player.I if len(position) % 2 == 0 else Player.II
+
+
+def taboo_owner(tree: GameTree, position: Position) -> Player | None:
+    """The player an early terminal is a loss for, or ``None`` if untagged."""
+    return dict(tree.taboo_items()).get(position)
 
 
 def plays(tree: GameTree) -> list[Position]:
@@ -107,7 +115,6 @@ def subtree_at(tree: GameTree, position: Position) -> GameTree:
     if position not in tree:
         raise ValueError(f"unknown position {format_position(position)}")
     children: dict[Position, tuple] = {}
-    taboo: dict[Position, Player] = {}
     for k in range(len(position)):
         children[position[:k]] = (position[k],)
     stack = [position]
@@ -115,10 +122,8 @@ def subtree_at(tree: GameTree, position: Position) -> GameTree:
         current = stack.pop()
         labels = tree.children_of(current)
         children[current] = labels
-        owner = tree.taboo_owner(current)
-        if owner is not None:
-            taboo[current] = owner
         stack.extend(current + (label,) for label in labels)
+    taboo = {p: owner for p, owner in tree.taboo_items() if p in children}
     return GameTree(tree.depth, children, taboo)
 
 
@@ -132,11 +137,16 @@ def subtree_nodes(tree: GameTree, position: Position) -> set[Position]:
 
 
 def consistent_plays_filter(tree: GameTree, strategy: Strategy) -> set[Position]:
-    """Filter every play of the tree by the consistency predicate."""
+    """Filter every play of the tree by the consistency predicate: each of
+    the owner's moves along the play is the strategy's choice there."""
     return {
         play
         for play in plays(tree)
-        if is_consistent(play, strategy)
+        if all(
+            strategy.choices.get(play[:k]) == play[k]
+            for k in range(len(play))
+            if to_move(play[:k]) is strategy.owner
+        )
     }
 
 
@@ -168,7 +178,7 @@ def frontier_by_scan(tree: GameTree, leaves, prefix: Position, move) -> list[Pos
 
 
 def play_winner(tree: GameTree, play: Position, leaves) -> Player:
-    owner = tree.taboo_owner(play)
+    owner = taboo_owner(tree, play)
     if owner is not None:
         return owner.opponent
     return Player.I if play in leaves else Player.II
@@ -182,7 +192,7 @@ def _some_losing_play(tree: GameTree, leaves, strategy: Strategy) -> Position | 
         if not labels:
             if play_winner(tree, position, leaves) is not strategy.owner:
                 return position
-        elif Player.to_move(position) is strategy.owner:
+        elif to_move(position) is strategy.owner:
             stack.append(position + (strategy.choices[position],))
         else:
             stack.extend(position + (label,) for label in labels)
@@ -193,7 +203,7 @@ def decision_positions(tree: GameTree, owner: Player) -> list[Position]:
     return [
         p
         for p in tree.positions()
-        if tree.children_of(p) and Player.to_move(p) is owner
+        if tree.children_of(p) and to_move(p) is owner
     ]
 
 
@@ -221,7 +231,7 @@ def taboo_strategy_by_solve(tree: GameTree, position: Position, player: Player):
     empty set for player I, every full-depth play for player II)."""
     subtree = subtree_at(tree, position)
     payoff = frozenset() if player is Player.I else frozenset(subtree.full_depth_plays())
-    solution = solve(subtree, payoff)
+    solution = reference_solve(subtree, payoff)
     return solution.strategy if solution.winner is player else None
 
 
@@ -239,7 +249,7 @@ def reference_winners(tree: GameTree, leaf_winner) -> dict[Position, Player | No
         if not labels:
             values[position] = leaf_winner(position)
             continue
-        mover = Player.I if len(position) % 2 == 0 else Player.II
+        mover = to_move(position)
         child_values = [values[position + (label,)] for label in labels]
         if mover in child_values:
             values[position] = mover
@@ -254,7 +264,7 @@ def reference_least_winning(tree: GameTree, owner: Player, values, positions) ->
     choices = {}
     for position in positions:
         labels = tree.children_of(position)
-        if not labels or Player.to_move(position) is not owner:
+        if not labels or to_move(position) is not owner:
             continue
         winning = [label for label in labels if values[position + (label,)] is owner]
         choices[position] = winning[0] if winning else labels[0]
@@ -269,7 +279,7 @@ def reference_solve(tree: GameTree, payoff) -> Solution:
 
 def reference_prune(tree: GameTree) -> PruneResult:
     def taboo_leaf(play):
-        owner = tree.taboo_owner(play)
+        owner = taboo_owner(tree, play)
         return None if owner is None else owner.opponent
 
     forced = reference_winners(tree, taboo_leaf)
@@ -335,7 +345,7 @@ def reference_transfer_from_pruned(
     choices = {}
     for position in tree.positions():
         labels = tree.children_of(position)
-        if not labels or Player.to_move(position) is not owner:
+        if not labels or to_move(position) is not owner:
             continue
         if position not in pruned.removed:
             choices[position] = strategy.move_at(position)

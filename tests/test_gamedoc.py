@@ -15,6 +15,8 @@ from unraveling.gamedoc import (
 from unraveling.payoff import Closed, ClosedSpec, ClosedUnion, Not, Open
 from unraveling.unravel import build_base_covering
 
+import oracles
+
 MINIMAL = """\
 GAME v1
 ALPHABET 2
@@ -156,7 +158,7 @@ PAYOFF closed
 """
     tree = parse_game(text).tree
     assert tree.node_count == 1
-    assert tree.taboo_owner(()) is Player.II
+    assert oracles.taboo_owner(tree, ()) is Player.II
 
 
 def test_parse_bytes_rejects_bad_utf8():

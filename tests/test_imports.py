@@ -1,10 +1,12 @@
 """Every module of the package and every test module uses each name it
-imports, every public function and class has a caller outside the tests,
-and the README's quick start runs."""
+imports, every public function and class, and every public method of an
+exported class, has a caller outside the tests, and the README's quick
+start runs."""
 
 import ast
 import inspect
 import re
+import types
 from pathlib import Path
 
 import unraveling
@@ -49,19 +51,38 @@ def read_names(source: str) -> set[str]:
     return names
 
 
+# The members of an exported class that the caller guard checks.
+MEMBER_KINDS = (types.FunctionType, property, staticmethod, classmethod)
+
+
+def quick_start() -> str:
+    """The README's one python block."""
+    (block,) = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.DOTALL)
+    return block
+
+
 def test_every_public_function_and_class_has_a_caller_outside_the_tests():
-    callers = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
-    callers += ROOT.glob("bench/*.py")
-    read = set().union(*(read_names(path.read_text()) for path in callers))
+    """So has every public method, property, static and class method of an
+    exported class.  The README's quick start counts as a caller."""
+    callers = [p.read_text() for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+    callers += [p.read_text() for p in ROOT.glob("bench/*.py")]
+    callers.append(quick_start())
+    read = set().union(*map(read_names, callers))
     unread = []
     for name in unraveling.__all__:
         value = getattr(unraveling, name)
         if (inspect.isfunction(value) or inspect.isclass(value)) and name not in read:
             unread.append(name)
+        if inspect.isclass(value):
+            unread += [
+                f"{name}.{member}"
+                for member, attr in vars(value).items()
+                if not member.startswith("_")
+                and isinstance(attr, MEMBER_KINDS)
+                and member not in read
+            ]
     assert not unread, "public names read only by tests: " + ", ".join(unread)
 
 
 def test_readme_quick_start_runs():
-    readme = (ROOT / "README.md").read_text()
-    (block,) = re.findall(r"```python\n(.*?)```", readme, re.DOTALL)
-    exec(compile(block, "README.md", "exec"), {})
+    exec(compile(quick_start(), "README.md", "exec"), {})

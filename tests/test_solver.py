@@ -1,8 +1,11 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from unraveling.core import (
     GameTree,
+    InternalInvariantError,
     Player,
     ResourceLimitError,
     is_prefix,
@@ -279,6 +282,20 @@ def test_transfer_follows_witness_on_deviation():
     from unraveling.core import consistent_plays
 
     assert set(consistent_plays(tree, transferred)) == {(0, 0, 0, 0), (0, 1, 0)}
+
+
+def test_transfer_rejects_an_opponent_entry_determined_against_the_owner():
+    """A planted fault: the entry 0/1, which player II moves into, marked as
+    determined for player II."""
+    nodes = [(0,), (0, 0), (0, 1), (0, 0, 0), (0, 1, 0), (0, 0, 0, 0)]
+    tree = GameTree.from_nodes(4, nodes, {(0, 1, 0): Player.II})
+    result = prune(tree)
+    faulty = dataclasses.replace(result, determined={**result.determined, (0, 1): Player.II})
+    strategy = oracles.least_strategy(result.tree, Player.I)
+    with pytest.raises(
+        InternalInvariantError, match="^opponent enters 0/1 determined against the owner$"
+    ):
+        transfer_from_pruned(tree, faulty, strategy)
 
 
 def test_transfer_rejects_root_determined():

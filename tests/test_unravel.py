@@ -157,7 +157,7 @@ def test_base_covering_trivial_spec_decorates_only(ex1):
 def test_base_covering_inherits_taboos(ex2):
     covering = build_base_covering(ex2, ClosedSpec(), 0)
     accept_to_taboo = (Claim(0, ()), Accept(0))
-    assert covering.source.taboo_owner(accept_to_taboo) is Player.II
+    assert oracles.taboo_owner(covering.source, accept_to_taboo) is Player.II
     assert image_of(covering, accept_to_taboo) == (0, 0)
 
 
@@ -167,7 +167,7 @@ def test_base_covering_taboo_claim_nodes():
         4, [(0,), (1,), (1, 0), (1, 0, 0), (1, 0, 0, 0)], {(0,): Player.I}
     )
     covering = build_base_covering(tree, ClosedSpec(), 0)
-    assert covering.source.taboo_owner((Claim(0, ()),)) is Player.I
+    assert oracles.taboo_owner(covering.source, (Claim(0, ()),)) is Player.I
     assert covering.source.is_terminal((Claim(0, ()),))
 
 
@@ -231,7 +231,7 @@ def test_lift_truncates_at_conceded_frontier(ex1):
         assert verify_lift(covering, strategy, play)
         lifted = covering.lift(strategy, play)
         assert lifted == (Claim(1, ()), Accept(play[1]))
-        assert covering.source.taboo_owner(lifted) is Player.I
+        assert oracles.taboo_owner(covering.source, lifted) is Player.I
         assert image_of(covering, lifted) == play[:2]
 
 
