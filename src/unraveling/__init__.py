@@ -4,6 +4,7 @@ from .core import (
     CheckResult,
     GameTree,
     InternalInvariantError,
+    Plays,
     Player,
     Position,
     ResourceLimitError,

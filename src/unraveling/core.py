@@ -29,12 +29,20 @@ the depth matters, and a covering's position map is an array of target
 ids by source id (``Covering.images``); tuple positions appear only at
 the API and in the file formats.
 
+A payoff set is a ``Plays``: a read-only set bound to one tree that holds
+one byte per full-depth id, 1 on the plays in the set.  ``realize`` and
+``pullback`` build them with byte operations, and every kernel reads the
+bytes by id.  Every function that takes a payoff set accepts any set of
+positions and converts it once, in ``_as_plays``; a ``Plays`` of the same
+tree passes through as it is.
+
 A tree has two entries.  ``GameTree(depth, children, taboo)`` takes
 positions in any order, sorts them and checks every structural rule.
 Derived trees (covering sources, pruned remainders) are written by their
 builders already in id form and enter through ``GameTree._from_ids``,
-which re-checks only what needs no hashing.  The one table keyed by
-position (for ``in`` and ``children_of``) is built on first use, so a
+which re-checks only what needs no hashing.  The tables keyed by position
+(one for ``in`` and ``children_of``, one from full-depth play to mask
+index for converting a set of positions) are built on first use, so a
 derived tree that is only walked by id never hashes its positions.
 """
 
@@ -43,9 +51,10 @@ from __future__ import annotations
 import enum
 import random
 from array import array
+from collections.abc import Set
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, compress
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping
 
@@ -264,6 +273,13 @@ class GameTree:
     def _children(self) -> dict[Position, tuple[Label, ...]]:
         return dict(zip(self._ordered, self._labels))
 
+    @cached_property
+    def _play_ids(self) -> dict[Position, int]:
+        """Each full-depth play's index in a ``Plays`` mask: its id less the
+        first full-depth id."""
+        start = self._levels[self.depth]
+        return dict(zip(self._ordered[start:], range(len(self._ordered) - start)))
+
     @classmethod
     def from_nodes(
         cls,
@@ -368,10 +384,79 @@ class GameTree:
 _OWNERS = (None, Player.I, Player.II)
 # The two ways a play is won: a taboo by the opponent of its owner, read by
 # tag byte (``None`` on the untagged byte), and a full-depth play by I iff it
-# is in the payoff, read by membership.
+# is in the payoff, read by its ``Plays`` byte.
 _TABOO_WINNER = tuple(owner and owner.opponent for owner in _OWNERS)
 _PLAY_WINNER = (Player.II, Player.I)
 _UNTAGGED = bytes([1]) + bytes(255)  # a ``translate`` table: 1 on the untagged byte
+_FLIP = bytes([1, 0]) + bytes(254)  # a ``translate`` table: swaps 0 and 1
+
+
+class Plays(Set):
+    """A set of full-depth plays of one tree: ``mask`` holds one byte per
+    full-depth id, 1 on the plays in the set, so the play with id ``i`` is
+    at ``mask[i - tree._levels[tree.depth]]`` and iteration follows the
+    canonical order.  It is read-only and compares, hashes and combines as
+    the frozenset of its plays would: ``==``, ``&``, ``|``, ``-`` and ``^``
+    work with frozensets on either side and give frozensets.  Anything that
+    is not a full-depth play of the tree, of any shape, is not ``in`` it.
+    ``~`` is the complement within the tree's full-depth plays.
+    """
+
+    __slots__ = ("tree", "mask")
+
+    def __init__(self, tree: GameTree, mask: bytes):
+        self.tree = tree
+        self.mask = mask
+
+    def __contains__(self, play: object) -> bool:
+        try:
+            return self.mask[self.tree._play_ids[play]] == 1
+        except (KeyError, TypeError):  # not a full-depth play, or unhashable
+            return False
+
+    def __iter__(self) -> Iterator[Position]:
+        tree = self.tree
+        return compress(tree._ordered[tree._levels[tree.depth] :], self.mask)
+
+    def __len__(self) -> int:
+        return self.mask.count(1)
+
+    __hash__ = Set._hash  # the hash of the frozenset of its plays
+
+    def __and__(self, other):
+        # Against a set, the frozenset of its plays intersects in C; the
+        # mixin calls ``__contains__`` once per member of ``other``.
+        if isinstance(other, (set, frozenset)):
+            return frozenset(self) & other
+        return Set.__and__(self, other)
+
+    __rand__ = __and__
+
+    def __invert__(self) -> "Plays":
+        return Plays(self.tree, self.mask.translate(_FLIP))
+
+    @classmethod
+    def _from_iterable(cls, iterable) -> frozenset:
+        return frozenset(iterable)
+
+
+def _as_plays(tree: GameTree, payoff: Iterable[Position]) -> Plays:
+    """A payoff set as a ``Plays`` of ``tree``: a ``Plays`` of this very
+    tree as it is, any other set of positions converted once through the
+    tree's full-depth play index.  A member that is not a full-depth play
+    of the tree is a ``ValueError``."""
+    if payoff.__class__ is Plays and payoff.tree is tree:
+        return payoff
+    index = tree._play_ids
+    mask = bytearray(len(index))
+    for member in payoff:
+        try:
+            mask[index[member]] = 1
+        except (KeyError, TypeError):  # not a full-depth play, or unhashable
+            raise ValueError(
+                f"payoff member {format_position(member)} is not a full-depth play"
+            ) from None
+    return Plays(tree, bytes(mask))
 
 
 @dataclass(frozen=True)
@@ -479,25 +564,18 @@ def consistent_plays(tree: GameTree, strategy: Strategy) -> tuple[Position, ...]
     return tuple(ordered[i] for i in _consistent_ids(tree, strategy))
 
 
-def _check_payoff(tree: GameTree, payoff: Iterable[Position]) -> None:
-    if set(map(len, payoff)) <= {tree.depth}:
-        return
-    member = next(m for m in payoff if len(m) != tree.depth)
-    raise ValueError(f"payoff member {format_position(member)} is not a full-depth play")
-
-
-def _evaluate(tree: GameTree, i: int, payoff) -> Player:
+def _evaluate(tree: GameTree, i: int, mask: bytes) -> Player:
     """Winner of the play with id ``i``, by the two winner tables: its taboo
     tag if it is an early terminal (``GameTree`` tags every one), else its
-    payoff membership."""
-    return _TABOO_WINNER[tree._tags[i]] or _PLAY_WINNER[tree._ordered[i] in payoff]
+    byte in ``mask``, a ``Plays`` mask of the tree."""
+    return _TABOO_WINNER[tree._tags[i]] or _PLAY_WINNER[mask[i - tree._levels[tree.depth]]]
 
 
 def is_winning_strategy(tree: GameTree, payoff, strategy: Strategy) -> CheckResult:
     """Passes iff every play consistent with the strategy is a win for its
     owner; a failure names the first lost play in ``consistent_plays`` order."""
-    _check_payoff(tree, payoff)
+    mask = _as_plays(tree, payoff).mask
     for i in _consistent_ids(tree, strategy):
-        if _evaluate(tree, i, payoff) is not strategy.owner:
+        if _evaluate(tree, i, mask) is not strategy.owner:
             return CheckResult(False, f"loses play {format_position(tree._ordered[i])}")
     return CheckResult(True)

@@ -21,17 +21,18 @@ from __future__ import annotations
 import random
 from array import array
 from dataclasses import dataclass
-from itertools import compress
 from typing import Callable
 
 from .core import (
     CheckResult,
     GameTree,
     InternalInvariantError,
+    Plays,
     Player,
     Position,
     Strategy,
     _OWNERS,
+    _as_plays,
     consistent_plays,
     format_position,
     is_consistent,
@@ -236,12 +237,14 @@ def check_lift(covering: Covering, samples: int, seed: int) -> CheckResult:
     )
 
 
-def pullback(covering: Covering, payoff_leaves) -> frozenset:
-    """Preimage of a payoff set: source leaves whose image lies in it."""
-    source, targets = covering.source, covering.target._ordered
-    start = source._levels[source.depth]
-    inside = map(payoff_leaves.__contains__, map(targets.__getitem__, covering.images[start:]))
-    return frozenset(compress(source._ordered[start:], inside))
+def pullback(covering: Covering, payoff_leaves) -> Plays:
+    """Preimage of a payoff set: the source's full-depth plays whose image
+    lies in it, each read off the target's bytes at its image id."""
+    source, target = covering.source, covering.target
+    # The target's bytes padded to read by target id.
+    inside = bytes(target._levels[target.depth]) + _as_plays(target, payoff_leaves).mask
+    images = covering.images[source._levels[source.depth] :]
+    return Plays(source, bytes(map(inside.__getitem__, images)))
 
 
 def pullback_closed_spec(covering: Covering, spec: ClosedSpec) -> ClosedSpec:
@@ -299,7 +302,8 @@ def check_winning_transfer(
     strategy winning the target game.
     """
     rng = random.Random(f"transfer:{seed}")
-    source_payoff = pullback(covering, payoff_leaves)
+    payoff = _as_plays(covering.target, payoff_leaves)
+    source_payoff = pullback(covering, payoff)
     solution = solve(covering.source, source_payoff)
     winner = solution.winner
     winning = [solution.strategy]
@@ -315,7 +319,7 @@ def check_winning_transfer(
             winning.append(candidate)
     for index, candidate in enumerate(winning):
         mapped = covering.strategy_transform(candidate)
-        result = is_winning_strategy(covering.target, payoff_leaves, mapped)
+        result = is_winning_strategy(covering.target, payoff, mapped)
         if not result:
             return CheckResult(False, f"sample {index}: mapped strategy {result.detail}")
     return CheckResult(True)
@@ -328,7 +332,8 @@ def solve_via_covering(covering: Covering, payoff_leaves, decided_depth: int) ->
     stated depth (the unraveling property); solves the pulled-back game,
     maps the winner's strategy down, and verifies it before returning.
     """
-    source_payoff = pullback(covering, payoff_leaves)
+    payoff = _as_plays(covering.target, payoff_leaves)
+    source_payoff = pullback(covering, payoff)
     certificate = decided_by_depth(covering.source, source_payoff, decided_depth)
     if not certificate:
         raise ValueError(
@@ -337,7 +342,7 @@ def solve_via_covering(covering: Covering, payoff_leaves, decided_depth: int) ->
         )
     solution = solve(covering.source, source_payoff)
     mapped = covering.strategy_transform(solution.strategy)
-    wins = is_winning_strategy(covering.target, payoff_leaves, mapped)
+    wins = is_winning_strategy(covering.target, payoff, mapped)
     if not wins:
         raise InternalInvariantError(
             f"mapped strategy fails to win the target game: {wins.detail}"

@@ -10,7 +10,7 @@ to their images.
 
 from __future__ import annotations
 
-from .core import _OWNERS, GameTree, ResourceLimitError, format_position
+from .core import _OWNERS, GameTree, ResourceLimitError, _as_plays, format_position
 from .covering import Covering
 
 _QUOTE = str.maketrans({'"': '\\"', "\\": "\\\\"})
@@ -23,13 +23,20 @@ def _quoted(text: str) -> str:
 def _node_lines(tree: GameTree, payoff_leaves, prefix: str) -> tuple[list[str], list[str]]:
     """A tree's node and edge lines, and its quoted node names by id."""
     positions, first, tags = tree.positions(), tree._first, tree._tags
+    start = tree._levels[tree.depth]
+    # The payoff's bytes padded to read by id; no payoff marks no play.
+    inside = bytes(start) + (
+        bytes(len(positions) - start)
+        if payoff_leaves is None
+        else _as_plays(tree, payoff_leaves).mask
+    )
     paths = [format_position(position) for position in positions]
     names = [_quoted(prefix + path) for path in paths]
     lines = []
     for i, path in enumerate(paths):
         if tags[i]:
             style = f"shape=box, xlabel={_quoted(f'taboo:{_OWNERS[tags[i]]}')}"
-        elif payoff_leaves is not None and positions[i] in payoff_leaves:
+        elif inside[i]:
             style = "shape=doublecircle"
         else:
             style = "shape=ellipse"

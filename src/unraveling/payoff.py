@@ -11,6 +11,12 @@ A payoff is one expression: ``Closed(spec)``, ``Not(e)`` (the complement
 within the full-depth plays) or ``Union(e, ...)``.  ``Open(spec)`` builds
 ``Not(Closed(spec))`` and ``ClosedUnion(specs)`` a union of closed sets.
 
+``realize`` turns an expression into the ``Plays`` it denotes, one byte
+per full-depth play (see ``unraveling.core``): a closed set flips the
+generator marks of ``_banned``, a complement flips the bytes and a union
+ORs them.  The functions here that read a payoff set take a ``Plays`` of
+the tree or any other set of positions, which they convert once.
+
 "Decided by depth d" is the finite rendering of clopen: membership of a
 full-depth play depends only on its length-``d`` prefix.
 """
@@ -18,14 +24,17 @@ full-depth play depends only on its length-``d`` prefix.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress, pairwise
-from operator import not_
+from functools import reduce
+from itertools import pairwise
+from operator import or_
 
 from .core import (
     ArenaError,
     CheckResult,
     GameTree,
+    Plays,
     Position,
+    _as_plays,
     format_position,
 )
 
@@ -106,30 +115,34 @@ def check_generators(tree: GameTree, spec: ClosedSpec) -> list[int]:
 
 def _banned(tree: GameTree, spec: ClosedSpec) -> bytearray:
     """By id, 1 on every node at or below a generator (``check_generators``
-    first): one forward pass, parents before children.  The closed set is
-    the full-depth plays left at 0."""
-    first = tree._first
+    first): one forward pass over the marked parents, which come before
+    their children; a full-depth play is no parent.  The closed set is the
+    full-depth plays left at 0."""
+    first, end = tree._first, tree._levels[tree.depth]
     banned = bytearray(len(tree._ordered))
     for i in check_generators(tree, spec):
         banned[i] = 1
-    for i in range(len(banned)):
-        if banned[i]:
-            lo, hi = first[i], first[i + 1]
-            banned[lo:hi] = b"\x01" * (hi - lo)
+    i = banned.find(1, 0, end)
+    while i >= 0:
+        lo, hi = first[i], first[i + 1]
+        banned[lo:hi] = b"\x01" * (hi - lo)
+        i = banned.find(1, i + 1, end)
     return banned
 
 
-def realize(tree: GameTree, payoff: PayoffSpec) -> frozenset:
-    """The explicit set of full-depth plays a payoff expression denotes; a
-    closed set's are those ``_banned`` leaves at 0."""
+def realize(tree: GameTree, payoff: PayoffSpec) -> Plays:
+    """The full-depth plays a payoff expression denotes: a closed set's are
+    the complement of the ``_banned`` ones, a complement flips its
+    operand's bytes and a union ORs its parts' bytes."""
     if isinstance(payoff, Closed):
         banned = _banned(tree, payoff.spec)
-        start = tree._levels[tree.depth]
-        return frozenset(compress(tree._ordered[start:], map(not_, banned[start:])))
+        return ~Plays(tree, bytes(banned[tree._levels[tree.depth] :]))
     if isinstance(payoff, Not):
-        return frozenset(tree.full_depth_plays()) - realize(tree, payoff.payoff)
+        return ~realize(tree, payoff.payoff)
     if isinstance(payoff, Union):
-        return frozenset().union(*(realize(tree, part) for part in payoff.parts))
+        masks = [realize(tree, part).mask for part in payoff.parts]
+        union = reduce(or_, [int.from_bytes(mask, "big") for mask in masks])
+        return Plays(tree, union.to_bytes(len(masks[0]), "big"))
     raise TypeError(f"not a payoff spec: {payoff!r}")
 
 
@@ -145,12 +158,12 @@ def decided_by_depth(tree: GameTree, leaves, depth: int) -> CheckResult:
     in it that disagrees with that one."""
     if not 0 <= depth <= tree.depth:
         raise ValueError("depth out of range")
+    verdicts = _as_plays(tree, leaves).mask  # by id past ``start``
     ordered, first, levels = tree._ordered, tree._first, tree._levels
     bounds = range(levels[depth], levels[depth + 1] + 1)
     for _ in range(tree.depth - depth):
         bounds = list(map(first.__getitem__, bounds))
     start = levels[tree.depth]
-    verdicts = bytes(map(leaves.__contains__, ordered[start:]))  # by id past ``start``
     for lo, hi in pairwise(bounds):
         if lo == hi:
             continue  # no full-depth play below this node
@@ -178,4 +191,4 @@ def _complement_generators(tree: GameTree, leaves, depth: int) -> ClosedSpec:
     when it is shorter than the bound, so at the bound there are none."""
     if depth == tree.depth:
         return ClosedSpec()
-    return ClosedSpec(leaf[:depth] for leaf in leaves)
+    return ClosedSpec(leaf[:depth] for leaf in _as_plays(tree, leaves))

@@ -8,10 +8,11 @@ tie-breaking by the lexicographically least move so results are
 reproducible.  Both run over the tree's integer node ids: a labeling is a
 list by id, child values are read at the first-child offsets, and a taboo
 is won by its owner's opponent, read off its tag byte.  ``solve`` is the
-kernel with the payoff deciding the full-depth plays; ``prune`` runs it
-once with every full-depth play won by neither player, whose labeling
-names at each position the player who can force a taboo against the other,
-if any, and reads every forcing strategy off that one labeling.
+kernel with the payoff's bytes (see ``core.Plays``) deciding the
+full-depth plays; ``prune`` runs it once with every full-depth play won by
+neither player, whose labeling names at each position the player who can
+force a taboo against the other, if any, and reads every forcing strategy
+off that one labeling.
 
 ``prune`` removes from the tree every position from which some player can
 force every play into a taboo against the opponent.  The removed region is
@@ -37,7 +38,7 @@ from .core import (
     Strategy,
     _PLAY_WINNER,
     _TABOO_WINNER,
-    _check_payoff,
+    _as_plays,
     format_position,
 )
 
@@ -50,19 +51,19 @@ class Solution:
     strategy: Strategy
 
 
-def _winners(tree: GameTree, payoff) -> list[Player | None]:
+def _winners(tree: GameTree, mask: bytes | None) -> list[Player | None]:
     """Backward induction over ids: the winner of every node, by id, or
     ``None`` where neither player wins.  A taboo is won by its owner's
-    opponent, and a full-depth play by I iff it is in ``payoff``, or by
-    neither if ``payoff`` is ``None``.  A node is won by its mover if some
-    child is; otherwise it is won by neither if some child is, and by the
-    opponent if not.  The levels are walked deepest first, each with its
-    mover."""
+    opponent, and a full-depth play by I iff its byte in ``mask`` (a
+    ``Plays`` mask of the tree) is 1, or by neither if ``mask`` is
+    ``None``.  A node is won by its mover if some child is; otherwise it is
+    won by neither if some child is, and by the opponent if not.  The
+    levels are walked deepest first, each with its mover."""
     ordered, first, tags, levels = tree._ordered, tree._first, tree._tags, tree._levels
     start = levels[tree.depth]  # the full-depth plays end the order
     values: list[Player | None] = [None] * len(ordered)
-    if payoff is not None:
-        values[start:] = map(_PLAY_WINNER.__getitem__, map(payoff.__contains__, ordered[start:]))
+    if mask is not None:
+        values[start:] = map(_PLAY_WINNER.__getitem__, mask)
     for d in range(tree.depth - 1, -1, -1):
         mover, other = (Player.II, Player.I) if d % 2 else (Player.I, Player.II)
         for i in range(levels[d], levels[d + 1]):
@@ -102,8 +103,7 @@ def solve(tree: GameTree, payoff) -> Solution:
     strategy picks the least winning child where the winner is to move (the
     least child where they are already lost).
     """
-    _check_payoff(tree, payoff)
-    values = _winners(tree, payoff)
+    values = _winners(tree, _as_plays(tree, payoff).mask)
     winner = values[0]
     return Solution(winner, _least_winning(tree, winner, values))
 

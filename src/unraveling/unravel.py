@@ -187,18 +187,17 @@ class BaseCovering(Covering):
 def check_accept_set(covering: BaseCovering) -> CheckResult:
     """The pullback of the closed set a base covering was built for is
     exactly the full-depth plays of its accept branch, whichever orientation
-    of the set a game asks to solve for; if not, one play on which the two
-    differ is named with the side it is on."""
-    pulled = pullback(covering, realize(covering.target, Closed(covering.spec)))
-    accepts = frozenset(
-        leaf
-        for leaf in covering.source.full_depth_plays()
-        if isinstance(leaf[covering.level + 1], Accept)
-    )
+    of the set a game asks to solve for; if not, the first play (in id
+    order, so the least) on which the two differ is named with the side it
+    is on."""
+    source, reply = covering.source, covering.level + 1
+    pulled = pullback(covering, realize(covering.target, Closed(covering.spec))).mask
+    accepts = bytes(isinstance(leaf[reply], Accept) for leaf in source.full_depth_plays())
     if pulled == accepts:
         return CheckResult(True)
-    play = min(pulled ^ accepts)
-    side = "pullback, not the accept set" if play in pulled else "accept set, not the pullback"
+    n = next(n for n, (a, b) in enumerate(zip(pulled, accepts)) if a != b)
+    play = source._ordered[source._levels[source.depth] + n]
+    side = "pullback, not the accept set" if pulled[n] else "accept set, not the pullback"
     return CheckResult(False, f"play {format_position(play)} is in the {side}")
 
 
@@ -576,11 +575,11 @@ def unravel_payoff(
 
     A closed set is one base covering, decided two levels past ``level``;
     a complement takes its operand's covering and depth.  A union is
-    realized first, so a bad generator fails before any stage is built;
-    part ``n``, pulled back through the composite so far, unravels at the
-    smallest even level at least ``level + n``; the complement of the
-    pulled-back union is then closed at the deepest depth the parts return,
-    and one more base covering at ``level`` finishes.
+    realized first (a byte operation), so a bad generator fails before any
+    stage is built; part ``n``, pulled back through the composite so far,
+    unravels at the smallest even level at least ``level + n``; the
+    complement of the pulled-back union is then closed at the deepest depth
+    the parts return, and one more base covering at ``level`` finishes.
     """
     caps = dict(frontier_max=frontier_max, node_max=node_max)
     if isinstance(payoff, Closed):

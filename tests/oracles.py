@@ -22,6 +22,7 @@ from unraveling.core import (
     strategy_from,
 )
 from unraveling.covering import Covering
+from unraveling.payoff import Closed, Not, Union
 from unraveling.solver import PruneResult, Solution
 from unraveling.unravel import Accept, Claim
 
@@ -76,6 +77,32 @@ def identity_covering(tree: GameTree, level: int | None = None) -> Covering:
         images=array("i", range(tree.node_count)),
         strategy_transform=lambda s: s,
         lift=lambda s, x: x,
+    )
+
+
+def reference_realize(tree: GameTree, payoff) -> frozenset:
+    """The frozenset of full-depth plays a payoff expression denotes, by
+    definition: a closed set's avoid every generator as a prefix."""
+    plays = frozenset(p for p in tree.positions() if len(p) == tree.depth)
+    if isinstance(payoff, Closed):
+        return frozenset(
+            p for p in plays if not any(is_prefix(g, p) for g in payoff.spec.generators)
+        )
+    if isinstance(payoff, Not):
+        return plays - reference_realize(tree, payoff.payoff)
+    if isinstance(payoff, Union):
+        return frozenset().union(*(reference_realize(tree, part) for part in payoff.parts))
+    raise TypeError(f"not a payoff spec: {payoff!r}")
+
+
+def reference_pullback(covering: Covering, payoff_leaves) -> frozenset:
+    """The frozenset of full-depth source plays whose image, looked up as a
+    target position, is in ``payoff_leaves``."""
+    source, targets = covering.source, covering.target.positions()
+    return frozenset(
+        p
+        for p, image in zip(source.positions(), covering.images)
+        if len(p) == source.depth and targets[image] in payoff_leaves
     )
 
 

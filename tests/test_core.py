@@ -7,6 +7,7 @@ from unraveling.core import (
     InternalInvariantError,
     Player,
     Strategy,
+    _as_plays,
     _evaluate,
     consistent_plays,
     format_position,
@@ -24,6 +25,11 @@ import oracles
 
 def always(label):
     return lambda position, labels: label if label in labels else labels[0]
+
+
+def mask(tree, plays):
+    """The ``Plays`` bytes of a set of full-depth plays, as the kernels read them."""
+    return _as_plays(tree, plays).mask
 
 
 # ---------------------------------------------------------------- GameTree
@@ -230,15 +236,15 @@ def test_subtree_matches_set_comprehension_oracle(seed):
 def test_classify_full_depth_leaves(ex1):
     for leaf in ex1.full_depth_plays():
         assert oracles.taboo_owner(ex1, leaf) is None
-        assert _evaluate(ex1, ex1._id(leaf), frozenset()) is Player.II
-        assert _evaluate(ex1, ex1._id(leaf), frozenset({leaf})) is Player.I
+        assert _evaluate(ex1, ex1._id(leaf), mask(ex1, frozenset())) is Player.II
+        assert _evaluate(ex1, ex1._id(leaf), mask(ex1, frozenset({leaf}))) is Player.I
 
 
 def test_classify_taboo_and_full_depth(ex2):
-    everything = frozenset(ex2.full_depth_plays())
+    everything = mask(ex2, frozenset(ex2.full_depth_plays()))
     # taboo for II, whatever the payoff
     assert _evaluate(ex2, ex2._id((0, 0)), everything) is Player.I
-    assert _evaluate(ex2, ex2._id((1, 1, 0, 0)), frozenset()) is Player.II
+    assert _evaluate(ex2, ex2._id((1, 1, 0, 0)), mask(ex2, frozenset())) is Player.II
 
 
 @given(st.integers(0, 400))
@@ -305,10 +311,10 @@ def test_consistent_plays_match_filter_oracle_and_nonempty(seed):
 
 
 def test_evaluate_play_clauses(ex1, ex2):
-    assert _evaluate(ex2, ex2._id((0, 0)), frozenset()) is Player.I  # taboo for II
+    assert _evaluate(ex2, ex2._id((0, 0)), mask(ex2, frozenset())) is Player.I  # taboo for II
     leaf = (1, 1, 0, 0)
-    assert _evaluate(ex1, ex1._id(leaf), frozenset()) is Player.II
-    assert _evaluate(ex1, ex1._id(leaf), frozenset({leaf})) is Player.I
+    assert _evaluate(ex1, ex1._id(leaf), mask(ex1, frozenset())) is Player.II
+    assert _evaluate(ex1, ex1._id(leaf), mask(ex1, frozenset({leaf}))) is Player.I
 
 
 def test_evaluate_rejects_early_terminal_in_payoff(ex2):

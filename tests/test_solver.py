@@ -8,6 +8,7 @@ from unraveling.core import (
     InternalInvariantError,
     Player,
     ResourceLimitError,
+    _as_plays,
     is_prefix,
     is_winning_strategy,
 )
@@ -64,7 +65,7 @@ def test_solve_labels_every_node_with_its_subgame_winner(ex2):
     # the kernel's labeling for ``payoff``, by id, against each subgame's
     # winner by enumeration of every strategy
     payoff = leaves_with(ex2, lambda l: l[1] == 0)
-    values = _winners(ex2, payoff)
+    values = _winners(ex2, _as_plays(ex2, payoff).mask)
     for i, position in enumerate(ex2.positions()):
         subgame = oracles.subtree_at(ex2, position)
         sub_payoff = payoff & frozenset(subgame.full_depth_plays())
