@@ -78,7 +78,7 @@ class Report:
     fields: list[tuple[str, str]] = field(default_factory=list)
     checks: list[tuple[str, bool, str]] = field(default_factory=list)
     counterexample: str | None = None
-    strategy: Strategy | None = None  # printed after the verdict
+    strategy: Strategy | None = None  # printed after the verdict, in its choices' order
 
     def add(self, name: str, value) -> None:
         self.fields.append((name, str(value)))
@@ -104,7 +104,9 @@ class Report:
             lines.append(f"result: {'verified' if self.ok else 'VIOLATION'}")
         if self.strategy is not None:
             lines.append("strategy:")
-            lines.append("\n".join(_strategy_lines(self.strategy)))
+            lines.extend(
+                f"  {format_position(p)} -> {move}" for p, move in self.strategy.choices.items()
+            )
         return "\n".join(lines) + "\n"
 
 
@@ -123,11 +125,6 @@ def _node_max() -> int:
 def _check_at_least(option: str, value: int, least: int) -> None:
     if value < least:
         raise _UsageError(f"{option} must be at least {least}, got {value}")
-
-
-def _strategy_lines(strategy: Strategy) -> list[str]:
-    rows = sorted(strategy.choices.items(), key=lambda kv: (len(kv[0]), kv[0]))
-    return [f"  {format_position(p)} -> {move}" for p, move in rows]
 
 
 def _load(path: str):

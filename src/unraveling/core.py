@@ -40,10 +40,11 @@ A tree has two entries.  ``GameTree(depth, children, taboo)`` takes
 positions in any order, sorts them and checks every structural rule.
 Derived trees (covering sources, pruned remainders) are written by their
 builders already in id form and enter through ``GameTree._from_ids``,
-which re-checks only what needs no hashing.  The tables keyed by position
-(one for ``in`` and ``children_of``, one from full-depth play to mask
-index for converting a set of positions) are built on first use, so a
-derived tree that is only walked by id never hashes its positions.
+which re-checks only what needs no hashing.  Every tree, whichever entry
+made it, builds its tables keyed by position on first use: one for ``in``
+and ``children_of``, one from full-depth play to mask index for
+converting a set of positions.  A tree that is only walked by id never
+hashes its positions.
 """
 
 from __future__ import annotations
@@ -131,11 +132,11 @@ class GameTree:
     positions appear only at the API, through one table keyed by position,
     ``_children`` (child labels).
 
-    The constructor checks every structural rule and keeps the child table
-    it builds on the way.  ``_from_ids`` takes positions, child labels and
-    tags from a builder that wrote them in canonical order and checks only
-    the tags and the depth bound; its tree builds the position table on the
-    first lookup that needs it.
+    The constructor checks every structural rule.  ``_from_ids`` takes
+    positions, child labels and tags from a builder that wrote them in
+    canonical order and checks only the tags and the depth bound.  Either
+    way, the tree builds its position table on the first lookup that
+    needs it.
     """
 
     def __init__(
@@ -150,12 +151,10 @@ class GameTree:
             raise ArenaError("missing root position", ())
         # Breadth-first walk over the sorted child tuples: parents come out
         # in canonical order, so their children do too, level by level, and
-        # a node's id is its index in ``ordered``.  The table is keyed by the
-        # tuples the walk creates, which the order shares, so each position
-        # is stored once.  Prefix closure: every named child must be stored,
-        # and the walk must reach everything.  Taboo tags are read at the
-        # terminals only; a tag the walk does not use is a fault found below.
-        table: dict[Position, tuple[Label, ...]] = {}
+        # a node's id is its index in ``ordered``.  Prefix closure: every
+        # named child must be stored, and the walk must reach everything.
+        # Taboo tags are read at the terminals only; a tag the walk does not
+        # use is a fault found below, through the position table.
         ordered: list[Position] = [()]
         by_id: list[tuple[Label, ...]] = []
         tags = bytearray()
@@ -195,19 +194,19 @@ class GameTree:
                     tagged += 1
                 elif owner is None and untagged is None:
                     untagged = position
-            table[position] = labels
             by_id.append(labels)
             tags.append(tag)
+        self._store(depth, ordered, by_id, tags)
         if len(ordered) != len(children):
-            stray = next(p for p in children if p not in table)
+            stray = next(p for p in children if p not in self._children)
             raise ArenaError(
                 f"position {format_position(stray)} unreachable (prefix closure)", stray
             )
         if tagged != len(taboo):
             for position, owner in taboo.items():
-                if position not in table:
+                if position not in self._children:
                     fault = "taboo tag on unknown position {}"
-                elif table[position]:
+                elif self._children[position]:
                     fault = "taboo tag on non-terminal position {}"
                 elif len(position) == depth:
                     fault = "taboo at full depth: {}"
@@ -221,8 +220,6 @@ class GameTree:
                 f"early terminal {format_position(untagged)} lacks a taboo tag (partition)",
                 untagged,
             )
-        self._store(depth, ordered, by_id, tags)
-        self._children = table  # shadows the table built on first use
 
     def _store(self, depth, ordered, labels, tags) -> None:
         self.depth = depth
@@ -249,7 +246,8 @@ class GameTree:
 
         Only the checks that need no hashing run: exactly the early
         terminals carry a tag, and no node lies past the depth bound.  A
-        failure is a fault of the builder, not of any input.
+        failure is a fault of the builder, not of any input.  As for every
+        tree, the position table is built on first use.
         """
         if len(ordered[-1]) > depth:
             raise InternalInvariantError(

@@ -169,13 +169,8 @@ def prune(tree: GameTree) -> PruneResult:
         lo, hi = first[i], first[i + 1]
         if cut.find(1, lo, hi) >= 0:
             kept = tuple(label for label, gone in zip(kept, cut[lo:hi]) if not gone)
-            if not kept and i < tree._levels[tree.depth]:
-                # Every early terminal is trivially determined, and a node
-                # whose children are all determined is determined itself.
-                raise InternalInvariantError(
-                    f"pruning left a new early terminal at {format_position(ordered[i])}"
-                )
         labels.append(kept)
+    # No tags: every early terminal is determined, and so is a node whose children all are.
     remainder = GameTree._from_ids(
         tree.depth,
         [ordered[i] for i in kept_ids],

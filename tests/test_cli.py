@@ -12,10 +12,14 @@ import pytest
 
 from unraveling import cli
 from unraveling.cli import main
-from unraveling.core import CheckResult, format_position, strategy_from
+from unraveling.core import CheckResult, ResourceLimitError, format_position, strategy_from
+from unraveling.covering import solve_via_covering
 from unraveling.gamedoc import GameDocError, format_game, parse_game_bytes, to_document
-from unraveling.payoff import Closed, Not, Open
-from unraveling.randgen import random_game
+from unraveling.payoff import Closed, ClosedUnion, Not, Open, realize
+from unraveling.randgen import random_game, random_union_instance
+from unraveling.solver import solve
+import unraveling.unravel as unravel_module
+from unraveling.unravel import unravel_payoff
 
 
 def run_cli(*argv):
@@ -145,6 +149,17 @@ def test_unravel_union(fixtures_dir):
     code, out, _ = run_cli("unravel", game(fixtures_dir, "union.game"), "--k", "0")
     assert code == 0
     assert "winner: I" in out
+
+
+def test_unravel_union_failing_certificate_is_an_internal_fault(fixtures_dir, monkeypatch):
+    monkeypatch.setattr(
+        unravel_module, "decided_by_depth", lambda *args: CheckResult(False, "planted")
+    )
+    assert run_cli("unravel", game(fixtures_dir, "union.game")) == (
+        2,
+        "",
+        "internal invariant violated: pulled-back union not decided at the stage depth: planted\n",
+    )
 
 
 # ----------------------------------------------------------------- verify
@@ -385,6 +400,69 @@ def test_level_two_reports_are_byte_identical(fixtures_dir, monkeypatch, command
         pinned["bytes"],
         pinned["sha256"],
     )
+
+
+# --------------------------------------------------------- strategy order
+
+# A report prints a strategy's choices as they iterate, so every strategy
+# the CLI prints must list them in the tree's canonical order: by length,
+# then lexicographically.
+
+
+def assert_choices_in_canonical_order(strategy):
+    positions = list(strategy.choices)
+    assert positions == sorted(positions, key=lambda p: (len(p), p))
+
+
+def assert_solutions_in_canonical_order(tree, payoff):
+    """The ``solve`` strategy, and the mapped strategy of each covering the
+    payoff unravels to at levels 0 and 2 (where the caps and generators
+    allow one); returns how many coverings were checked."""
+    leaves = realize(tree, payoff)
+    assert_choices_in_canonical_order(solve(tree, leaves).strategy)
+    built = 0
+    for k in (0, 2):
+        try:
+            covering, decided = unravel_payoff(tree, payoff, k, frontier_max=4)
+        except (ResourceLimitError, ValueError):  # over a cap, or generators too shallow
+            continue
+        assert_choices_in_canonical_order(solve_via_covering(covering, leaves, decided).strategy)
+        built += 1
+    return built
+
+
+def test_printed_strategies_come_in_canonical_order(fixtures_dir):
+    built = 0
+    for path in sorted(fixtures_dir.glob("*.game")):
+        document = parse_game_bytes(path.read_bytes())
+        built += assert_solutions_in_canonical_order(document.tree, document.payoff)
+    for seed in range(20):
+        tree, spec = random_game(f"order:{seed}", depth=6, branching=3, taboos=3)
+        payoff = Closed(spec) if seed % 2 == 0 else Open(spec)
+        built += assert_solutions_in_canonical_order(tree, payoff)
+    for seed in range(8):  # generators deep enough for the stages of level 2
+        tree, specs = random_union_instance(f"order-union:{seed}", depth=8, parts=3, level=2)
+        built += assert_solutions_in_canonical_order(tree, ClosedUnion(specs))
+    assert built >= 60
+
+
+def test_root_taboo_game_through_every_command(tmp_path):
+    """A depth-2 game whose root is a taboo: every command runs, and an
+    empty strategy prints as its header alone."""
+    path = tmp_path / "root-taboo.game"
+    path.write_text("GAME v1\nALPHABET 2\nDEPTH 2\nNODES\nTABOOS\n- I\nPAYOFF closed\n")
+    for command, *options in (
+        ["solve"],
+        ["prune"],
+        ["unravel", "--k", "0"],
+        ["verify", "--samples", "3"],
+        ["export-dot"],
+        ["export-dot", "--covering"],
+    ):
+        code, out, _ = run_cli(command, str(path), *options)
+        assert code == 0, (command, options)
+        if command in ("solve", "unravel"):
+            assert out.endswith("result: verified\nstrategy:\n")
 
 
 # ------------------------------------------------------------- exit codes

@@ -186,6 +186,26 @@ def test_level_offsets_when_every_play_ends_in_an_early_taboo():
     oracles.assert_matches_checked_build(from_ids)
 
 
+@pytest.mark.parametrize(
+    "lookup",
+    [
+        lambda tree: (0, 1) in tree,
+        lambda tree: tree.children_of((0,)),
+        lambda tree: tree.is_terminal((0, 1)),
+    ],
+)
+def test_checked_tree_builds_its_position_table_on_first_lookup(lookup):
+    """The checked constructor leaves the table to the first lookup, as
+    ``_from_ids`` does; walking by id never builds it."""
+    tree = GameTree.complete(4, 2)
+    list(tree.taboo_items())
+    list(tree.full_depth_plays())
+    tree.decisions(Player.I)
+    assert "_children" not in vars(tree)
+    lookup(tree)
+    assert vars(tree)["_children"] == dict(zip(tree.positions(), tree._labels))
+
+
 def test_ex_fixture_sizes(ex1, ex2, ex3):
     assert ex1.node_count == 31
     assert ex2.node_count == 25

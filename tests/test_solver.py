@@ -16,6 +16,7 @@ from unraveling.covering import pullback
 from unraveling.gamedoc import parse_game_bytes
 from unraveling.payoff import Closed, ClosedUnion, realize
 from unraveling.randgen import random_game, random_tree, random_union_instance, rng_for
+import unraveling.solver as solver_module
 from unraveling.solver import _winners, prune, solve, transfer_from_pruned
 from unraveling.unravel import build_base_covering, unravel_payoff
 
@@ -167,6 +168,27 @@ def test_prune_builds_only_the_remainder_and_shares_witnesses(monkeypatch):
 
 
 # --------------------------------------------------------------------- prune
+
+
+def test_prune_remainder_with_a_new_early_terminal_is_an_internal_fault(monkeypatch):
+    """Node 0 is determined, and so are all its children.  A labeling that
+    leaves 0 undetermined still cuts every child, so the remainder would
+    hold 0 as an untagged early terminal; its tag check names it."""
+    tree = random_tree(rng_for("plant:4"), depth=4, branching=2, taboos=3)
+    node = tree._id((0,))
+
+    def planted(tree, mask):
+        values = _winners(tree, mask)
+        if mask is None:  # the prune labeling
+            assert values[node] is not None and values[0] is None
+            values[node] = None
+        return values
+
+    monkeypatch.setattr(solver_module, "_winners", planted)
+    with pytest.raises(
+        InternalInvariantError, match="^taboo tag at 0 does not match an early terminal$"
+    ):
+        prune(tree)
 
 
 def test_prune_keeps_pruned_tree_intact(ex1):

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from unraveling.core import (
     DEFAULT_NODE_MAX,
     ArenaError,
+    CheckResult,
     GameTree,
     InternalInvariantError,
     Player,
@@ -283,6 +284,16 @@ def test_unravel_union_is_unravel_payoff_of_the_closed_union():
     assert covering.images == direct.images
     with pytest.raises(ValueError, match="at least one member"):
         unravel_union(tree, [], 0)
+
+
+def test_union_certificate_failure_is_an_internal_fault(fixtures_dir, monkeypatch):
+    document = parse_game_bytes((fixtures_dir / "union.game").read_bytes())
+    monkeypatch.setattr(
+        unravel_module, "decided_by_depth", lambda *args: CheckResult(False, "planted")
+    )
+    with pytest.raises(InternalInvariantError) as raised:
+        unravel_payoff(document.tree, document.payoff, 0)
+    assert str(raised.value) == "pulled-back union not decided at the stage depth: planted"
 
 
 def test_union_single_spec_is_single_base_covering(ex1):
