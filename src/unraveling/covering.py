@@ -178,7 +178,11 @@ def verify_lift(covering: Covering, strategy: Strategy, play: Position) -> Check
     """Lift one target play and check the lifting conditions on it; a failure
     names the lift and the first condition it breaks."""
     target = covering.target
-    if not target.is_terminal(play):
+    try:
+        j = target._id(play)
+    except ValueError:
+        raise ValueError(f"unknown position {format_position(play)}") from None
+    if target._labels[j]:
         raise ValueError(f"{format_position(play)} is not a play of the target")
     if not is_consistent(play, covering.strategy_transform(strategy)):
         raise ValueError("play is not consistent with the mapped strategy")
@@ -192,7 +196,7 @@ def verify_lift(covering: Covering, strategy: Strategy, play: Position) -> Check
         fault = "is not a source play"
     elif not is_consistent(lifted, strategy):
         fault = "is not consistent with the strategy"
-    elif not is_prefix(image := covering.target._ordered[covering.images[i]], play):
+    elif not is_prefix(image := target._ordered[covering.images[i]], play):
         fault = f"has the image {format_position(image)}, not a prefix of the play"
     elif image != play and _OWNERS[source._tags[i]] is not strategy.owner:
         fault = (

@@ -24,15 +24,21 @@ claims only at level k, replies only at k + 1 and its target's labels
 everywhere else, so tuple order is its canonical order: the claims on a
 move by their claimed positions, and accepts before challenges.
 
-The construction writes its source in id form (see ``unraveling.core``),
-breadth first and so already in canonical order: each node gets its id
-when its parent is walked, and its child labels and tag are its target
-image's unless it is a claim, a reply, a cut frontier position or a node
-on a challenged chain.  Before any node is written the frontier of every
-move is read off the generator marks, in the reverse pass that sums the
-target's subtree sizes, and the source's exact node count is summed move
-by move from them, so either cap fails at the same move, with the same
-message, as if the nodes were built one by one.
+The construction writes its source in id form (see ``unraveling.core``)
+one depth at a time, so already in canonical order.  A pass per level,
+deepest first, marks where a play of the closed set passes (``_meets``).
+Each move then gets its templates, built once from those marks: the
+accept template holds, per depth, the runs of target ids its accept
+copy holds, split only at the frontier nodes, which stay as leaves; a
+challenge template holds the chain down to one frontier position and
+then its subtree, one id range per depth.  Their lengths give the move's
+exact node count, so either cap fails at the same move, with the same
+message, as if the nodes were built one by one.  Below the claims each
+depth is the claims' templates at that depth, written in claim order as
+target ids.  A node's child labels and tag are its image's unless it is
+a level-k node (its claims), a claim (its replies), a cut frontier node
+or a chain node, and positions follow from their parents' positions and
+child labels.
 
 ``unravel_payoff`` unravels any payoff expression by induction: unions
 stack their parts' coverings at climbing identity levels and finish with
@@ -45,8 +51,8 @@ from __future__ import annotations
 from array import array
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
-from itertools import count, islice
-from operator import itemgetter
+from itertools import accumulate, islice, repeat
+from operator import itemgetter, lt
 
 from .core import (
     DEFAULT_NODE_MAX,
@@ -82,6 +88,7 @@ from .payoff import (
 )
 
 DEFAULT_FRONTIER_MAX = 10
+_NOT = bytes.maketrans(b"\0\1", b"\1\0")  # flips the bytes of a 0/1 mask
 
 
 def _fields(label: tuple) -> tuple:
@@ -158,21 +165,69 @@ def _generator_floor(k: int, depth: int) -> int:
     return 1 if k + 2 < depth else k + 2
 
 
-def _frontier(tree: GameTree, meets: bytearray, start: int) -> list[int]:
-    """The frontier below node ``start``: the ids of its minimal non-terminal
-    extensions outside ``meets``.  Depth first, least child first, so the
-    antichain comes out in lexicographic order."""
-    first = tree._first
-    out = []
-    stack = list(range(first[start + 1] - 1, first[start] - 1, -1))
-    while stack:
-        i = stack.pop()
-        lo, hi = first[i], first[i + 1]
-        if meets[i]:
-            stack.extend(range(hi - 1, lo - 1, -1))
-        elif lo < hi:
-            out.append(i)
-    return out
+def _meets(tree: GameTree, banned: bytearray, k: int) -> bytearray:
+    """By id from level ``k + 2`` on, 1 where a play of the closed set
+    passes: a full-depth play that is not ``banned`` (``_banned``), or a
+    node with such a child.  One pass per level, deepest first: a node
+    meets iff the running count of 1s on its child level rises across its
+    ``_first`` range."""
+    first, levels, depth = tree._first, tree._levels, tree.depth
+    meets = bytearray(len(banned))
+    meets[levels[depth] :] = banned[levels[depth] :].translate(_NOT)
+    counts = [0] * (len(banned) + 1)  # by id: the 1s on its level before it
+    for d in range(depth - 1, k + 1, -1):
+        lo, hi, end = levels[d], levels[d + 1], levels[d + 2]
+        counts[hi : end + 1] = accumulate(meets[hi:end], initial=0)
+        at = list(map(counts.__getitem__, first[lo : hi + 1]))
+        meets[lo:hi] = bytes(map(lt, at, islice(at, 1, None)))
+    return meets
+
+
+def _accept_template(tree: GameTree, meets: bytearray, base: int, k: int):
+    """The accept copy below move ``base``, per depth from ``k + 2``: the
+    target ids it holds and its frontier nodes there, as (offset in those
+    ids, id) pairs; then every frontier id, depth by depth.  A frontier
+    node is a non-terminal outside ``meets``.  It stays as a leaf, so a run
+    of ids splits only at one: the next depth's runs are the child ranges
+    between the splits."""
+    first, depth = tree._first, tree.depth
+    runs = [(first[base], first[base + 1])]
+    blocks, cuts, found = [], [], []
+    for d in range(k + 2, depth + 1):
+        block, cut, below = array("i"), [], []
+        for lo, hi in runs:
+            start = lo
+            i = meets.find(0, lo, hi) if d < depth else -1  # no children to cut at the bound
+            while i >= 0:
+                if first[i] < first[i + 1]:  # not an early terminal
+                    cut.append((len(block) + i - lo, i))
+                    found.append(i)
+                    below.append((first[start], first[i]))
+                    start = i + 1
+                i = meets.find(0, i + 1, hi)
+            below.append((first[start], first[hi]))
+            block.extend(range(lo, hi))
+        blocks.append(block)
+        cuts.append(cut)
+        runs = [run for run in below if run[0] < run[1]]
+    return blocks, cuts, found
+
+
+def _challenge_template(tree: GameTree, base: int, q: int, k: int):
+    """A challenge of frontier node ``q`` below move ``base``, per depth
+    from ``k + 2``: its target ids, and the child labels that replace
+    theirs or None.  The chain down to ``q`` keeps only the move toward
+    it; from ``q`` on the whole subtree is copied, one id range a level."""
+    first, labels_of, position = tree._first, tree._labels, tree._ordered[q]
+    rows, i = [], base
+    for d in range(k + 2, len(position)):
+        i = first[i] + labels_of[i].index(position[d - 1])
+        rows.append((array("i", (i,)), (position[d],)))
+    lo, hi = q, q + 1
+    for _ in range(len(position), tree.depth + 1):
+        rows.append((array("i", range(lo, hi)), None))
+        lo, hi = first[lo], first[hi]
+    return rows
 
 
 @dataclass(frozen=True)
@@ -217,14 +272,20 @@ def build_base_covering(
     payoff is exactly the accept-branch full-depth plays and is decided at
     ``level + 2``; the same certificate covers the complement.
 
-    The source is written breadth first, level by level: up to ``level``
-    the target's own nodes and ids, then the claims on each move in the
-    order of their claimed index tuples, then each claim's accepts in
-    base-label order and its challenges in claimed order, then the copies.
-    Both caps are checked first, from the exact node count of each move's
-    claims (see ``_checked_frontiers``).  Each node's target image id is
-    recorded when the node is written, and that array is the covering's
-    position map.
+    Up to ``level`` the source holds the target's own nodes and ids.  Each
+    move then gets its templates (``_accept_template`` and one
+    ``_challenge_template`` per frontier node), its frontier is checked
+    against ``frontier_max``, the node count of its claims, summed from
+    the template lengths, against ``node_max``, and its claims are
+    written in the order of their claimed index tuples.  Below them the
+    source is written one depth at a time: for each claim in order, the
+    target ids of its accept template at that depth, then those of its
+    claimed positions' challenge templates.  That array is the covering's
+    position map; child labels and tags are its images' except at the
+    claims, the replies, the cut frontier nodes (no children and a
+    verdict tag) and the chain nodes (only the move toward the challenged
+    position), which are recorded as their ids are written.  Positions
+    follow, one depth at a time, from their parents and child labels.
     """
     if level < 0:
         raise ValueError(f"level {level} is negative")
@@ -241,11 +302,14 @@ def build_base_covering(
             )
     ordered, first, labels_of, tags = tree._ordered, tree._first, tree._labels, tree._tags
     at_k, moves = tree._levels[k], tree._levels[k + 1]  # the first level-k id and the first move
-    fronts = _checked_frontiers(tree, banned, k, frontier_max, node_max)
+    total = moves
+    if total > node_max:
+        raise ResourceLimitError(f"covering source exceeds {node_max} nodes")
+    meets = _meets(tree, banned, k)
 
-    # A node copies the child labels and the tag of its image unless
-    # ``labels_at`` or ``tags_at`` names others.
-    out: list[Position] = list(ordered[:moves])  # source positions by id
+    # A node copies the child labels and the tag of its image, except a
+    # level-k node (its claims), a claim (its replies) and the nodes that
+    # ``labels_at`` or ``tags_at`` names.
     images = array("i", range(moves))  # target image ids by source id
     labels_at: dict[int, tuple[Label, ...]] = {}
     tags_at: dict[int, int] = {}
@@ -255,143 +319,76 @@ def build_base_covering(
 
     # The claims on a move come in the order of their claimed index tuples:
     # the frontier is in lexicographic order, so that is the label order.
-    claim_rows = []  # per claim: its move's (id, frontier ids, accepts, challenges), claimed indices
+    # Claimed frontier positions are losses for the second player,
+    # unclaimed ones concessions by the first.
+    against_i, against_ii = _OWNERS.index(Player.I), _OWNERS.index(Player.II)
+    node_claims = []  # per level-k node: its claims
+    replied = []  # per claim: its replies
+    move_rows = []  # per move: its templates and its claims' claimed indices
     for i in range(at_k, moves):
         p = ordered[i]
         claims = []
         for base, a in zip(range(first[i], first[i + 1]), labels_of[i]):
-            front_ids = fronts[base - moves]
-            front = tuple(ordered[q] for q in front_ids)
-            frontiers[(p, a)] = front
-            row = (
-                base,
-                front_ids,
-                tuple(accepts.setdefault(b, Accept(b)) for b in labels_of[base]),
-                [challenges.setdefault(q, Challenge(q, q[k + 1])) for q in front],
-            )
-            for claimed in sorted(_subsets_counter(range(len(front)))):
-                claim = Claim(a, tuple(front[n] for n in claimed))
-                claims.append(claim)
-                out.append(p + (claim,))
-                images.append(base)
-                claim_rows.append((row, claimed))
-        labels_at[i] = tuple(claims)
-
-    # A claim's replies: its accepts in base-label order, each copying the
-    # child it names with the claim's verdicts cut in, then its challenges
-    # in claimed order, each following the chain to its claimed position
-    # and copying that whole.  Claimed frontier positions are losses for
-    # the second player, unclaimed ones concessions by the first.
-    against_i, against_ii = _OWNERS.index(Player.I), _OWNERS.index(Player.II)
-    whole: dict[int, int] = {}  # the verdicts of a whole copy: none
-    branches: list = []  # by id from level k + 2 on: verdicts, or the chain's end
-    for i, ((base, front_ids, kept, replies), claimed) in enumerate(claim_rows, moves):
-        position, lo, base_labels = out[i], first[base], labels_of[base]
-        verdicts = dict.fromkeys(front_ids, against_i)
-        verdicts.update((front_ids[n], against_ii) for n in claimed)
-        out += [position + (reply,) for reply in kept]
-        images.extend(range(lo, lo + len(kept)))
-        branches += [verdicts] * len(kept)
-        chosen = tuple(replies[n] for n in claimed)
-        for reply in chosen:
-            out.append(position + (reply,))
-            images.append(lo + base_labels.index(reply.move))
-            branches.append(reply.target if len(reply.target) > k + 2 else whole)
-        labels_at[i] = kept + chosen
-
-    # Every later node copies its image: whole or up to the verdicts cut in,
-    # or, on a challenged chain, only the move toward the chain's end.
-    start = moves + len(claim_rows)
-    walk = zip(count(start), islice(out, start, None), islice(images, start, None), branches)
-    for i, position, image, branch in walk:  # the lists grow while they are walked
-        if branch.__class__ is dict:
-            verdict = branch.get(image)
-            if verdict is not None:
-                labels_at[i], tags_at[i] = (), verdict
-                continue
-            labels = labels_of[image]
-            if labels:
-                lo = first[image]
-                out += [position + (label,) for label in labels]
-                images.extend(range(lo, lo + len(labels)))
-                branches += [branch] * len(labels)
-        else:
-            labels = labels_of[image]
-            if not labels:
-                raise InternalInvariantError(
-                    f"terminal position {format_position(ordered[image])} on a challenged chain"
+            blocks, cuts, front_ids = _accept_template(tree, meets, base, k)
+            front_ids.sort(key=ordered.__getitem__)  # lexicographic: an antichain
+            if len(front_ids) > frontier_max:
+                raise ResourceLimitError(
+                    f"frontier size {len(front_ids)} exceeds cap {frontier_max}"
+                    f" at {format_position(ordered[base])}"
                 )
-            move = branch[len(position)]
-            labels_at[i] = (move,)
-            out.append(position + (move,))
-            images.append(first[image] + labels.index(move))
-            branches.append(branch if len(position) + 1 < len(branch) else whole)
-    del branches, claim_rows
+            chains = [_challenge_template(tree, base, q, k) for q in front_ids]
+            subsets = 1 << len(front_ids)  # each frontier node is claimed in half of them
+            total += subsets * (1 + sum(map(len, blocks)))
+            total += subsets // 2 * sum(len(ids) for template in chains for ids, _ in template)
+            if total > node_max:
+                raise ResourceLimitError(f"covering source exceeds {node_max} nodes")
+            if front_ids:
+                index = {q: n for n, q in enumerate(front_ids)}
+                cuts = [[(offset, index[q]) for offset, q in cut] for cut in cuts]
+            front = frontiers[(p, a)] = tuple(map(ordered.__getitem__, front_ids))
+            kept = tuple(accepts.setdefault(b, Accept(b)) for b in labels_of[base])
+            replies = [challenges.setdefault(q, Challenge(q, q[k + 1])) for q in front]
+            order = sorted(_subsets_counter(range(len(front))))
+            for claimed in order:
+                claims.append(Claim(a, tuple(map(front.__getitem__, claimed))))
+                replied.append(kept + tuple(map(replies.__getitem__, claimed)))
+            images.extend(repeat(base, len(order)))
+            move_rows.append((blocks, cuts, chains, order))
+        node_claims.append(tuple(claims))
+
+    for t in range(tree.depth - k - 1):  # depth k + 2 + t, down to the bound
+        for blocks, cuts, chains, order in move_rows:
+            block, cut = blocks[t], cuts[t]
+            for claimed in order:
+                at = len(images)
+                images += block
+                for offset, n in cut:
+                    labels_at[at + offset] = ()
+                    tags_at[at + offset] = against_ii if n in claimed else against_i
+                for n in claimed:
+                    ids, labels = chains[n][t]
+                    if labels:
+                        labels_at[len(images)] = labels
+                    images += ids
 
     out_labels = list(map(labels_of.__getitem__, images))
+    out_labels[at_k:moves] = node_claims
+    out_labels[moves : moves + len(replied)] = replied
     for i, labels in labels_at.items():
         out_labels[i] = labels
     out_tags = bytearray(map(tags.__getitem__, images))
     for i, tag in tags_at.items():
         out_tags[i] = tag
+    out = list(ordered[:moves])  # source positions by id
+    at, parents = at_k, ordered[at_k:moves]
+    while parents:
+        labels = out_labels[at : at + len(parents)]
+        at += len(parents)
+        parents = [parent + (label,) for parent, below in zip(parents, labels) for label in below]
+        out += parents
     source = GameTree._from_ids(tree.depth, out, out_labels, out_tags)
     transform, lift = _strategy_maps(tree, k, frontiers, accepts, challenges)
     return BaseCovering(source, tree, k, images, transform, lift, frontiers, spec)
-
-
-def _checked_frontiers(
-    tree: GameTree, banned: bytearray, k: int, frontier_max: int, node_max: int
-) -> list[list[int]]:
-    """The frontier ids of every move on a level-``k`` node, in move order,
-    checked against both caps in the order the construction meets them.
-    One reverse pass over the ids past the moves finds subtree sizes and
-    ``meets``, the nodes the closed set passes through: a full-depth play
-    that is not ``banned`` (``_banned``), or a node with such a child.
-
-    The source counts its nodes up to level ``k``, then, move by move,
-    checks the move's frontier and adds the nodes of its claims; either cap
-    fails at the first move past it, before any node is built.  A claim on
-    move ``b`` with claimed set S has 1 node, plus the accept copies of the
-    children of ``b`` (a subtree where a node outside ``meets`` is a leaf:
-    its frontier is cut), plus for each claimed ``q`` the chain of
-    ``len(q) - (k + 2)`` nodes down to it and its whole subtree.  Summed
-    over the subsets S of the frontier, each ``q`` is in half of them.
-    """
-    ordered, first, levels = tree._ordered, tree._first, tree._levels
-    moves = levels[k + 1]
-    below = levels[k + 2]  # the first id past the moves
-    plays = levels[tree.depth]  # the first full-depth play
-    total = moves
-    if total > node_max:
-        raise ResourceLimitError(f"covering source exceeds {node_max} nodes")
-    size = [1] * len(ordered)  # subtree sizes by id, past the moves
-    cut = [1] * len(ordered)  # the same with a node outside ``meets`` a leaf
-    meets = bytearray(len(ordered))  # 1 where a play of the closed set passes
-    for i in range(len(ordered) - 1, below - 1, -1):
-        lo, hi = first[i], first[i + 1]
-        if lo < hi:
-            size[i] += sum(size[lo:hi])
-            if meets.find(1, lo, hi) >= 0:
-                meets[i] = 1
-                cut[i] += sum(cut[lo:hi])
-        elif i >= plays and not banned[i]:
-            meets[i] = 1
-    fronts = []
-    for base in range(moves, below):
-        front = _frontier(tree, meets, base)
-        if len(front) > frontier_max:
-            raise ResourceLimitError(
-                f"frontier size {len(front)} exceeds cap {frontier_max}"
-                f" at {format_position(ordered[base])}"
-            )
-        claims = 1 << len(front)
-        accepted = sum(cut[first[base] : first[base + 1]])
-        chains = sum(len(ordered[q]) - (k + 2) + size[q] for q in front)
-        total += claims * (1 + accepted) + claims // 2 * chains
-        if total > node_max:
-            raise ResourceLimitError(f"covering source exceeds {node_max} nodes")
-        fronts.append(front)
-    return fronts
 
 
 class _LazyChoices(Mapping):

@@ -10,21 +10,36 @@ from __future__ import annotations
 import itertools
 from array import array
 from bisect import bisect_left
+from itertools import count, islice
 
 from unraveling.core import (
+    DEFAULT_NODE_MAX,
     CheckResult,
     GameTree,
+    InternalInvariantError,
+    Label,
     Player,
     Position,
+    ResourceLimitError,
     Strategy,
+    _OWNERS,
     format_position,
     is_prefix,
     strategy_from,
 )
 from unraveling.covering import Covering
-from unraveling.payoff import Closed, Not, Union
+from unraveling.payoff import Closed, ClosedSpec, Not, Union, _banned
 from unraveling.solver import PruneResult, Solution
-from unraveling.unravel import Accept, Claim
+from unraveling.unravel import (
+    DEFAULT_FRONTIER_MAX,
+    Accept,
+    BaseCovering,
+    Challenge,
+    Claim,
+    _generator_floor,
+    _strategy_maps,
+    _subsets_counter,
+)
 
 
 def assert_matches_checked_build(tree: GameTree) -> None:
@@ -385,3 +400,222 @@ def reference_transfer_from_pruned(
         else:
             choices[position] = labels[0]
     return Strategy(owner, choices)
+
+
+# ------------------------------------------------ the node-by-node base covering
+
+# The base covering construction as it stood before its level-by-level
+# rewrite, kept verbatim (renamed) as the oracle the builder is checked
+# against: a reverse pass for subtree sizes and ``meets``, a depth-first
+# search per move for its frontier, then a walk over every source node.
+
+
+def _frontier(tree: GameTree, meets: bytearray, start: int) -> list[int]:
+    """The frontier below node ``start``: the ids of its minimal non-terminal
+    extensions outside ``meets``.  Depth first, least child first, so the
+    antichain comes out in lexicographic order."""
+    first = tree._first
+    out = []
+    stack = list(range(first[start + 1] - 1, first[start] - 1, -1))
+    while stack:
+        i = stack.pop()
+        lo, hi = first[i], first[i + 1]
+        if meets[i]:
+            stack.extend(range(hi - 1, lo - 1, -1))
+        elif lo < hi:
+            out.append(i)
+    return out
+
+
+
+def reference_base_covering(
+    tree: GameTree,
+    spec: ClosedSpec,
+    level: int,
+    *,
+    frontier_max: int = DEFAULT_FRONTIER_MAX,
+    node_max: int = DEFAULT_NODE_MAX,
+) -> BaseCovering:
+    """The base covering unraveling the closed set realized by ``spec``.
+
+    An odd level is rounded up (a deeper identity level is a fortiori also
+    the shallower covering).  Any full-depth play with no frontier prefix
+    avoids every generator (see ``_generator_floor``), so the pulled-back
+    payoff is exactly the accept-branch full-depth plays and is decided at
+    ``level + 2``; the same certificate covers the complement.
+
+    The source is written breadth first, level by level: up to ``level``
+    the target's own nodes and ids, then the claims on each move in the
+    order of their claimed index tuples, then each claim's accepts in
+    base-label order and its challenges in claimed order, then the copies.
+    Both caps are checked first, from the exact node count of each move's
+    claims (see ``_checked_frontiers``).  Each node's target image id is
+    recorded when the node is written, and that array is the covering's
+    position map.
+    """
+    if level < 0:
+        raise ValueError(f"level {level} is negative")
+    k = level + level % 2
+    if k + 2 > tree.depth:
+        raise ValueError(f"level {k} needs depth {k + 2}, bound is {tree.depth}")
+    banned = _banned(tree, spec)  # checks the generators first
+    floor = _generator_floor(k, tree.depth)
+    for generator in spec.generators:
+        if len(generator) < floor:
+            raise ValueError(
+                f"generator {format_position(generator)} too shallow for level {k}"
+                f" (need depth >= {floor})"
+            )
+    ordered, first, labels_of, tags = tree._ordered, tree._first, tree._labels, tree._tags
+    at_k, moves = tree._levels[k], tree._levels[k + 1]  # the first level-k id and the first move
+    fronts = _checked_frontiers(tree, banned, k, frontier_max, node_max)
+
+    # A node copies the child labels and the tag of its image unless
+    # ``labels_at`` or ``tags_at`` names others.
+    out: list[Position] = list(ordered[:moves])  # source positions by id
+    images = array("i", range(moves))  # target image ids by source id
+    labels_at: dict[int, tuple[Label, ...]] = {}
+    tags_at: dict[int, int] = {}
+    frontiers: dict[tuple[Position, Label], tuple[Position, ...]] = {}
+    accepts: dict[Label, Accept] = {}
+    challenges: dict[Position, Challenge] = {}
+
+    # The claims on a move come in the order of their claimed index tuples:
+    # the frontier is in lexicographic order, so that is the label order.
+    claim_rows = []  # per claim: its move's (id, frontier ids, accepts, challenges), claimed indices
+    for i in range(at_k, moves):
+        p = ordered[i]
+        claims = []
+        for base, a in zip(range(first[i], first[i + 1]), labels_of[i]):
+            front_ids = fronts[base - moves]
+            front = tuple(ordered[q] for q in front_ids)
+            frontiers[(p, a)] = front
+            row = (
+                base,
+                front_ids,
+                tuple(accepts.setdefault(b, Accept(b)) for b in labels_of[base]),
+                [challenges.setdefault(q, Challenge(q, q[k + 1])) for q in front],
+            )
+            for claimed in sorted(_subsets_counter(range(len(front)))):
+                claim = Claim(a, tuple(front[n] for n in claimed))
+                claims.append(claim)
+                out.append(p + (claim,))
+                images.append(base)
+                claim_rows.append((row, claimed))
+        labels_at[i] = tuple(claims)
+
+    # A claim's replies: its accepts in base-label order, each copying the
+    # child it names with the claim's verdicts cut in, then its challenges
+    # in claimed order, each following the chain to its claimed position
+    # and copying that whole.  Claimed frontier positions are losses for
+    # the second player, unclaimed ones concessions by the first.
+    against_i, against_ii = _OWNERS.index(Player.I), _OWNERS.index(Player.II)
+    whole: dict[int, int] = {}  # the verdicts of a whole copy: none
+    branches: list = []  # by id from level k + 2 on: verdicts, or the chain's end
+    for i, ((base, front_ids, kept, replies), claimed) in enumerate(claim_rows, moves):
+        position, lo, base_labels = out[i], first[base], labels_of[base]
+        verdicts = dict.fromkeys(front_ids, against_i)
+        verdicts.update((front_ids[n], against_ii) for n in claimed)
+        out += [position + (reply,) for reply in kept]
+        images.extend(range(lo, lo + len(kept)))
+        branches += [verdicts] * len(kept)
+        chosen = tuple(replies[n] for n in claimed)
+        for reply in chosen:
+            out.append(position + (reply,))
+            images.append(lo + base_labels.index(reply.move))
+            branches.append(reply.target if len(reply.target) > k + 2 else whole)
+        labels_at[i] = kept + chosen
+
+    # Every later node copies its image: whole or up to the verdicts cut in,
+    # or, on a challenged chain, only the move toward the chain's end.
+    start = moves + len(claim_rows)
+    walk = zip(count(start), islice(out, start, None), islice(images, start, None), branches)
+    for i, position, image, branch in walk:  # the lists grow while they are walked
+        if branch.__class__ is dict:
+            verdict = branch.get(image)
+            if verdict is not None:
+                labels_at[i], tags_at[i] = (), verdict
+                continue
+            labels = labels_of[image]
+            if labels:
+                lo = first[image]
+                out += [position + (label,) for label in labels]
+                images.extend(range(lo, lo + len(labels)))
+                branches += [branch] * len(labels)
+        else:
+            labels = labels_of[image]
+            if not labels:
+                raise InternalInvariantError(
+                    f"terminal position {format_position(ordered[image])} on a challenged chain"
+                )
+            move = branch[len(position)]
+            labels_at[i] = (move,)
+            out.append(position + (move,))
+            images.append(first[image] + labels.index(move))
+            branches.append(branch if len(position) + 1 < len(branch) else whole)
+    del branches, claim_rows
+
+    out_labels = list(map(labels_of.__getitem__, images))
+    for i, labels in labels_at.items():
+        out_labels[i] = labels
+    out_tags = bytearray(map(tags.__getitem__, images))
+    for i, tag in tags_at.items():
+        out_tags[i] = tag
+    source = GameTree._from_ids(tree.depth, out, out_labels, out_tags)
+    transform, lift = _strategy_maps(tree, k, frontiers, accepts, challenges)
+    return BaseCovering(source, tree, k, images, transform, lift, frontiers, spec)
+
+
+def _checked_frontiers(
+    tree: GameTree, banned: bytearray, k: int, frontier_max: int, node_max: int
+) -> list[list[int]]:
+    """The frontier ids of every move on a level-``k`` node, in move order,
+    checked against both caps in the order the construction meets them.
+    One reverse pass over the ids past the moves finds subtree sizes and
+    ``meets``, the nodes the closed set passes through: a full-depth play
+    that is not ``banned`` (``_banned``), or a node with such a child.
+
+    The source counts its nodes up to level ``k``, then, move by move,
+    checks the move's frontier and adds the nodes of its claims; either cap
+    fails at the first move past it, before any node is built.  A claim on
+    move ``b`` with claimed set S has 1 node, plus the accept copies of the
+    children of ``b`` (a subtree where a node outside ``meets`` is a leaf:
+    its frontier is cut), plus for each claimed ``q`` the chain of
+    ``len(q) - (k + 2)`` nodes down to it and its whole subtree.  Summed
+    over the subsets S of the frontier, each ``q`` is in half of them.
+    """
+    ordered, first, levels = tree._ordered, tree._first, tree._levels
+    moves = levels[k + 1]
+    below = levels[k + 2]  # the first id past the moves
+    plays = levels[tree.depth]  # the first full-depth play
+    total = moves
+    if total > node_max:
+        raise ResourceLimitError(f"covering source exceeds {node_max} nodes")
+    size = [1] * len(ordered)  # subtree sizes by id, past the moves
+    cut = [1] * len(ordered)  # the same with a node outside ``meets`` a leaf
+    meets = bytearray(len(ordered))  # 1 where a play of the closed set passes
+    for i in range(len(ordered) - 1, below - 1, -1):
+        lo, hi = first[i], first[i + 1]
+        if lo < hi:
+            size[i] += sum(size[lo:hi])
+            if meets.find(1, lo, hi) >= 0:
+                meets[i] = 1
+                cut[i] += sum(cut[lo:hi])
+        elif i >= plays and not banned[i]:
+            meets[i] = 1
+    fronts = []
+    for base in range(moves, below):
+        front = _frontier(tree, meets, base)
+        if len(front) > frontier_max:
+            raise ResourceLimitError(
+                f"frontier size {len(front)} exceeds cap {frontier_max}"
+                f" at {format_position(ordered[base])}"
+            )
+        claims = 1 << len(front)
+        accepted = sum(cut[first[base] : first[base + 1]])
+        chains = sum(len(ordered[q]) - (k + 2) + size[q] for q in front)
+        total += claims * (1 + accepted) + claims // 2 * chains
+        if total > node_max:
+            raise ResourceLimitError(f"covering source exceeds {node_max} nodes")
+        fronts.append(front)
+    return fronts

@@ -387,14 +387,17 @@ def test_fixture_reports_are_byte_identical(fixtures_dir, monkeypatch, command, 
 
 # depth6.game is `random_game("k2:28", depth=6)` with its closed set, written
 # by `format_game`: the one fixture deep enough for a level-2 covering.
-@pytest.mark.parametrize("command", ["unravel", "verify"])
+# Its DOT export prints every node, label and tag of the level-2 source.
+@pytest.mark.parametrize("command", ["unravel", "verify", "export-dot --covering"])
 def test_level_two_reports_are_byte_identical(fixtures_dir, monkeypatch, command):
     monkeypatch.chdir(fixtures_dir)
-    code, out, _ = run_cli(command, "depth6.game", "--k", "2")
+    name, *flags = command.split()
+    code, out, _ = run_cli(name, "depth6.game", *flags, "--k", "2")
     data = out.encode()
     key = f"depth6.game {command} --k 2"
     pinned = json.loads((fixtures_dir / "reports.json").read_text())[key]
-    assert "k: 2\n" in out
+    if name != "export-dot":  # the DOT shows the level only through its nodes
+        assert "k: 2\n" in out
     assert (code, len(data), hashlib.sha256(data).hexdigest()) == (
         pinned["exit"],
         pinned["bytes"],

@@ -179,6 +179,8 @@ def test_verify_lift_rejects_non_play(ex1):
     identity = oracles.identity_covering(ex1)
     with pytest.raises(ValueError, match="not a play"):
         verify_lift(identity, oracles.least_strategy(ex1, Player.I), (0,))
+    with pytest.raises(ValueError, match="^unknown position 0/7$"):
+        verify_lift(identity, oracles.least_strategy(ex1, Player.I), (0, 7))
 
 
 # -------------------------------------------------------------- composition

@@ -41,6 +41,7 @@ from unraveling.payoff import (
     ClosedUnion,
     Not,
     Union,
+    _banned,
     decided_by_depth,
     realize,
 )
@@ -883,7 +884,9 @@ def test_checking_a_base_covering_builds_no_position_table_on_its_source(monkeyp
         pulled = pullback(covering, payoff)
         assert decided_by_depth(covering.source, pulled, k + 2)
         assert solve_via_covering(covering, payoff, k + 2).winner is solve(tree, payoff).winner
+        vars(tree).pop("_children", None)  # drawing the closed set read the table
         assert check_lift(covering, 4, seed=k)
+        assert "_children" not in vars(tree)  # each lifted play is found by id
         assert covering_dot(covering, payoff, node_max=DEFAULT_NODE_MAX)
         assert "_children" not in vars(covering.source)
 
@@ -898,7 +901,9 @@ def test_checking_a_base_covering_builds_no_position_table_on_its_source(monkeyp
     assert decided_by_depth(covering.source, pullback(covering, payoff), decided_depth)
     via = solve_via_covering(covering, payoff, decided_depth)
     assert via.winner is solve(tree, payoff).winner
+    vars(tree).pop("_children", None)
     assert check_lift(covering, 4, seed=1)
+    assert "_children" not in vars(tree)
     assert covering_dot(covering, payoff, node_max=DEFAULT_NODE_MAX)
     for stage in stages:
         assert covering_dot(stage, None, node_max=DEFAULT_NODE_MAX)
@@ -964,3 +969,80 @@ def test_node_cap_admits_exactly_the_node_count():
             assert build_base_covering(tree, spec, k, node_max=count).source.node_count == count
             with pytest.raises(ResourceLimitError, match=f"exceeds {count - 1} nodes"):
                 build_base_covering(tree, spec, k, node_max=count - 1)
+
+
+# ------------------------------- the level-by-level build, against its oracles
+
+
+def build_outcome(build, tree, spec, k, **caps):
+    """What a builder makes of one input: the source's arrays, the position
+    map and the frontier table in key order, or the text of its error."""
+    try:
+        covering = build(tree, spec, k, **caps)
+    except (ResourceLimitError, ValueError) as error:
+        return type(error), str(error)
+    source = covering.source
+    frontiers = list(covering.frontiers.items())
+    return source._ordered, source._labels, source._tags, covering.images, frontiers
+
+
+def assert_builds_like_the_reference(tree, spec, k, **caps):
+    expected = build_outcome(oracles.reference_base_covering, tree, spec, k, **caps)
+    assert build_outcome(build_base_covering, tree, spec, k, **caps) == expected
+    return expected
+
+
+@pytest.mark.parametrize("depth", [4, 6, 8])
+@pytest.mark.parametrize("branching", [2, 3])
+def test_base_covering_matches_the_node_by_node_reference(depth, branching):
+    built = 0
+    for seed in range(6):
+        tree, spec = random_game(
+            f"reference:{depth}:{branching}:{seed}", depth=depth, branching=branching, taboos=3
+        )
+        for k in (0, 2):
+            for frontier_max in (1, 2, 3, 10):
+                outcome = assert_builds_like_the_reference(
+                    tree, spec, k, frontier_max=frontier_max
+                )
+            if len(outcome) == 2:  # a cap or a generator too shallow at level k
+                continue
+            built += 1
+            nodes = len(outcome[0])
+            for node_max in (nodes, nodes - 1):
+                assert_builds_like_the_reference(tree, spec, k, node_max=node_max)
+    assert built >= 3, built
+
+
+def test_union_stages_match_the_node_by_node_reference(monkeypatch):
+    stages = recorded_stages(monkeypatch)
+    for seed in range(8):
+        tree, specs = random_union_instance(f"reference-union:{seed}", depth=6, parts=3)
+        try:
+            unravel_payoff(tree, ClosedUnion(specs), 0, frontier_max=3)
+        except ResourceLimitError:
+            pass
+    assert len(stages) >= 12, len(stages)
+    for stage in stages:
+        assert_builds_like_the_reference(stage.target, stage.spec, stage.level, frontier_max=3)
+
+
+@given(st.integers(0, 300), st.sampled_from([(6, 2), (6, 3), (8, 2)]))
+@settings(max_examples=20, deadline=None)
+def test_meets_pass_matches_the_leaf_walk_oracle(seed, shape):
+    depth, branching = shape
+    tree, spec = random_game(f"meets:{seed}", depth=depth, branching=branching, taboos=3)
+    vars(tree).pop("_children", None)  # drawing the closed set read the table
+    for k in (0, 2):
+        try:
+            build_base_covering(tree, spec, k)
+        except ResourceLimitError:
+            pass
+    assert "_children" not in vars(tree)
+    payoff = realize(tree, Closed(spec))
+    for k in (0, 2):
+        meets = unravel_module._meets(tree, _banned(tree, spec), k)
+        for i, position in enumerate(tree.positions()):
+            if len(position) >= k + 2:
+                assert meets[i] == oracles.meets_by_leaf_walk(tree, position, payoff), position
+
