@@ -13,7 +13,6 @@ from .core import (
     is_consistent,
     is_winning_strategy,
     random_strategy,
-    strategy_from,
 )
 from .payoff import (
     Closed,

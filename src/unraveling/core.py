@@ -27,7 +27,10 @@ induction, taboo-pruning, the base construction, the covering checks and
 the strategy checks walk the ids, one level at a time where the mover or
 the depth matters, and a covering's position map is an array of target
 ids by source id (``Covering.images``); tuple positions appear only at
-the API and in the file formats.
+the API and in the file formats.  Player I moves at even depths and
+player II at odd ones: the mover table ``_TO_MOVE``, indexed by a depth's
+parity, is the one place that says so, and ``_decision_ids``, the one
+walk over a player's decision nodes, reads it.
 
 A payoff set is a ``Plays``: a read-only set bound to one tree that holds
 one byte per full-depth id, 1 on the plays in the set.  ``realize`` and
@@ -55,9 +58,9 @@ from array import array
 from collections.abc import Set
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, compress
+from itertools import accumulate, chain, compress
 from types import MappingProxyType
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 
 class InternalInvariantError(RuntimeError):
@@ -89,7 +92,8 @@ class Player(enum.Enum):
 
     @property
     def opponent(self) -> "Player":
-        return Player.II if self is Player.I else Player.I
+        """The other player: the one who moves one depth later."""
+        return _TO_MOVE[1 - _TO_MOVE.index(self)]
 
     def __str__(self) -> str:
         return self.value
@@ -147,6 +151,8 @@ class GameTree:
     ):
         if depth < 2 or depth % 2 != 0:
             raise ArenaError("depth bound must be an even integer >= 2", None)
+        if depth > DEFAULT_NODE_MAX:  # no play of that length fits under the node cap
+            raise ArenaError(f"depth bound must be at most {DEFAULT_NODE_MAX}", None)
         if () not in children:
             raise ArenaError("missing root position", ())
         # Breadth-first walk over the sorted child tuples: parents come out
@@ -321,14 +327,10 @@ class GameTree:
         canonical order: a read-only table built once per player."""
         table = self._decisions.get(owner)
         if table is None:
-            ordered, labels_of, levels = self._ordered, self._labels, self._levels
-            owned = {}
-            for d in range(0 if owner is Player.I else 1, self.depth, 2):  # the owner's levels
-                lo, hi = levels[d], levels[d + 1]
-                owned.update(
-                    (p, labels) for p, labels in zip(ordered[lo:hi], labels_of[lo:hi]) if labels
-                )
-            table = self._decisions[owner] = MappingProxyType(owned)
+            ordered, labels = self._ordered, self._labels
+            table = self._decisions[owner] = MappingProxyType(
+                {ordered[i]: labels[i] for i in _decision_ids(self, owner)}
+            )
         return table
 
     @property
@@ -343,9 +345,6 @@ class GameTree:
             return self._children[position]
         except KeyError:
             raise ValueError(f"unknown position {format_position(position)}") from None
-
-    def is_terminal(self, position: Position) -> bool:
-        return not self.children_of(position)
 
     def taboo_items(self) -> Iterator[tuple[Position, Player]]:
         for position, tag in zip(self._ordered, self._tags):
@@ -378,6 +377,8 @@ class GameTree:
         return f"GameTree(depth={self.depth}, nodes={self.node_count})"
 
 
+# The player to move at a depth, by its parity: I at even depths, II at odd.
+_TO_MOVE = (Player.I, Player.II)
 # A taboo tag byte names its owner; 0 is untagged.
 _OWNERS = (None, Player.I, Player.II)
 # The two ways a play is won: a taboo by the opponent of its owner, read by
@@ -493,29 +494,27 @@ class Strategy:
             ) from None
 
 
-def strategy_from(
-    tree: GameTree,
-    owner: Player,
-    choose: Callable[[Position, tuple[Label, ...]], Label],
-) -> Strategy:
-    """Total strategy built by calling ``choose`` at each decision position."""
-    choices = {}
-    for position, labels in tree.decisions(owner).items():
-        choice = choose(position, labels)
-        if choice not in labels:
-            raise ValueError(f"illegal choice at {format_position(position)}")
-        choices[position] = choice
-    return Strategy(owner, choices)
+def _decision_ids(tree: GameTree, owner: Player) -> Iterator[int]:
+    """The ids of the owner's non-terminal nodes, in canonical order: the
+    nodes with child labels on each level where the owner moves."""
+    levels, labels = tree._levels, tree._labels
+    return chain.from_iterable(
+        compress(range(levels[d], levels[d + 1]), labels[levels[d] : levels[d + 1]])
+        for d in range(_TO_MOVE.index(owner), tree.depth, 2)
+    )
 
 
 def random_strategy(rng: random.Random, tree: GameTree, owner: Player) -> Strategy:
-    return strategy_from(tree, owner, lambda _, labels: rng.choice(labels))
+    """A total strategy with one uniform draw per decision position, in
+    canonical order."""
+    return Strategy(
+        owner, {p: rng.choice(labels) for p, labels in tree.decisions(owner).items()}
+    )
 
 
 def is_consistent(position: Position, strategy: Strategy) -> bool:
     """True iff the owner's moves along ``position`` all follow the strategy."""
-    start = 0 if strategy.owner is Player.I else 1
-    for k in range(start, len(position), 2):
+    for k in range(_TO_MOVE.index(strategy.owner), len(position), 2):
         if strategy.choices.get(position[:k]) != position[k]:
             return False
     return True
@@ -529,7 +528,7 @@ def _consistent_ids(tree: GameTree, strategy: Strategy) -> list[int]:
     out: list[int] = []
     # The stack carries whose move it is: a node where the owner moves is
     # pushed as its complement ``~i``, which is negative.
-    stack = [~0 if strategy.owner is Player.I else 0]
+    stack = [~0 if _TO_MOVE[0] is strategy.owner else 0]
     while stack:
         i = stack.pop()
         owned = i < 0

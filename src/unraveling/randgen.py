@@ -27,8 +27,12 @@ def random_tree(
     """Random arena: grow a full tree, then cut an antichain into taboos.
 
     Growing more than ``node_max`` positions raises ``ResourceLimitError``;
-    the cap only counts, so an arena within it is drawn as without one.
+    the cap only counts, so an arena within it is drawn as without one.  A
+    depth of at least ``node_max`` raises before anything is drawn: the
+    first path alone holds ``depth + 1`` positions.
     """
+    if depth >= node_max:
+        raise ResourceLimitError(f"random arena exceeds {node_max} nodes")
     # Depth first with an explicit stack, so deep trees cannot hit the
     # recursion limit; children are pushed in reverse so that positions are
     # grown, and ``rng`` is called, in preorder.
@@ -75,10 +79,8 @@ def random_closed_spec(
     min_depth: int = 1,
     min_generators: int = 0,
 ) -> ClosedSpec:
-    candidates = [
-        p
-        for p in tree.positions()
-        if min_depth <= len(p) < tree.depth and not tree.is_terminal(p)
+    candidates = [  # the non-terminal positions, which all lie above full depth
+        p for p, labels in zip(tree.positions(), tree._labels) if labels and len(p) >= min_depth
     ]
     if not candidates:
         return ClosedSpec()

@@ -38,7 +38,9 @@ from .core import (
     Strategy,
     _PLAY_WINNER,
     _TABOO_WINNER,
+    _TO_MOVE,
     _as_plays,
+    _decision_ids,
     format_position,
 )
 
@@ -65,7 +67,8 @@ def _winners(tree: GameTree, mask: bytes | None) -> list[Player | None]:
     if mask is not None:
         values[start:] = map(_PLAY_WINNER.__getitem__, mask)
     for d in range(tree.depth - 1, -1, -1):
-        mover, other = (Player.II, Player.I) if d % 2 else (Player.I, Player.II)
+        mover = _TO_MOVE[d % 2]
+        other = mover.opponent
         for i in range(levels[d], levels[d + 1]):
             lo, hi = first[i], first[i + 1]
             if lo == hi:
@@ -83,16 +86,15 @@ def _least_winning(tree: GameTree, owner: Player, values, within=None) -> Strate
     """At each of the owner's decision nodes (only those ``within`` marks,
     if given), the least child the owner wins by ``values``, or else the
     least child."""
-    ordered, first, labels_of, levels = tree._ordered, tree._first, tree._labels, tree._levels
+    ordered, first, labels_of = tree._ordered, tree._first, tree._labels
+    ids = _decision_ids(tree, owner)
+    if within is not None:
+        ids = filter(within.__getitem__, ids)
     choices = {}
-    for d in range(0 if owner is Player.I else 1, tree.depth, 2):  # the owner's levels
-        lo, hi = levels[d], levels[d + 1]
-        for i in range(lo, hi) if within is None else compress(range(lo, hi), within[lo:hi]):
-            labels = labels_of[i]
-            if labels:
-                child_values = values[first[i] : first[i + 1]]
-                least = child_values.index(owner) if owner in child_values else 0
-                choices[ordered[i]] = labels[least]
+    for i in ids:
+        child_values = values[first[i] : first[i + 1]]
+        least = child_values.index(owner) if owner in child_values else 0
+        choices[ordered[i]] = labels_of[i][least]
     return Strategy(owner, choices)
 
 
@@ -193,8 +195,7 @@ def transfer_from_pruned(tree: GameTree, pruned: PruneResult, strategy: Strategy
     if pruned.tree is None:
         raise ValueError("no pruned tree: the root is taboo-determined")
     owner = strategy.owner
-    parity = 0 if owner is Player.I else 1  # the owner moves at these depths
-    ordered, first, labels_of, levels = tree._ordered, tree._first, tree._labels, tree._levels
+    ordered, first, labels_of = tree._ordered, tree._first, tree._labels
     # Who picks the owner's move, by id: ``strategy`` in the remainder; in a
     # removed region, its entry's witness if the owner determines the entry,
     # else ``None``, the least move.
@@ -202,7 +203,7 @@ def transfer_from_pruned(tree: GameTree, pruned: PruneResult, strategy: Strategy
     for entry, witness in pruned.witnesses.items():  # the minimal removed positions
         if pruned.determined[entry] is owner:
             mover[tree._id(entry)] = witness
-        elif len(entry) % 2 == parity:  # the opponent moves into ``entry``
+        elif _TO_MOVE[(len(entry) - 1) % 2] is not owner:  # the opponent moves into it
             raise InternalInvariantError(
                 f"opponent enters {format_position(entry)} determined against the owner"
             )
@@ -217,10 +218,7 @@ def transfer_from_pruned(tree: GameTree, pruned: PruneResult, strategy: Strategy
             mover[lo:hi] = [who] * (hi - lo)
 
     choices: dict[Position, object] = {}
-    for d in range(parity, tree.depth, 2):  # the owner's levels
-        for i in range(levels[d], levels[d + 1]):
-            labels = labels_of[i]
-            if labels:
-                position, who = ordered[i], mover[i]
-                choices[position] = labels[0] if who is None else who.move_at(position)
+    for i in _decision_ids(tree, owner):
+        position, who = ordered[i], mover[i]
+        choices[position] = labels_of[i][0] if who is None else who.move_at(position)
     return Strategy(owner, choices)

@@ -64,6 +64,7 @@ from .core import (
     Position,
     ResourceLimitError,
     Strategy,
+    _FLIP,
     _OWNERS,
     format_position,
 )
@@ -88,7 +89,6 @@ from .payoff import (
 )
 
 DEFAULT_FRONTIER_MAX = 10
-_NOT = bytes.maketrans(b"\0\1", b"\1\0")  # flips the bytes of a 0/1 mask
 
 
 def _fields(label: tuple) -> tuple:
@@ -173,7 +173,7 @@ def _meets(tree: GameTree, banned: bytearray, k: int) -> bytearray:
     ``_first`` range."""
     first, levels, depth = tree._first, tree._levels, tree.depth
     meets = bytearray(len(banned))
-    meets[levels[depth] :] = banned[levels[depth] :].translate(_NOT)
+    meets[levels[depth] :] = banned[levels[depth] :].translate(_FLIP)
     counts = [0] * (len(banned) + 1)  # by id: the 1s on its level before it
     for d in range(depth - 1, k + 1, -1):
         lo, hi, end = levels[d], levels[d + 1], levels[d + 2]

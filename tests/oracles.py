@@ -11,6 +11,7 @@ import itertools
 from array import array
 from bisect import bisect_left
 from itertools import count, islice
+from typing import Callable
 
 from unraveling.core import (
     DEFAULT_NODE_MAX,
@@ -25,7 +26,6 @@ from unraveling.core import (
     _OWNERS,
     format_position,
     is_prefix,
-    strategy_from,
 )
 from unraveling.covering import Covering
 from unraveling.payoff import Closed, ClosedSpec, Not, Union, _banned
@@ -75,7 +75,23 @@ def taboo_owner(tree: GameTree, position: Position) -> Player | None:
 
 def plays(tree: GameTree) -> list[Position]:
     """The terminal positions, in canonical order."""
-    return [p for p in tree.positions() if tree.is_terminal(p)]
+    return [p for p in tree.positions() if not tree.children_of(p)]
+
+
+def strategy_from(
+    tree: GameTree,
+    owner: Player,
+    choose: Callable[[Position, tuple[Label, ...]], Label],
+) -> Strategy:
+    """Total strategy built by calling ``choose`` at each decision position;
+    a choice that is not a child label is a ``ValueError``."""
+    choices = {}
+    for position, labels in tree.decisions(owner).items():
+        choice = choose(position, labels)
+        if choice not in labels:
+            raise ValueError(f"illegal choice at {format_position(position)}")
+        choices[position] = choice
+    return Strategy(owner, choices)
 
 
 def least_strategy(tree: GameTree, owner: Player) -> Strategy:
@@ -207,7 +223,7 @@ def frontier_by_scan(tree: GameTree, leaves, prefix: Position, move) -> list[Pos
     for q in tree.positions():
         if not (is_prefix(start, q) and q != start):
             continue  # (i) strict extension
-        if tree.is_terminal(q):
+        if not tree.children_of(q):
             continue  # (ii) non-terminal
         if meets_by_leaf_walk(tree, q, leaves):
             continue  # (iii) payoff unreachable below

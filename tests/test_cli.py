@@ -12,7 +12,7 @@ import pytest
 
 from unraveling import cli
 from unraveling.cli import main
-from unraveling.core import CheckResult, ResourceLimitError, format_position, strategy_from
+from unraveling.core import DEFAULT_NODE_MAX, CheckResult, ResourceLimitError, format_position
 from unraveling.covering import solve_via_covering
 from unraveling.gamedoc import GameDocError, format_game, parse_game_bytes, to_document
 from unraveling.payoff import Closed, ClosedUnion, Not, Open, realize
@@ -20,6 +20,8 @@ from unraveling.randgen import random_game, random_union_instance
 from unraveling.solver import solve
 import unraveling.unravel as unravel_module
 from unraveling.unravel import unravel_payoff
+
+from oracles import strategy_from
 
 
 def run_cli(*argv):
@@ -241,6 +243,23 @@ def test_fuzz_draws_arenas_within_the_node_cap(monkeypatch):
     code, out, err = run_cli("fuzz", "--depth", "14", "--branch", "3", "--samples", "2")
     assert (code, out) == (1, "")
     assert err.startswith("error: random arena exceeds 50 nodes")
+    # a depth at or over the cap fails before growing its first path
+    code, out, err = run_cli("fuzz", "--depth", "1000000", "--samples", "1")
+    assert (code, out, err) == (1, "", "error: random arena exceeds 50 nodes\n")
+
+
+def test_a_depth_bound_over_the_node_cap_is_rejected_on_its_line(tmp_path):
+    """A root-only game: at the cap it solves, one past it (the next even
+    bound) is a parse error on the DEPTH line."""
+    text = "GAME v1\nALPHABET 1\nDEPTH {}\nNODES\nTABOOS\n- I\nPAYOFF closed\n"
+    deep = tmp_path / "deep.game"
+    deep.write_text(text.format(DEFAULT_NODE_MAX + 2))
+    code, out, err = run_cli("solve", str(deep))
+    assert (code, out) == (1, "")
+    assert err == f"error: line 3: depth bound must be at most {DEFAULT_NODE_MAX}\n"
+    deep.write_text(text.format(DEFAULT_NODE_MAX))
+    code, out, _ = run_cli("solve", str(deep))
+    assert code == 0 and "winner: II" in out
 
 
 def test_verify_union_payoff(fixtures_dir):

@@ -14,13 +14,14 @@ from unraveling.core import (
     is_consistent,
     is_winning_strategy,
     random_strategy,
-    strategy_from,
 )
 from unraveling.core import ResourceLimitError
-from unraveling.randgen import random_tree, rng_for
-from unraveling.unravel import Accept, Claim
+from unraveling.randgen import random_game, random_tree, rng_for
+from unraveling.solver import prune
+from unraveling.unravel import Accept, Claim, build_base_covering
 
 import oracles
+from oracles import strategy_from
 
 
 def always(label):
@@ -168,6 +169,16 @@ def test_random_tree_node_cap_only_counts():
         random_tree(rng_for("chain"), depth=6, branching=1, taboos=0, node_max=6)
 
 
+def test_random_tree_deeper_than_the_cap_raises_before_drawing():
+    """The first path alone holds ``depth + 1`` positions, so a depth at or
+    over the cap fails before any draw, not after growing that path."""
+    rng = rng_for("deep")
+    state = rng.getstate()
+    with pytest.raises(ResourceLimitError, match="random arena exceeds 2000 nodes"):
+        random_tree(rng, depth=10**6, node_max=2000)
+    assert rng.getstate() == state
+
+
 def test_complete_deep_chain_within_default_recursion_limit():
     chain = GameTree.complete(3000, 1)
     assert chain.node_count == 3001
@@ -191,7 +202,6 @@ def test_level_offsets_when_every_play_ends_in_an_early_taboo():
     [
         lambda tree: (0, 1) in tree,
         lambda tree: tree.children_of((0,)),
-        lambda tree: tree.is_terminal((0, 1)),
     ],
 )
 def test_checked_tree_builds_its_position_table_on_first_lookup(lookup):
@@ -396,21 +406,33 @@ def test_strategy_from_rejects_illegal_choice(ex1):
 @given(st.integers(0, 400))
 @settings(max_examples=30, deadline=None)
 def test_decisions_filter_positions_once_per_player(seed):
-    tree = random_tree(rng_for(f"decisions:{seed}"), depth=6, branching=3, taboos=3)
-    for owner in Player:
-        table = tree.decisions(owner)
-        assert list(table) == oracles.decision_positions(tree, owner)
-        assert all(labels == tree.children_of(p) for p, labels in table.items())
-        assert tree.decisions(owner) is table
-        with pytest.raises(TypeError):
-            table[()] = ()  # read-only: shared by every strategy over the tree
-        # a random strategy draws one choice per decision position, in canonical order
-        drawn, replay = rng_for(f"draw:{seed}"), rng_for(f"draw:{seed}")
-        expected = {
-            p: replay.choice(tree.children_of(p))
-            for p in oracles.decision_positions(tree, owner)
-        }
-        assert random_strategy(drawn, tree, owner).choices == expected
+    """On a checked tree and on the trees its builders write in id form:
+    base-covering sources at levels 0 and 2 and the pruned remainder."""
+    tree, spec = random_game(f"decisions:{seed}", depth=6, branching=3, taboos=3)
+    trees = [tree]
+    for k in (0, 2):
+        try:
+            trees.append(build_base_covering(tree, spec, k, frontier_max=4).source)
+        except ResourceLimitError:
+            pass
+    remainder = prune(tree).tree
+    if remainder is not None:
+        trees.append(remainder)
+    for tree in trees:
+        for owner in Player:
+            table = tree.decisions(owner)
+            assert list(table) == oracles.decision_positions(tree, owner)
+            assert all(labels == tree.children_of(p) for p, labels in table.items())
+            assert tree.decisions(owner) is table
+            with pytest.raises(TypeError):
+                table[()] = ()  # read-only: shared by every strategy over the tree
+            # a random strategy draws one choice per decision position, in canonical order
+            drawn, replay = rng_for(f"draw:{seed}"), rng_for(f"draw:{seed}")
+            expected = {
+                p: replay.choice(tree.children_of(p))
+                for p in oracles.decision_positions(tree, owner)
+            }
+            assert random_strategy(drawn, tree, owner).choices == expected
 
 
 def test_id_form_entry_checks_the_tags_and_the_depth_bound(ex2):

@@ -23,7 +23,6 @@ from unraveling.core import (
     is_prefix,
     is_winning_strategy,
     random_strategy,
-    strategy_from,
 )
 from unraveling.covering import (
     check_lift,
@@ -66,6 +65,7 @@ from unraveling.unravel import (
 )
 
 import oracles
+from oracles import strategy_from
 
 
 def image_of(covering, position):
@@ -170,7 +170,7 @@ def test_base_covering_taboo_claim_nodes():
     )
     covering = build_base_covering(tree, ClosedSpec(), 0)
     assert oracles.taboo_owner(covering.source, (Claim(0, ()),)) is Player.I
-    assert covering.source.is_terminal((Claim(0, ()),))
+    assert not covering.source.children_of((Claim(0, ()),))
 
 
 def test_base_covering_rounds_odd_level_up(ex1):
@@ -877,6 +877,7 @@ def recorded_stages(monkeypatch) -> list:
 
 def test_checking_a_base_covering_builds_no_position_table_on_its_source(monkeypatch):
     tree, spec = random_game("no-table:3", depth=6, branching=3, taboos=3)
+    assert "_children" not in vars(tree)  # the closed set is drawn by id
     payoff = realize(tree, Closed(spec))
     for k in (0, 2):
         covering = build_base_covering(tree, spec, k)
@@ -884,7 +885,6 @@ def test_checking_a_base_covering_builds_no_position_table_on_its_source(monkeyp
         pulled = pullback(covering, payoff)
         assert decided_by_depth(covering.source, pulled, k + 2)
         assert solve_via_covering(covering, payoff, k + 2).winner is solve(tree, payoff).winner
-        vars(tree).pop("_children", None)  # drawing the closed set read the table
         assert check_lift(covering, 4, seed=k)
         assert "_children" not in vars(tree)  # each lifted play is found by id
         assert covering_dot(covering, payoff, node_max=DEFAULT_NODE_MAX)
@@ -893,6 +893,7 @@ def test_checking_a_base_covering_builds_no_position_table_on_its_source(monkeyp
     # A union: its stages, the pulled-back generators and the decided
     # complement are all found by id.
     tree, specs = random_union_instance("no-table:union", depth=6, branching=2, parts=3)
+    assert "_children" not in vars(tree)
     payoff = realize(tree, ClosedUnion(specs))
     stages = recorded_stages(monkeypatch)
     covering, decided_depth = unravel_payoff(tree, ClosedUnion(specs), 0)
@@ -901,7 +902,6 @@ def test_checking_a_base_covering_builds_no_position_table_on_its_source(monkeyp
     assert decided_by_depth(covering.source, pullback(covering, payoff), decided_depth)
     via = solve_via_covering(covering, payoff, decided_depth)
     assert via.winner is solve(tree, payoff).winner
-    vars(tree).pop("_children", None)
     assert check_lift(covering, 4, seed=1)
     assert "_children" not in vars(tree)
     assert covering_dot(covering, payoff, node_max=DEFAULT_NODE_MAX)
@@ -1032,7 +1032,6 @@ def test_union_stages_match_the_node_by_node_reference(monkeypatch):
 def test_meets_pass_matches_the_leaf_walk_oracle(seed, shape):
     depth, branching = shape
     tree, spec = random_game(f"meets:{seed}", depth=depth, branching=branching, taboos=3)
-    vars(tree).pop("_children", None)  # drawing the closed set read the table
     for k in (0, 2):
         try:
             build_base_covering(tree, spec, k)
