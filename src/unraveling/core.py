@@ -27,7 +27,8 @@ induction, taboo-pruning, the base construction, the covering checks and
 the strategy checks walk the ids, one level at a time where the mover or
 the depth matters, and a covering's position map is an array of target
 ids by source id (``Covering.images``); tuple positions appear only at
-the API and in the file formats.  Player I moves at even depths and
+the API and in the file formats, which write every path by id, each from
+its parent's (``_paths``).  Player I moves at even depths and
 player II at odd ones: the mover table ``_TO_MOVE``, indexed by a depth's
 parity, is the one place that says so, and ``_decision_ids``, the one
 walk over a player's decision nodes, reads it.
@@ -41,6 +42,9 @@ tree passes through as it is.
 
 A tree has two entries.  ``GameTree(depth, children, taboo)`` takes
 positions in any order, sorts them and checks every structural rule.
+``GameTree.from_nodes`` belongs to it: positions that arrive in canonical
+order, as a canonical game file lists them, are stored by id in one pass
+that checks the same rules, and any others go to the constructor.
 Derived trees (covering sources, pruned remainders) are written by their
 builders already in id form and enter through ``GameTree._from_ids``,
 which re-checks only what needs no hashing.  Every tree, whichever entry
@@ -58,7 +62,8 @@ from array import array
 from collections.abc import Set
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, chain, compress
+from itertools import accumulate, chain, compress, repeat
+from operator import not_
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
@@ -72,6 +77,21 @@ class ResourceLimitError(RuntimeError):
 
 
 DEFAULT_NODE_MAX = 200_000
+# A position of length d holds d labels, so a deep tree holds far more
+# labels than nodes: one path of depth D holds D(D + 1) / 2 of them,
+# whatever the node count.  Builders that know their label count before
+# they allocate check it against this many labels per node of the cap.
+LABELS_PER_NODE = 25
+
+
+def _check_label_budget(what: str, labels: int, node_max: int) -> None:
+    """Raise ``ResourceLimitError`` if ``labels`` position labels exceed
+    the budget of ``LABELS_PER_NODE`` labels per node of the cap."""
+    budget = LABELS_PER_NODE * node_max
+    if labels > budget:
+        raise ResourceLimitError(
+            f"{what} exceeds {budget} position labels ({LABELS_PER_NODE} per node of the cap)"
+        )
 
 
 class ArenaError(ValueError):
@@ -114,6 +134,17 @@ def format_position(position: Position) -> str:
     return "/".join(map(str, position))
 
 
+def _paths(tree: GameTree) -> list[str]:
+    """Every node's slash path by id, as ``format_position`` writes it:
+    each is its parent's path, a slash and ``str`` of its label."""
+    labels = tree._labels
+    paths = ["-", *map(str, labels[0])]
+    for i in compress(range(1, len(labels)), labels[1:]):
+        prefix = paths[i] + "/"
+        paths.extend([prefix + str(label) for label in labels[i]])
+    return paths
+
+
 class GameTree:
     """Immutable finite game arena with a depth bound and taboo tags.
 
@@ -136,11 +167,12 @@ class GameTree:
     positions appear only at the API, through one table keyed by position,
     ``_children`` (child labels).
 
-    The constructor checks every structural rule.  ``_from_ids`` takes
-    positions, child labels and tags from a builder that wrote them in
-    canonical order and checks only the tags and the depth bound.  Either
-    way, the tree builds its position table on the first lookup that
-    needs it.
+    The constructor checks every structural rule, and so does the one
+    pass of ``from_nodes`` over positions in canonical order.
+    ``_from_ids`` takes positions, child labels and tags from a builder
+    that wrote them in canonical order and checks only the tags and the
+    depth bound.  Either way, the tree builds its position table on the
+    first lookup that needs it.
     """
 
     def __init__(
@@ -291,7 +323,17 @@ class GameTree:
         nodes: Iterable[Position],
         taboo: Mapping[Position, Player] = {},
     ) -> "GameTree":
-        """Build from the set of positions; child labels are inferred."""
+        """Build from the set of positions; child labels are inferred.
+
+        Non-root positions that arrive in canonical order, as a canonical
+        game file lists them, are stored by id in one pass.  At the first
+        fact that pass does not accept, the positions go to the
+        constructor, which sorts them and makes every rejection.
+        """
+        nodes = nodes if isinstance(nodes, list) else list(nodes)
+        tree = cls.__new__(cls)
+        if tree._store_in_order(depth, nodes, taboo):
+            return tree
         stored = {(): set()} | {tuple(p): set() for p in nodes}
         for position in list(stored):
             if position:
@@ -304,9 +346,72 @@ class GameTree:
                 stored[parent].add(position[-1])
         return cls(depth, stored, taboo)
 
+    def _store_in_order(
+        self, depth: int, nodes: list[Position], taboo: Mapping[Position, Player]
+    ) -> bool:
+        """Store ``nodes`` by id if they are the non-root positions in
+        canonical order and pass every check of the constructor; ``False``
+        at the first fact that does not hold, rejecting nothing itself.
+
+        One pointer moves forward over the positions stored so far: each
+        parent is the current one or a later one, and siblings ascend, so
+        ids are handed out in the constructor's breadth-first order."""
+        if depth < 2 or depth % 2 != 0 or depth > DEFAULT_NODE_MAX:
+            return False
+        ordered: list[Position] = [()]
+        labels: list[tuple[Label, ...]] = []  # by id, up to the current parent
+        shared: dict[tuple[Label, ...], tuple[Label, ...]] = {}  # equal label tuples, kept once
+        parent, siblings = 0, []  # the current parent and its child labels so far
+
+        def close(parent, siblings, up_to):
+            """Store the parent's child labels, and none for the ids before ``up_to``."""
+            siblings = tuple(siblings)
+            labels.append(shared.setdefault(siblings, siblings))
+            labels.extend(repeat((), up_to - parent - 1))
+
+        try:
+            for position in nodes:
+                if position.__class__ is not tuple or not position:
+                    return False
+                up, label = position[:-1], position[-1]
+                if up != ordered[parent]:
+                    later = ordered.index(up, parent + 1)
+                    close(parent, siblings, later)
+                    parent, siblings = later, []
+                elif siblings and not siblings[-1] < label:
+                    return False
+                siblings.append(label)
+                ordered.append(position)
+        except (ValueError, TypeError):  # a parent not ahead, or labels that do not compare
+            return False
+        close(parent, siblings, len(ordered))
+        if len(ordered[-1]) > depth:
+            return False
+        tags = bytearray(len(ordered))
+        self._store(depth, ordered, labels, tags)
+        # The early terminals: the nodes without labels above full depth.
+        early = compress(range(self._levels[depth]), map(not_, labels))
+        tagged = 0
+        for i in early:
+            owner = taboo.get(ordered[i])
+            if not isinstance(owner, Player):
+                return False
+            tags[i] = _OWNERS.index(owner)
+            tagged += 1
+        return tagged == len(taboo)
+
     @classmethod
     def complete(cls, depth: int, branching: int) -> "GameTree":
-        """Complete ``branching``-ary tree of the given depth, no early terminals."""
+        """Complete ``branching``-ary tree of the given depth, no early
+        terminals.  A tree whose positions hold more labels than the
+        budget (see ``_check_label_budget``) raises before it is built."""
+        held, width = 0, 1
+        for d in range(1, depth + 1):
+            width *= branching
+            if not width:
+                break
+            held += d * width
+            _check_label_budget("complete tree", held, DEFAULT_NODE_MAX)
         labels = tuple(range(branching))
         children: dict[Position, tuple[int, ...]] = {}
         level: list[Position] = [()]
@@ -494,14 +599,19 @@ class Strategy:
             ) from None
 
 
-def _decision_ids(tree: GameTree, owner: Player) -> Iterator[int]:
+def _decision_ids(tree: GameTree, owner: Player, within: bytes | None = None) -> Iterator[int]:
     """The ids of the owner's non-terminal nodes, in canonical order: the
-    nodes with child labels on each level where the owner moves."""
+    nodes with child labels on each level where the owner moves.  With
+    ``within``, a byte per id, only the ids it marks: each level is
+    compressed by it first, so a sparse region costs little."""
     levels, labels = tree._levels, tree._labels
-    return chain.from_iterable(
-        compress(range(levels[d], levels[d + 1]), labels[levels[d] : levels[d + 1]])
-        for d in range(_TO_MOVE.index(owner), tree.depth, 2)
-    )
+    owned = [
+        range(levels[d], levels[d + 1]) for d in range(_TO_MOVE.index(owner), tree.depth, 2)
+    ]
+    if within is None:
+        return chain.from_iterable(compress(ids, labels[ids.start : ids.stop]) for ids in owned)
+    marked = chain.from_iterable(compress(ids, within[ids.start : ids.stop]) for ids in owned)
+    return filter(labels.__getitem__, marked)
 
 
 def random_strategy(rng: random.Random, tree: GameTree, owner: Player) -> Strategy:

@@ -6,47 +6,52 @@ with the losing player, payoff members as doubled circles.  A covering
 export places source and target in two clusters and draws dashed links
 from the decorated levels (the covering's identity level plus one and two)
 to their images.
+
+Everything is written by node id: each node's slash path once, from its
+parent's (``core._paths``), escaped once, and the edges into ids 1, 2, ...
+in order, since canonical order lists each parent's children together.
+The dashed links walk only the two decorated levels of the source.
 """
 
 from __future__ import annotations
 
-from .core import _OWNERS, GameTree, ResourceLimitError, _as_plays, format_position
+from itertools import chain, repeat
+
+from .core import _OWNERS, GameTree, ResourceLimitError, _as_plays, _paths
 from .covering import Covering
 
-_QUOTE = str.maketrans({'"': '\\"', "\\": "\\\\"})
+# The style of a node by its taboo tag byte; an untagged one is styled by the payoff.
+_TABOO_STYLES = [None] + [f'shape=box, xlabel="taboo:{owner}"' for owner in _OWNERS[1:]]
 
 
-def _quoted(text: str) -> str:
-    return '"' + text.translate(_QUOTE) + '"'
+def _escaped(text: str) -> str:
+    """``text`` ready to go between DOT's double quotes: backslash first."""
+    return text.replace("\\", "\\\\").replace('"', '\\"')
 
 
 def _node_lines(tree: GameTree, payoff_leaves, prefix: str) -> tuple[list[str], list[str]]:
-    """A tree's node and edge lines, and its quoted node names by id."""
-    positions, first, tags = tree.positions(), tree._first, tree._tags
+    """A tree's node and edge lines, and its quoted node names by id.  Each
+    path is written once, from its parent's, and escaped once; a node's
+    name is that path behind ``prefix``."""
+    tags, labels = tree._tags, tree._labels
     start = tree._levels[tree.depth]
     # The payoff's bytes padded to read by id; no payoff marks no play.
     inside = bytes(start) + (
-        bytes(len(positions) - start)
+        bytes(len(labels) - start)
         if payoff_leaves is None
         else _as_plays(tree, payoff_leaves).mask
     )
-    paths = [format_position(position) for position in positions]
-    names = [_quoted(prefix + path) for path in paths]
-    lines = []
-    for i, path in enumerate(paths):
-        if tags[i]:
-            style = f"shape=box, xlabel={_quoted(f'taboo:{_OWNERS[tags[i]]}')}"
-        elif inside[i]:
-            style = "shape=doublecircle"
-        else:
-            style = "shape=ellipse"
-        lines.append(f"  {names[i]} [label={_quoted(path)}, {style}];")
-    # canonical order lists each parent's children together, parents in order
-    lines.extend(
-        f"  {names[i]} -> {names[child]};"
-        for i in range(len(names))
-        for child in range(first[i], first[i + 1])
-    )
+    paths = [_escaped(path) for path in _paths(tree)]
+    names = [f'"{prefix}{path}"' for path in paths]
+    styles = [
+        _TABOO_STYLES[tag] if tag else "shape=doublecircle" if member else "shape=ellipse"
+        for tag, member in zip(tags, inside)
+    ]
+    lines = list(map('  {} [label="{}", {}];'.format, names, paths, styles))
+    # Canonical order lists each parent's children together, parents in
+    # order, so the edges into ids 1, 2, ... come out in that order.
+    parents = chain.from_iterable(map(repeat, range(len(labels)), map(len, labels)))
+    lines.extend(map("  {} -> {};".format, map(names.__getitem__, parents), names[1:]))
     return lines, names
 
 
@@ -71,16 +76,18 @@ def covering_dot(covering: Covering, payoff_leaves=None, *, node_max: int) -> st
     lines = ["digraph covering {", "  rankdir=TB;"]
     lines.append("  subgraph cluster_source {")
     lines.append('    label="source";')
-    lines.extend("  " + line for line in source_lines)
+    lines.extend(map("  ".__add__, source_lines))
     lines.append("  }")
     lines.append("  subgraph cluster_target {")
     lines.append('    label="target";')
-    lines.extend("  " + line for line in target_lines)
+    lines.extend(map("  ".__add__, target_lines))
     lines.append("  }")
-    for i, (position, image) in enumerate(zip(covering.source.positions(), covering.images)):
-        if covering.level < len(position) <= covering.level + 2:
-            lines.append(
-                f"  {source_names[i]} -> {target_names[image]} [style=dashed, constraint=false];"
-            )
+    # The decorated levels k + 1 and k + 2 of the source, as far as it reaches.
+    levels, images = covering.source._levels, covering.images
+    last = len(levels) - 1
+    for i in range(levels[min(covering.level + 1, last)], levels[min(covering.level + 3, last)]):
+        lines.append(
+            f"  {source_names[i]} -> {target_names[images[i]]} [style=dashed, constraint=false];"
+        )
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -24,12 +24,18 @@ the expressions ``Closed(spec)``, ``Not(Closed(spec))`` and
 
 A parsed document is ``GameDocument(alphabet, tree, payoff)``.  The parser
 checks the text, reading each list section up to the keyword that ends
-it; the tree is built once, and ``GameTree`` and ``check_generators`` are
-the only structural checks.  Every parse error carries a line (and where
-sensible a column, found in the line's text) number: a structural error
-is reported on the TABOOS line of a tagged position, on the NODES line of
-any other, on the line of a generator, or on the DEPTH line for an illegal
-depth bound.
+it; the tree is built once, by ``GameTree.from_nodes``, and it and
+``check_generators`` are the only structural checks.  NODES rows in
+canonical order and canonical text, as ``format_game`` writes them, are
+read in one linear pass (``_nodes_in_order``) that finds each parent by a
+pointer moving forward and builds each position from its parent's; at
+the first row it does not accept, the section is read again from its
+first row, one row at a time (``_nodes_by_row``), and every rejection
+comes from that reader or from the tree.  Every parse error carries a
+line (and where sensible a column, found in the line's text) number: a
+structural error is reported on the TABOOS line of a tagged position, on
+the NODES line of any other, on the line of a generator, or on the DEPTH
+line for an illegal depth bound.
 
 Blank lines and full-line ``#`` comments are accepted on input; the
 canonical printer emits neither, and parse/print round-trips canonically
@@ -41,7 +47,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .core import ArenaError, GameTree, Player, Position, format_position
+from .core import ArenaError, GameTree, Player, Position, _paths, format_position
 from .payoff import Closed, ClosedSpec, ClosedUnion, Not, Open, PayoffSpec, Union, check_generators
 
 VERSION = "v1"
@@ -96,7 +102,9 @@ class _Lines:
     def until(self, keyword: str, missing: str | None = None):
         """Yield the rows before the next one that starts with ``keyword``;
         running out of rows raises the error ``missing``, if one is given."""
-        while (row := self.peek()) is not None:
+        rows = self.rows
+        while self.cursor < len(rows):
+            row = rows[self.cursor]
             if row[1][0] == keyword:
                 return
             self.cursor += 1
@@ -120,6 +128,58 @@ def _parse_path(token: str, line: int, raw: str, alphabet: int) -> Position:
             )
         labels.append(label)
     return tuple(labels)
+
+
+def _nodes_in_order(rows, alphabet: int, most: int) -> list[Position] | None:
+    """The positions of the NODES rows, read in one linear pass while the
+    rows list them in canonical order and canonical text; ``None`` at the
+    first row that pass does not accept, which it leaves to
+    ``_nodes_by_row``.
+
+    Each row's path is split once, at its last slash.  Its parent is found
+    by moving one pointer forward over the path texts already read, and its
+    label through a table of the label texts, built for at most ``most``
+    labels; the position is the parent's plus that label.  Siblings must
+    ascend, so no path repeats."""
+    label_of = {str(label): label for label in range(min(alphabet, most))}
+    texts: list[str | None] = [None]  # the root: a path with no slash names no parent
+    positions: list[Position] = [()]
+    parent, last = 0, -1
+    for _, tokens, _ in rows:
+        if len(tokens) != 1:
+            return None
+        head, slash, tail = tokens[0].rpartition("/")
+        label, up = label_of.get(tail), head if slash else None
+        if label is None:
+            return None
+        if up != texts[parent]:
+            try:
+                parent = texts.index(up, parent + 1)
+            except ValueError:
+                return None
+            last = -1
+        if label <= last:
+            return None
+        last = label
+        texts.append(tokens[0])
+        positions.append(positions[parent] + (label,))
+    return positions[1:]
+
+
+def _nodes_by_row(rows, alphabet: int) -> list[Position]:
+    """The positions of the NODES rows, in any order, each checked on its
+    own row."""
+    seen: dict[Position, None] = {}  # in row order
+    for line, tokens, raw in rows:
+        if len(tokens) != 1:
+            raise GameDocError("node lines carry a single path", line, _col(raw, 1))
+        position = _parse_path(tokens[0], line, raw, alphabet)
+        if not position:
+            raise GameDocError("the root is implicit and not listed", line, _col(raw, 0))
+        if position in seen:
+            raise GameDocError(f"duplicate node {tokens[0]}", line, _col(raw, 0))
+        seen[position] = None
+    return list(seen)
 
 
 def _expect_header(lines: _Lines, keyword: str, argc: int) -> tuple[int, list[str], str]:
@@ -163,16 +223,11 @@ def parse_game(text: str) -> GameDocument:
     depth, depth_line = _int_arg(header), header[0]
 
     nodes_line, _, _ = _expect_header(lines, "NODES", 0)
-    node_lines: dict[Position, int] = {(): nodes_line}
-    for line, tokens, raw in lines.until("TABOOS", "missing TABOOS section"):
-        if len(tokens) != 1:
-            raise GameDocError("node lines carry a single path", line, _col(raw, 1))
-        position = _parse_path(tokens[0], line, raw, alphabet)
-        if not position:
-            raise GameDocError("the root is implicit and not listed", line, _col(raw, 0))
-        if position in node_lines:
-            raise GameDocError(f"duplicate node {tokens[0]}", line, _col(raw, 0))
-        node_lines[position] = line
+    first_row = lines.cursor
+    nodes = _nodes_in_order(lines.until("TABOOS"), alphabet, len(lines.rows))
+    if nodes is None or lines.peek() is None:  # read the section again, row by row
+        lines.cursor = first_row
+        nodes = _nodes_by_row(lines.until("TABOOS", "missing TABOOS section"), alphabet)
 
     _expect_header(lines, "TABOOS", 0)
     taboos: dict[Position, Player] = {}
@@ -223,12 +278,15 @@ def parse_game(text: str) -> GameDocument:
     specs = [ClosedSpec(block) for block in blocks]
 
     try:
-        tree = GameTree.from_nodes(depth, node_lines, taboos)
+        tree = GameTree.from_nodes(depth, nodes, taboos)
     except ArenaError as error:
         if error.position is None:  # the depth bound itself
             line = depth_line
-        else:  # a tagged position is reported on its TABOOS line
-            line = taboo_lines.get(error.position, node_lines.get(error.position))
+        elif error.position in taboo_lines:  # a tagged position is reported on its TABOOS line
+            line = taboo_lines[error.position]
+        else:  # the root is on the NODES line, and each node on its own row
+            rows = (row[0] for row in lines.rows[first_row:])
+            line = ({(): nodes_line} | dict(zip(nodes, rows))).get(error.position)
         raise GameDocError(str(error), line) from error
     for spec, block in zip(specs, blocks):
         try:
@@ -252,10 +310,11 @@ def parse_game_bytes(data: bytes) -> GameDocument:
 
 
 def format_game(document: GameDocument) -> str:
-    """Canonical form: the tree's canonical order, no comments, one token of whitespace."""
+    """Canonical form: the tree's canonical order, no comments, one token of
+    whitespace; each node's path is written from its parent's."""
     tree = document.tree
     out = [f"GAME {VERSION}", f"ALPHABET {document.alphabet}", f"DEPTH {tree.depth}", "NODES"]
-    out.extend(format_position(p) for p in tree.positions()[1:])
+    out.extend(_paths(tree)[1:])
     out.append("TABOOS")
     out.extend(f"{format_position(p)} {owner}" for p, owner in tree.taboo_items())
     kind, specs = _written_form(document.payoff)

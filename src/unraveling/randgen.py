@@ -8,7 +8,15 @@ from __future__ import annotations
 
 import random
 
-from .core import DEFAULT_NODE_MAX, GameTree, Player, Position, ResourceLimitError, is_prefix
+from .core import (
+    DEFAULT_NODE_MAX,
+    GameTree,
+    Player,
+    Position,
+    ResourceLimitError,
+    _check_label_budget,
+    is_prefix,
+)
 from .payoff import ClosedSpec
 
 
@@ -29,10 +37,13 @@ def random_tree(
     Growing more than ``node_max`` positions raises ``ResourceLimitError``;
     the cap only counts, so an arena within it is drawn as without one.  A
     depth of at least ``node_max`` raises before anything is drawn: the
-    first path alone holds ``depth + 1`` positions.
+    first path alone holds ``depth + 1`` positions.  So does a depth whose
+    first path holds more position labels, ``depth * (depth + 1) / 2``,
+    than the label budget of ``node_max`` allows.
     """
     if depth >= node_max:
         raise ResourceLimitError(f"random arena exceeds {node_max} nodes")
+    _check_label_budget("random arena", depth * (depth + 1) // 2, node_max)
     # Depth first with an explicit stack, so deep trees cannot hit the
     # recursion limit; children are pushed in reverse so that positions are
     # grown, and ``rng`` is called, in preorder.

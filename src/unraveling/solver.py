@@ -87,11 +87,8 @@ def _least_winning(tree: GameTree, owner: Player, values, within=None) -> Strate
     if given), the least child the owner wins by ``values``, or else the
     least child."""
     ordered, first, labels_of = tree._ordered, tree._first, tree._labels
-    ids = _decision_ids(tree, owner)
-    if within is not None:
-        ids = filter(within.__getitem__, ids)
     choices = {}
-    for i in ids:
+    for i in _decision_ids(tree, owner, within):
         child_values = values[first[i] : first[i + 1]]
         least = child_values.index(owner) if owner in child_values else 0
         choices[ordered[i]] = labels_of[i][least]

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import random
+import tracemalloc
 from array import array
 from pathlib import Path
 
@@ -672,6 +673,24 @@ def test_fuzz_deep_chain_within_default_recursion_limit():
     assert code == 0
     assert "result: verified" in out
     assert "Traceback" not in err
+
+
+def test_fuzz_over_the_label_budget_exits_one_before_it_allocates(monkeypatch):
+    """At a cap of 2000 nodes the label budget is 50 000: depth 316 is the
+    first even depth whose first path holds more, and depth 314 still runs."""
+    monkeypatch.setenv("UNRAVEL_NODE_MAX", "2000")
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli("fuzz", "--depth", "316", "--samples", "1")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (1, "")
+    assert err == "error: random arena exceeds 50000 position labels (25 per node of the cap)\n"
+    assert peak < 100_000  # bytes; the first path alone would hold 50 086 labels
+    code, out, _ = run_cli("fuzz", "--depth", "314", "--branch", "1", "--samples", "1")
+    assert code == 0
+    assert "result: verified" in out
 
 
 def test_unravel_deep_chain_within_default_recursion_limit(tmp_path):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -61,6 +63,35 @@ def test_tree_rejects_taboo_at_full_depth():
 def test_tree_rejects_taboo_on_internal_node(ex1):
     with pytest.raises(ValueError, match="non-terminal"):
         GameTree.from_nodes(4, [p for p in ex1.positions() if p], {(0,): Player.I})
+
+
+@pytest.mark.parametrize(
+    "depth, taboo, message",
+    [
+        pytest.param(3, {(1,): Player.I}, "depth bound must be an even integer", id="odd-depth"),
+        pytest.param(2, {(1,): Player.I, (0, 0): Player.II}, "taboo at full depth: 0/0",
+                     id="tag-at-full-depth"),
+        pytest.param(2, {(1,): Player.I, (0,): Player.II}, "taboo tag on non-terminal position 0",
+                     id="tag-on-non-terminal"),
+        pytest.param(2, {(1,): Player.I, (7,): Player.II}, "taboo tag on unknown position 7",
+                     id="tag-on-unknown"),
+        pytest.param(2, {(1,): "I"}, "taboo tag on 1 must name a player", id="tag-not-a-player"),
+        pytest.param(4, {(1,): Player.I}, r"early terminal 0/0 lacks a taboo tag \(partition\)",
+                     id="untagged-early-terminal"),
+        pytest.param(2, {}, r"early terminal 1 lacks a taboo tag \(partition\)", id="no-tags"),
+    ],
+)
+def test_from_nodes_in_canonical_order_rejects_as_the_constructor_does(depth, taboo, message):
+    """Positions in canonical order are stored in one pass, which must not
+    accept what the constructor rejects: every fact it does not accept goes
+    to the constructor, which names it."""
+    with pytest.raises(ArenaError, match=message):
+        GameTree.from_nodes(depth, [(0,), (1,), (0, 0)], taboo)
+
+
+def test_from_nodes_in_canonical_order_rejects_a_node_past_the_depth_bound():
+    with pytest.raises(ArenaError, match="node 0/0/0 exceeds depth bound 2"):
+        GameTree.from_nodes(2, [(0,), (0, 0), (0, 0, 0)])
 
 
 def test_tree_rejects_siblings_of_different_kinds_naming_their_parent():
@@ -177,6 +208,35 @@ def test_random_tree_deeper_than_the_cap_raises_before_drawing():
     with pytest.raises(ResourceLimitError, match="random arena exceeds 2000 nodes"):
         random_tree(rng, depth=10**6, node_max=2000)
     assert rng.getstate() == state
+
+
+def test_random_tree_over_the_label_budget_raises_before_drawing():
+    """At a cap of 2000 nodes the budget is 50 000 position labels: the
+    first path of depth 316 holds 50 086 of them, that of depth 314 49 455."""
+    rng = rng_for("labels")
+    state = rng.getstate()
+    with pytest.raises(
+        ResourceLimitError, match=r"random arena exceeds 50000 position labels \(25 per node"
+    ):
+        random_tree(rng, depth=316, branching=1, node_max=2000)
+    assert rng.getstate() == state
+    assert random_tree(rng, depth=314, branching=1, node_max=2000).node_count == 315
+
+
+def test_complete_over_the_label_budget_raises_before_building():
+    """The default budget is 5 000 000 labels: a chain of depth 3162 holds
+    5 000 703, and a binary tree of depth 20 about 40 million."""
+    tracemalloc.start()
+    try:
+        for depth, branching in ((3162, 1), (20, 2), (10**6, 3)):
+            with pytest.raises(
+                ResourceLimitError, match="complete tree exceeds 5000000 position labels"
+            ):
+                GameTree.complete(depth, branching)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000  # bytes: not one deep position was built
 
 
 def test_complete_deep_chain_within_default_recursion_limit():

@@ -2,8 +2,10 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from unraveling.core import Player
+import unraveling.gamedoc as gamedoc
+from unraveling.core import GameTree, Player
 from unraveling.gamedoc import (
     GameDocError,
     GameDocument,
@@ -13,6 +15,7 @@ from unraveling.gamedoc import (
     to_document,
 )
 from unraveling.payoff import Closed, ClosedSpec, ClosedUnion, Not, Open
+from unraveling.randgen import random_game
 from unraveling.unravel import build_base_covering
 
 import oracles
@@ -335,3 +338,75 @@ def test_mutated_fixtures_keep_their_recorded_outcomes(fixtures_dir):
     for index, expected in enumerate(recorded):
         name, text = _mutated(index, texts)
         assert _mutation_outcome(text, texts[name]) == expected, (index, name, text)
+
+
+def test_mutated_fixtures_keep_their_recorded_outcomes_row_by_row(fixtures_dir, monkeypatch):
+    """The corpus again with both linear passes turned off, so every case
+    takes the row-by-row reader and the sorting constructor."""
+    monkeypatch.setattr(gamedoc, "_nodes_in_order", lambda rows, alphabet, most: None)
+    monkeypatch.setattr(GameTree, "_store_in_order", lambda tree, depth, nodes, taboo: False)
+    test_mutated_fixtures_keep_their_recorded_outcomes(fixtures_dir)
+
+
+# ------------------------------------------------------- the linear route
+
+
+def test_canonical_files_take_the_linear_route(fixtures_dir, monkeypatch):
+    """Every fixture and every ``format_game`` text is read in one pass:
+    neither the row-by-row reader nor the sorting constructor runs."""
+    fixtures = [path.read_text() for path in sorted(fixtures_dir.glob("*.game"))]
+    written = []  # seeded random games and their text, closed and open in turn
+    for index in range(20):
+        tree, spec = random_game(f"linear:{index}", depth=6, branching=3, taboos=3)
+        payoff = Open(spec) if index % 2 else Closed(spec)
+        written.append((tree, format_game(to_document(tree, payoff))))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("left the linear route")
+
+    monkeypatch.setattr(gamedoc, "_nodes_by_row", refuse)
+    monkeypatch.setattr(GameTree, "__init__", refuse)
+    for text in fixtures:
+        assert format_game(parse_game(text)) == text
+    for tree, text in written:
+        document = parse_game(text)
+        assert document.tree == tree
+        assert format_game(document) == text
+
+
+def _nodes_rewritten(text: str, rewrite: str, rng: random.Random) -> str:
+    """``text`` with its NODES rows reversed, shuffled, padded with blank
+    lines and comments, or with zero-padded labels."""
+    head, rest = text.split("NODES\n")
+    rows, tail = rest.split("TABOOS\n")
+    rows = rows.splitlines()
+    if rewrite == "reversed":
+        rows.reverse()
+    elif rewrite == "shuffled":
+        rng.shuffle(rows)
+    elif rewrite == "noise":
+        for _ in range(rng.randint(1, 4)):
+            rows.insert(rng.randint(0, len(rows)), rng.choice(["", "# a note", "  #", "\t"]))
+    else:  # one row at least gets a zero-padded label
+        padded = rng.randrange(len(rows))
+        rows = [
+            "/".join("0" + part if i == padded or rng.random() < 0.3 else part
+                     for part in row.split("/"))
+            for i, row in enumerate(rows)
+        ]
+    return head + "NODES\n" + "".join(row + "\n" for row in rows) + "TABOOS\n" + tail
+
+
+@given(
+    st.integers(0, 10**6),
+    st.sampled_from(["reversed", "shuffled", "noise", "padded"]),
+    st.randoms(use_true_random=False),
+)
+@settings(max_examples=60, deadline=None)
+def test_rewritten_nodes_rows_parse_to_the_canonical_tree(seed, rewrite, rng):
+    tree, spec = random_game(f"rows:{seed}", depth=4, branching=3, taboos=3)
+    text = format_game(to_document(tree, Closed(spec)))
+    canonical = parse_game(text).tree
+    rewritten = parse_game(_nodes_rewritten(text, rewrite, rng)).tree
+    for table in ("_ordered", "_labels", "_first", "_levels", "_tags"):
+        assert getattr(rewritten, table) == getattr(canonical, table), table

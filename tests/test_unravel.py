@@ -22,6 +22,7 @@ from unraveling.core import (
     is_consistent,
     is_prefix,
     is_winning_strategy,
+    _paths,
     random_strategy,
 )
 from unraveling.covering import (
@@ -32,7 +33,7 @@ from unraveling.covering import (
     solve_via_covering,
     verify_lift,
 )
-from unraveling.dot import covering_dot
+from unraveling.dot import _escaped, covering_dot
 from unraveling.gamedoc import parse_game_bytes
 from unraveling.payoff import (
     Closed,
@@ -1045,3 +1046,36 @@ def test_meets_pass_matches_the_leaf_walk_oracle(seed, shape):
             if len(position) >= k + 2:
                 assert meets[i] == oracles.meets_by_leaf_walk(tree, position, payoff), position
 
+
+
+# The fixtures whose generators are deep enough for a level-2 covering.
+LEVEL_2_FIXTURES = ("depth6.game", "ex2.game", "ex3.game")
+
+
+def test_paths_by_id_are_the_formatted_positions(fixtures_dir):
+    """Each path written from its parent's equals ``format_position`` on
+    every fixture tree and its covering sources at k = 0 and, where the
+    generators allow, k = 2; ``union.game``'s composite source has claims
+    whose labels hold nested positions."""
+    trees = []
+    for path in sorted(fixtures_dir.glob("*.game")):
+        document = parse_game_bytes(path.read_bytes())
+        trees.append(document.tree)
+        for k in (0, 2) if path.name in LEVEL_2_FIXTURES else (0,):
+            trees.append(unravel_payoff(document.tree, document.payoff, k)[0].source)
+    assert len(trees) == 15
+    nested = 0
+    for tree in trees:
+        paths = _paths(tree)
+        assert paths == [format_position(position) for position in tree.positions()]
+        nested += sum("[" in path and "," in path for path in paths)
+    assert nested  # some claims hold more than one position
+
+
+@given(st.text(alphabet='ab"\\/[,]', max_size=12))
+@settings(max_examples=200, deadline=None)
+def test_dot_escaping_is_the_translate_table(text):
+    """Two replaces, backslash first, escape as the old translate table did."""
+    table = str.maketrans({'"': '\\"', "\\": "\\\\"})
+    assert _escaped(text) == text.translate(table)
+    assert _escaped('say "a\\b"') == 'say \\"a\\\\b\\"'
