@@ -44,10 +44,12 @@ A tree has two entries.  ``GameTree(depth, children, taboo)`` takes
 positions in any order, sorts them and checks every structural rule.
 ``GameTree.from_nodes`` belongs to it: positions that arrive in canonical
 order, as a canonical game file lists them, are stored by id in one pass
-that checks the same rules, and any others go to the constructor.
-Derived trees (covering sources, pruned remainders) are written by their
-builders already in id form and enter through ``GameTree._from_ids``,
-which re-checks only what needs no hashing.  Every tree, whichever entry
+that checks the same rules, and any others go to the constructor.  Trees
+the package makes itself (complete and random arenas, covering sources,
+pruned remainders) are written by their builders already in id form and
+enter through ``GameTree._from_ids``, which re-checks only what needs no
+hashing; their positions follow from the child labels, one level at a
+time, in ``_positions_below``.  Every tree, whichever entry
 made it, builds its tables keyed by position on first use: one for ``in``
 and ``children_of``, one from full-depth play to mask index for
 converting a set of positions.  A tree that is only walked by id never
@@ -106,6 +108,14 @@ class ArenaError(ValueError):
         self.position = position
 
 
+def _check_depth(depth: int) -> None:
+    """Raise ``ArenaError`` unless ``depth`` is a legal depth bound."""
+    if depth < 2 or depth % 2 != 0:
+        raise ArenaError("depth bound must be an even integer >= 2", None)
+    if depth > DEFAULT_NODE_MAX:  # no play of that length fits under the node cap
+        raise ArenaError(f"depth bound must be at most {DEFAULT_NODE_MAX}", None)
+
+
 class Player(enum.Enum):
     I = "I"
     II = "II"
@@ -145,6 +155,20 @@ def _paths(tree: GameTree) -> list[str]:
     return paths
 
 
+def _positions_below(ordered: list[Position], labels, at: int) -> list[Position]:
+    """Extend ``ordered``, the positions by id up to the end of the level
+    that starts at id ``at``, with every deeper position, one level at a
+    time: the next level is each node's position plus each of its child
+    labels (``labels``, by id), in order.  Returns ``ordered``."""
+    parents = ordered[at:]
+    while parents:
+        below = labels[at : at + len(parents)]
+        at += len(parents)
+        parents = [parent + (label,) for parent, own in zip(parents, below) for label in own]
+        ordered += parents
+    return ordered
+
+
 class GameTree:
     """Immutable finite game arena with a depth bound and taboo tags.
 
@@ -181,10 +205,7 @@ class GameTree:
         children: Mapping[Position, Iterable[Label]],
         taboo: Mapping[Position, Player] = {},
     ):
-        if depth < 2 or depth % 2 != 0:
-            raise ArenaError("depth bound must be an even integer >= 2", None)
-        if depth > DEFAULT_NODE_MAX:  # no play of that length fits under the node cap
-            raise ArenaError(f"depth bound must be at most {DEFAULT_NODE_MAX}", None)
+        _check_depth(depth)
         if () not in children:
             raise ArenaError("missing root position", ())
         # Breadth-first walk over the sorted child tuples: parents come out
@@ -403,8 +424,9 @@ class GameTree:
     @classmethod
     def complete(cls, depth: int, branching: int) -> "GameTree":
         """Complete ``branching``-ary tree of the given depth, no early
-        terminals.  A tree whose positions hold more labels than the
-        budget (see ``_check_label_budget``) raises before it is built."""
+        terminals, written in id form.  A tree whose positions hold more
+        labels than the budget (see ``_check_label_budget``) raises before
+        it is built."""
         held, width = 0, 1
         for d in range(1, depth + 1):
             width *= branching
@@ -412,16 +434,14 @@ class GameTree:
                 break
             held += d * width
             _check_label_budget("complete tree", held, DEFAULT_NODE_MAX)
-        labels = tuple(range(branching))
-        children: dict[Position, tuple[int, ...]] = {}
-        level: list[Position] = [()]
-        for _ in range(depth):
-            for position in level:
-                children[position] = labels
-            level = [position + (label,) for position in level for label in labels]
-        for position in level:
-            children[position] = ()
-        return cls(depth, children)
+        _check_depth(depth)
+        if branching < 1:
+            raise ArenaError("early terminal - lacks a taboo tag (partition)", ())
+        # Every node above the bound has the same child labels, one shared tuple.
+        inner = sum(branching**d for d in range(depth))
+        labels = [tuple(range(branching))] * inner + [()] * branching**depth
+        ordered = _positions_below([()], labels, 0)
+        return cls._from_ids(depth, ordered, labels, bytearray(len(labels)))
 
     def positions(self) -> tuple[Position, ...]:
         """All positions in canonical order (by length, then lexicographic)."""

@@ -26,6 +26,7 @@ turns a winning strategy on the remainder into one on the full tree.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import compress
 from typing import Mapping
@@ -36,6 +37,7 @@ from .core import (
     Player,
     Position,
     Strategy,
+    _FLIP,
     _PLAY_WINNER,
     _TABOO_WINNER,
     _TO_MOVE,
@@ -160,21 +162,18 @@ def prune(tree: GameTree) -> PruneResult:
     if cut[0]:
         return PruneResult(None, forced[0], determined, removed_positions, witnesses)
 
-    # The kept ids are in canonical order already.
-    kept_ids = [i for i in range(len(ordered)) if not cut[i]]
-    labels: list[tuple] = []
-    for i in kept_ids:
-        kept = tree._labels[i]
-        lo, hi = first[i], first[i + 1]
-        if cut.find(1, lo, hi) >= 0:
-            kept = tuple(label for label, gone in zip(kept, cut[lo:hi]) if not gone)
-        labels.append(kept)
+    # The kept ids are in canonical order already.  A kept node's cut
+    # children are all minimal, so only the parents of minimal nodes lose
+    # child labels; every other kept node keeps its own.
+    kept = cut.translate(_FLIP)
+    kept_ids = list(compress(range(len(ordered)), kept))
+    labels = list(map(tree._labels.__getitem__, kept_ids))
+    for parent in {bisect_right(first, i) - 1 for i in minimal}:
+        lo, hi = first[parent], first[parent + 1]
+        labels[bisect_left(kept_ids, parent)] = tuple(compress(tree._labels[parent], kept[lo:hi]))
     # No tags: every early terminal is determined, and so is a node whose children all are.
     remainder = GameTree._from_ids(
-        tree.depth,
-        [ordered[i] for i in kept_ids],
-        labels,
-        bytearray(len(kept_ids)),
+        tree.depth, list(compress(ordered, kept)), labels, bytearray(len(kept_ids))
     )
     return PruneResult(remainder, None, determined, removed_positions, witnesses)
 

@@ -66,6 +66,7 @@ from .core import (
     Strategy,
     _FLIP,
     _OWNERS,
+    _positions_below,
     format_position,
 )
 from .covering import (
@@ -379,13 +380,7 @@ def build_base_covering(
     out_tags = bytearray(map(tags.__getitem__, images))
     for i, tag in tags_at.items():
         out_tags[i] = tag
-    out = list(ordered[:moves])  # source positions by id
-    at, parents = at_k, ordered[at_k:moves]
-    while parents:
-        labels = out_labels[at : at + len(parents)]
-        at += len(parents)
-        parents = [parent + (label,) for parent, below in zip(parents, labels) for label in below]
-        out += parents
+    out = _positions_below(list(ordered[:moves]), out_labels, at_k)  # source positions by id
     source = GameTree._from_ids(tree.depth, out, out_labels, out_tags)
     transform, lift = _strategy_maps(tree, k, frontiers, accepts, challenges)
     return BaseCovering(source, tree, k, images, transform, lift, frontiers, spec)

@@ -8,6 +8,7 @@ it is used to check.
 from __future__ import annotations
 
 import itertools
+import random
 from array import array
 from bisect import bisect_left
 from itertools import count, islice
@@ -24,6 +25,7 @@ from unraveling.core import (
     ResourceLimitError,
     Strategy,
     _OWNERS,
+    _check_label_budget,
     format_position,
     is_prefix,
 )
@@ -61,6 +63,56 @@ def assert_matches_checked_build(tree: GameTree) -> None:
         assert tree.children_of(position) == checked.children_of(position)
     assert list(tree.taboo_items()) == list(checked.taboo_items())
     assert (-1,) not in tree
+
+
+def reference_random_tree(
+    rng: random.Random,
+    *,
+    depth: int = 4,
+    branching: int = 2,
+    taboos: int = 2,
+    node_max: int = DEFAULT_NODE_MAX,
+) -> GameTree:
+    """``randgen.random_tree`` by its position-keyed walk: the same rng
+    calls in the same order, a child-label dict grown in preorder, the
+    taboos cut by walking their child lists, and the checked constructor
+    sorting the result."""
+    if depth >= node_max:
+        raise ResourceLimitError(f"random arena exceeds {node_max} nodes")
+    _check_label_budget("random arena", depth * (depth + 1) // 2, node_max)
+    children: dict[Position, list[int]] = {}
+    stack: list[Position] = [()]
+    while stack:
+        position = stack.pop()
+        if len(children) >= node_max:
+            raise ResourceLimitError(f"random arena exceeds {node_max} nodes")
+        if len(position) >= depth:
+            children[position] = []
+            continue
+        width = rng.randint(1, branching)
+        children[position] = list(range(width))
+        stack.extend(position + (label,) for label in reversed(range(width)))
+
+    candidates = [p for p in children if 0 < len(p) < depth]
+    rng.shuffle(candidates)
+    chosen: list[Position] = []
+    wanted = rng.randint(0, taboos)
+    for candidate in candidates:
+        if len(chosen) >= wanted:
+            break
+        if any(is_prefix(c, candidate) or is_prefix(candidate, c) for c in chosen):
+            continue
+        chosen.append(candidate)
+
+    taboo: dict[Position, Player] = {}
+    for position in chosen:
+        below = [position + (label,) for label in children[position]]
+        while below:
+            node = below.pop()
+            below.extend(node + (label,) for label in children.pop(node))
+        children[position] = []
+        taboo[position] = rng.choice([Player.I, Player.II])
+    return GameTree(depth, children, taboo)
 
 
 def to_move(position: Position) -> Player:

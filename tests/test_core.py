@@ -247,6 +247,36 @@ def test_complete_deep_chain_within_default_recursion_limit():
     oracles.assert_matches_checked_build(chain)
 
 
+def _complete_by_constructor(depth, branching):
+    """``GameTree.complete`` by a position-keyed child table and the checked
+    constructor, or the type and message of what that raises."""
+    labels = tuple(range(branching))
+    children, level = {}, [()]
+    for _ in range(depth):
+        children.update(dict.fromkeys(level, labels))
+        level = [position + (label,) for position in level for label in labels]
+    children.update(dict.fromkeys(level, ()))
+    try:
+        return GameTree(depth, children)
+    except ArenaError as error:
+        return type(error), str(error), error.position
+
+
+@pytest.mark.parametrize("depth", [-2, 0, 1, 2, 3, 4, 6])
+@pytest.mark.parametrize("branching", [-1, 0, 1, 2, 3])
+def test_complete_matches_the_checked_constructor(depth, branching):
+    expected = _complete_by_constructor(depth, branching)
+    if not isinstance(expected, GameTree):
+        with pytest.raises(ArenaError) as raised:
+            GameTree.complete(depth, branching)
+        assert (type(raised.value), str(raised.value), raised.value.position) == expected
+        return
+    tree = GameTree.complete(depth, branching)
+    for name in ("_ordered", "_labels", "_first", "_levels", "_tags"):
+        assert getattr(tree, name) == getattr(expected, name), name
+    oracles.assert_matches_checked_build(tree)
+
+
 def test_level_offsets_when_every_play_ends_in_an_early_taboo():
     """Levels past the deepest node are empty: each starts and ends at n."""
     tree = GameTree.from_nodes(6, [(0,), (1,), (0, 0)], {(1,): Player.I, (0, 0): Player.II})

@@ -400,7 +400,8 @@ def assert_matches_reference(tree, payoff):
     if reference.tree is None:
         assert result.tree is None
     else:
-        assert result.tree == reference.tree
+        for name in ("_ordered", "_labels", "_first", "_levels", "_tags"):
+            assert getattr(result.tree, name) == getattr(reference.tree, name), name
         assert result.tree.positions() == reference.tree.positions()
 
 
