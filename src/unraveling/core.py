@@ -40,11 +40,14 @@ bytes by id.  Every function that takes a payoff set accepts any set of
 positions and converts it once, in ``_as_plays``; a ``Plays`` of the same
 tree passes through as it is.
 
-A tree has two entries.  ``GameTree(depth, children, taboo)`` takes
-positions in any order, sorts them and checks every structural rule.
-``GameTree.from_nodes`` belongs to it: positions that arrive in canonical
-order, as a canonical game file lists them, are stored by id in one pass
-that checks the same rules, and any others go to the constructor.  Trees
+Outside input reaches a tree by two routes.  ``GameTree(depth, children,
+taboo)`` takes positions in any order, sorts them and checks every
+structural rule; ``GameTree.from_nodes`` makes its children table from a
+set of positions.  Positions that already come in canonical order, with
+their child labels by id, as the text pass of a canonical game file reads
+them, enter through ``GameTree._from_ids_checked`` and need no sort.  Both
+end in one check of the depth bound and the taboo tags
+(``_check_and_tag``), so those rules are written once.  Trees
 the package makes itself (complete and random arenas, covering sources,
 pruned remainders) are written by their builders already in id form and
 enter through ``GameTree._from_ids``, which re-checks only what needs no
@@ -64,7 +67,7 @@ from array import array
 from collections.abc import Set
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, chain, compress, repeat
+from itertools import accumulate, chain, compress
 from operator import not_
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
@@ -181,7 +184,7 @@ class GameTree:
     (``_ordered``).  The breadth-first walk stores each parent's children
     as one consecutive block of ids, and the blocks follow one another, so
     ``_first``, an ``array('i')`` of n + 1 first-child offsets, gives every
-    child range as ``_first[i]:_first[i + 1]``; both entries derive it from
+    child range as ``_first[i]:_first[i + 1]``; every entry derives it from
     the label counts.  Each depth is one consecutive range of ids too:
     ``_levels``, an ``array('i')`` of ``depth + 2`` first ids, gives depth
     ``d`` as ``_levels[d]:_levels[d + 1]`` (an empty level is ``n:n``).
@@ -191,12 +194,14 @@ class GameTree:
     positions appear only at the API, through one table keyed by position,
     ``_children`` (child labels).
 
-    The constructor checks every structural rule, and so does the one
-    pass of ``from_nodes`` over positions in canonical order.
-    ``_from_ids`` takes positions, child labels and tags from a builder
-    that wrote them in canonical order and checks only the tags and the
-    depth bound.  Either way, the tree builds its position table on the
-    first lookup that needs it.
+    The constructor checks every structural rule: its walk names the
+    faults of the children mapping, and ``_check_and_tag`` the nodes past
+    the depth bound and the taboo tags.  ``_from_ids_checked`` takes
+    positions and child labels that arrive in canonical order and runs
+    only ``_check_and_tag``.  ``_from_ids`` takes positions, child labels
+    and tags from a builder that wrote them in canonical order and checks
+    only the tags and the depth bound.  Whatever the entry, the tree
+    builds its position table on the first lookup that needs it.
     """
 
     def __init__(
@@ -212,13 +217,10 @@ class GameTree:
         # in canonical order, so their children do too, level by level, and
         # a node's id is its index in ``ordered``.  Prefix closure: every
         # named child must be stored, and the walk must reach everything.
-        # Taboo tags are read at the terminals only; a tag the walk does not
-        # use is a fault found below, through the position table.
+        # The depth bound and the taboo tags are checked after the walk, as
+        # for a tree read from a canonical file (``_check_and_tag``).
         ordered: list[Position] = [()]
         by_id: list[tuple[Label, ...]] = []
-        tags = bytearray()
-        tagged = 0
-        untagged = None  # the first early terminal without a tag
         shared: dict[tuple[Label, ...], tuple[Label, ...]] = {}  # equal label tuples, kept once
         for position in ordered:  # grows while it is walked
             try:
@@ -233,34 +235,57 @@ class GameTree:
                 raise ArenaError(
                     f"incomparable sibling labels under {format_position(position)}", position
                 ) from None
-            tag = 0
             if labels:
                 if len(set(labels)) != len(labels):
                     raise ArenaError(
                         f"duplicate sibling labels under {format_position(position)}", position
                     )
-                if len(position) == depth:
-                    child = position + labels[:1]
-                    raise ArenaError(
-                        f"node {format_position(child)} exceeds depth bound {depth}", child
-                    )
                 labels = shared.setdefault(labels, labels)
                 ordered.extend([position + (label,) for label in labels])
-            elif len(position) < depth:
-                owner = taboo.get(position)
-                if isinstance(owner, Player):
-                    tag = _OWNERS.index(owner)
-                    tagged += 1
-                elif owner is None and untagged is None:
-                    untagged = position
             by_id.append(labels)
-            tags.append(tag)
-        self._store(depth, ordered, by_id, tags)
+        self._store(depth, ordered, by_id, bytearray(len(ordered)))
         if len(ordered) != len(children):
             stray = next(p for p in children if p not in self._children)
             raise ArenaError(
                 f"position {format_position(stray)} unreachable (prefix closure)", stray
             )
+        self._check_and_tag(taboo)
+
+    def _store(self, depth, ordered, labels, tags) -> None:
+        self.depth = depth
+        self._ordered = tuple(ordered)
+        self._labels = labels
+        self._first = first = array("i", accumulate(map(len, labels), initial=1))
+        # The first child of a level's first node starts the next level.
+        self._levels = levels = array("i", [0])
+        for _ in range(depth + 1):
+            levels.append(first[levels[-1]])
+        self._tags = tags
+        self._decisions: dict[Player, Mapping[Position, tuple[Label, ...]]] = {}
+
+    def _check_and_tag(self, taboo: Mapping[Position, Player]) -> None:
+        """The arena rules for a stored tree built from outside input: no
+        node past the depth bound, and ``taboo`` tags exactly the early
+        terminals, each with a player.  Writes the tag bytes; an
+        ``ArenaError`` names the first fault."""
+        depth, ordered, labels, levels = self.depth, self._ordered, self._labels, self._levels
+        past = levels[depth + 1]  # the first id past the bound, if any
+        if past < len(ordered):
+            raise ArenaError(
+                f"node {format_position(ordered[past])} exceeds depth bound {depth}", ordered[past]
+            )
+        # Tags are read at the early terminals only; a tag not used there is
+        # a fault found below, through the position table.
+        tags = self._tags
+        tagged = 0
+        untagged = None  # the first early terminal without a tag
+        for i in compress(range(levels[depth]), map(not_, labels)):
+            owner = taboo.get(ordered[i])
+            if isinstance(owner, Player):
+                tags[i] = _OWNERS.index(owner)
+                tagged += 1
+            elif owner is None and untagged is None:
+                untagged = ordered[i]
         if tagged != len(taboo):
             for position, owner in taboo.items():
                 if position not in self._children:
@@ -279,18 +304,6 @@ class GameTree:
                 f"early terminal {format_position(untagged)} lacks a taboo tag (partition)",
                 untagged,
             )
-
-    def _store(self, depth, ordered, labels, tags) -> None:
-        self.depth = depth
-        self._ordered = tuple(ordered)
-        self._labels = labels
-        self._first = first = array("i", accumulate(map(len, labels), initial=1))
-        # The first child of a level's first node starts the next level.
-        self._levels = levels = array("i", [0])
-        for _ in range(depth + 1):
-            levels.append(first[levels[-1]])
-        self._tags = tags
-        self._decisions: dict[Player, Mapping[Position, tuple[Label, ...]]] = {}
 
     @classmethod
     def _from_ids(
@@ -326,6 +339,25 @@ class GameTree:
             )
         return tree
 
+    @classmethod
+    def _from_ids_checked(
+        cls,
+        depth: int,
+        ordered: list[Position],
+        labels: list[tuple[Label, ...]],
+        taboo: Mapping[Position, Player],
+    ) -> "GameTree":
+        """A tree from outside input that arrives in canonical order, as a
+        canonical game file lists it: the positions and their child labels
+        by id, and the taboo tags by position.  The depth bound, the nodes
+        past it and the tags are checked as the constructor checks them,
+        with the same errors; the order itself is the caller's to check."""
+        _check_depth(depth)
+        tree = cls.__new__(cls)
+        tree._store(depth, ordered, labels, bytearray(len(ordered)))
+        tree._check_and_tag(taboo)
+        return tree
+
     @cached_property
     def _children(self) -> dict[Position, tuple[Label, ...]]:
         return dict(zip(self._ordered, self._labels))
@@ -344,17 +376,9 @@ class GameTree:
         nodes: Iterable[Position],
         taboo: Mapping[Position, Player] = {},
     ) -> "GameTree":
-        """Build from the set of positions; child labels are inferred.
-
-        Non-root positions that arrive in canonical order, as a canonical
-        game file lists them, are stored by id in one pass.  At the first
-        fact that pass does not accept, the positions go to the
-        constructor, which sorts them and makes every rejection.
-        """
-        nodes = nodes if isinstance(nodes, list) else list(nodes)
-        tree = cls.__new__(cls)
-        if tree._store_in_order(depth, nodes, taboo):
-            return tree
+        """Build from the set of positions, in any order; child labels are
+        inferred.  The positions go into a children table, and the
+        constructor sorts them and makes every rejection."""
         stored = {(): set()} | {tuple(p): set() for p in nodes}
         for position in list(stored):
             if position:
@@ -366,60 +390,6 @@ class GameTree:
                     )
                 stored[parent].add(position[-1])
         return cls(depth, stored, taboo)
-
-    def _store_in_order(
-        self, depth: int, nodes: list[Position], taboo: Mapping[Position, Player]
-    ) -> bool:
-        """Store ``nodes`` by id if they are the non-root positions in
-        canonical order and pass every check of the constructor; ``False``
-        at the first fact that does not hold, rejecting nothing itself.
-
-        One pointer moves forward over the positions stored so far: each
-        parent is the current one or a later one, and siblings ascend, so
-        ids are handed out in the constructor's breadth-first order."""
-        if depth < 2 or depth % 2 != 0 or depth > DEFAULT_NODE_MAX:
-            return False
-        ordered: list[Position] = [()]
-        labels: list[tuple[Label, ...]] = []  # by id, up to the current parent
-        shared: dict[tuple[Label, ...], tuple[Label, ...]] = {}  # equal label tuples, kept once
-        parent, siblings = 0, []  # the current parent and its child labels so far
-
-        def close(parent, siblings, up_to):
-            """Store the parent's child labels, and none for the ids before ``up_to``."""
-            siblings = tuple(siblings)
-            labels.append(shared.setdefault(siblings, siblings))
-            labels.extend(repeat((), up_to - parent - 1))
-
-        try:
-            for position in nodes:
-                if position.__class__ is not tuple or not position:
-                    return False
-                up, label = position[:-1], position[-1]
-                if up != ordered[parent]:
-                    later = ordered.index(up, parent + 1)
-                    close(parent, siblings, later)
-                    parent, siblings = later, []
-                elif siblings and not siblings[-1] < label:
-                    return False
-                siblings.append(label)
-                ordered.append(position)
-        except (ValueError, TypeError):  # a parent not ahead, or labels that do not compare
-            return False
-        close(parent, siblings, len(ordered))
-        if len(ordered[-1]) > depth:
-            return False
-        tags = bytearray(len(ordered))
-        self._store(depth, ordered, labels, tags)
-        # The early terminals: the nodes without labels above full depth.
-        early = compress(range(self._levels[depth]), map(not_, labels))
-        tagged = 0
-        for i in early:
-            owner = taboo.get(ordered[i])
-            if not isinstance(owner, Player):
-                return False
-            tags[i] = _OWNERS.index(owner)
-            tagged += 1
-        return tagged == len(taboo)
 
     @classmethod
     def complete(cls, depth: int, branching: int) -> "GameTree":

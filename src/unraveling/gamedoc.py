@@ -24,14 +24,17 @@ the expressions ``Closed(spec)``, ``Not(Closed(spec))`` and
 
 A parsed document is ``GameDocument(alphabet, tree, payoff)``.  The parser
 checks the text, reading each list section up to the keyword that ends
-it; the tree is built once, by ``GameTree.from_nodes``, and it and
-``check_generators`` are the only structural checks.  NODES rows in
+it; the tree is built once, and it and ``check_generators`` are the only
+structural checks.  The tree comes by one of two routes.  NODES rows in
 canonical order and canonical text, as ``format_game`` writes them, are
 read in one linear pass (``_nodes_in_order``) that finds each parent by a
-pointer moving forward and builds each position from its parent's; at
-the first row it does not accept, the section is read again from its
-first row, one row at a time (``_nodes_by_row``), and every rejection
-comes from that reader or from the tree.  Every parse error carries a
+pointer moving forward, builds each position from its parent's and
+collects every node's child labels by id; they enter the tree through
+the checked id entry ``GameTree._from_ids_checked``, with no sort.  At
+the first row that pass does not accept, the section is read again from
+its first row, one row at a time (``_nodes_by_row``), and the positions
+go to ``GameTree.from_nodes`` and the sorting constructor.  Both routes
+give the same tree and the same rejections.  Every parse error carries a
 line (and where sensible a column, found in the line's text) number: a
 structural error is reported on the TABOOS line of a tagged position, on
 the NODES line of any other, on the line of a generator, or on the DEPTH
@@ -46,6 +49,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 from .core import ArenaError, GameTree, Player, Position, _paths, format_position
 from .payoff import Closed, ClosedSpec, ClosedUnion, Not, Open, PayoffSpec, Union, check_generators
@@ -130,21 +134,34 @@ def _parse_path(token: str, line: int, raw: str, alphabet: int) -> Position:
     return tuple(labels)
 
 
-def _nodes_in_order(rows, alphabet: int, most: int) -> list[Position] | None:
-    """The positions of the NODES rows, read in one linear pass while the
-    rows list them in canonical order and canonical text; ``None`` at the
-    first row that pass does not accept, which it leaves to
-    ``_nodes_by_row``.
+def _nodes_in_order(
+    rows, alphabet: int, most: int
+) -> tuple[list[Position], list[tuple[int, ...]]] | None:
+    """The positions of the NODES rows, the root first, and every node's
+    child labels, both by id, read in one linear pass while the rows list
+    them in canonical order and canonical text; ``None`` at the first row
+    that pass does not accept, which it leaves to ``_nodes_by_row``.
 
     Each row's path is split once, at its last slash.  Its parent is found
     by moving one pointer forward over the path texts already read, and its
     label through a table of the label texts, built for at most ``most``
     labels; the position is the parent's plus that label.  Siblings must
-    ascend, so no path repeats."""
+    ascend, so no path repeats, and a node's id is its row's index: each
+    parent's children are one block of ids, the blocks in parent order."""
     label_of = {str(label): label for label in range(min(alphabet, most))}
     texts: list[str | None] = [None]  # the root: a path with no slash names no parent
     positions: list[Position] = [()]
-    parent, last = 0, -1
+    labels: list[tuple[int, ...]] = []  # by id, up to the parent before the current one
+    shared: dict[tuple[int, ...], tuple[int, ...]] = {}  # equal label tuples, kept once
+    parent, siblings = 0, []  # the current parent and its child labels so far
+
+    def close(up_to: int) -> None:
+        """Store the current parent's child labels, and none for the ids
+        after it and before ``up_to``."""
+        own = tuple(siblings)
+        labels.append(shared.setdefault(own, own))
+        labels.extend(repeat((), up_to - parent - 1))
+
     for _, tokens, _ in rows:
         if len(tokens) != 1:
             return None
@@ -154,22 +171,24 @@ def _nodes_in_order(rows, alphabet: int, most: int) -> list[Position] | None:
             return None
         if up != texts[parent]:
             try:
-                parent = texts.index(up, parent + 1)
+                later = texts.index(up, parent + 1)
             except ValueError:
                 return None
-            last = -1
-        if label <= last:
+            close(later)
+            parent, siblings = later, []
+        elif siblings and label <= siblings[-1]:
             return None
-        last = label
+        siblings.append(label)
         texts.append(tokens[0])
         positions.append(positions[parent] + (label,))
-    return positions[1:]
+    close(len(positions))
+    return positions, labels
 
 
 def _nodes_by_row(rows, alphabet: int) -> list[Position]:
-    """The positions of the NODES rows, in any order, each checked on its
-    own row."""
-    seen: dict[Position, None] = {}  # in row order
+    """The positions of the NODES rows, the root first, the rows in any
+    order, each checked on its own row."""
+    seen: dict[Position, None] = {(): None}  # in row order
     for line, tokens, raw in rows:
         if len(tokens) != 1:
             raise GameDocError("node lines carry a single path", line, _col(raw, 1))
@@ -224,10 +243,12 @@ def parse_game(text: str) -> GameDocument:
 
     nodes_line, _, _ = _expect_header(lines, "NODES", 0)
     first_row = lines.cursor
-    nodes = _nodes_in_order(lines.until("TABOOS"), alphabet, len(lines.rows))
-    if nodes is None or lines.peek() is None:  # read the section again, row by row
-        lines.cursor = first_row
+    in_order = _nodes_in_order(lines.until("TABOOS"), alphabet, len(lines.rows))
+    if in_order is None or lines.peek() is None:  # read the section again, row by row
+        lines.cursor, in_order = first_row, None
         nodes = _nodes_by_row(lines.until("TABOOS", "missing TABOOS section"), alphabet)
+    else:
+        nodes = in_order[0]
 
     _expect_header(lines, "TABOOS", 0)
     taboos: dict[Position, Player] = {}
@@ -278,7 +299,10 @@ def parse_game(text: str) -> GameDocument:
     specs = [ClosedSpec(block) for block in blocks]
 
     try:
-        tree = GameTree.from_nodes(depth, nodes, taboos)
+        if in_order is None:
+            tree = GameTree.from_nodes(depth, nodes, taboos)
+        else:
+            tree = GameTree._from_ids_checked(depth, *in_order, taboos)
     except ArenaError as error:
         if error.position is None:  # the depth bound itself
             line = depth_line
@@ -286,7 +310,7 @@ def parse_game(text: str) -> GameDocument:
             line = taboo_lines[error.position]
         else:  # the root is on the NODES line, and each node on its own row
             rows = (row[0] for row in lines.rows[first_row:])
-            line = ({(): nodes_line} | dict(zip(nodes, rows))).get(error.position)
+            line = dict(zip(nodes, chain([nodes_line], rows))).get(error.position)
         raise GameDocError(str(error), line) from error
     for spec, block in zip(specs, blocks):
         try:
@@ -342,7 +366,7 @@ def to_document(tree: GameTree, payoff: PayoffSpec) -> GameDocument:
     """Wrap a base game (integer labels only) and a payoff the format can
     write for printing; the tree is shared."""
     _written_form(payoff)
-    labels = [label for p in tree.positions() for label in p]
+    labels = list(chain.from_iterable(tree._labels))  # each label of a position once
     if any(not isinstance(label, int) for label in labels):
         raise ValueError("only base games with integer labels are serializable")
     return GameDocument(max(labels, default=0) + 1, tree, payoff)

@@ -82,9 +82,10 @@ def test_tree_rejects_taboo_on_internal_node(ex1):
     ],
 )
 def test_from_nodes_in_canonical_order_rejects_as_the_constructor_does(depth, taboo, message):
-    """Positions in canonical order are stored in one pass, which must not
-    accept what the constructor rejects: every fact it does not accept goes
-    to the constructor, which names it."""
+    """Positions in canonical order go through the children table and the
+    constructor as any others do, and get the constructor's errors; a game
+    file in canonical order gets the same ones through the checked id entry
+    (``test_gamedoc.py``)."""
     with pytest.raises(ArenaError, match=message):
         GameTree.from_nodes(depth, [(0,), (1,), (0, 0)], taboo)
 
@@ -172,6 +173,28 @@ def test_tree_names_its_first_fault_on_inputs_with_several(
         GameTree(depth, children, taboo)
     assert str(raised.value) == message
     assert raised.value.position == position
+
+
+@pytest.mark.parametrize(
+    "children, message, position",
+    [
+        pytest.param({(): [0], (0,): [0], (0, 0): [0], (0, 0, 0): [0]},
+                     "child 0/0/0/0 not stored (prefix closure)", (0, 0, 0, 0),
+                     id="missing-child-past-the-bound"),
+        pytest.param({(): [0], (0,): [0], (0, 0): [0], (0, 0, 0): [], (5,): []},
+                     "position 5 unreachable (prefix closure)", (5,), id="stray-node"),
+        pytest.param({(): [0, 1], (0,): [0], (0, 0): [0], (0, 0, 0): [], (1,): [0],
+                      (1, 0): [0, 0], (1, 0, 0): []},
+                     "duplicate sibling labels under 1/0", (1, 0),
+                     id="duplicate-siblings-at-full-depth"),
+    ],
+)
+def test_tree_names_a_mapping_fault_before_a_node_past_the_bound(children, message, position):
+    """The walk over the children mapping names its faults first; the depth
+    bound is one of the arena rules checked after it, in ``_check_and_tag``."""
+    with pytest.raises(ArenaError) as raised:
+        GameTree(2, children)
+    assert (str(raised.value), raised.value.position) == (message, position)
 
 
 @given(st.integers(0, 400))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import unraveling.gamedoc as gamedoc
-from unraveling.core import GameTree, Player
+from unraveling.core import ArenaError, GameTree, Player, format_position
 from unraveling.gamedoc import (
     GameDocError,
     GameDocument,
@@ -341,10 +341,9 @@ def test_mutated_fixtures_keep_their_recorded_outcomes(fixtures_dir):
 
 
 def test_mutated_fixtures_keep_their_recorded_outcomes_row_by_row(fixtures_dir, monkeypatch):
-    """The corpus again with both linear passes turned off, so every case
-    takes the row-by-row reader and the sorting constructor."""
+    """The corpus again with the linear NODES pass turned off, so every case
+    takes the row-by-row reader, ``from_nodes`` and the sorting constructor."""
     monkeypatch.setattr(gamedoc, "_nodes_in_order", lambda rows, alphabet, most: None)
-    monkeypatch.setattr(GameTree, "_store_in_order", lambda tree, depth, nodes, taboo: False)
     test_mutated_fixtures_keep_their_recorded_outcomes(fixtures_dir)
 
 
@@ -353,7 +352,8 @@ def test_mutated_fixtures_keep_their_recorded_outcomes_row_by_row(fixtures_dir, 
 
 def test_canonical_files_take_the_linear_route(fixtures_dir, monkeypatch):
     """Every fixture and every ``format_game`` text is read in one pass:
-    neither the row-by-row reader nor the sorting constructor runs."""
+    neither the row-by-row reader, nor ``from_nodes``, nor the sorting
+    constructor runs."""
     fixtures = [path.read_text() for path in sorted(fixtures_dir.glob("*.game"))]
     written = []  # seeded random games and their text, closed and open in turn
     for index in range(20):
@@ -365,6 +365,7 @@ def test_canonical_files_take_the_linear_route(fixtures_dir, monkeypatch):
         raise AssertionError("left the linear route")
 
     monkeypatch.setattr(gamedoc, "_nodes_by_row", refuse)
+    monkeypatch.setattr(GameTree, "from_nodes", refuse)
     monkeypatch.setattr(GameTree, "__init__", refuse)
     for text in fixtures:
         assert format_game(parse_game(text)) == text
@@ -395,6 +396,54 @@ def _nodes_rewritten(text: str, rewrite: str, rng: random.Random) -> str:
             for i, row in enumerate(rows)
         ]
     return head + "NODES\n" + "".join(row + "\n" for row in rows) + "TABOOS\n" + tail
+
+
+ROOT_ROWS = [(0,), (1,), (0, 0)]
+
+
+@pytest.mark.parametrize(
+    "depth, nodes, taboo, row",
+    [
+        pytest.param(3, ROOT_ROWS, {(1,): Player.I}, "DEPTH 3", id="odd-depth"),
+        pytest.param(2, ROOT_ROWS, {(1,): Player.I, (0, 0): Player.II}, "0/0 II",
+                     id="tag-at-full-depth"),
+        pytest.param(2, ROOT_ROWS, {(1,): Player.I, (0,): Player.II}, "0 II",
+                     id="tag-on-non-terminal"),
+        pytest.param(2, ROOT_ROWS, {(1,): Player.I, (7,): Player.II}, "7 II",
+                     id="tag-on-unknown"),
+        pytest.param(4, ROOT_ROWS, {(1,): Player.I}, "0/0", id="untagged-early-terminal"),
+        pytest.param(2, ROOT_ROWS, {}, "1", id="no-tags"),
+        pytest.param(2, [(0,), (0, 0), (0, 0, 0)], {}, "0/0/0", id="node-past-the-bound"),
+    ],
+)
+def test_both_routes_reject_as_from_nodes_does(depth, nodes, taboo, row, monkeypatch):
+    """A structural fault in a file is named as ``from_nodes`` names it, and
+    on the same row, whether the rows are canonical (the linear pass and
+    the checked id entry) or reversed (the row reader, ``from_nodes`` and
+    the constructor)."""
+    with pytest.raises(ArenaError) as raised:
+        GameTree.from_nodes(depth, nodes, taboo)
+    text = (
+        f"GAME v1\nALPHABET 8\nDEPTH {depth}\nNODES\n"
+        + "".join(format_position(p) + "\n" for p in nodes)
+        + "TABOOS\n"
+        + "".join(f"{format_position(p)} {owner}\n" for p, owner in taboo.items())
+        + "PAYOFF closed\n"
+    )
+    reversed_rows = _nodes_rewritten(text, "reversed", random.Random(0))
+    assert reversed_rows != text
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("took the other route")
+
+    for document, entry in [(text, "from_nodes"), (reversed_rows, "_from_ids_checked")]:
+        with monkeypatch.context() as patch:
+            patch.setattr(GameTree, entry, refuse)
+            with pytest.raises(GameDocError) as parsed:
+                parse_game(document)
+        assert parsed.value.message == str(raised.value)
+        assert parsed.value.col is None
+        assert document.splitlines()[parsed.value.line - 1] == row
 
 
 @given(
