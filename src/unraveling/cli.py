@@ -30,6 +30,7 @@ from .core import (
     DEFAULT_NODE_MAX,
     CheckResult,
     InternalInvariantError,
+    Plays,
     ResourceLimitError,
     Strategy,
     format_position,
@@ -160,8 +161,8 @@ def prune_report(name, tree, payoff, leaves) -> Report:
         report.check("witness-wins-outright", is_winning_strategy(tree, leaves, witness))
         return report
     report.add("remainder-nodes", result.tree.node_count)
-    remainder_leaves = leaves & frozenset(result.tree.full_depth_plays())
-    solution = solve(result.tree, remainder_leaves)
+    kept = bytes(map(leaves.__contains__, result.tree.full_depth_plays()))
+    solution = solve(result.tree, Plays(result.tree, kept))
     direct = solve(tree, leaves)
     report.add("winner", solution.winner)
     matches = solution.winner is direct.winner

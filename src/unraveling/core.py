@@ -14,17 +14,17 @@ tagged tuples, so Python's tuple order is the canonical label order: by
 tag first, and a proper prefix before its extensions.  Siblings that do
 not compare are an ``ArenaError``.  Sibling order is always the canonical
 label order, which makes "lexicographically least" tie-breaking well
-defined everywhere; a tree stores all its positions in canonical order,
-found by one breadth-first walk over the sorted siblings.
+defined everywhere; a tree stores all its positions in canonical order:
+by length, then lexicographic.
 
-Inside a tree a node is an integer id, its index in that order.  The walk
-stores each parent's children as one consecutive block of ids, so an
-array of first-child offsets gives every child range, and the taboo tags
-are one byte per id.  The walk also makes each depth one consecutive
-range of ids, so ``depth + 2`` level offsets give every level's range:
-the first child of a level's first node starts the next level.  Backward
-induction, taboo-pruning, the base construction, the covering checks and
-the strategy checks walk the ids, one level at a time where the mover or
+Inside a tree a node is an integer id, its index in that order.  Each
+parent's children are one consecutive block of ids, so an array of
+first-child offsets gives every child range, and the taboo tags are one
+byte per id.  Each depth is one consecutive range of ids, so
+``depth + 2`` level offsets give every level's range: the first child of
+a level's first node starts the next level.  Backward induction,
+taboo-pruning, the base construction, the covering checks and the
+strategy checks walk the ids, one level at a time where the mover or
 the depth matters, and a covering's position map is an array of target
 ids by source id (``Covering.images``); tuple positions appear only at
 the API and in the file formats, which write every path by id, each from
@@ -40,14 +40,11 @@ bytes by id.  Every function that takes a payoff set accepts any set of
 positions and converts it once, in ``_as_plays``; a ``Plays`` of the same
 tree passes through as it is.
 
-Outside input reaches a tree by two routes.  ``GameTree(depth, children,
-taboo)`` takes positions in any order, sorts them and checks every
-structural rule; ``GameTree.from_nodes`` makes its children table from a
-set of positions.  Positions that already come in canonical order, with
-their child labels by id, as the text pass of a canonical game file reads
-them, enter through ``GameTree._from_ids_checked`` and need no sort.  Both
-end in one check of the depth bound and the taboo tags
-(``_check_and_tag``), so those rules are written once.  Trees
+Outside input reaches a tree by one constructor, ``GameTree(depth,
+nodes, taboo)``: positions in any order.  One pass (``_layout``) stores
+them when they come in canonical order, as a canonical game file lists
+them; any other order is sorted level by level first.  Then one check of
+the depth bound and the taboo tags (``_check_and_tag``) runs.  Trees
 the package makes itself (complete and random arenas, covering sources,
 pruned remainders) are written by their builders already in id form and
 enter through ``GameTree._from_ids``, which re-checks only what needs no
@@ -172,83 +169,113 @@ def _positions_below(ordered: list[Position], labels, at: int) -> list[Position]
     return ordered
 
 
+def _layout(nodes: list[Position]):
+    """The positions by id, the root first, and every node's child labels
+    by id (equal tuples shared), read in one pass from ``nodes`` in
+    canonical order; the root and a repeat of the position before are
+    skipped.  The third item is ``None``, or the position at which the
+    pass stops: one with no parent ahead, or one whose label does not
+    follow its previous sibling's.
+
+    Each parent is found by moving one pointer forward over the positions
+    stored, so each parent's children are one block of ids and the blocks
+    come in parent order."""
+    ordered: list[Position] = [()]
+    labels: list[tuple[Label, ...]] = []  # by id, up to the parent before the current one
+    shared: dict[tuple[Label, ...], tuple[Label, ...]] = {}
+    parent, up, siblings = 0, (), []  # the current parent's id and position, its child labels
+    try:
+        for position in nodes:
+            if not position:  # the root, implied
+                continue
+            head, label = position[:-1], position[-1]
+            if head != up:
+                later = ordered.index(head, parent + 1)
+                own = tuple(siblings)
+                labels.append(shared.setdefault(own, own))
+                labels += [()] * (later - parent - 1)
+                parent, up, siblings = later, head, []
+            elif siblings and label <= siblings[-1]:
+                if label == siblings[-1]:  # a repeat
+                    continue
+                return ordered, labels, position
+            siblings.append(label)
+            ordered.append(position)
+    except (ValueError, TypeError):  # no parent ahead, or labels that do not compare
+        return ordered, labels, position
+    own = tuple(siblings)
+    labels.append(shared.setdefault(own, own))
+    labels += [()] * (len(ordered) - parent - 1)
+    return ordered, labels, None
+
+
+def _ints_first(position: Position):
+    """A level-by-level sort key that puts integer labels before tagged
+    tuples, so siblings of the two kinds meet, and fail, in ``_layout``."""
+    return len(position), [(isinstance(label, tuple), label) for label in position]
+
+
 class GameTree:
     """Immutable finite game arena with a depth bound and taboo tags.
 
-    ``children`` maps every position to its child labels, in any order;
-    terminal positions map to the empty tuple.  ``taboo`` tags exactly the
-    terminals of depth less than the bound, partitioning the early plays
-    into losses for player I and player II.
+    ``nodes`` are the tree's positions in any order; the root is implied
+    and repeats are dropped.  ``taboo`` tags exactly the terminals of depth
+    less than the bound, partitioning the early plays into losses for
+    player I and player II.
 
     Inside, a node is its integer id: its index in the canonical order
-    (``_ordered``).  The breadth-first walk stores each parent's children
-    as one consecutive block of ids, and the blocks follow one another, so
-    ``_first``, an ``array('i')`` of n + 1 first-child offsets, gives every
-    child range as ``_first[i]:_first[i + 1]``; every entry derives it from
-    the label counts.  Each depth is one consecutive range of ids too:
-    ``_levels``, an ``array('i')`` of ``depth + 2`` first ids, gives depth
-    ``d`` as ``_levels[d]:_levels[d + 1]`` (an empty level is ``n:n``).
+    (``_ordered``).  Each parent's children are one consecutive block of
+    ids, and the blocks follow one another, so ``_first``, an
+    ``array('i')`` of n + 1 first-child offsets, gives every child range
+    as ``_first[i]:_first[i + 1]``; every entry derives it from the label
+    counts.  Each depth is one consecutive range of ids too: ``_levels``,
+    an ``array('i')`` of ``depth + 2`` first ids, gives depth ``d`` as
+    ``_levels[d]:_levels[d + 1]`` (an empty level is ``n:n``).
     ``_labels`` holds each node's child labels by id (one shared tuple per
     distinct label tuple), and ``_tags`` its taboo tag as one byte by id,
     an index into ``_OWNERS``.  The package's kernels walk these; tuple
     positions appear only at the API, through one table keyed by position,
     ``_children`` (child labels).
 
-    The constructor checks every structural rule: its walk names the
-    faults of the children mapping, and ``_check_and_tag`` the nodes past
-    the depth bound and the taboo tags.  ``_from_ids_checked`` takes
-    positions and child labels that arrive in canonical order and runs
-    only ``_check_and_tag``.  ``_from_ids`` takes positions, child labels
-    and tags from a builder that wrote them in canonical order and checks
-    only the tags and the depth bound.  Whatever the entry, the tree
-    builds its position table on the first lookup that needs it.
+    The constructor checks every structural rule: ``_layout`` finds a
+    missing parent or siblings that do not compare, and
+    ``_check_and_tag`` the nodes past the depth bound and the taboo tags.
+    ``_from_ids`` takes positions, child labels and tags from a builder
+    that wrote them in canonical order and checks only the tags and the
+    depth bound.  Whatever the entry, the tree builds its position table
+    on the first lookup that needs it.
     """
 
     def __init__(
         self,
         depth: int,
-        children: Mapping[Position, Iterable[Label]],
+        nodes: Iterable[Position],
         taboo: Mapping[Position, Player] = {},
     ):
+        # Faults are named in the order a file reports them: a missing
+        # parent (the first the caller lists), the depth bound, siblings
+        # that do not compare, then the rules of ``_check_and_tag``.
+        nodes = list(nodes)
+        ordered, labels, refused = _layout(nodes)
+        if refused is not None:  # not in canonical order: sort level by level
+            try:
+                ordered, labels, refused = _layout(sorted(nodes, key=lambda p: (len(p), p)))
+            except TypeError:  # labels of two kinds
+                ordered, labels, refused = _layout(sorted(nodes, key=_ints_first))
+        if refused is not None:  # a missing parent, or siblings that do not compare
+            stored = {(), *nodes}
+            orphan = next((p for p in nodes if p and p[:-1] not in stored), None)
+            if orphan is not None:
+                raise ArenaError(
+                    f"missing parent of {format_position(orphan)} (prefix closure)", orphan
+                )
         _check_depth(depth)
-        if () not in children:
-            raise ArenaError("missing root position", ())
-        # Breadth-first walk over the sorted child tuples: parents come out
-        # in canonical order, so their children do too, level by level, and
-        # a node's id is its index in ``ordered``.  Prefix closure: every
-        # named child must be stored, and the walk must reach everything.
-        # The depth bound and the taboo tags are checked after the walk, as
-        # for a tree read from a canonical file (``_check_and_tag``).
-        ordered: list[Position] = [()]
-        by_id: list[tuple[Label, ...]] = []
-        shared: dict[tuple[Label, ...], tuple[Label, ...]] = {}  # equal label tuples, kept once
-        for position in ordered:  # grows while it is walked
-            try:
-                labels = children[position]
-            except KeyError:
-                raise ArenaError(
-                    f"child {format_position(position)} not stored (prefix closure)", position
-                ) from None
-            try:
-                labels = tuple(sorted(labels))
-            except TypeError:  # labels of different kinds
-                raise ArenaError(
-                    f"incomparable sibling labels under {format_position(position)}", position
-                ) from None
-            if labels:
-                if len(set(labels)) != len(labels):
-                    raise ArenaError(
-                        f"duplicate sibling labels under {format_position(position)}", position
-                    )
-                labels = shared.setdefault(labels, labels)
-                ordered.extend([position + (label,) for label in labels])
-            by_id.append(labels)
-        self._store(depth, ordered, by_id, bytearray(len(ordered)))
-        if len(ordered) != len(children):
-            stray = next(p for p in children if p not in self._children)
+        if refused is not None:
             raise ArenaError(
-                f"position {format_position(stray)} unreachable (prefix closure)", stray
+                f"incomparable sibling labels under {format_position(refused[:-1])}",
+                refused[:-1],
             )
+        self._store(depth, ordered, labels, bytearray(len(ordered)))
         self._check_and_tag(taboo)
 
     def _store(self, depth, ordered, labels, tags) -> None:
@@ -339,25 +366,6 @@ class GameTree:
             )
         return tree
 
-    @classmethod
-    def _from_ids_checked(
-        cls,
-        depth: int,
-        ordered: list[Position],
-        labels: list[tuple[Label, ...]],
-        taboo: Mapping[Position, Player],
-    ) -> "GameTree":
-        """A tree from outside input that arrives in canonical order, as a
-        canonical game file lists it: the positions and their child labels
-        by id, and the taboo tags by position.  The depth bound, the nodes
-        past it and the tags are checked as the constructor checks them,
-        with the same errors; the order itself is the caller's to check."""
-        _check_depth(depth)
-        tree = cls.__new__(cls)
-        tree._store(depth, ordered, labels, bytearray(len(ordered)))
-        tree._check_and_tag(taboo)
-        return tree
-
     @cached_property
     def _children(self) -> dict[Position, tuple[Label, ...]]:
         return dict(zip(self._ordered, self._labels))
@@ -368,28 +376,6 @@ class GameTree:
         first full-depth id."""
         start = self._levels[self.depth]
         return dict(zip(self._ordered[start:], range(len(self._ordered) - start)))
-
-    @classmethod
-    def from_nodes(
-        cls,
-        depth: int,
-        nodes: Iterable[Position],
-        taboo: Mapping[Position, Player] = {},
-    ) -> "GameTree":
-        """Build from the set of positions, in any order; child labels are
-        inferred.  The positions go into a children table, and the
-        constructor sorts them and makes every rejection."""
-        stored = {(): set()} | {tuple(p): set() for p in nodes}
-        for position in list(stored):
-            if position:
-                parent = position[:-1]
-                if parent not in stored:
-                    raise ArenaError(
-                        f"missing parent of {format_position(position)} (prefix closure)",
-                        position,
-                    )
-                stored[parent].add(position[-1])
-        return cls(depth, stored, taboo)
 
     @classmethod
     def complete(cls, depth: int, branching: int) -> "GameTree":

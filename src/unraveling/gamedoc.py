@@ -25,20 +25,15 @@ the expressions ``Closed(spec)``, ``Not(Closed(spec))`` and
 A parsed document is ``GameDocument(alphabet, tree, payoff)``.  The parser
 checks the text, reading each list section up to the keyword that ends
 it; the tree is built once, and it and ``check_generators`` are the only
-structural checks.  The tree comes by one of two routes.  NODES rows in
-canonical order and canonical text, as ``format_game`` writes them, are
-read in one linear pass (``_nodes_in_order``) that finds each parent by a
-pointer moving forward, builds each position from its parent's and
-collects every node's child labels by id; they enter the tree through
-the checked id entry ``GameTree._from_ids_checked``, with no sort.  At
-the first row that pass does not accept, the section is read again from
-its first row, one row at a time (``_nodes_by_row``), and the positions
-go to ``GameTree.from_nodes`` and the sorting constructor.  Both routes
-give the same tree and the same rejections.  Every parse error carries a
-line (and where sensible a column, found in the line's text) number: a
-structural error is reported on the TABOOS line of a tagged position, on
-the NODES line of any other, on the line of a generator, or on the DEPTH
-line for an illegal depth bound.
+structural checks.  The NODES rows, in any order, are read in one pass
+(``_nodes``) that turns each row into a position, most of them from
+their parent's, and the positions go to the one constructor,
+``GameTree(depth, nodes, taboo)``; rows in canonical order, as
+``format_game`` writes them, need no sort there.  Every parse error
+carries a line (and where sensible a column, found in the line's text)
+number: a structural error is reported on the TABOOS line of a tagged
+position, on the NODES line of any other, on the line of a generator, or
+on the DEPTH line for an illegal depth bound.
 
 Blank lines and full-line ``#`` comments are accepted on input; the
 canonical printer emits neither, and parse/print round-trips canonically
@@ -49,7 +44,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain
 
 from .core import ArenaError, GameTree, Player, Position, _paths, format_position
 from .payoff import Closed, ClosedSpec, ClosedUnion, Not, Open, PayoffSpec, Union, check_generators
@@ -89,7 +84,8 @@ def _col(raw: str, i: int) -> int:
 
 class _Lines:
     """The rows that are not blank or comments, each as its line number,
-    tokens and text, read from ``cursor`` on."""
+    tokens and text, read from ``cursor`` on; ``firsts`` holds each row's
+    first token."""
 
     def __init__(self, text: str):
         self.rows: list[tuple[int, list[str], str]] = []
@@ -97,24 +93,22 @@ class _Lines:
             tokens = raw.split()
             if tokens and not tokens[0].startswith("#"):
                 self.rows.append((number, tokens, raw))
+        self.firsts = [tokens[0] for _, tokens, _ in self.rows]
         self.cursor = 0
         self.last_line = self.rows[-1][0] if self.rows else 1
 
     def peek(self):
         return self.rows[self.cursor] if self.cursor < len(self.rows) else None
 
-    def until(self, keyword: str, missing: str | None = None):
-        """Yield the rows before the next one that starts with ``keyword``;
-        running out of rows raises the error ``missing``, if one is given."""
-        rows = self.rows
-        while self.cursor < len(rows):
-            row = rows[self.cursor]
-            if row[1][0] == keyword:
-                return
-            self.cursor += 1
-            yield row
-        if missing is not None:
-            raise GameDocError(missing, self.last_line)
+    def until(self, keyword: str) -> list[tuple[int, list[str], str]]:
+        """The rows before the next one that starts with ``keyword``, or
+        up to the end; the cursor moves past them."""
+        try:
+            end = self.firsts.index(keyword, self.cursor)
+        except ValueError:
+            end = len(self.rows)
+        rows, self.cursor = self.rows[self.cursor : end], end
+        return rows
 
 
 def _parse_path(token: str, line: int, raw: str, alphabet: int) -> Position:
@@ -134,71 +128,35 @@ def _parse_path(token: str, line: int, raw: str, alphabet: int) -> Position:
     return tuple(labels)
 
 
-def _nodes_in_order(
-    rows, alphabet: int, most: int
-) -> tuple[list[Position], list[tuple[int, ...]]] | None:
-    """The positions of the NODES rows, the root first, and every node's
-    child labels, both by id, read in one linear pass while the rows list
-    them in canonical order and canonical text; ``None`` at the first row
-    that pass does not accept, which it leaves to ``_nodes_by_row``.
+def _nodes(rows, alphabet: int) -> list[Position]:
+    """The positions of the NODES rows, in row order, each checked on its
+    own row.
 
-    Each row's path is split once, at its last slash.  Its parent is found
-    by moving one pointer forward over the path texts already read, and its
-    label through a table of the label texts, built for at most ``most``
-    labels; the position is the parent's plus that label.  Siblings must
-    ascend, so no path repeats, and a node's id is its row's index: each
-    parent's children are one block of ids, the blocks in parent order."""
-    label_of = {str(label): label for label in range(min(alphabet, most))}
-    texts: list[str | None] = [None]  # the root: a path with no slash names no parent
-    positions: list[Position] = [()]
-    labels: list[tuple[int, ...]] = []  # by id, up to the parent before the current one
-    shared: dict[tuple[int, ...], tuple[int, ...]] = {}  # equal label tuples, kept once
-    parent, siblings = 0, []  # the current parent and its child labels so far
-
-    def close(up_to: int) -> None:
-        """Store the current parent's child labels, and none for the ids
-        after it and before ``up_to``."""
-        own = tuple(siblings)
-        labels.append(shared.setdefault(own, own))
-        labels.extend(repeat((), up_to - parent - 1))
-
-    for _, tokens, _ in rows:
-        if len(tokens) != 1:
-            return None
-        head, slash, tail = tokens[0].rpartition("/")
-        label, up = label_of.get(tail), head if slash else None
-        if label is None:
-            return None
-        if up != texts[parent]:
-            try:
-                later = texts.index(up, parent + 1)
-            except ValueError:
-                return None
-            close(later)
-            parent, siblings = later, []
-        elif siblings and label <= siblings[-1]:
-            return None
-        siblings.append(label)
-        texts.append(tokens[0])
-        positions.append(positions[parent] + (label,))
-    close(len(positions))
-    return positions, labels
-
-
-def _nodes_by_row(rows, alphabet: int) -> list[Position]:
-    """The positions of the NODES rows, the root first, the rows in any
-    order, each checked on its own row."""
-    seen: dict[Position, None] = {(): None}  # in row order
+    A row whose parent's text was read on an earlier row and whose label
+    is written canonically is split once, at its last slash: its position
+    is the parent's plus the label, found in a table of the label texts
+    built for at most as many labels as there are rows.  Any other row is
+    read by ``_parse_path``.  Every position is kept under its canonical
+    text, which finds a repeated node however it is written."""
+    label_of = {str(label): label for label in range(min(alphabet, len(rows)))}
+    texts: dict[str, Position] = {}  # by canonical text, in row order
     for line, tokens, raw in rows:
         if len(tokens) != 1:
             raise GameDocError("node lines carry a single path", line, _col(raw, 1))
-        position = _parse_path(tokens[0], line, raw, alphabet)
-        if not position:
-            raise GameDocError("the root is implicit and not listed", line, _col(raw, 0))
-        if position in seen:
+        text = tokens[0]
+        head, slash, tail = text.rpartition("/")
+        label, parent = label_of.get(tail), texts.get(head) if slash else ()
+        if label is None or parent is None:
+            position = _parse_path(text, line, raw, alphabet)
+            if not position:
+                raise GameDocError("the root is implicit and not listed", line, _col(raw, 0))
+            text = format_position(position)
+        else:
+            position = parent + (label,)
+        if text in texts:
             raise GameDocError(f"duplicate node {tokens[0]}", line, _col(raw, 0))
-        seen[position] = None
-    return list(seen)
+        texts[text] = position
+    return list(texts.values())
 
 
 def _expect_header(lines: _Lines, keyword: str, argc: int) -> tuple[int, list[str], str]:
@@ -242,18 +200,13 @@ def parse_game(text: str) -> GameDocument:
     depth, depth_line = _int_arg(header), header[0]
 
     nodes_line, _, _ = _expect_header(lines, "NODES", 0)
-    first_row = lines.cursor
-    in_order = _nodes_in_order(lines.until("TABOOS"), alphabet, len(lines.rows))
-    if in_order is None or lines.peek() is None:  # read the section again, row by row
-        lines.cursor, in_order = first_row, None
-        nodes = _nodes_by_row(lines.until("TABOOS", "missing TABOOS section"), alphabet)
-    else:
-        nodes = in_order[0]
+    node_rows = lines.until("TABOOS")
+    nodes = _nodes(node_rows, alphabet)
 
     _expect_header(lines, "TABOOS", 0)
     taboos: dict[Position, Player] = {}
     taboo_lines: dict[Position, int] = {}
-    for line, tokens, raw in lines.until("PAYOFF", "missing PAYOFF section"):
+    for line, tokens, raw in lines.until("PAYOFF"):
         if len(tokens) != 2:
             raise GameDocError("taboo lines carry a path and a player", line)
         path, owner = tokens
@@ -299,18 +252,16 @@ def parse_game(text: str) -> GameDocument:
     specs = [ClosedSpec(block) for block in blocks]
 
     try:
-        if in_order is None:
-            tree = GameTree.from_nodes(depth, nodes, taboos)
-        else:
-            tree = GameTree._from_ids_checked(depth, *in_order, taboos)
+        tree = GameTree(depth, nodes, taboos)
     except ArenaError as error:
         if error.position is None:  # the depth bound itself
             line = depth_line
         elif error.position in taboo_lines:  # a tagged position is reported on its TABOOS line
             line = taboo_lines[error.position]
-        else:  # the root is on the NODES line, and each node on its own row
-            rows = (row[0] for row in lines.rows[first_row:])
-            line = dict(zip(nodes, chain([nodes_line], rows))).get(error.position)
+        elif error.position:  # each node on its own row
+            line = dict(zip(nodes, (row[0] for row in node_rows))).get(error.position)
+        else:  # the root on the NODES line
+            line = nodes_line
         raise GameDocError(str(error), line) from error
     for spec, block in zip(specs, blocks):
         try:

@@ -56,6 +56,7 @@ from operator import itemgetter, lt
 
 from .core import (
     DEFAULT_NODE_MAX,
+    LABELS_PER_NODE,
     CheckResult,
     GameTree,
     InternalInvariantError,
@@ -66,6 +67,7 @@ from .core import (
     Strategy,
     _FLIP,
     _OWNERS,
+    _check_label_budget,
     _positions_below,
     format_position,
 )
@@ -277,7 +279,8 @@ def build_base_covering(
     move then gets its templates (``_accept_template`` and one
     ``_challenge_template`` per frontier node), its frontier is checked
     against ``frontier_max``, the node count of its claims, summed from
-    the template lengths, against ``node_max``, and its claims are
+    the template lengths, against ``node_max`` and their position labels
+    against the label budget (``_check_label_budget``), and its claims are
     written in the order of their claimed index tuples.  Below them the
     source is written one depth at a time: for each claim in order, the
     target ids of its accept template at that depth, then those of its
@@ -302,8 +305,15 @@ def build_base_covering(
                 f" (need depth >= {floor})"
             )
     ordered, first, labels_of, tags = tree._ordered, tree._first, tree._labels, tree._tags
-    at_k, moves = tree._levels[k], tree._levels[k + 1]  # the first level-k id and the first move
+    levels = tree._levels
+    at_k, moves = levels[k], levels[k + 1]  # the first level-k id and the first move
+    # The source's nodes and position labels, counted move by move and
+    # checked against the caps before anything is written.  A node holds
+    # at most ``depth`` labels, so within the node cap a source no deeper
+    # than ``LABELS_PER_NODE`` is within the label budget.
     total = moves
+    held = sum(d * (levels[d + 1] - levels[d]) for d in range(k + 1))
+    count_labels = tree.depth > LABELS_PER_NODE
     if total > node_max:
         raise ResourceLimitError(f"covering source exceeds {node_max} nodes")
     meets = _meets(tree, banned, k)
@@ -343,6 +353,14 @@ def build_base_covering(
             total += subsets // 2 * sum(len(ids) for template in chains for ids, _ in template)
             if total > node_max:
                 raise ResourceLimitError(f"covering source exceeds {node_max} nodes")
+            if count_labels:  # a claim is at depth k + 1, template row t at k + 2 + t
+                held += subsets * (k + 1 + sum(d * len(b) for d, b in enumerate(blocks, k + 2)))
+                held += subsets // 2 * sum(
+                    d * len(ids)
+                    for template in chains
+                    for d, (ids, _) in enumerate(template, k + 2)
+                )
+                _check_label_budget("covering source", held, node_max)
             if front_ids:
                 index = {q: n for n, q in enumerate(front_ids)}
                 cuts = [[(offset, index[q]) for offset, q in cut] for cut in cuts]

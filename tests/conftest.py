@@ -17,13 +17,13 @@ def ex1() -> GameTree:
 def ex2(ex1) -> GameTree:
     """EX1 with node 0/0 early-terminal, a loss for player II."""
     nodes = [p for p in ex1.positions() if p and not (len(p) > 2 and p[:2] == (0, 0))]
-    return GameTree.from_nodes(4, nodes, {(0, 0): Player.II})
+    return GameTree(4, nodes, {(0, 0): Player.II})
 
 
 @pytest.fixture(scope="session")
 def ex3() -> GameTree:
     """Chain of two, a binary fan at depth 2, then single chains to depth 4."""
-    return GameTree.from_nodes(
+    return GameTree(
         4, [(0,), (0, 0), (0, 0, 0), (0, 0, 1), (0, 0, 0, 0), (0, 0, 1, 0)]
     )
 

@@ -49,7 +49,7 @@ def assert_matches_checked_build(tree: GameTree) -> None:
     builds from its positions and taboo tags, and every position query on
     it answers as on that tree.  Its level offsets are, for every depth up
     to one past the bound, the first id of that length in canonical order."""
-    checked = GameTree.from_nodes(tree.depth, tree.positions(), dict(tree.taboo_items()))
+    checked = GameTree(tree.depth, tree.positions(), dict(tree.taboo_items()))
     assert tree._ordered == checked._ordered
     assert tree._first == checked._first
     assert tree._levels == checked._levels
@@ -112,7 +112,7 @@ def reference_random_tree(
             below.extend(node + (label,) for label in children.pop(node))
         children[position] = []
         taboo[position] = rng.choice([Player.I, Player.II])
-    return GameTree(depth, children, taboo)
+    return GameTree(depth, list(children), taboo)
 
 
 def to_move(position: Position) -> Player:
@@ -234,7 +234,7 @@ def subtree_at(tree: GameTree, position: Position) -> GameTree:
         children[current] = labels
         stack.extend(current + (label,) for label in labels)
     taboo = {p: owner for p, owner in tree.taboo_items() if p in children}
-    return GameTree(tree.depth, children, taboo)
+    return GameTree(tree.depth, list(children), taboo)
 
 
 def subtree_nodes(tree: GameTree, position: Position) -> set[Position]:
@@ -409,15 +409,9 @@ def reference_prune(tree: GameTree) -> PruneResult:
     witnesses = {position: forcing[determined[position]] for position in minimal}
     if () in determined:
         return PruneResult(None, determined[()], determined, frozenset(removed), witnesses)
-    children = {
-        position: tuple(
-            label for label in tree.children_of(position) if position + (label,) not in removed
-        )
-        for position in tree.positions()
-        if position not in removed
-    }
+    kept = [position for position in tree.positions() if position not in removed]
     return PruneResult(
-        GameTree(tree.depth, children), None, determined, frozenset(removed), witnesses
+        GameTree(tree.depth, kept), None, determined, frozenset(removed), witnesses
     )
 
 

@@ -705,6 +705,22 @@ def test_unravel_deep_chain_within_default_recursion_limit(tmp_path):
     assert "result: verified" in out
 
 
+def test_unravel_deep_chain_over_the_label_budget_exits_1(tmp_path, monkeypatch):
+    """A chain of depth 300 has 301 nodes but 45 150 position labels, and
+    its covering source more: under a cap of 1000 nodes the budget is
+    25 000 labels, so the build stops before it writes the source."""
+    depth = 300
+    nodes = "\n".join("/".join(["0"] * n) for n in range(1, depth + 1))
+    chain = tmp_path / "chain.game"
+    chain.write_text(
+        f"GAME v1\nALPHABET 1\nDEPTH {depth}\nNODES\n{nodes}\nTABOOS\nPAYOFF closed\n0/0/0\n"
+    )
+    monkeypatch.setenv("UNRAVEL_NODE_MAX", "1000")
+    code, out, err = run_cli("unravel", str(chain))
+    assert (code, out) == (1, "")
+    assert err == "error: covering source exceeds 25000 position labels (25 per node of the cap)\n"
+
+
 def test_node_cap_environment_override(fixtures_dir, monkeypatch):
     monkeypatch.setenv("UNRAVEL_NODE_MAX", "10")
     code, _, err = run_cli("unravel", game(fixtures_dir, "ex1.game"), "--k", "0")

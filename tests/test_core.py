@@ -40,29 +40,29 @@ def mask(tree, plays):
 
 def test_tree_rejects_odd_depth():
     with pytest.raises(ValueError):
-        GameTree(3, {(): []})
+        GameTree(3, [])
 
 
 def test_tree_rejects_missing_parent():
     with pytest.raises(ValueError, match="prefix closure"):
-        GameTree.from_nodes(2, [(0, 0)])
+        GameTree(2, [(0, 0)])
 
 
 def test_tree_rejects_untagged_early_terminal():
     with pytest.raises(ValueError, match="partition"):
-        GameTree.from_nodes(4, [(0,), (0, 0)])  # 0/0 terminal at depth 2
+        GameTree(4, [(0,), (0, 0)])  # 0/0 terminal at depth 2
 
 
 def test_tree_rejects_taboo_at_full_depth():
     with pytest.raises(ValueError, match="taboo at full depth"):
-        GameTree.from_nodes(
+        GameTree(
             2, [(0,), (0, 0)], {(0, 0): Player.I}
         )
 
 
 def test_tree_rejects_taboo_on_internal_node(ex1):
     with pytest.raises(ValueError, match="non-terminal"):
-        GameTree.from_nodes(4, [p for p in ex1.positions() if p], {(0,): Player.I})
+        GameTree(4, [p for p in ex1.positions() if p], {(0,): Player.I})
 
 
 @pytest.mark.parametrize(
@@ -82,28 +82,33 @@ def test_tree_rejects_taboo_on_internal_node(ex1):
     ],
 )
 def test_from_nodes_in_canonical_order_rejects_as_the_constructor_does(depth, taboo, message):
-    """Positions in canonical order go through the children table and the
-    constructor as any others do, and get the constructor's errors; a game
-    file in canonical order gets the same ones through the checked id entry
-    (``test_gamedoc.py``)."""
-    with pytest.raises(ArenaError, match=message):
-        GameTree.from_nodes(depth, [(0,), (1,), (0, 0)], taboo)
+    """Positions in canonical order are stored by the constructor's one
+    pass, and positions in any other order after its sort; both get the
+    same errors, and so does a game file (``test_gamedoc.py``)."""
+    nodes = [(0,), (1,), (0, 0)]
+    for order in (nodes, nodes[::-1]):
+        with pytest.raises(ArenaError, match=message):
+            GameTree(depth, order, taboo)
 
 
 def test_from_nodes_in_canonical_order_rejects_a_node_past_the_depth_bound():
-    with pytest.raises(ArenaError, match="node 0/0/0 exceeds depth bound 2"):
-        GameTree.from_nodes(2, [(0,), (0, 0), (0, 0, 0)])
+    nodes = [(0,), (0, 0), (0, 0, 0)]
+    for order in (nodes, nodes[::-1]):
+        with pytest.raises(ArenaError, match="node 0/0/0 exceeds depth bound 2"):
+            GameTree(2, order)
 
 
 def test_tree_rejects_siblings_of_different_kinds_naming_their_parent():
     claim, accept = Claim(0, ()), Accept(1)
     cases = [
-        ({(): [claim, 0], (0,): [0], (0, 0): [], (claim,): [0], (claim, 0): []}, ()),
-        ({(): [0], (0,): [1, accept], (0, 1): [], (0, accept): []}, (0,)),
+        ([(0,), (0, 0), (claim,), (claim, 0)], ()),
+        ([(claim,), (0,), (claim, 0), (0, 0)], ()),
+        ([(0,), (0, 1), (0, accept)], (0,)),
+        ([(0, accept), (0, 1), (0,)], (0,)),
     ]
-    for children, parent in cases:
+    for nodes, parent in cases:
         with pytest.raises(ArenaError) as raised:
-            GameTree(2, children)
+            GameTree(2, nodes)
         assert str(raised.value) == f"incomparable sibling labels under {format_position(parent)}"
         assert raised.value.position == parent
 
@@ -112,89 +117,67 @@ I, II = Player.I, Player.II
 
 
 @pytest.mark.parametrize(
-    "depth, children, taboo, message, position",
+    "depth, nodes, taboo, message, position",
     [
         pytest.param(
-            4,
-            {(): [0, 1], (0,): [0], (0, 0): [], (1,): [0], (1, 0): [0], (1, 0, 0): [0],
-             (1, 0, 0, 0): [], (5, 5): []},
-            {},
-            "position 5/5 unreachable (prefix closure)",
-            (5, 5),
+            4, [(0,), (0, 0), (1,), (1, 0), (1, 0, 0), (1, 0, 0, 0), (5, 5)], {},
+            "missing parent of 5/5 (prefix closure)", (5, 5),
             id="stray-node-and-untagged-early-terminal",
         ),
         pytest.param(
-            4, {(): [0], (0,): [1, 1], (0, 1): []}, {(0,): I},
-            "duplicate sibling labels under 0", (0,),
-            id="duplicate-siblings-and-tag-on-non-terminal",
-        ),
-        pytest.param(
-            2, {(): [0, 1], (0,): [], (1,): [2], (1, 2): [3], (1, 2, 3): []}, {(0,): "I"},
+            2, [(0,), (1,), (1, 2), (1, 2, 3)], {(0,): "I"},
             "node 1/2/3 exceeds depth bound 2", (1, 2, 3),
             id="tag-naming-no-player-and-node-past-depth",
         ),
         pytest.param(
-            4,
-            {(): [0, 1], (0,): [0], (0, 0): [0], (0, 0, 0): [0], (0, 0, 0, 0): [], (1,): []},
+            4, [(0,), (0, 0), (0, 0, 0), (0, 0, 0, 0), (1,)],
             {(0, 0, 0, 0): I, (9,): II},
             "taboo at full depth: 0/0/0/0",
             (0, 0, 0, 0),
             id="full-depth-tag-before-unknown-tag-and-untagged-early-terminal",
         ),
         pytest.param(
-            4,
-            {(): [0, 1, 2, 3], (0,): [], (1,): [], (2,): [0], (2, 0): [0], (2, 0, 0): [0],
-             (2, 0, 0, 0): [], (3,): []},
+            4, [(0,), (1,), (2,), (2, 0), (2, 0, 0), (2, 0, 0, 0), (3,)],
             {(0,): I, (1,): None, (2,): II},
             "taboo tag on 1 must name a player",
             (1,),
             id="valid-tag-then-tag-naming-no-player-then-non-terminal-tag",
         ),
         pytest.param(
-            4, {(): [1, 0], (0,): [], (2,): []}, {},
-            "child 1 not stored (prefix closure)", (1,),
-            id="missing-child-and-stray-node",
-        ),
-        pytest.param(
-            4, {(): [0, 1], (1,): [], (0,): [0], (0, 0): []}, {},
+            4, [(1,), (0,), (0, 0)], {},
             "early terminal 1 lacks a taboo tag (partition)", (1,),
             id="two-untagged-early-terminals-first-in-canonical-order",
-        ),
-        pytest.param(
-            2, {(1,): []}, {(9,): II}, "missing root position", (),
-            id="missing-root-before-stray-node-and-unknown-tag",
         ),
     ],
 )
 def test_tree_names_its_first_fault_on_inputs_with_several(
-    depth, children, taboo, message, position
+    depth, nodes, taboo, message, position
 ):
     with pytest.raises(ArenaError) as raised:
-        GameTree(depth, children, taboo)
+        GameTree(depth, nodes, taboo)
     assert str(raised.value) == message
     assert raised.value.position == position
 
 
-@pytest.mark.parametrize(
-    "children, message, position",
-    [
-        pytest.param({(): [0], (0,): [0], (0, 0): [0], (0, 0, 0): [0]},
-                     "child 0/0/0/0 not stored (prefix closure)", (0, 0, 0, 0),
-                     id="missing-child-past-the-bound"),
-        pytest.param({(): [0], (0,): [0], (0, 0): [0], (0, 0, 0): [], (5,): []},
-                     "position 5 unreachable (prefix closure)", (5,), id="stray-node"),
-        pytest.param({(): [0, 1], (0,): [0], (0, 0): [0], (0, 0, 0): [], (1,): [0],
-                      (1, 0): [0, 0], (1, 0, 0): []},
-                     "duplicate sibling labels under 1/0", (1, 0),
-                     id="duplicate-siblings-at-full-depth"),
-    ],
-)
-def test_tree_names_a_mapping_fault_before_a_node_past_the_bound(children, message, position):
-    """The walk over the children mapping names its faults first; the depth
-    bound is one of the arena rules checked after it, in ``_check_and_tag``."""
-    with pytest.raises(ArenaError) as raised:
-        GameTree(2, children)
-    assert (str(raised.value), raised.value.position) == (message, position)
+def test_tree_names_the_first_orphan_in_the_callers_order_before_any_other_fault():
+    """A missing parent is named before the depth bound and every arena
+    rule, and of two orphans the first the caller lists, whatever the
+    canonical order, as a game file names the first orphan row."""
+    nodes = [(0,), (1,), (1, 0, 0), (0,), (0, 5, 5), (0, 0)]
+    for order, orphan in ((nodes, (1, 0, 0)), (nodes[::-1], (0, 5, 5))):
+        for depth in (3, 2):  # an odd depth bound, and one the orphans exceed
+            with pytest.raises(ArenaError) as raised:
+                GameTree(depth, order, {(7,): "no player"})
+            assert str(raised.value) == (
+                f"missing parent of {format_position(orphan)} (prefix closure)"
+            )
+            assert raised.value.position == orphan
+
+
+def test_tree_drops_the_root_and_repeated_positions():
+    tree = GameTree(2, [(0, 0), (), (0,), (0, 0), (0, 1), (0,), ()])
+    assert tree == GameTree(2, [(0,), (0, 0), (0, 1)])
+    assert tree.positions() == ((), (0,), (0, 0), (0, 1))
 
 
 @given(st.integers(0, 400))
@@ -204,8 +187,7 @@ def test_positions_match_sort_oracle(seed):
     rng = rng_for(f"order-shuffle:{seed}")
     nodes = list(tree.positions())
     rng.shuffle(nodes)
-    children = {p: rng.sample(tree.children_of(p), len(tree.children_of(p))) for p in nodes}
-    rebuilt = GameTree(tree.depth, children, dict(tree.taboo_items()))
+    rebuilt = GameTree(tree.depth, nodes, dict(tree.taboo_items()))
     assert list(rebuilt.positions()) == oracles.canonical_order_by_sort(nodes)
     assert rebuilt == tree
 
@@ -271,16 +253,14 @@ def test_complete_deep_chain_within_default_recursion_limit():
 
 
 def _complete_by_constructor(depth, branching):
-    """``GameTree.complete`` by a position-keyed child table and the checked
-    constructor, or the type and message of what that raises."""
-    labels = tuple(range(branching))
-    children, level = {}, [()]
+    """``GameTree.complete`` by its positions and the checked constructor,
+    or the type and message of what that raises."""
+    nodes, level = [], [()]
     for _ in range(depth):
-        children.update(dict.fromkeys(level, labels))
-        level = [position + (label,) for position in level for label in labels]
-    children.update(dict.fromkeys(level, ()))
+        level = [position + (label,) for position in level for label in range(branching)]
+        nodes += level
     try:
-        return GameTree(depth, children)
+        return GameTree(depth, nodes)
     except ArenaError as error:
         return type(error), str(error), error.position
 
@@ -302,7 +282,7 @@ def test_complete_matches_the_checked_constructor(depth, branching):
 
 def test_level_offsets_when_every_play_ends_in_an_early_taboo():
     """Levels past the deepest node are empty: each starts and ends at n."""
-    tree = GameTree.from_nodes(6, [(0,), (1,), (0, 0)], {(1,): Player.I, (0, 0): Player.II})
+    tree = GameTree(6, [(0,), (1,), (0, 0)], {(1,): Player.I, (0, 0): Player.II})
     assert list(tree._levels) == [0, 1, 3, 4, 4, 4, 4, 4]
     assert list(tree.full_depth_plays()) == []
     oracles.assert_matches_checked_build(tree)
@@ -320,13 +300,14 @@ def test_level_offsets_when_every_play_ends_in_an_early_taboo():
 def test_checked_tree_builds_its_position_table_on_first_lookup(lookup):
     """The checked constructor leaves the table to the first lookup, as
     ``_from_ids`` does; walking by id never builds it."""
-    tree = GameTree.complete(4, 2)
-    list(tree.taboo_items())
-    list(tree.full_depth_plays())
-    tree.decisions(Player.I)
-    assert "_children" not in vars(tree)
-    lookup(tree)
-    assert vars(tree)["_children"] == dict(zip(tree.positions(), tree._labels))
+    nodes = GameTree.complete(4, 2).positions()
+    for tree in (GameTree.complete(4, 2), GameTree(4, nodes), GameTree(4, nodes[::-1])):
+        list(tree.taboo_items())
+        list(tree.full_depth_plays())
+        tree.decisions(Player.I)
+        assert "_children" not in vars(tree)
+        lookup(tree)
+        assert vars(tree)["_children"] == dict(zip(tree.positions(), tree._labels))
 
 
 def test_ex_fixture_sizes(ex1, ex2, ex3):
@@ -499,11 +480,6 @@ def test_tree_equality(ex1):
 def test_tree_is_unequal_to_other_types():
     assert not (GameTree.complete(2, 1) == "x")
     assert GameTree.complete(2, 1) != "x"
-
-
-def test_tree_rejects_duplicate_siblings():
-    with pytest.raises(ValueError, match="duplicate sibling"):
-        GameTree(2, {(): [0, 0], (0,): []})
 
 
 def test_children_and_tags_of_unknown_position(ex1):

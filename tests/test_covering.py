@@ -101,8 +101,8 @@ def test_position_map_catches_monotonicity_violation(ex1):
 def test_position_map_catches_taboo_violation():
     from unraveling.core import GameTree
 
-    target = GameTree.from_nodes(2, [(0,), (1,), (0, 0)], {(1,): Player.II})
-    source = GameTree.from_nodes(2, [(0,), (1,), (0, 0)], {(1,): Player.I})
+    target = GameTree(2, [(0,), (1,), (0, 0)], {(1,): Player.II})
+    source = GameTree(2, [(0,), (1,), (0, 0)], {(1,): Player.I})
     broken = Covering(
         source, target, 0, identity_images(source), lambda s: s, lambda s, x: x
     )
@@ -137,7 +137,7 @@ def test_position_map_catches_each_fault(ex1, ex2, fault, expected):
     elif fault == "not the identity":
         level, images[ex1._id((0, 0))] = 2, ex1._id((0, 1))
     elif fault == "children differ":  # the source drops the root's move 1
-        source = GameTree.from_nodes(4, [p for p in ex1.positions() if p and p[0] == 0])
+        source = GameTree(4, [p for p in ex1.positions() if p and p[0] == 0])
         level = 2
         images = array("i", map(ex1._id, source.positions()))
     else:  # the source tags 0/0 as a taboo the target does not have

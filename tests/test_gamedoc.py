@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import unraveling.gamedoc as gamedoc
+import unraveling.core as core
 from unraveling.core import ArenaError, GameTree, Player, format_position
 from unraveling.gamedoc import (
     GameDocError,
@@ -213,6 +213,9 @@ MORE_REJECTIONS = [
     (lambda t: t.replace("0/0\n", "\u0660/0\n"), "bad path component '\u0660'", 7),
     (lambda t: t.replace("ALPHABET 2", "ALPHABET \u00b2"), "ALPHABET must be a non-negative", 2),
     (lambda t: t.replace("DEPTH 2", "DEPTH \u00b2"), "DEPTH must be a non-negative", 3),
+    # a node written twice, in two forms: its canonical text finds the repeat
+    (lambda t: t.replace("0/1\n", "0/1\n0/01\n"), "duplicate node 0/01", 9),
+    (lambda t: t.replace("0/0\n0/1\n", "0/01\n0/0\n0/1\n"), "duplicate node 0/1", 9),
 ]
 
 
@@ -340,20 +343,38 @@ def test_mutated_fixtures_keep_their_recorded_outcomes(fixtures_dir):
         assert _mutation_outcome(text, texts[name]) == expected, (index, name, text)
 
 
-def test_mutated_fixtures_keep_their_recorded_outcomes_row_by_row(fixtures_dir, monkeypatch):
-    """The corpus again with the linear NODES pass turned off, so every case
-    takes the row-by-row reader, ``from_nodes`` and the sorting constructor."""
-    monkeypatch.setattr(gamedoc, "_nodes_in_order", lambda rows, alphabet, most: None)
+def _counted_passes(monkeypatch, refuse_first: bool = False) -> list[int]:
+    """Count the calls of the constructor's pass, ``core._layout``, in a
+    list's one item; with ``refuse_first`` every constructor's first pass
+    refuses, so its positions are sorted and read again."""
+    layout, passes = core._layout, [0]
+
+    def counted(nodes):
+        passes[0] += 1
+        if refuse_first and passes[0] % 2:
+            return None, None, ()
+        return layout(nodes)
+
+    monkeypatch.setattr(core, "_layout", counted)
+    return passes
+
+
+def test_mutated_fixtures_keep_their_recorded_outcomes_through_the_sort(
+    fixtures_dir, monkeypatch
+):
+    """The corpus again with the constructor's first pass made to refuse,
+    so every tree is built from positions sorted level by level."""
+    passes = _counted_passes(monkeypatch, refuse_first=True)
     test_mutated_fixtures_keep_their_recorded_outcomes(fixtures_dir)
+    assert passes[0] > 0 and passes[0] % 2 == 0
 
 
 # ------------------------------------------------------- the linear route
 
 
 def test_canonical_files_take_the_linear_route(fixtures_dir, monkeypatch):
-    """Every fixture and every ``format_game`` text is read in one pass:
-    neither the row-by-row reader, nor ``from_nodes``, nor the sorting
-    constructor runs."""
+    """Every fixture and every ``format_game`` text is stored by one pass
+    of the constructor, which never reaches its sort."""
     fixtures = [path.read_text() for path in sorted(fixtures_dir.glob("*.game"))]
     written = []  # seeded random games and their text, closed and open in turn
     for index in range(20):
@@ -361,16 +382,15 @@ def test_canonical_files_take_the_linear_route(fixtures_dir, monkeypatch):
         payoff = Open(spec) if index % 2 else Closed(spec)
         written.append((tree, format_game(to_document(tree, payoff))))
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("left the linear route")
-
-    monkeypatch.setattr(gamedoc, "_nodes_by_row", refuse)
-    monkeypatch.setattr(GameTree, "from_nodes", refuse)
-    monkeypatch.setattr(GameTree, "__init__", refuse)
+    passes = _counted_passes(monkeypatch)
     for text in fixtures:
+        passes[0] = 0
         assert format_game(parse_game(text)) == text
+        assert passes[0] == 1
     for tree, text in written:
+        passes[0] = 0
         document = parse_game(text)
+        assert passes[0] == 1
         assert document.tree == tree
         assert format_game(document) == text
 
@@ -417,12 +437,12 @@ ROOT_ROWS = [(0,), (1,), (0, 0)]
     ],
 )
 def test_both_routes_reject_as_from_nodes_does(depth, nodes, taboo, row, monkeypatch):
-    """A structural fault in a file is named as ``from_nodes`` names it, and
-    on the same row, whether the rows are canonical (the linear pass and
-    the checked id entry) or reversed (the row reader, ``from_nodes`` and
-    the constructor)."""
+    """A structural fault in a file is named as the constructor names it
+    for the file's positions, and on the same row, whether the rows are
+    canonical (one pass) or reversed (the pass, the sort and a second
+    pass)."""
     with pytest.raises(ArenaError) as raised:
-        GameTree.from_nodes(depth, nodes, taboo)
+        GameTree(depth, nodes, taboo)
     text = (
         f"GAME v1\nALPHABET 8\nDEPTH {depth}\nNODES\n"
         + "".join(format_position(p) + "\n" for p in nodes)
@@ -433,14 +453,12 @@ def test_both_routes_reject_as_from_nodes_does(depth, nodes, taboo, row, monkeyp
     reversed_rows = _nodes_rewritten(text, "reversed", random.Random(0))
     assert reversed_rows != text
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("took the other route")
-
-    for document, entry in [(text, "from_nodes"), (reversed_rows, "_from_ids_checked")]:
-        with monkeypatch.context() as patch:
-            patch.setattr(GameTree, entry, refuse)
-            with pytest.raises(GameDocError) as parsed:
-                parse_game(document)
+    passes = _counted_passes(monkeypatch)
+    for document, count in [(text, 1), (reversed_rows, 2)]:
+        passes[0] = 0
+        with pytest.raises(GameDocError) as parsed:
+            parse_game(document)
+        assert passes[0] == count
         assert parsed.value.message == str(raised.value)
         assert parsed.value.col is None
         assert document.splitlines()[parsed.value.line - 1] == row

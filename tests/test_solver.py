@@ -49,14 +49,14 @@ def test_solve_forced_taboo_variants(ex3):
     # EX3 with 0/0/1 made early-terminal: the mover at 0/0 is player I.
     nodes = [(0,), (0, 0), (0, 0, 0), (0, 0, 1), (0, 0, 0, 0)]
     for owner, winner in ((Player.II, Player.I), (Player.I, Player.II)):
-        tree = GameTree.from_nodes(4, nodes, {(0, 0, 1): owner})
+        tree = GameTree(4, nodes, {(0, 0, 1): owner})
         solution = solve(tree, frozenset())
         assert solution.winner is winner
         assert is_winning_strategy(tree, frozenset(), solution.strategy)
 
 
 def test_solve_degenerate_root_terminal():
-    tree = GameTree(2, {(): []}, {(): Player.II})
+    tree = GameTree(2, [], {(): Player.II})
     solution = solve(tree, frozenset())
     assert solution.winner is Player.I
     assert solution.strategy.choices == {}
@@ -145,7 +145,7 @@ def test_prune_builds_only_the_remainder_and_shares_witnesses(monkeypatch):
         (1, 1), (1, 1, 0), (1, 1, 0, 0), (1, 1, 1),
     ]
     taboo = {(0, 0, 0): Player.II, (1, 0, 1): Player.II, (1, 1, 1): Player.I}
-    tree = GameTree.from_nodes(4, nodes, taboo)
+    tree = GameTree(4, nodes, taboo)
     built = []
     store = GameTree._store  # both entries, the checked one and ``_from_ids``, end here
 
@@ -208,7 +208,7 @@ def test_prune_removes_taboo_node(ex2):
 
 def test_prune_root_determined():
     # Both root moves lead to taboos against player II.
-    tree = GameTree.from_nodes(2, [(0,), (1,)], {(0,): Player.II, (1,): Player.II})
+    tree = GameTree(2, [(0,), (1,)], {(0,): Player.II, (1,): Player.II})
     result = prune(tree)
     assert result.tree is None
     assert result.root_determined is Player.I
@@ -229,7 +229,7 @@ def test_prune_closure_counterexample():
         (0, 0, 1, 0), (0, 0, 1, 1),
         (0, 1, 0, 0), (0, 1, 0, 1), (0, 1, 1, 0), (0, 1, 1, 1),
     ]
-    tree = GameTree.from_nodes(4, nodes, {(0, 0, 0): Player.II})
+    tree = GameTree(4, nodes, {(0, 0, 0): Player.II})
     result = prune(tree)
     assert result.determined == {(0, 0): Player.I, (0, 0, 0): Player.I}
     assert (0, 0, 1) not in result.determined  # determinedness is not child-hereditary
@@ -291,7 +291,7 @@ def test_transfer_wins_with_empty_payoff(ex2):
 def test_transfer_follows_witness_on_deviation():
     """Player II deviates into a region where player I forces the taboo."""
     nodes = [(0,), (0, 0), (0, 1), (0, 0, 0), (0, 1, 0), (0, 0, 0, 0)]
-    tree = GameTree.from_nodes(4, nodes, {(0, 1, 0): Player.II})
+    tree = GameTree(4, nodes, {(0, 1, 0): Player.II})
     payoff = frozenset({(0, 0, 0, 0)})
     result = prune(tree)
     assert result.determined[(0, 1)] is Player.I
@@ -311,7 +311,7 @@ def test_transfer_rejects_an_opponent_entry_determined_against_the_owner():
     """A planted fault: the entry 0/1, which player II moves into, marked as
     determined for player II."""
     nodes = [(0,), (0, 0), (0, 1), (0, 0, 0), (0, 1, 0), (0, 0, 0, 0)]
-    tree = GameTree.from_nodes(4, nodes, {(0, 1, 0): Player.II})
+    tree = GameTree(4, nodes, {(0, 1, 0): Player.II})
     result = prune(tree)
     faulty = dataclasses.replace(result, determined={**result.determined, (0, 1): Player.II})
     strategy = oracles.least_strategy(result.tree, Player.I)
@@ -322,7 +322,7 @@ def test_transfer_rejects_an_opponent_entry_determined_against_the_owner():
 
 
 def test_transfer_rejects_root_determined():
-    tree = GameTree.from_nodes(2, [(0,)], {(0,): Player.II})
+    tree = GameTree(2, [(0,)], {(0,): Player.II})
     result = prune(tree)
     other = oracles.least_strategy(GameTree.complete(2, 1), Player.I)
     with pytest.raises(ValueError, match="root"):

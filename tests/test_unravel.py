@@ -166,7 +166,7 @@ def test_base_covering_inherits_taboos(ex2):
 
 def test_base_covering_taboo_claim_nodes():
     # the move itself lands on a taboo: every claim node carries the same tag
-    tree = GameTree.from_nodes(
+    tree = GameTree(
         4, [(0,), (1,), (1, 0), (1, 0, 0), (1, 0, 0, 0)], {(0,): Player.I}
     )
     covering = build_base_covering(tree, ClosedSpec(), 0)
@@ -469,7 +469,7 @@ def test_end_to_end_determinacy_base(seed):
 def test_lift_of_play_inside_copied_levels():
     # taboo at depth 1 sits inside the identity region of a level-2 covering;
     # its lift is the play itself
-    tree = GameTree.from_nodes(
+    tree = GameTree(
         6,
         [(0,), (1,)] + [tuple([0] * n) for n in range(2, 7)],
         {(1,): Player.II},
@@ -970,6 +970,45 @@ def test_node_cap_admits_exactly_the_node_count():
             assert build_base_covering(tree, spec, k, node_max=count).source.node_count == count
             with pytest.raises(ResourceLimitError, match=f"exceeds {count - 1} nodes"):
                 build_base_covering(tree, spec, k, node_max=count - 1)
+
+
+def _deep_trees():
+    """Trees deeper than 25 whose base coverings hold far more than 25
+    position labels a node: a fork whose branch 0/0 the closed set avoids
+    (so 0/0 is the move's one frontier node, claimed or not, and
+    challenged), and a binary top of depth 3 with a chain of 0s under
+    each of its leaves, with two generators."""
+    depth = 100
+    fork = [(0,), *((0, branch) + (0,) * n for n in range(depth - 1) for branch in (0, 1))]
+    yield GameTree(depth, fork), ClosedSpec([(0, 0, 0)]), 0
+    top = [p for d in (1, 2, 3) for p in itertools.product((0, 1), repeat=d)]
+    chains = [p + (0,) * n for p in top if len(p) == 3 for n in range(1, depth - 2)]
+    for k in (0, 2):
+        yield GameTree(depth, top + chains), ClosedSpec([(0, 0, 0), (1, 1, 1)]), k
+
+
+def test_label_budget_admits_exactly_the_label_count(monkeypatch):
+    """The source's position labels are counted exactly, move by move,
+    before anything is written, and the budget is 25 per node of the cap."""
+    counted = []
+    check = unravel_module._check_label_budget
+    monkeypatch.setattr(
+        unravel_module,
+        "_check_label_budget",
+        lambda what, labels, node_max: (counted.append(labels), check(what, labels, node_max)),
+    )
+    for tree, spec, k in _deep_trees():
+        source = build_base_covering(tree, spec, k).source
+        labels = sum(map(len, source.positions()))
+        assert counted[-1] == labels
+        node_max = -(-labels // 25)  # the least cap whose budget holds them
+        assert source.node_count < node_max - 1
+        assert build_base_covering(tree, spec, k, node_max=node_max).source == source
+        with pytest.raises(
+            ResourceLimitError,
+            match=rf"covering source exceeds {25 * (node_max - 1)} position labels \(25 per",
+        ):
+            build_base_covering(tree, spec, k, node_max=node_max - 1)
 
 
 # ------------------------------- the level-by-level build, against its oracles
