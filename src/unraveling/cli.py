@@ -140,8 +140,10 @@ def _print(report: Report) -> int:
     return EXIT_OK if report.ok else EXIT_VIOLATION
 
 
-def solve_report(name, tree, payoff, leaves) -> Report:
-    solution = solve(tree, leaves)
+def solve_report(name, tree, payoff, leaves, *, solution=None) -> Report:
+    """``solution``, if given, is ``solve(tree, leaves)`` done already."""
+    if solution is None:
+        solution = solve(tree, leaves)
     report = Report("solve", strategy=solution.strategy)
     report.add("file", name)
     report.add("winner", solution.winner)
@@ -149,7 +151,9 @@ def solve_report(name, tree, payoff, leaves) -> Report:
     return report
 
 
-def prune_report(name, tree, payoff, leaves) -> Report:
+def prune_report(name, tree, payoff, leaves, *, solution=None) -> Report:
+    """``solution``, if given, is ``solve(tree, leaves)`` done already; the
+    remainder's winner is compared with its winner."""
     result = prune(tree)
     report = Report("prune")
     report.add("file", name)
@@ -162,13 +166,13 @@ def prune_report(name, tree, payoff, leaves) -> Report:
         return report
     report.add("remainder-nodes", result.tree.node_count)
     kept = bytes(map(leaves.__contains__, result.tree.full_depth_plays()))
-    solution = solve(result.tree, Plays(result.tree, kept))
-    direct = solve(tree, leaves)
-    report.add("winner", solution.winner)
-    matches = solution.winner is direct.winner
+    remainder = solve(result.tree, Plays(result.tree, kept))
+    direct = solve(tree, leaves) if solution is None else solution
+    report.add("winner", remainder.winner)
+    matches = remainder.winner is direct.winner
     detail = None if matches else f"the direct solve is won by {direct.winner}"
     report.check("winner-matches-direct-solve", CheckResult(matches, detail))
-    transferred = transfer_from_pruned(tree, result, solution.strategy)
+    transferred = transfer_from_pruned(tree, result, remainder.strategy)
     report.check("transferred-strategy-wins", is_winning_strategy(tree, leaves, transferred))
     return report
 
@@ -294,14 +298,18 @@ def cmd_fuzz(args) -> int:
 def _fuzz_one(tree, payoff, leaves, index, zmax) -> str | None:
     """The first check of the ``solve``, ``prune`` and ``verify`` reports
     on one random game that fails, named with its command, or ``None``.
-    A covering over the caps raises ``ResourceLimitError``."""
+    A covering over the caps raises ``ResourceLimitError``.  The game is
+    solved once, for both the ``solve`` and the ``prune`` report."""
     name = f"sample-{index}"
-    for build, extra in (
-        (solve_report, ()),
-        (prune_report, ()),
-        (verify_report, (0, FUZZ_VERIFY_SAMPLES, index, zmax)),
+    solution = solve(tree, leaves)
+    for build in (
+        functools.partial(solve_report, solution=solution),
+        functools.partial(prune_report, solution=solution),
+        functools.partial(
+            verify_report, k=0, samples=FUZZ_VERIFY_SAMPLES, seed=index, frontier_max=zmax
+        ),
     ):
-        report = build(name, tree, payoff, leaves, *extra)
+        report = build(name, tree, payoff, leaves)
         for check, ok, detail in report.checks:
             if not ok:
                 return f"{report.command} {check}" + (f": {detail}" if detail else "")

@@ -7,10 +7,11 @@ move with a *claimed* subset of the move's frontier; the second player
 either accepts (play continues normally but stops with a taboo verdict the
 moment a frontier position is reached) or challenges one claimed position
 (play is then confined to its subtree).  One subtree copy builds both
-branches, and every claim on a move shares the same reply objects: one
-``Accept`` per base move and one ``Challenge`` per frontier position.  The
-strategy maps reuse them, and read player II's replies to the claims on a
-move in a single scan.
+branches, and every claim in a build shares the same reply objects: one
+``Accept`` per base move and one ``Challenge`` per frontier position, and
+the accepts that answer a move are one tuple per tuple of its child
+labels.  The strategy maps reuse them, and read player II's replies to
+the claims on a move in a single scan.
 
 The *frontier* of a move is the antichain of minimal non-terminal
 extensions from whose subtrees the payoff set is unreachable: the claimed
@@ -33,12 +34,16 @@ copy holds, split only at the frontier nodes, which stay as leaves; a
 challenge template holds the chain down to one frontier position and
 then its subtree, one id range per depth.  Their lengths give the move's
 exact node count, so either cap fails at the same move, with the same
-message, as if the nodes were built one by one.  Below the claims each
-depth is the claims' templates at that depth, written in claim order as
-target ids.  A node's child labels and tag are its image's unless it is
-a level-k node (its claims), a claim (its replies), a cut frontier node
-or a chain node, and positions follow from their parents' positions and
-child labels.
+message, as if the nodes were built one by one.  The claim order of a
+frontier depends on its size alone, so it is one table per size for the
+whole process (``_claim_order``), read only after the move passed both
+caps; a move with an empty frontier has one claim, of nothing, and gets
+no frontier work at all.  Below the claims each depth is the claims'
+templates at that depth, written in claim order as target ids.  A
+node's child labels and tag are its image's unless it is a level-k node
+(its claims), a claim (its replies), a cut frontier node or a chain
+node, and positions follow from their parents' positions and child
+labels.
 
 ``unravel_payoff`` unravels any payoff expression by induction: unions
 stack their parts' coverings at climbing identity levels and finish with
@@ -48,6 +53,7 @@ union; a complement reuses its operand's covering.
 
 from __future__ import annotations
 
+import functools
 from array import array
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
@@ -151,6 +157,15 @@ def _subsets_counter(items) -> Iterator[tuple]:
     """All subsets of an ordered sequence, in binary-counter order."""
     for mask in range(1 << len(items)):
         yield tuple(item for i, item in enumerate(items) if mask >> i & 1)
+
+
+@functools.cache
+def _claim_order(size: int) -> tuple[tuple[int, ...], ...]:
+    """The claimed index tuples of a frontier of ``size`` positions, in
+    claim order (lexicographic).  Shared by every build in the process; a
+    build asks for a size only once ``1 << size`` claims passed its node
+    cap, so no table holds more claims than a build may write."""
+    return tuple(sorted(_subsets_counter(range(size))))
 
 
 def _generator_floor(k: int, depth: int) -> int:
@@ -276,20 +291,27 @@ def build_base_covering(
     ``level + 2``; the same certificate covers the complement.
 
     Up to ``level`` the source holds the target's own nodes and ids.  Each
-    move then gets its templates (``_accept_template`` and one
-    ``_challenge_template`` per frontier node), its frontier is checked
-    against ``frontier_max``, the node count of its claims, summed from
-    the template lengths, against ``node_max`` and their position labels
-    against the label budget (``_check_label_budget``), and its claims are
-    written in the order of their claimed index tuples.  Below them the
-    source is written one depth at a time: for each claim in order, the
-    target ids of its accept template at that depth, then those of its
-    claimed positions' challenge templates.  That array is the covering's
-    position map; child labels and tags are its images' except at the
-    claims, the replies, the cut frontier nodes (no children and a
-    verdict tag) and the chain nodes (only the move toward the challenged
-    position), which are recorded as their ids are written.  Positions
-    follow, one depth at a time, from their parents and child labels.
+    move then gets its accept template (``_accept_template``), its
+    frontier is checked against ``frontier_max``, it gets one
+    ``_challenge_template`` per frontier node, the node count of its
+    claims, summed from the template lengths, is checked against
+    ``node_max`` and their position labels against the label budget
+    (``_check_label_budget``), and its claims are written in the order of
+    their claimed index tuples: the process-wide table of its frontier
+    size (``_claim_order``), read only now.  Each claim is answered by the
+    build's one tuple of accepts for the move's child labels plus the
+    challenges of its claimed positions.  A move with an empty frontier
+    skips the sort, the challenge templates, their sums and the cut remap,
+    and writes its one claim ``Claim(a, ())`` answered by that tuple
+    alone.  Below the claims the source is written one depth at a time:
+    for each claim in order, the target ids of its accept template at that
+    depth, then those of its claimed positions' challenge templates.  That
+    array is the covering's position map; child labels and tags are its
+    images' except at the claims, the replies, the cut frontier nodes (no
+    children and a verdict tag) and the chain nodes (only the move toward
+    the challenged position), which are recorded as their ids are written.
+    Positions follow, one depth at a time, from their parents and child
+    labels.
     """
     if level < 0:
         raise ValueError(f"level {level} is negative")
@@ -327,6 +349,7 @@ def build_base_covering(
     frontiers: dict[tuple[Position, Label], tuple[Position, ...]] = {}
     accepts: dict[Label, Accept] = {}
     challenges: dict[Position, Challenge] = {}
+    kept_for: dict[tuple[Label, ...], tuple[Accept, ...]] = {}  # accepts by child labels
 
     # The claims on a move come in the order of their claimed index tuples:
     # the frontier is in lexicographic order, so that is the label order.
@@ -341,16 +364,19 @@ def build_base_covering(
         claims = []
         for base, a in zip(range(first[i], first[i + 1]), labels_of[i]):
             blocks, cuts, front_ids = _accept_template(tree, meets, base, k)
-            front_ids.sort(key=ordered.__getitem__)  # lexicographic: an antichain
-            if len(front_ids) > frontier_max:
+            size = len(front_ids)
+            if size > frontier_max:
                 raise ResourceLimitError(
-                    f"frontier size {len(front_ids)} exceeds cap {frontier_max}"
+                    f"frontier size {size} exceeds cap {frontier_max}"
                     f" at {format_position(ordered[base])}"
                 )
-            chains = [_challenge_template(tree, base, q, k) for q in front_ids]
-            subsets = 1 << len(front_ids)  # each frontier node is claimed in half of them
+            subsets = 1 << size  # each frontier node is claimed in half of them
             total += subsets * (1 + sum(map(len, blocks)))
-            total += subsets // 2 * sum(len(ids) for template in chains for ids, _ in template)
+            chains = []
+            if size:
+                front_ids.sort(key=ordered.__getitem__)  # lexicographic: an antichain
+                chains = [_challenge_template(tree, base, q, k) for q in front_ids]
+                total += subsets // 2 * sum(len(ids) for template in chains for ids, _ in template)
             if total > node_max:
                 raise ResourceLimitError(f"covering source exceeds {node_max} nodes")
             if count_labels:  # a claim is at depth k + 1, template row t at k + 2 + t
@@ -361,17 +387,27 @@ def build_base_covering(
                     for d, (ids, _) in enumerate(template, k + 2)
                 )
                 _check_label_budget("covering source", held, node_max)
-            if front_ids:
+            child_labels = labels_of[base]
+            kept = kept_for.get(child_labels)
+            if kept is None:
+                kept = kept_for[child_labels] = tuple(
+                    accepts.setdefault(b, Accept(b)) for b in child_labels
+                )
+            order = _claim_order(size)  # only now: 1 << size claims passed the node cap
+            if size:
                 index = {q: n for n, q in enumerate(front_ids)}
                 cuts = [[(offset, index[q]) for offset, q in cut] for cut in cuts]
-            front = frontiers[(p, a)] = tuple(map(ordered.__getitem__, front_ids))
-            kept = tuple(accepts.setdefault(b, Accept(b)) for b in labels_of[base])
-            replies = [challenges.setdefault(q, Challenge(q, q[k + 1])) for q in front]
-            order = sorted(_subsets_counter(range(len(front))))
-            for claimed in order:
-                claims.append(Claim(a, tuple(map(front.__getitem__, claimed))))
-                replied.append(kept + tuple(map(replies.__getitem__, claimed)))
-            images.extend(repeat(base, len(order)))
+                front = frontiers[(p, a)] = tuple(map(ordered.__getitem__, front_ids))
+                replies = [challenges.setdefault(q, Challenge(q, q[k + 1])) for q in front]
+                for claimed in order:
+                    claims.append(Claim(a, tuple(map(front.__getitem__, claimed))))
+                    replied.append(kept + tuple(map(replies.__getitem__, claimed)))
+                images.extend(repeat(base, subsets))
+            else:  # one claim, of nothing, answered by the accepts alone
+                frontiers[(p, a)] = ()
+                claims.append(Claim(a, ()))
+                replied.append(kept)
+                images.append(base)
             move_rows.append((blocks, cuts, chains, order))
         node_claims.append(tuple(claims))
 

@@ -779,15 +779,38 @@ def test_fuzz_counts_the_samples_over_the_caps():
     assert "check all-samples: ok (100/100; 71 over the caps, covering not checked)\n" in out
 
 
+def test_fuzz_solves_each_drawn_game_once(monkeypatch):
+    """The ``solve`` and ``prune`` reports of a fuzz sample share one solve
+    of the drawn game; the prune report still solves its remainder."""
+    drawn, solved = [], []
+    fuzz_one, solve = cli._fuzz_one, cli.solve
+
+    def recording_fuzz_one(tree, *rest):
+        drawn.append(tree)
+        return fuzz_one(tree, *rest)
+
+    def recording_solve(tree, leaves):
+        solved.append(tree)
+        return solve(tree, leaves)
+
+    monkeypatch.setattr(cli, "_fuzz_one", recording_fuzz_one)
+    monkeypatch.setattr(cli, "solve", recording_solve)
+    code, out, _ = run_cli("fuzz", "--samples", "1", "--seed", "1")
+    assert code == 0, out
+    [tree] = drawn
+    assert sum(t is tree for t in solved) == 1
+    assert len(solved) == 2  # and once the prune remainder
+
+
 def test_fuzz_odd_samples_use_the_open_payoff(monkeypatch):
     """Sample 1 fuzzes the complement of its drawn closed set, and its
     counterexample is that game with ``PAYOFF open``."""
     solve_report = cli.solve_report
     payoffs = []
 
-    def failing_second(name, tree, payoff, leaves):
+    def failing_second(name, tree, payoff, leaves, **known):
         payoffs.append(payoff)
-        report = solve_report(name, tree, payoff, leaves)
+        report = solve_report(name, tree, payoff, leaves, **known)
         report.check("forced", CheckResult(len(payoffs) < 2))
         return report
 

@@ -972,6 +972,79 @@ def test_node_cap_admits_exactly_the_node_count():
                 build_base_covering(tree, spec, k, node_max=count - 1)
 
 
+def test_claim_tables_are_the_sorted_counter_order():
+    for size in range(11):
+        expected = sorted(unravel_module._subsets_counter(range(size)))
+        assert list(unravel_module._claim_order(size)) == expected
+
+
+def test_a_move_over_a_cap_asks_for_no_claim_table(monkeypatch):
+    """Each move asks for the claim table of its frontier size only after
+    its frontier and its nodes passed the caps, so a move that fails a cap
+    builds no table of its size."""
+    asked = []
+    table = unravel_module._claim_order
+    monkeypatch.setattr(
+        unravel_module, "_claim_order", lambda size: (asked.append(size), table(size))[1]
+    )
+    checked = 0
+    for seed in range(12):
+        tree, spec = random_game(f"caps:{seed}", depth=6, branching=3)
+        for k in (0, 2):
+            asked.clear()
+            covering = build_base_covering(tree, spec, k)
+            sizes = [len(front) for front in covering.frontiers.values()]  # move order
+            assert asked == sizes
+            largest = sizes[-1]
+            if largest <= max(sizes[:-1], default=0):
+                continue  # wanted: the last move alone has the largest frontier
+            checked += 1
+            asked.clear()
+            with pytest.raises(ResourceLimitError, match=f"frontier size {largest} exceeds"):
+                build_base_covering(tree, spec, k, frontier_max=largest - 1)
+            assert asked == sizes[:-1]
+            asked.clear()
+            count = covering.source.node_count
+            with pytest.raises(ResourceLimitError, match=f"exceeds {count - 1} nodes"):
+                build_base_covering(tree, spec, k, node_max=count - 1)
+            assert asked == sizes[:-1]
+    assert checked >= 2, checked
+
+
+def assert_replies_are_shared(covering):
+    """Every claim's replies are the construction's objects: one ``Accept``
+    per move label and one ``Challenge`` per frontier position, by identity
+    across moves; the claims of nothing on moves with equal child labels
+    share one reply tuple."""
+    source, k = covering.source, covering.level
+    objects: dict = {}
+    by_labels: dict = {}
+    for claim_id in range(source._levels[k + 1], source._levels[k + 2]):
+        replies = source._labels[claim_id]
+        for reply in replies:
+            assert objects.setdefault(reply, reply) is reply
+        claim = source._ordered[claim_id][-1]
+        if not claim.claimed:
+            assert by_labels.setdefault(replies, replies) is replies
+    challenged = {reply.target for reply in objects if isinstance(reply, Challenge)}
+    assert challenged == {q for front in covering.frontiers.values() for q in front}
+    return objects
+
+
+def test_claims_share_their_reply_objects(ex1, fixtures_dir, monkeypatch):
+    shared = assert_replies_are_shared(build_base_covering(ex1, ClosedSpec([(1,)]), 0))
+    assert set(shared) == {Accept(0), Accept(1), Challenge((1, 0), 0), Challenge((1, 1), 1)}
+    document = parse_game_bytes((fixtures_dir / "depth6.game").read_bytes())
+    covering, _ = unravel_payoff(document.tree, document.payoff, 2)
+    assert covering.level == 2 and any(covering.frontiers.values())
+    assert_replies_are_shared(covering)
+    stages = recorded_stages(monkeypatch)
+    tree, specs = random_union_instance("shared-replies:0", depth=6, parts=3)
+    unravel_payoff(tree, ClosedUnion(specs), 0, frontier_max=3)
+    assert any(map(any, stages[-1].frontiers.values()))
+    assert_replies_are_shared(stages[-1])
+
+
 def _deep_trees():
     """Trees deeper than 25 whose base coverings hold far more than 25
     position labels a node: a fork whose branch 0/0 the closed set avoids
