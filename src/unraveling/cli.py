@@ -140,10 +140,8 @@ def _print(report: Report) -> int:
     return EXIT_OK if report.ok else EXIT_VIOLATION
 
 
-def solve_report(name, tree, payoff, leaves, *, solution=None) -> Report:
-    """``solution``, if given, is ``solve(tree, leaves)`` done already."""
-    if solution is None:
-        solution = solve(tree, leaves)
+def solve_report(name, tree, payoff, leaves, *, solution) -> Report:
+    """``solution`` is ``solve(tree, leaves)``."""
     report = Report("solve", strategy=solution.strategy)
     report.add("file", name)
     report.add("winner", solution.winner)
@@ -178,7 +176,8 @@ def prune_report(name, tree, payoff, leaves, *, solution=None) -> Report:
 
 
 def cmd_solve(args) -> int:
-    return _print(solve_report(args.file, *_load(args.file)))
+    tree, payoff, leaves = _load(args.file)
+    return _print(solve_report(args.file, tree, payoff, leaves, solution=solve(tree, leaves)))
 
 
 def cmd_prune(args) -> int:

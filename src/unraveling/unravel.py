@@ -164,7 +164,9 @@ def _claim_order(size: int) -> tuple[tuple[int, ...], ...]:
     """The claimed index tuples of a frontier of ``size`` positions, in
     claim order (lexicographic).  Shared by every build in the process; a
     build asks for a size only once ``1 << size`` claims passed its node
-    cap, so no table holds more claims than a build may write."""
+    cap, so no table holds more claims than that build may write.  A table
+    outlives the build that filled it: after one build with large caps,
+    its ``1 << size`` tuples stay in memory until the process ends."""
     return tuple(sorted(_subsets_counter(range(size))))
 
 
