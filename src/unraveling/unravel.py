@@ -442,12 +442,17 @@ def build_base_covering(
     return BaseCovering(source, tree, k, images, transform, lift, frontiers, spec)
 
 
+_UNKNOWN = object()  # a choice not computed yet: no label is this object
+
+
 class _LazyChoices(Mapping):
     """The choices of a mapped strategy, each computed on its first lookup
     and then kept.  The keys are the owner's decision positions of the
     target (``GameTree.decisions``), so ``len``, iteration and ``in`` never
     compute a choice.
 
+    A lookup reads a computed choice with one ``dict.get``, so the first
+    read of a position raises nothing on the way to computing it.
     ``Mapping.get`` reads a ``KeyError`` as "no choice", so one raised while
     a choice is computed (a source strategy that is not total) leaves as a
     ``ValueError`` naming the position instead.
@@ -461,10 +466,10 @@ class _LazyChoices(Mapping):
         self._known: dict[Position, Label] = {}
 
     def __getitem__(self, position: Position) -> Label:
-        try:
-            return self._known[position]
-        except KeyError:
-            labels = self._keys[position]  # a KeyError here is "no choice"
+        choice = self._known.get(position, _UNKNOWN)
+        if choice is not _UNKNOWN:
+            return choice
+        labels = self._keys[position]  # a KeyError here is "no choice"
         try:
             choice = self._known[position] = self._choose(position, labels)
         except KeyError:
@@ -497,30 +502,27 @@ def _strategy_maps(tree: GameTree, k: int, frontiers, accepts, challenges):
     scan of II's replies to the claims on a move finds both.  Past a
     frontier position the owner gave up (unclaimed by I, claimed but
     unchallenged against II) the node is the one cut at that position, a
-    taboo against the owner, and inexact.  The replies are the
-    construction's own objects, ``accepts`` by move label and
-    ``challenges`` by frontier position (its keys are every frontier
-    position).  The transform follows the strategy at exact nodes and
-    takes the least move elsewhere; the lift is the located node.
+    taboo against the owner, and inexact.  The frontier position on ``x``,
+    if any, is found in its own move's frontier, ``frontiers[(p, a)]``: an
+    antichain, so at most one of its positions is a prefix of ``x``.  The
+    replies are the construction's own objects, ``accepts`` by move label
+    and ``challenges`` by frontier position, which is only the reply
+    table.  The transform follows the strategy at exact nodes and takes
+    the least move elsewhere; the lift is the located node.
 
     The image is lazy: its choices are a ``_LazyChoices`` over the target's
     decision table, and each is located and computed on its first lookup,
     so a check that reads only the choices along consistent plays computes
-    only those.  The invariant that player II's reply to the
-    never-challenged claim is an accept is therefore checked when that
-    choice is looked up, not when the strategy is mapped.
+    only those; a choice already computed costs one dict probe.  The
+    invariant that player II's reply to the never-challenged claim is an
+    accept is therefore checked when that choice is looked up, not when
+    the strategy is mapped.
 
     The two maps share one record of the last strategy seen, by identity
     (a strategy's choices never change), with its locator and its image,
     so a check that maps a strategy and then lifts its plays maps it once,
     scans II's replies once, and keeps the choices already computed.
     """
-
-    def frontier_prefix(x: Position) -> Position | None:
-        for end in range(k + 2, len(x) + 1):
-            if x[:end] in challenges:
-                return x[:end]  # the frontier is an antichain: first hit is the only one
-        return None
 
     def locator(strategy: Strategy):
         first = strategy.owner is Player.I
@@ -556,8 +558,10 @@ def _strategy_maps(tree: GameTree, k: int, frontiers, accepts, challenges):
                 claim, rebased = scan(p, a)
             if len(x) == k + 1:
                 return p + (claim,), True
-            hit = frontier_prefix(x)
-            if hit is None:
+            for hit in frontiers[(p, a)]:  # an antichain: at most one is on x
+                if x[: len(hit)] == hit:
+                    break
+            else:
                 return p + (claim, accepts[x[k + 1]]) + x[k + 2 :], True
             if first and hit in claim.claimed:
                 return p + (claim, challenges[hit]) + x[k + 2 :], True
@@ -628,6 +632,9 @@ def unravel_payoff(
     unravels at the smallest even level at least ``level + n``; the
     complement of the pulled-back union is then closed at the deepest depth
     the parts return, and one more base covering at ``level`` finishes.
+    A ``ValueError`` or ``ResourceLimitError`` from a stage names it
+    (``stage n: ``); the finishing covering is not a stage, so its errors
+    do not.
     """
     caps = dict(frontier_max=frontier_max, node_max=node_max)
     if isinstance(payoff, Closed):
@@ -652,6 +659,8 @@ def unravel_payoff(
             built, decided = unravel_payoff(current, part, stage, **caps)
         except ValueError as error:
             raise ValueError(f"stage {n}: {error}") from None
+        except ResourceLimitError as error:
+            raise ResourceLimitError(f"stage {n}: {error}") from None
         composite = built if composite is None else compose(composite, built)
         current = composite.source
         deepest = max(deepest, decided)

@@ -681,3 +681,64 @@ def _checked_frontiers(
             raise ResourceLimitError(f"covering source exceeds {node_max} nodes")
         fronts.append(front)
     return fronts
+
+
+def reference_strategy_maps(covering: BaseCovering, strategy: Strategy):
+    """The image of ``strategy`` under a base covering's strategy map, as a
+    dict over the owner's decision positions of the target, and its lift of
+    a target position, found as the construction found them when it probed
+    every prefix: the frontier position on a target position ``x`` is the
+    first prefix of ``x``, from length ``k + 2`` on, that is a frontier
+    position of any move.
+
+    The claim on the way is player I's own claim; for player II it is the
+    claim of the frontier part II never challenges, unless ``x`` enters a
+    position II does challenge, where it is the first claim in
+    binary-counter order that II answers with that challenge.  Past a
+    frontier position the owner gave up the node is the cut one, inexact;
+    an inexact or off-play position takes the least move."""
+    tree, k, chosen = covering.target, covering.level, strategy.choices
+    first = strategy.owner is Player.I
+    every = {q for front in covering.frontiers.values() for q in front}
+
+    def claims(p: Position, a: Label) -> tuple[Claim, dict[Position, Claim]]:
+        if first:
+            return chosen[p], {}
+        front = covering.frontiers[(p, a)]
+        rebased: dict[Position, Claim] = {}
+        if front:  # with nothing to claim there is nothing to challenge
+            for mask in range(1 << len(front)):
+                claim = Claim(a, tuple(q for n, q in enumerate(front) if mask >> n & 1))
+                reply = chosen[p + (claim,)]
+                if isinstance(reply, Challenge):
+                    rebased.setdefault(reply.target, claim)
+        return Claim(a, tuple(q for q in front if q not in rebased)), rebased
+
+    def locate(x: Position) -> tuple[Position | None, bool]:
+        p, a = x[:k], x[k]
+        claim, rebased = claims(p, a)
+        if claim.move != a:
+            return None, False
+        if len(x) == k + 1:
+            return p + (claim,), True
+        hit = next((x[:end] for end in range(k + 2, len(x) + 1) if x[:end] in every), None)
+        if hit is None:
+            return p + (claim, Accept(x[k + 1])) + x[k + 2 :], True
+        if first and hit in claim.claimed:
+            return p + (claim, Challenge(hit, hit[k + 1])) + x[k + 2 :], True
+        if not first and hit not in claim.claimed:
+            return p + (rebased[hit], Challenge(hit, hit[k + 1])) + x[k + 2 :], True
+        return p + (claim, Accept(x[k + 1])) + hit[k + 2 :], False
+
+    def choose(x: Position, labels: tuple[Label, ...]) -> Label:
+        if len(x) < k:
+            return chosen[x]
+        if len(x) == k:
+            return chosen[x].move
+        node, exact = locate(x)
+        if not exact:
+            return labels[0]
+        return chosen[node].move if len(x) == k + 1 else chosen[node]
+
+    image = {x: choose(x, labels) for x, labels in tree.decisions(strategy.owner).items()}
+    return image, lambda x: x if len(x) <= k else locate(x)[0]

@@ -562,6 +562,17 @@ def test_too_shallow_generator_of_a_later_stage_is_named_as_its_label_path(fixtu
     )
 
 
+def test_a_cap_met_in_a_union_stage_names_the_stage(fixtures_dir, monkeypatch):
+    """Exit 1, as for every cap; the finishing covering is not a stage."""
+    union = game(fixtures_dir, "union.game")
+    for node_max, stage in (("50", "stage 0: "), ("180", "stage 1: "), ("190", "")):
+        monkeypatch.setenv("UNRAVEL_NODE_MAX", node_max)
+        for command in ("unravel", "verify"):
+            assert run_cli(command, union) == (
+                1, "", f"error: {stage}covering source exceeds {node_max} nodes\n"
+            )
+
+
 ARGV_POOL = [
     "solve", "prune", "unravel", "verify", "fuzz", "export-dot", "bogus",
     "--k", "--samples", "--seed", "--depth", "--branch", "--zmax", "--covering",

@@ -274,6 +274,65 @@ def test_strategy_map_locality_and_identity(ex1):
     assert check_strategy_locality(covering, 30, seed=13)
 
 
+def _several_frontiers(prefix, count, k, **shape):
+    """Seeded base coverings at level ``k`` with at least two non-empty
+    frontiers, one of them of two or more positions."""
+    found = []
+    for index in range(200):
+        tree, spec = random_game(f"{prefix}:{index}", **shape)
+        covering = build_base_covering(tree, spec, k)
+        sizes = [len(front) for front in covering.frontiers.values() if front]
+        if len(sizes) >= 2 and max(sizes) >= 2:
+            found.append(covering)
+            if len(found) == count:
+                return found
+    raise AssertionError(f"fewer than {count} coverings with several frontiers")
+
+
+def _mapping_coverings(fixtures_dir, name, k):
+    """The base coverings one case of the reference-map test checks."""
+    if name == "drawn":
+        shape = dict(depth=4 + k, branching=2, taboos=2 + k, generators=3)
+        return _several_frontiers(f"reference-maps-k{k}", 3, k, **shape)
+    document = parse_game_bytes((fixtures_dir / f"{name}.game").read_bytes())
+    payoff = document.payoff  # closed or open: the covering of its closed set
+    spec = (payoff.payoff if isinstance(payoff, Not) else payoff).spec
+    return [build_base_covering(document.tree, spec, k)]
+
+
+@pytest.mark.parametrize(
+    "name, k",
+    [
+        ("ex1", 0), ("ex2", 0), ("ex3", 0), ("depth6", 0),
+        ("ex2", 2), ("ex3", 2), ("depth6", 2),
+        ("drawn", 0), ("drawn", 2),
+    ],
+)
+def test_mapped_choices_and_lifts_match_the_prefix_probe_oracle(fixtures_dir, name, k):
+    """Every choice of a mapped strategy over the owner's decision table,
+    and the lift of every prefix of every play consistent with it, equal
+    the reference maps', which probe every prefix against all frontier
+    positions; sampled strategies of both players."""
+    rng = rng_for(f"reference-maps:{name}:{k}")
+    lifted = challenged = 0
+    for covering in _mapping_coverings(fixtures_dir, name, k):
+        for owner in Player:
+            for _ in range(8):
+                strategy = random_strategy(rng, covering.source, owner)
+                expected, expected_lift = oracles.reference_strategy_maps(covering, strategy)
+                mapped = covering.strategy_transform(strategy)
+                assert dict(mapped.choices) == expected
+                for play in consistent_plays(covering.target, mapped):
+                    prefixes = [play[:n] for n in range(len(play) + 1)]
+                    lifts = [covering.lift(strategy, x) for x in prefixes]
+                    assert lifts == list(map(expected_lift, prefixes))
+                    lifted += 1
+                    challenged += len(play) > k + 1 and isinstance(lifts[-1][k + 1], Challenge)
+    assert lifted > 0
+    if name == "drawn":
+        assert challenged > 0
+
+
 # ------------------------------------------------------------ closed unions
 
 
@@ -329,6 +388,26 @@ def test_union_exhaustion_errors_name_their_stage():
     deep = GameTree.complete(6, 2)
     with pytest.raises(ValueError, match="stage 3"):
         unravel_payoff(deep, ClosedUnion([ClosedSpec()] * 4), 2)
+
+
+def test_union_cap_errors_name_their_stage(fixtures_dir):
+    """A cap met in a stage names the stage, as a bad generator does, and
+    stays a ``ResourceLimitError``; the finishing covering is not a stage.
+    On ``union.game`` the node cap 50 stops stage 0, 180 stage 1 and 190
+    the finishing covering; at frontier cap 1 the seeded unions 0 and 3
+    stop in stage 0 and union 2 in the finishing covering."""
+    document = parse_game_bytes((fixtures_dir / "union.game").read_bytes())
+    for node_max, stage in ((50, "stage 0: "), (180, "stage 1: "), (190, "")):
+        with pytest.raises(ResourceLimitError) as raised:
+            unravel_payoff(document.tree, document.payoff, 0, node_max=node_max)
+        assert str(raised.value) == f"{stage}covering source exceeds {node_max} nodes"
+    for index in (0, 3):
+        tree, specs = random_union_instance(f"stage-cap:{index}", depth=6, branching=2)
+        with pytest.raises(ResourceLimitError, match="^stage 0: frontier size 2 exceeds cap 1 at "):
+            unravel_union(tree, specs, 0, frontier_max=1)
+    tree, specs = random_union_instance("stage-cap:2", depth=6, branching=2)
+    with pytest.raises(ResourceLimitError, match=r"^frontier size 2 exceeds cap 1 at 0\[\]$"):
+        unravel_union(tree, specs, 0, frontier_max=1)
 
 
 @pytest.mark.parametrize(
@@ -643,11 +722,32 @@ def test_lifting_a_mapped_strategy_maps_it_no_more(kind, monkeypatch):
     assert built == []
 
 
+def _assert_misses(choices, table, target, owner):
+    """Positions that are not the owner's decisions are misses as in any
+    ``Mapping``: the opponent's node, a terminal and tuples not in the tree
+    read as no choice, and a list, unhashable, raises ``TypeError`` as the
+    decision table itself does."""
+    other = target.decisions(Player.II if owner is Player.I else Player.I)
+    decision = next(iter(table))
+    misses = [next(iter(other)), next(iter(target.full_depth_plays())), (99,), decision + (99, 99)]
+    for p in misses:
+        assert choices.get(p) is None
+        assert p not in choices
+        with pytest.raises(KeyError):
+            choices[p]
+    unhashable = list(decision)
+    for mapping in (table, choices):
+        for read in (mapping.get, mapping.__contains__, mapping.__getitem__):
+            with pytest.raises(TypeError, match="unhashable"):
+                read(unhashable)
+
+
 @pytest.mark.parametrize("kind", ["k0", "k2", "union"])
 def test_images_are_the_same_in_any_reading_order(kind):
     """An image read backwards equals one read forwards, and its keys, size
     and membership are the target's decision table, read without computing
-    a choice."""
+    a choice; a miss reads as a miss before any choice is computed and
+    after all of them are."""
     build = _covering_builder(kind)
     covering = build()
     rng = rng_for(f"lazy-order:{kind}")
@@ -660,9 +760,12 @@ def test_images_are_the_same_in_any_reading_order(kind):
         assert list(forward) == list(table)
         assert all(p in forward for p in table)
         assert not any(p in forward for p in covering.target.positions() if p not in table)
+        _assert_misses(forward, table, covering.target, owner)
         assert forward._known == {}
         read_backwards = {p: backward[p] for p in reversed(list(backward))}
         assert read_backwards == {p: forward[p] for p in forward}
+        _assert_misses(forward, table, covering.target, owner)
+        assert forward._known.keys() == table.keys()
 
 
 @pytest.mark.parametrize("kind", ["k0", "k2", "union"])
