@@ -25,6 +25,8 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field
+from itertools import compress
+from operator import not_
 
 from .core import (
     DEFAULT_NODE_MAX,
@@ -33,6 +35,7 @@ from .core import (
     Plays,
     ResourceLimitError,
     Strategy,
+    _as_plays,
     format_position,
     is_winning_strategy,
 )
@@ -163,7 +166,9 @@ def prune_report(name, tree, payoff, leaves, *, solution=None) -> Report:
         report.check("witness-wins-outright", is_winning_strategy(tree, leaves, witness))
         return report
     report.add("remainder-nodes", result.tree.node_count)
-    kept = bytes(map(leaves.__contains__, result.tree.full_depth_plays()))
+    # The remainder's plays are the tree's, in the same order, less the removed ones.
+    cut = map(result.removed.__contains__, tree.full_depth_plays())
+    kept = bytes(compress(_as_plays(tree, leaves).mask, map(not_, cut)))
     remainder = solve(result.tree, Plays(result.tree, kept))
     direct = solve(tree, leaves) if solution is None else solution
     report.add("winner", remainder.winner)

@@ -36,9 +36,9 @@ walk over a player's decision nodes, reads it.
 A payoff set is a ``Plays``: a read-only set bound to one tree that holds
 one byte per full-depth id, 1 on the plays in the set.  ``realize`` and
 ``pullback`` build them with byte operations, and every kernel reads the
-bytes by id.  Every function that takes a payoff set accepts any set of
-positions and converts it once, in ``_as_plays``; a ``Plays`` of the same
-tree passes through as it is.
+bytes by id, as ``in`` finds a play.  Every function that takes a payoff
+set accepts any set of positions and converts it once, in ``_as_plays``;
+a ``Plays`` of the same tree passes through as it is.
 
 Outside input reaches a tree by one constructor, ``GameTree(depth,
 nodes, taboo)``: positions in any order.  One pass (``_layout``) stores
@@ -50,10 +50,9 @@ pruned remainders) are written by their builders already in id form and
 enter through ``GameTree._from_ids``, which re-checks only what needs no
 hashing; their positions follow from the child labels, one level at a
 time, in ``_positions_below``.  Every tree, whichever entry
-made it, builds its tables keyed by position on first use: one for ``in``
-and ``children_of``, one from full-depth play to mask index for
-converting a set of positions.  A tree that is only walked by id never
-hashes its positions.
+made it, builds its one table keyed by position, for ``in`` and
+``children_of``, on first use.  A tree that is only walked by id, or
+whose payoff sets are only converted and asked ``in``, never builds it.
 """
 
 from __future__ import annotations
@@ -61,7 +60,8 @@ from __future__ import annotations
 import enum
 import random
 from array import array
-from collections.abc import Set
+from collections.abc import Collection, Set
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain, compress
@@ -370,13 +370,6 @@ class GameTree:
     def _children(self) -> dict[Position, tuple[Label, ...]]:
         return dict(zip(self._ordered, self._labels))
 
-    @cached_property
-    def _play_ids(self) -> dict[Position, int]:
-        """Each full-depth play's index in a ``Plays`` mask: its id less the
-        first full-depth id."""
-        start = self._levels[self.depth]
-        return dict(zip(self._ordered[start:], range(len(self._ordered) - start)))
-
     @classmethod
     def complete(cls, depth: int, branching: int) -> "GameTree":
         """Complete ``branching``-ary tree of the given depth, no early
@@ -489,10 +482,11 @@ class Plays(Set):
         self.mask = mask
 
     def __contains__(self, play: object) -> bool:
-        try:
-            return self.mask[self.tree._play_ids[play]] == 1
-        except (KeyError, TypeError):  # not a full-depth play, or unhashable
-            return False
+        tree = self.tree  # by id: a position shorter than the bound has an id below the plays'
+        if isinstance(play, tuple) and len(play) == tree.depth:
+            with suppress(ValueError):  # a label that is not a child's
+                return self.mask[tree._id(play) - tree._levels[tree.depth]] == 1
+        return False
 
     def __iter__(self) -> Iterator[Position]:
         tree = self.tree
@@ -522,21 +516,22 @@ class Plays(Set):
 
 def _as_plays(tree: GameTree, payoff: Iterable[Position]) -> Plays:
     """A payoff set as a ``Plays`` of ``tree``: a ``Plays`` of this very
-    tree as it is, any other set of positions converted once through the
-    tree's full-depth play index.  A member that is not a full-depth play
-    of the tree is a ``ValueError``."""
+    tree as it is, any other set of positions read once into a set and
+    marked by one pass over the tree's full-depth plays (pairwise unequal,
+    so all members are plays iff each is marked), else a ``ValueError``."""
     if payoff.__class__ is Plays and payoff.tree is tree:
         return payoff
-    index = tree._play_ids
-    mask = bytearray(len(index))
-    for member in payoff:
-        try:
-            mask[index[member]] = 1
-        except (KeyError, TypeError):  # not a full-depth play, or unhashable
-            raise ValueError(
-                f"payoff member {format_position(member)} is not a full-depth play"
-            ) from None
-    return Plays(tree, bytes(mask))
+    if not isinstance(payoff, Collection):  # an iterator is read once
+        payoff = tuple(payoff)
+    with suppress(TypeError):  # an unhashable member, named below
+        members = payoff if isinstance(payoff, (set, frozenset)) else frozenset(payoff)
+        mask = bytes(map(members.__contains__, tree.full_depth_plays()))
+        if mask.count(1) == len(members):
+            return Plays(tree, mask)
+    everything = ~Plays(tree, bytes(len(tree._ordered) - tree._levels[tree.depth]))
+    stray = next(member for member in payoff if member not in everything)
+    name = format_position(stray) if isinstance(stray, (tuple, list)) else repr(stray)
+    raise ValueError(f"payoff member {name} is not a full-depth play")
 
 
 @dataclass(frozen=True)

@@ -63,6 +63,7 @@ from operator import itemgetter, lt
 from .core import (
     DEFAULT_NODE_MAX,
     LABELS_PER_NODE,
+    ArenaError,
     CheckResult,
     GameTree,
     InternalInvariantError,
@@ -297,10 +298,9 @@ def build_base_covering(
     frontier is checked against ``frontier_max``, it gets one
     ``_challenge_template`` per frontier node, the node count of its
     claims, summed from the template lengths, is checked against
-    ``node_max`` and their position labels against the label budget
-    (``_check_label_budget``), and its claims are written in the order of
-    their claimed index tuples: the process-wide table of its frontier
-    size (``_claim_order``), read only now.  Each claim is answered by the
+    ``node_max``, and its claims are written in the order of their
+    claimed index tuples: the process-wide table of its frontier size
+    (``_claim_order``), read only now.  Each claim is answered by the
     build's one tuple of accepts for the move's child labels plus the
     challenges of its claimed positions.  A move with an empty frontier
     skips the sort, the challenge templates, their sums and the cut remap,
@@ -312,8 +312,8 @@ def build_base_covering(
     images' except at the claims, the replies, the cut frontier nodes (no
     children and a verdict tag) and the chain nodes (only the move toward
     the challenged position), which are recorded as their ids are written.
-    Positions follow, one depth at a time, from their parents and child
-    labels.
+    That map gives the source's label count (``_check_label_budget``);
+    then positions follow, one depth at a time, from parents and labels.
     """
     if level < 0:
         raise ValueError(f"level {level} is negative")
@@ -324,20 +324,16 @@ def build_base_covering(
     floor = _generator_floor(k, tree.depth)
     for generator in spec.generators:
         if len(generator) < floor:
-            raise ValueError(
+            raise ArenaError(
                 f"generator {format_position(generator)} too shallow for level {k}"
-                f" (need depth >= {floor})"
+                f" (need depth >= {floor})",
+                generator,
             )
     ordered, first, labels_of, tags = tree._ordered, tree._first, tree._labels, tree._tags
     levels = tree._levels
     at_k, moves = levels[k], levels[k + 1]  # the first level-k id and the first move
-    # The source's nodes and position labels, counted move by move and
-    # checked against the caps before anything is written.  A node holds
-    # at most ``depth`` labels, so within the node cap a source no deeper
-    # than ``LABELS_PER_NODE`` is within the label budget.
+    # The source's nodes, counted and capped move by move before anything is written.
     total = moves
-    held = sum(d * (levels[d + 1] - levels[d]) for d in range(k + 1))
-    count_labels = tree.depth > LABELS_PER_NODE
     if total > node_max:
         raise ResourceLimitError(f"covering source exceeds {node_max} nodes")
     meets = _meets(tree, banned, k)
@@ -381,14 +377,6 @@ def build_base_covering(
                 total += subsets // 2 * sum(len(ids) for template in chains for ids, _ in template)
             if total > node_max:
                 raise ResourceLimitError(f"covering source exceeds {node_max} nodes")
-            if count_labels:  # a claim is at depth k + 1, template row t at k + 2 + t
-                held += subsets * (k + 1 + sum(d * len(b) for d, b in enumerate(blocks, k + 2)))
-                held += subsets // 2 * sum(
-                    d * len(ids)
-                    for template in chains
-                    for d, (ids, _) in enumerate(template, k + 2)
-                )
-                _check_label_budget("covering source", held, node_max)
             child_labels = labels_of[base]
             kept = kept_for.get(child_labels)
             if kept is None:
@@ -436,6 +424,9 @@ def build_base_covering(
     out_tags = bytearray(map(tags.__getitem__, images))
     for i, tag in tags_at.items():
         out_tags[i] = tag
+    if tree.depth > LABELS_PER_NODE:  # else the node cap keeps the labels within budget
+        held = sum(map(len, map(ordered.__getitem__, images)))  # each as long as its image's
+        _check_label_budget("covering source", held, node_max)
     out = _positions_below(list(ordered[:moves]), out_labels, at_k)  # source positions by id
     source = GameTree._from_ids(tree.depth, out, out_labels, out_tags)
     transform, lift = _strategy_maps(tree, k, frontiers, accepts, challenges)
@@ -633,8 +624,8 @@ def unravel_payoff(
     complement of the pulled-back union is then closed at the deepest depth
     the parts return, and one more base covering at ``level`` finishes.
     A ``ValueError`` or ``ResourceLimitError`` from a stage names it
-    (``stage n: ``); the finishing covering is not a stage, so its errors
-    do not.
+    (``stage n: ``), and an ``ArenaError`` its position's image in
+    ``tree``; the finishing covering is not a stage, so its errors do not.
     """
     caps = dict(frontier_max=frontier_max, node_max=node_max)
     if isinstance(payoff, Closed):
@@ -657,6 +648,13 @@ def unravel_payoff(
             part = map_closed(part, lambda spec: pullback_closed_spec(composite, spec))
         try:
             built, decided = unravel_payoff(current, part, stage, **caps)
+        except ArenaError as error:  # named by its image, as the expression writes it
+            image = error.position
+            if composite is not None and image is not None:
+                image = tree._ordered[composite.images[current._id(image)]]
+            stages, colon, fault = str(error).rpartition(": ")  # the fault names it once
+            fault = fault.replace(format_position(error.position), format_position(image), 1)
+            raise ArenaError(f"stage {n}: {stages}{colon}{fault}", image) from None
         except ValueError as error:
             raise ValueError(f"stage {n}: {error}") from None
         except ResourceLimitError as error:

@@ -16,6 +16,7 @@ from typing import Callable
 
 from unraveling.core import (
     DEFAULT_NODE_MAX,
+    ArenaError,
     CheckResult,
     GameTree,
     InternalInvariantError,
@@ -524,9 +525,10 @@ def reference_base_covering(
     floor = _generator_floor(k, tree.depth)
     for generator in spec.generators:
         if len(generator) < floor:
-            raise ValueError(
+            raise ArenaError(
                 f"generator {format_position(generator)} too shallow for level {k}"
-                f" (need depth >= {floor})"
+                f" (need depth >= {floor})",
+                generator,
             )
     ordered, first, labels_of, tags = tree._ordered, tree._first, tree._labels, tree._tags
     at_k, moves = tree._levels[k], tree._levels[k + 1]  # the first level-k id and the first move

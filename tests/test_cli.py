@@ -553,13 +553,13 @@ def test_sample_count_below_one_is_usage_error(fixtures_dir):
         assert err.startswith("error: --samples must be at least 1"), argv
 
 
-def test_too_shallow_generator_of_a_later_stage_is_named_as_its_label_path(fixtures_dir):
+def test_too_shallow_generator_of_a_later_stage_is_named_as_the_file_writes_it(fixtures_dir):
+    """Stage 1 unravels a generator pulled back through stage 0's covering;
+    the error names its image, the generator of the file."""
     union = game(fixtures_dir, "union.game")
     code, out, err = run_cli("verify", union, "--k", "2", "--samples", "3")
     assert (code, out) == (1, "")
-    assert err == (
-        "error: stage 1: generator 0/1/0[]/acc(1) too shallow for level 4 (need depth >= 6)\n"
-    )
+    assert err == "error: stage 1: generator 0/1/0/1 too shallow for level 4 (need depth >= 6)\n"
 
 
 def test_a_cap_met_in_a_union_stage_names_the_stage(fixtures_dir, monkeypatch):

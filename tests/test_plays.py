@@ -16,6 +16,7 @@ from unraveling.core import (
     format_position,
     is_winning_strategy,
 )
+import unraveling.cli as cli
 from unraveling.covering import pullback, pullback_closed_spec
 from unraveling.gamedoc import parse_game_bytes
 from unraveling.payoff import (
@@ -30,7 +31,7 @@ from unraveling.payoff import (
     realize,
 )
 from unraveling.randgen import random_closed_spec, random_game, random_union_instance, rng_for
-from unraveling.solver import solve
+from unraveling.solver import prune, solve
 from unraveling.unravel import build_base_covering, unravel_payoff
 
 import oracles
@@ -102,23 +103,28 @@ def test_a_value_that_is_no_full_depth_play_is_not_in_the_set(ex1, ex2, value):
 
 @pytest.mark.parametrize(
     "member",
-    [(0, 0), (0,), (), (0, 0, 0, 0), (1, 1, 1, 2), (1, 0, 1, 0, 0), [1, 0, 1, 0]],
+    [(0, 0), (0,), (), (0, 0, 0, 0), (1, 1, 1, 2), (1, 0, 1, 0, 0), [1, 0, 1, 0], 5],
 )
 def test_a_payoff_member_that_is_no_full_depth_play_is_rejected(ex2, member):
     """(0, 0) is an early terminal of ex2 and (0, 0, 0, 0) lies below it:
-    of the right length, but not in the tree."""
-    message = f"^payoff member {re.escape(format_position(member))} is not a full-depth play$"
+    of the right length, but not in the tree.  A member that is no
+    position at all is named as it is, and an iterator payoff is read
+    once."""
+    name = format_position(member) if isinstance(member, (tuple, list)) else str(member)
+    message = f"^payoff member {re.escape(name)} is not a full-depth play$"
     strategy = oracles.least_strategy(ex2, Player.I)
     identity = oracles.identity_covering(ex2)
-    for payoff in ([member], list(ex2.full_depth_plays())[:3] + [member]):
-        with pytest.raises(ValueError, match=message):
-            solve(ex2, payoff)
-        with pytest.raises(ValueError, match=message):
-            is_winning_strategy(ex2, payoff, strategy)
-        with pytest.raises(ValueError, match=message):
-            decided_by_depth(ex2, payoff, 2)
-        with pytest.raises(ValueError, match=message):
-            pullback(identity, payoff)
+    conversions = (
+        lambda payoff: solve(ex2, payoff),
+        lambda payoff: is_winning_strategy(ex2, payoff, strategy),
+        lambda payoff: decided_by_depth(ex2, payoff, 2),
+        lambda payoff: pullback(identity, payoff),
+    )
+    for members in ([member], list(ex2.full_depth_plays())[:3] + [member]):
+        for convert in conversions:
+            for payoff in (members, iter(members)):
+                with pytest.raises(ValueError, match=message):
+                    convert(payoff)
 
 
 def test_a_plays_of_another_tree_is_converted_by_its_plays(ex1, ex2):
@@ -127,6 +133,47 @@ def test_a_plays_of_another_tree_is_converted_by_its_plays(ex1, ex2):
         solve(ex2, everything)
     inside = realize(ex1, Closed(ClosedSpec([(0, 0)])))  # no play below 0/0
     assert solve(ex2, inside).winner is solve(ex2, frozenset(inside)).winner
+
+
+def test_no_tree_gains_a_position_table_when_a_payoff_is_read(fixtures_dir, monkeypatch):
+    """Converting a frozenset, a list, an iterator or another tree's
+    ``Plays``, asking a ``Plays`` ``in`` and building the ``prune`` report
+    add no table to any tree: conversion is one membership pass over the
+    plays, ``in`` descends by id, and the remainder's payoff is read off
+    the tree's bytes."""
+    remainders = []  # each remainder with the attributes it was built with
+
+    def recorded_prune(tree):
+        result = prune(tree)
+        if result.tree is not None:
+            remainders.append((result.tree, set(vars(result.tree))))
+        return result
+
+    monkeypatch.setattr(cli, "prune", recorded_prune)
+    for path in sorted(fixtures_dir.glob("*.game")):
+        document, twin = (parse_game_bytes(path.read_bytes()) for _ in range(2))
+        tree, leaves = document.tree, realize(document.tree, document.payoff)
+        other = realize(twin.tree, twin.payoff)
+        held = [set(vars(t)) for t in (tree, twin.tree)]
+        strategy = oracles.least_strategy(tree, Player.I)
+        identity = oracles.identity_covering(tree)
+        winner = solve(tree, leaves).winner
+        for payoff in (frozenset(leaves), list(leaves), iter(list(leaves)), other):
+            assert solve(tree, payoff).winner is winner
+        for convert in (
+            lambda payoff: is_winning_strategy(tree, payoff, strategy),
+            lambda payoff: decided_by_depth(tree, payoff, tree.depth),
+            lambda payoff: pullback(identity, payoff),
+        ):
+            assert convert(frozenset(leaves)) == convert(list(leaves)) == convert(other)
+        everything = list(tree.full_depth_plays())
+        assert [play in leaves for play in everything] == list(leaves.mask)
+        assert [play in other for play in everything] == list(leaves.mask)
+        assert cli.prune_report(path.name, tree, document.payoff, leaves).ok
+        assert [set(vars(t)) for t in (tree, twin.tree)] == held
+    assert remainders
+    for remainder, attributes in remainders:
+        assert set(vars(remainder)) == attributes
 
 
 # ------------------------------------------------ realize and pullback references

@@ -390,6 +390,37 @@ def test_union_exhaustion_errors_name_their_stage():
         unravel_payoff(deep, ClosedUnion([ClosedSpec()] * 4), 2)
 
 
+@pytest.mark.parametrize(
+    "expression, level, stages, written",
+    [
+        (lambda a, b: Union(a, b), 2, "stage 1: ", (0, 1, 0, 1)),
+        (lambda a, b: Union(a, Not(Union(a, b))), 0, "stage 1: stage 1: ", (0, 1, 0, 1)),
+        (
+            lambda a, b: Union(a, Not(Union(Not(Union(a, b)), a))),
+            0,
+            "stage 1: stage 0: stage 1: ",
+            (0, 1, 0, 1),
+        ),
+        (lambda a, b: Union(a, Not(Union(a, b))), 2, "stage 1: stage 0: ", (1, 0, 0)),
+    ],
+    ids=["union-at-2", "nested-at-0", "nested-twice-at-0", "nested-at-2"],
+)
+def test_a_generator_a_stage_rejects_is_named_as_written(
+    fixtures_dir, expression, level, stages, written
+):
+    """A later stage unravels generators pulled back through the composite
+    so far; each union maps a rejected one to its image, so nested unions
+    name the generator of the expression, and the error carries it."""
+    document = parse_game_bytes((fixtures_dir / "union.game").read_bytes())
+    payoff = expression(*document.payoff.parts)
+    with pytest.raises(ArenaError) as raised:
+        unravel_payoff(document.tree, payoff, level)
+    assert raised.value.position == written
+    assert str(raised.value) == (
+        f"{stages}generator {format_position(written)} too shallow for level 4 (need depth >= 6)"
+    )
+
+
 def test_union_cap_errors_name_their_stage(fixtures_dir):
     """A cap met in a stage names the stage, as a bad generator does, and
     stays a ``ResourceLimitError``; the finishing covering is not a stage.
@@ -1164,8 +1195,9 @@ def _deep_trees():
 
 
 def test_label_budget_admits_exactly_the_label_count(monkeypatch):
-    """The source's position labels are counted exactly, move by move,
-    before anything is written, and the budget is 25 per node of the cap."""
+    """The source's position labels are counted exactly, once, from its
+    position map before its positions are built, and the budget is 25 per
+    node of the cap."""
     counted = []
     check = unravel_module._check_label_budget
     monkeypatch.setattr(
@@ -1185,6 +1217,23 @@ def test_label_budget_admits_exactly_the_label_count(monkeypatch):
             match=rf"covering source exceeds {25 * (node_max - 1)} position labels \(25 per",
         ):
             build_base_covering(tree, spec, k, node_max=node_max - 1)
+
+
+def test_a_source_over_the_label_budget_builds_no_positions(monkeypatch):
+    """The label budget is checked before the positions are built: just
+    past it, the build raises and never reaches ``_positions_below``."""
+    built = []
+    below = unravel_module._positions_below
+    monkeypatch.setattr(
+        unravel_module, "_positions_below", lambda *args: (built.append(1), below(*args))[1]
+    )
+    for tree, spec, k in _deep_trees():
+        labels = sum(map(len, build_base_covering(tree, spec, k).source.positions()))
+        node_max = -(-labels // 25)
+        built.clear()
+        with pytest.raises(ResourceLimitError, match="position labels"):
+            build_base_covering(tree, spec, k, node_max=node_max - 1)
+        assert built == []
 
 
 # ------------------------------- the level-by-level build, against its oracles
