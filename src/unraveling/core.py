@@ -587,48 +587,71 @@ def _decision_ids(tree: GameTree, owner: Player, within: bytes | None = None) ->
 
 def random_strategy(rng: random.Random, tree: GameTree, owner: Player) -> Strategy:
     """A total strategy with one uniform draw per decision position, in
-    canonical order."""
-    return Strategy(
-        owner, {p: rng.choice(labels) for p, labels in tree.decisions(owner).items()}
-    )
+    canonical order.
+
+    Each draw is the one ``rng.choice(labels)`` makes, written out: with
+    ``n`` children, ``rng.getrandbits(n.bit_length())`` until the result is
+    below ``n``, the index of the choice.  So the draws follow
+    ``rng.choice``'s stream: the strategy, and the state ``rng`` is left
+    in, are those of one ``rng.choice`` per position in turn.
+    """
+    getrandbits = rng.getrandbits
+    choices = {}
+    for position, labels in tree.decisions(owner).items():
+        n = len(labels)
+        bits = n.bit_length()
+        r = getrandbits(bits)
+        while r >= n:
+            r = getrandbits(bits)
+        choices[position] = labels[r]
+    return Strategy(owner, choices)
 
 
 def is_consistent(position: Position, strategy: Strategy) -> bool:
     """True iff the owner's moves along ``position`` all follow the strategy."""
+    get = strategy.choices.get
     for k in range(_TO_MOVE.index(strategy.owner), len(position), 2):
-        if strategy.choices.get(position[:k]) != position[k]:
+        if get(position[:k]) != position[k]:
             return False
     return True
 
 
 def _consistent_ids(tree: GameTree, strategy: Strategy) -> list[int]:
     """The ids of the plays consistent with the strategy, depth first, least
-    child first; the owner's moves are read from the strategy."""
+    child first; the owner's moves are read from ``strategy.choices``."""
     ordered, first, labels_of = tree._ordered, tree._first, tree._labels
-    move_at = strategy.move_at
+    chosen = strategy.choices
     out: list[int] = []
-    # The stack carries whose move it is: a node where the owner moves is
-    # pushed as its complement ``~i``, which is negative.
-    stack = [~0 if _TO_MOVE[0] is strategy.owner else 0]
+    # The stack holds only nodes where the owner moves: each step follows
+    # the owner's move and pushes every reply of the opponent, least on top.
+    if _TO_MOVE[0] is strategy.owner:
+        stack = [0]
+    elif first[0] == first[1]:  # a terminal root
+        return [0]
+    else:
+        stack = list(range(first[1] - 1, first[0] - 1, -1))
     while stack:
         i = stack.pop()
-        owned = i < 0
-        if owned:
-            i = ~i
+        lo = first[i]
+        if lo == first[i + 1]:
+            out.append(i)
+            continue
+        position = ordered[i]
+        try:
+            move = chosen[position]
+        except KeyError:
+            raise ValueError(
+                f"strategy has no choice at {format_position(position)} (not total)"
+            ) from None
+        try:
+            i = lo + labels_of[i].index(move)
+        except ValueError:
+            raise ValueError(f"unknown position {format_position(position + (move,))}") from None
         lo, hi = first[i], first[i + 1]
         if lo == hi:
             out.append(i)
-        elif owned:
-            position = ordered[i]
-            move = move_at(position)
-            try:
-                stack.append(lo + labels_of[i].index(move))
-            except ValueError:
-                raise ValueError(
-                    f"unknown position {format_position(position + (move,))}"
-                ) from None
         else:
-            stack.extend(range(-hi, -lo))  # ~(hi - 1) .. ~lo: the least child on top
+            stack += range(hi - 1, lo - 1, -1)
     return out
 
 
@@ -642,18 +665,14 @@ def consistent_plays(tree: GameTree, strategy: Strategy) -> tuple[Position, ...]
     return tuple(ordered[i] for i in _consistent_ids(tree, strategy))
 
 
-def _evaluate(tree: GameTree, i: int, mask: bytes) -> Player:
-    """Winner of the play with id ``i``, by the two winner tables: its taboo
-    tag if it is an early terminal (``GameTree`` tags every one), else its
-    byte in ``mask``, a ``Plays`` mask of the tree."""
-    return _TABOO_WINNER[tree._tags[i]] or _PLAY_WINNER[mask[i - tree._levels[tree.depth]]]
-
-
 def is_winning_strategy(tree: GameTree, payoff, strategy: Strategy) -> CheckResult:
     """Passes iff every play consistent with the strategy is a win for its
     owner; a failure names the first lost play in ``consistent_plays`` order."""
     mask = _as_plays(tree, payoff).mask
+    tags, owner, plays = tree._tags, strategy.owner, tree._levels[tree.depth]
     for i in _consistent_ids(tree, strategy):
-        if _evaluate(tree, i, mask) is not strategy.owner:
+        # The two winner tables: an early terminal's taboo tag (``GameTree``
+        # tags every one), else the play's byte in the payoff mask.
+        if (_TABOO_WINNER[tags[i]] or _PLAY_WINNER[mask[i - plays]]) is not owner:
             return CheckResult(False, f"loses play {format_position(tree._ordered[i])}")
     return CheckResult(True)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import random
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable
 
@@ -33,6 +34,7 @@ from .core import (
     Strategy,
     _OWNERS,
     _as_plays,
+    _decision_ids,
     consistent_plays,
     format_position,
     is_consistent,
@@ -135,16 +137,28 @@ def check_strategy_locality(covering: Covering, trials: int, seed: int) -> Check
     read, so a lazily mapped strategy computes no others.
     """
     rng = random.Random(f"locality:{seed}")
+    getrandbits = rng.getrandbits
     source, target = covering.source, covering.target
+    ordered, labels_of, levels = source._ordered, source._labels, source._levels
     transform = covering.strategy_transform
+    # By owner, in canonical order, so by length.
+    decision_ids = {owner: list(_decision_ids(source, owner)) for owner in Player}
     for trial in range(trials):
         owner = rng.choice([Player.I, Player.II])
         cutoff = rng.randint(0, source.depth)
         first = random_strategy(rng, source, owner)
         second_choices = dict(first.choices)
-        for position, labels in source.decisions(owner).items():
-            if len(position) >= cutoff:
-                second_choices[position] = rng.choice(labels)
+        ids = decision_ids[owner]
+        # Redrawn from the first decision position of length >= cutoff on,
+        # one draw each as ``random_strategy`` draws (``rng.choice``'s stream).
+        for i in ids[bisect_left(ids, levels[cutoff]) :]:
+            labels = labels_of[i]
+            n = len(labels)
+            bits = n.bit_length()
+            r = getrandbits(bits)
+            while r >= n:
+                r = getrandbits(bits)
+            second_choices[ordered[i]] = labels[r]
         second = Strategy(owner, second_choices)
         mapped_first, mapped_second = transform(first), transform(second)
         if mapped_first.owner is not owner or mapped_second.owner is not owner:
@@ -306,18 +320,25 @@ def check_winning_transfer(
     strategy winning the target game.
     """
     rng = random.Random(f"transfer:{seed}")
+    rand, getrandbits = rng.random, rng.getrandbits
     payoff = _as_plays(covering.target, payoff_leaves)
     source_payoff = pullback(covering, payoff)
     solution = solve(covering.source, source_payoff)
     winner = solution.winner
+    decisions = covering.source.decisions(winner).items()
     winning = [solution.strategy]
     attempts = 0
     while len(winning) < samples + 1 and attempts < samples * 8:
         attempts += 1
         choices = dict(solution.strategy.choices)
-        for position, labels in covering.source.decisions(winner).items():
-            if rng.random() < 0.3:
-                choices[position] = rng.choice(labels)
+        for position, labels in decisions:
+            if rand() < 0.3:  # then one draw as ``rng.choice(labels)`` makes it
+                n = len(labels)
+                bits = n.bit_length()
+                r = getrandbits(bits)
+                while r >= n:
+                    r = getrandbits(bits)
+                choices[position] = labels[r]
         candidate = Strategy(winner, choices)
         if is_winning_strategy(covering.source, source_payoff, candidate):
             winning.append(candidate)

@@ -27,10 +27,10 @@ checks the text, reading each list section up to the keyword that ends
 it; the tree is built once, and it and ``check_generators`` are the only
 structural checks.  The NODES rows, in any order, are read in one pass
 (``_nodes``) that turns each row into a position, most of them from
-their parent's, and the positions go to the one constructor,
-``GameTree(depth, nodes, taboo)``; rows in canonical order, as
-``format_game`` writes them, need no sort there.  Every parse error
-carries a line (and where sensible a column, found in the line's text)
+their parent's without splitting the line, and the positions go to the
+one constructor, ``GameTree(depth, nodes, taboo)``; rows in canonical
+order, as ``format_game`` writes them, need no sort there.  Every parse
+error carries a line (and where sensible a column, found in the line's text)
 number: a structural error is reported on the TABOOS line of a tagged
 position, on the NODES line of any other, on the line of a generator, or
 on the DEPTH line for an illegal depth bound.
@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 
 from .core import ArenaError, GameTree, Player, Position, _paths, format_position
 from .payoff import Closed, ClosedSpec, ClosedUnion, Not, Open, PayoffSpec, Union, check_generators
@@ -83,31 +83,43 @@ def _col(raw: str, i: int) -> int:
 
 
 class _Lines:
-    """The rows that are not blank or comments, each as its line number,
-    tokens and text, read from ``cursor`` on; ``firsts`` holds each row's
-    first token."""
+    """The lines of a text, read from ``cursor`` on, an index into
+    ``lines``.  A row is a line that is neither blank nor a comment; a
+    section splits a row into tokens only when it reads it, as its line
+    number, tokens and text."""
 
     def __init__(self, text: str):
-        self.rows: list[tuple[int, list[str], str]] = []
-        for number, raw in enumerate(text.splitlines(), start=1):
-            tokens = raw.split()
-            if tokens and not tokens[0].startswith("#"):
-                self.rows.append((number, tokens, raw))
-        self.firsts = [tokens[0] for _, tokens, _ in self.rows]
+        self.lines = text.splitlines()
         self.cursor = 0
-        self.last_line = self.rows[-1][0] if self.rows else 1
+
+    @property
+    def last_line(self) -> int:
+        """The number of the last row, or 1 in a text without rows."""
+        for number in range(len(self.lines), 0, -1):
+            tokens = self.lines[number - 1].split()
+            if tokens and not tokens[0].startswith("#"):
+                return number
+        return 1
 
     def peek(self):
-        return self.rows[self.cursor] if self.cursor < len(self.rows) else None
+        """The row at or after the cursor, which moves to it, or None at
+        the end."""
+        lines = self.lines
+        while self.cursor < len(lines):
+            raw = lines[self.cursor]
+            tokens = raw.split()
+            if tokens and not tokens[0].startswith("#"):
+                return self.cursor + 1, tokens, raw
+            self.cursor += 1
+        return None
 
     def until(self, keyword: str) -> list[tuple[int, list[str], str]]:
         """The rows before the next one that starts with ``keyword``, or
         up to the end; the cursor moves past them."""
-        try:
-            end = self.firsts.index(keyword, self.cursor)
-        except ValueError:
-            end = len(self.rows)
-        rows, self.cursor = self.rows[self.cursor : end], end
+        rows = []
+        while (row := self.peek()) is not None and row[1][0] != keyword:
+            rows.append(row)
+            self.cursor += 1
         return rows
 
 
@@ -128,35 +140,49 @@ def _parse_path(token: str, line: int, raw: str, alphabet: int) -> Position:
     return tuple(labels)
 
 
-def _nodes(rows, alphabet: int) -> list[Position]:
-    """The positions of the NODES rows, in row order, each checked on its
-    own row.
+def _nodes(lines: _Lines, alphabet: int) -> tuple[list[Position], list[int]]:
+    """The positions of the NODES rows, up to the TABOOS row, in row order,
+    each checked on its own row, and the line number of each.
 
-    A row whose parent's text was read on an earlier row and whose label
-    is written canonically is split once, at its last slash: its position
-    is the parent's plus the label, found in a table of the label texts
-    built for at most as many labels as there are rows.  Any other row is
-    read by ``_parse_path``.  Every position is kept under its canonical
-    text, which finds a repeated node however it is written."""
-    label_of = {str(label): label for label in range(min(alphabet, len(rows)))}
+    A line whose part before its last slash is the canonical text of a
+    position read on an earlier row, and whose part after it is a label
+    written canonically, is a row of one token as it stands: neither part
+    holds a space or starts a comment.  Its position is the parent's plus
+    the label, found in a table of the label texts built for at most as
+    many labels as there are lines left.  Any other line is split into
+    tokens: a blank line or a comment is skipped, the TABOOS row ends the
+    section, and any other row is read by ``_parse_path``.  Every position
+    is kept under its canonical text, which finds a repeated node however
+    it is written."""
+    start = lines.cursor
+    label_of = {str(label): label for label in range(min(alphabet, len(lines.lines) - start))}
     texts: dict[str, Position] = {}  # by canonical text, in row order
-    for line, tokens, raw in rows:
-        if len(tokens) != 1:
-            raise GameDocError("node lines carry a single path", line, _col(raw, 1))
-        text = tokens[0]
-        head, slash, tail = text.rpartition("/")
+    numbers: list[int] = []
+    for number, raw in enumerate(islice(lines.lines, start, None), start + 1):
+        head, slash, tail = raw.rpartition("/")
         label, parent = label_of.get(tail), texts.get(head) if slash else ()
-        if label is None or parent is None:
-            position = _parse_path(text, line, raw, alphabet)
-            if not position:
-                raise GameDocError("the root is implicit and not listed", line, _col(raw, 0))
-            text = format_position(position)
+        if label is not None and parent is not None:
+            text, position = raw, parent + (label,)
         else:
-            position = parent + (label,)
+            tokens = raw.split()
+            if not tokens or tokens[0].startswith("#"):
+                continue
+            if tokens[0] == "TABOOS":
+                lines.cursor = number - 1
+                break
+            if len(tokens) != 1:
+                raise GameDocError("node lines carry a single path", number, _col(raw, 1))
+            position = _parse_path(tokens[0], number, raw, alphabet)
+            if not position:
+                raise GameDocError("the root is implicit and not listed", number, _col(raw, 0))
+            text = format_position(position)
         if text in texts:
-            raise GameDocError(f"duplicate node {tokens[0]}", line, _col(raw, 0))
+            raise GameDocError(f"duplicate node {raw.split()[0]}", number, _col(raw, 0))
         texts[text] = position
-    return list(texts.values())
+        numbers.append(number)
+    else:
+        lines.cursor = len(lines.lines)
+    return list(texts.values()), numbers
 
 
 def _expect_header(lines: _Lines, keyword: str, argc: int) -> tuple[int, list[str], str]:
@@ -200,8 +226,7 @@ def parse_game(text: str) -> GameDocument:
     depth, depth_line = _int_arg(header), header[0]
 
     nodes_line, _, _ = _expect_header(lines, "NODES", 0)
-    node_rows = lines.until("TABOOS")
-    nodes = _nodes(node_rows, alphabet)
+    nodes, node_lines = _nodes(lines, alphabet)
 
     _expect_header(lines, "TABOOS", 0)
     taboos: dict[Position, Player] = {}
@@ -259,7 +284,7 @@ def parse_game(text: str) -> GameDocument:
         elif error.position in taboo_lines:  # a tagged position is reported on its TABOOS line
             line = taboo_lines[error.position]
         elif error.position:  # each node on its own row
-            line = dict(zip(nodes, (row[0] for row in node_rows))).get(error.position)
+            line = dict(zip(nodes, node_lines)).get(error.position)
         else:  # the root on the NODES line
             line = nodes_line
         raise GameDocError(str(error), line) from error

@@ -442,11 +442,13 @@ class _LazyChoices(Mapping):
     target (``GameTree.decisions``), so ``len``, iteration and ``in`` never
     compute a choice.
 
-    A lookup reads a computed choice with one ``dict.get``, so the first
-    read of a position raises nothing on the way to computing it.
-    ``Mapping.get`` reads a ``KeyError`` as "no choice", so one raised while
-    a choice is computed (a source strategy that is not total) leaves as a
-    ``ValueError`` naming the position instead.
+    ``[]`` and ``get`` read a computed choice with one ``dict.get``, so the
+    first read of a position raises nothing on the way to computing it.
+    A ``KeyError`` raised while a choice is computed (a source strategy
+    that is not total) leaves ``[]`` and ``get`` alike as a ``ValueError``
+    naming the position, so ``get`` does not read it as "no choice", as
+    ``Mapping.get`` would not; ``get`` returns its default only for a
+    position that is not a key.
     """
 
     __slots__ = ("_keys", "_choose", "_known")
@@ -470,6 +472,12 @@ class _LazyChoices(Mapping):
             ) from None
         return choice
 
+    def get(self, position: Position, default=None):
+        choice = self._known.get(position, _UNKNOWN)
+        if choice is not _UNKNOWN:
+            return choice
+        return self[position] if position in self._keys else default
+
     def __iter__(self) -> Iterator[Position]:
         return iter(self._keys)
 
@@ -485,21 +493,25 @@ def _strategy_maps(tree: GameTree, k: int, frontiers, accepts, challenges):
 
     Both rest on one locator: given a source strategy, ``locate(x)`` names
     the source node that a target position ``x`` past level ``k`` comes
-    from, and whether it is exact.  The claim on the way is player I's own
-    claim move (``(None, False)`` if ``x`` takes another move); for player
-    II it is the claim of the frontier part II never challenges, unless
-    ``x`` enters a frontier position II does challenge, where it is the
-    first claim (binary-counter order) II answers with that challenge; one
-    scan of II's replies to the claims on a move finds both.  Past a
-    frontier position the owner gave up (unclaimed by I, claimed but
-    unchallenged against II) the node is the one cut at that position, a
-    taboo against the owner, and inexact.  The frontier position on ``x``,
-    if any, is found in its own move's frontier, ``frontiers[(p, a)]``: an
-    antichain, so at most one of its positions is a prefix of ``x``.  The
-    replies are the construction's own objects, ``accepts`` by move label
-    and ``challenges`` by frontier position, which is only the reply
-    table.  The transform follows the strategy at exact nodes and takes
-    the least move elsewhere; the lift is the located node.
+    from, and whether it is exact.  The locator keeps one record per move
+    ``x[:k + 1]``, made on the move's first lookup: the claim node
+    ``p + (claim,)``, the claim's claimed part, the move's frontier
+    ``frontiers[(p, a)]`` and II's rebased claims.  The claim is player I's
+    own claim move (no record, only "off the play", if ``x`` takes
+    another move); for player II it is the claim of the frontier part II
+    never challenges, and each position II does challenge has its rebased
+    claim, the first claim (binary-counter order) II answers with that
+    challenge, kept as the node the challenge enters.  One read of II's
+    replies to the claims on the move finds both.  A located node is then
+    one dict probe plus the frontier test: the frontier is an antichain,
+    so at most one of its positions is a prefix of ``x``.  Past a frontier
+    position the owner gave up (unclaimed by I, claimed but unchallenged
+    against II) the node is the one cut at that position, a taboo against
+    the owner, and inexact.  The replies are the construction's own
+    objects, ``accepts`` by move label and ``challenges`` by frontier
+    position, which is only the reply table.  The transform follows the
+    strategy at exact nodes and takes the least move elsewhere; the lift
+    is the located node.
 
     The image is lazy: its choices are a ``_LazyChoices`` over the target's
     decision table, and each is located and computed on its first lookup,
@@ -512,55 +524,59 @@ def _strategy_maps(tree: GameTree, k: int, frontiers, accepts, challenges):
     The two maps share one record of the last strategy seen, by identity
     (a strategy's choices never change), with its locator and its image,
     so a check that maps a strategy and then lifts its plays maps it once,
-    scans II's replies once, and keeps the choices already computed.
+    makes each move's record once, and keeps the choices already computed.
     """
 
     def locator(strategy: Strategy):
         first = strategy.owner is Player.I
         chosen = strategy.choices
-        scans: dict = {}
+        records: dict[Position, tuple | None] = {}
 
-        def scan(p: Position, a: Label) -> tuple[Claim, dict]:
-            """II's replies to every claim on ``(p, a)``, read once: the claim
-            of exactly the frontier part never challenged, and for each
-            challenged position the first claim (binary-counter order)
-            answered by challenging it."""
-            found = scans.get((p, a))
-            if found is None:
-                front = frontiers[(p, a)]
-                rebased: dict[Position, Claim] = {}
+        def record(move: Position) -> tuple | None:
+            """The record of a target position of length ``k + 1``, kept:
+            ``(claim node, claimed, frontier, rebased)``, or ``None`` off
+            the play."""
+            p, a = move[:k], move[k]
+            front = frontiers[(p, a)]
+            rebased: dict[Position, Position] = {}
+            if first:
+                claim = chosen[p]
+                if claim.move != a:
+                    records[move] = None  # off the described play
+                    return None
+            else:
                 if front:  # with nothing to claim there is nothing to challenge
                     for claimed in _subsets_counter(front):
                         claim = Claim(a, claimed)
                         reply = chosen[p + (claim,)]
-                        if isinstance(reply, Challenge):
-                            rebased.setdefault(reply.target, claim)
-                quiet = Claim(a, tuple(q for q in front if q not in rebased))
-                found = scans[(p, a)] = (quiet, rebased)
+                        if isinstance(reply, Challenge) and reply.target not in rebased:
+                            rebased[reply.target] = p + (claim, reply)
+                claim = Claim(a, tuple(q for q in front if q not in rebased))
+            found = records[move] = (p + (claim,), claim.claimed, front, rebased)
             return found
 
         def locate(x: Position) -> tuple[Position | None, bool]:
-            p, a = x[:k], x[k]
-            if first:
-                claim = chosen[p]
-                if claim.move != a:
-                    return None, False  # off the described play
-            else:
-                claim, rebased = scan(p, a)
+            move = x[: k + 1]
+            found = records.get(move, _UNKNOWN)
+            if found is _UNKNOWN:
+                found = record(move)
+            if found is None:
+                return None, False
+            node, claimed, front, rebased = found
             if len(x) == k + 1:
-                return p + (claim,), True
-            for hit in frontiers[(p, a)]:  # an antichain: at most one is on x
+                return node, True
+            for hit in front:  # an antichain: at most one is on x
                 if x[: len(hit)] == hit:
                     break
             else:
-                return p + (claim, accepts[x[k + 1]]) + x[k + 2 :], True
-            if first and hit in claim.claimed:
-                return p + (claim, challenges[hit]) + x[k + 2 :], True
-            if not first and hit not in claim.claimed:
+                return node + (accepts[x[k + 1]],) + x[k + 2 :], True
+            if first and hit in claimed:
+                return node + (challenges[hit],) + x[k + 2 :], True
+            if not first and hit not in claimed:
                 if hit not in rebased:
                     raise InternalInvariantError("no claimed set challenges the position")
-                return p + (rebased[hit], challenges[hit]) + x[k + 2 :], True
-            return p + (claim, accepts[x[k + 1]]) + hit[k + 2 :], False
+                return rebased[hit] + x[k + 2 :], True
+            return node + (accepts[x[k + 1]],) + hit[k + 2 :], False
 
         return locate
 

@@ -318,6 +318,53 @@ def decision_positions(tree: GameTree, owner: Player) -> list[Position]:
     ]
 
 
+def sampled_strategies(covering: Covering, leaves, samples: int, seed: int) -> list[Strategy]:
+    """The source strategies ``verify`` maps, in order, drawn with one
+    ``rng.choice`` per decision position in canonical order (and an
+    ``rng.random`` before each mutation draw), in the seeds and loops of
+    ``check_strategy_locality``, then ``check_lift``, then
+    ``check_winning_transfer``, on a covering that passes them.  The
+    pulled-back game is solved by ``reference_solve``."""
+    source = covering.source
+    decisions = {owner: decision_positions(source, owner) for owner in Player}
+    out: list[Strategy] = []
+
+    def drawn(rng: random.Random, owner: Player) -> dict:
+        return {p: rng.choice(source.children_of(p)) for p in decisions[owner]}
+
+    rng = random.Random(f"locality:{seed}")
+    for _ in range(samples):
+        owner = rng.choice([Player.I, Player.II])
+        cutoff = rng.randint(0, source.depth)
+        first = drawn(rng, owner)
+        second = dict(first)
+        for position in decisions[owner]:
+            if len(position) >= cutoff:
+                second[position] = rng.choice(source.children_of(position))
+        out += [Strategy(owner, first), Strategy(owner, second)]
+
+    rng = random.Random(f"unraveling:verify:{seed}")
+    for owner in (Player.I, Player.II):
+        for _ in range(max(1, samples // 2)):
+            out.append(Strategy(owner, drawn(rng, owner)))
+
+    rng = random.Random(f"transfer:{seed}")
+    pulled = reference_pullback(covering, leaves)
+    solution = reference_solve(source, pulled)
+    winning = [solution.strategy]
+    attempts = 0
+    while len(winning) < samples + 1 and attempts < samples * 8:
+        attempts += 1
+        choices = dict(solution.strategy.choices)
+        for position in decisions[solution.winner]:
+            if rng.random() < 0.3:
+                choices[position] = rng.choice(source.children_of(position))
+        candidate = Strategy(solution.winner, choices)
+        if _some_losing_play(source, pulled, candidate) is None:
+            winning.append(candidate)
+    return out + winning
+
+
 def exists_winning_strategy(tree: GameTree, leaves, owner: Player) -> bool:
     """Exhaustive enumeration of every strategy for ``owner``."""
     nodes = decision_positions(tree, owner)

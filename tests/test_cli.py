@@ -22,6 +22,7 @@ from unraveling.solver import solve
 import unraveling.unravel as unravel_module
 from unraveling.unravel import unravel_payoff
 
+import oracles
 from oracles import strategy_from
 
 
@@ -333,6 +334,44 @@ def test_verify_lift_failure_names_first_play(fixtures_dir, monkeypatch):
         f"plays fail; first: a strategy of player {owner}, play {play}:"
         f" lift {play} is not a source play)"
     ) in out
+
+
+@pytest.mark.parametrize(
+    "name, k",
+    [("ex1.game", 0), ("ex2.game", 0), ("ex3.game", 0), ("depth6.game", 0), ("union.game", 0),
+     ("depth6.game", 2)],
+)
+def test_verify_maps_the_strategies_its_checks_drew_with_rng_choice(
+    fixtures_dir, monkeypatch, name, k
+):
+    """The source strategies ``verify --samples 20`` passes to the
+    covering's strategy map, in order, are the ones its checks' sampling
+    loops draw with ``rng.choice`` and ``rng.random``
+    (``oracles.sampled_strategies``).  ``verify_lift`` maps the strategy of
+    each play again, so a run of calls with one strategy counts once."""
+    build = cli._covering_for
+    built, seen = [], []
+
+    def recording(*args, **kwargs):
+        covering, decided_depth = build(*args, **kwargs)
+        transform = covering.strategy_transform
+
+        def record(strategy):
+            if not seen or seen[-1] is not strategy:
+                seen.append(strategy)
+            return transform(strategy)
+
+        built.append(covering)
+        return dataclasses.replace(covering, strategy_transform=record), decided_depth
+
+    monkeypatch.setattr(cli, "_covering_for", recording)
+    tree, payoff, leaves = cli._load(game(fixtures_dir, name))
+    report = cli.verify_report(name, tree, payoff, leaves, k, 20, 0)
+    assert report.ok
+    expected = oracles.sampled_strategies(built[0], leaves, 20, 0)
+    assert [(s.owner, dict(s.choices)) for s in seen] == [
+        (s.owner, s.choices) for s in expected
+    ]
 
 
 def move_one_accept_play(monkeypatch):

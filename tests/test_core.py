@@ -10,7 +10,6 @@ from unraveling.core import (
     Player,
     Strategy,
     _as_plays,
-    _evaluate,
     consistent_plays,
     format_position,
     is_consistent,
@@ -357,18 +356,38 @@ def test_subtree_matches_set_comprehension_oracle(seed):
 # ----------------------------------------------------- play classification
 
 
+def follows(tree, owner, play):
+    """The owner's strategy that makes the owner's moves of ``play`` and
+    the least move everywhere else."""
+    return strategy_from(
+        tree, owner, lambda p, labels: play[len(p)] if play[: len(p)] == p else labels[0]
+    )
+
+
 def test_classify_full_depth_leaves(ex1):
+    """A full-depth play is won by I iff it is in the payoff: the strategy
+    that follows it wins when every consistent play is in the payoff, and
+    loses exactly that play when it alone is left out."""
     for leaf in ex1.full_depth_plays():
         assert oracles.taboo_owner(ex1, leaf) is None
-        assert _evaluate(ex1, ex1._id(leaf), mask(ex1, frozenset())) is Player.II
-        assert _evaluate(ex1, ex1._id(leaf), mask(ex1, frozenset({leaf}))) is Player.I
+        strategy = follows(ex1, Player.I, leaf)
+        others = frozenset(consistent_plays(ex1, strategy)) - {leaf}  # ex1 has no taboos
+        assert is_winning_strategy(ex1, others | {leaf}, strategy)
+        losing = is_winning_strategy(ex1, others, strategy)
+        assert losing.detail == f"loses play {format_position(leaf)}"
 
 
 def test_classify_taboo_and_full_depth(ex2):
-    everything = mask(ex2, frozenset(ex2.full_depth_plays()))
-    # taboo for II, whatever the payoff
-    assert _evaluate(ex2, ex2._id((0, 0)), everything) is Player.I
-    assert _evaluate(ex2, ex2._id((1, 1, 0, 0)), mask(ex2, frozenset())) is Player.II
+    everything = frozenset(ex2.full_depth_plays())
+    # taboo for II, whatever the payoff: I wins it even with no play in the
+    # payoff, so the first play I's strategy loses comes after it
+    into = follows(ex2, Player.I, (0, 0))
+    assert is_winning_strategy(ex2, everything, into)
+    assert is_winning_strategy(ex2, frozenset(), into).detail == "loses play 0/1/0/0"
+    leaf = (1, 1, 0, 0)
+    strategy = follows(ex2, Player.I, leaf)
+    others = frozenset(consistent_plays(ex2, strategy)) - {leaf}
+    assert is_winning_strategy(ex2, others, strategy).detail == "loses play 1/1/0/0"
 
 
 @given(st.integers(0, 400))
@@ -435,10 +454,16 @@ def test_consistent_plays_match_filter_oracle_and_nonempty(seed):
 
 
 def test_evaluate_play_clauses(ex1, ex2):
-    assert _evaluate(ex2, ex2._id((0, 0)), mask(ex2, frozenset())) is Player.I  # taboo for II
+    """``is_winning_strategy`` reads both winner tables: a taboo for II is
+    lost by II's strategy into it whatever the payoff, and for II a
+    full-depth play is lost iff it is in the payoff."""
+    into = follows(ex2, Player.II, (0, 0))
+    for payoff in (frozenset(), frozenset(ex2.full_depth_plays())):
+        assert is_winning_strategy(ex2, payoff, into).detail == "loses play 0/0"
     leaf = (1, 1, 0, 0)
-    assert _evaluate(ex1, ex1._id(leaf), mask(ex1, frozenset())) is Player.II
-    assert _evaluate(ex1, ex1._id(leaf), mask(ex1, frozenset({leaf}))) is Player.I
+    strategy = follows(ex1, Player.II, leaf)
+    assert is_winning_strategy(ex1, frozenset(), strategy)
+    assert is_winning_strategy(ex1, frozenset({leaf}), strategy).detail == "loses play 1/1/0/0"
 
 
 def test_evaluate_rejects_early_terminal_in_payoff(ex2):
@@ -507,6 +532,12 @@ def test_decisions_filter_positions_once_per_player(seed):
     remainder = prune(tree).tree
     if remainder is not None:
         trees.append(remainder)
+    # Nodes with 1 to 5 children: every pattern of rejected ``getrandbits``
+    # draws (n = 1 and 3 reject one value of their 1 and 2 bits, 2 two of
+    # 2 bits, 4 and 5 three to four of 3 bits).
+    trees += [GameTree.complete(2, branching) for branching in range(1, 6)]
+    mixed = [(a,) for a in range(5)] + [(a, b) for a in range(5) for b in range(a + 1)]
+    trees.append(GameTree(2, mixed))  # 5 children at the root, 1 to 5 below it
     for tree in trees:
         for owner in Player:
             table = tree.decisions(owner)
@@ -522,6 +553,7 @@ def test_decisions_filter_positions_once_per_player(seed):
                 for p in oracles.decision_positions(tree, owner)
             }
             assert random_strategy(drawn, tree, owner).choices == expected
+            assert drawn.getstate() == replay.getstate()  # the same draws, rejections too
 
 
 def test_id_form_entry_checks_the_tags_and_the_depth_bound(ex2):

@@ -797,6 +797,22 @@ def test_images_are_the_same_in_any_reading_order(kind):
         assert read_backwards == {p: forward[p] for p in forward}
         _assert_misses(forward, table, covering.target, owner)
         assert forward._known.keys() == table.keys()
+        # ``get`` keeps the ``Mapping.get`` contract: a miss is the default,
+        # a known choice is read without the chooser, and a ``KeyError`` met
+        # while a choice is computed leaves as the ``ValueError`` of ``[]``.
+        missing = object()
+        for p in (next(iter(covering.target.full_depth_plays())), (99,)):
+            assert forward.get(p, missing) is missing
+        choose, forward._choose = forward._choose, None  # a call would raise TypeError
+        assert {p: forward.get(p, missing) for p in table} == read_backwards
+        forward._choose = choose
+        holes = unravel_module._LazyChoices(table, lambda p, labels: {}[p])
+        errors = []
+        for read in (holes.__getitem__, holes.get):
+            with pytest.raises(ValueError, match="the source strategy is not total") as error:
+                read(next(iter(table)))
+            errors.append(str(error.value))
+        assert errors[0] == errors[1]
 
 
 @pytest.mark.parametrize("kind", ["k0", "k2", "union"])
