@@ -2,6 +2,7 @@
 
 from .core import (
     CheckResult,
+    Choices,
     GameTree,
     InternalInvariantError,
     Plays,
@@ -10,7 +11,6 @@ from .core import (
     ResourceLimitError,
     Strategy,
     consistent_plays,
-    is_consistent,
     is_winning_strategy,
     random_strategy,
 )

@@ -40,6 +40,17 @@ bytes by id, as ``in`` finds a play.  Every function that takes a payoff
 set accepts any set of positions and converts it once, in ``_as_plays``;
 a ``Plays`` of the same tree passes through as it is.
 
+A strategy's choices are kept the same way: a ``Choices`` is a read-only
+mapping bound to one tree that holds one child index per node id, read
+at the owner's decision ids (the cached ``_decision_ids``).  Every
+strategy the package makes is written in that form (random draws, the
+solver's and the pruner's strategies, the checks' mutations and the
+mapped strategies, whose entries are computed on first read), and every
+kernel reads the indices by id; any other mapping is converted once, in
+``_as_choices``, and read by position only where a choice is first
+needed.  Positions, labels and canonical order appear only at the
+mapping's API.
+
 Outside input reaches a tree by one constructor, ``GameTree(depth,
 nodes, taboo)``: positions in any order.  One pass (``_layout``) stores
 them when they come in canonical order, as a canonical game file lists
@@ -60,11 +71,11 @@ from __future__ import annotations
 import enum
 import random
 from array import array
-from collections.abc import Collection, Set
+from collections.abc import Collection, ItemsView, Set
 from contextlib import suppress
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import accumulate, chain, compress
+from functools import cached_property, partial
+from itertools import accumulate, chain, compress, repeat
 from operator import not_
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
@@ -131,10 +142,6 @@ class Player(enum.Enum):
 
 Label = int | tuple  # an int in base games, a tagged tuple in derived ones
 Position = tuple
-
-
-def is_prefix(p: Position, q: Position) -> bool:
-    return len(p) <= len(q) and q[: len(p)] == p
 
 
 def format_position(position: Position) -> str:
@@ -289,6 +296,10 @@ class GameTree:
             levels.append(first[levels[-1]])
         self._tags = tags
         self._decisions: dict[Player, Mapping[Position, tuple[Label, ...]]] = {}
+        self._owned: dict = {}  # decision ids and draw rows, by owner
+        # A strategy's read where it has no choice (``Choices._read``); not a
+        # method, which would make a cycle that only the collector frees.
+        self._missing_choice = partial(_missing, self._ordered)
 
     def _check_and_tag(self, taboo: Mapping[Position, Player]) -> None:
         """The arena rules for a stored tree built from outside input: no
@@ -370,6 +381,12 @@ class GameTree:
     def _children(self) -> dict[Position, tuple[Label, ...]]:
         return dict(zip(self._ordered, self._labels))
 
+    @cached_property
+    def _parents(self) -> list[int]:
+        """The parent id of every node by id, -1 at the root."""
+        labels = self._labels
+        return [-1, *chain.from_iterable(map(repeat, range(len(labels)), map(len, labels)))]
+
     @classmethod
     def complete(cls, depth: int, branching: int) -> "GameTree":
         """Complete ``branching``-ary tree of the given depth, no early
@@ -431,9 +448,10 @@ class GameTree:
 
     def _id(self, position: Position) -> int:
         """The id of a stored position, found by descending the child ranges."""
+        first, labels_of = self._first, self._labels
         i = 0
         for label in position:
-            i = self._first[i] + self._labels[i].index(label)
+            i = first[i] + labels_of[i].index(label)
         return i
 
     def __eq__(self, other: object) -> bool:
@@ -534,7 +552,7 @@ def _as_plays(tree: GameTree, payoff: Iterable[Position]) -> Plays:
     raise ValueError(f"payoff member {name} is not a full-depth play")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CheckResult:
     """Boolean verdict plus the first counterexample found, if any."""
 
@@ -545,82 +563,248 @@ class CheckResult:
         return self.ok
 
 
-@dataclass(frozen=True, eq=True)
+_PASSED = CheckResult(True)  # the verdict of every check that passes with no detail
+
+
+class _NoChoice(ValueError):
+    """A strategy was read where it has no choice: it is not total."""
+
+
+def _no_choice(position: Position) -> _NoChoice:
+    return _NoChoice(f"strategy has no choice at {format_position(position)} (not total)")
+
+
+def _missing(ordered: tuple[Position, ...], i: int) -> int:
+    """The read of a choice that is not there: a ``_NoChoice``."""
+    raise _no_choice(ordered[i])
+
+
+class Choices(Mapping):
+    """The choices of a strategy of ``owner`` on ``tree``, by node id:
+    ``picks`` holds one child index per id, read only at the owner's
+    decision ids, so the choice at id ``i`` is ``tree._labels[i][picks[i]]``.
+
+    It is a read-only ``Mapping`` from the owner's decision positions to
+    child labels, iterated in canonical order, and compares as the dict of
+    its items.  An entry below 0 is not known yet: with ``fill``, a
+    function of the id that computes the index, stores it in ``picks`` and
+    returns it, every decision position is a key and an unknown one is
+    computed on its first read; without ``fill``, the keys are the
+    positions with a known index, and a kernel that needs a choice at any
+    other decision raises a ``ValueError`` naming it (not total).  Only the
+    position API below descends the tree; the kernels read ``picks`` by id
+    and call ``_read`` on an entry below 0.
+    """
+
+    __slots__ = ("tree", "owner", "picks", "_fill", "_read")
+
+    def __init__(self, tree: GameTree, owner: Player, picks: list[int], fill=None):
+        self.tree = tree
+        self.owner = owner
+        self.picks = picks
+        self._fill = fill
+        self._read = tree._missing_choice if fill is None else fill
+
+    def _pick(self, i: int) -> int:
+        """The child index at decision id ``i``, computed if unknown."""
+        pick = self.picks[i]
+        return pick if pick >= 0 else self._read(i)
+
+    def _ids(self) -> Iterator[int]:
+        """The ids of the keys, in canonical order."""
+        ids = _decision_ids(self.tree, self.owner)
+        return iter(ids) if self._fill is not None else filter(self._known, ids)
+
+    def _known(self, i: int) -> bool:
+        return self.picks[i] >= 0
+
+    def _has(self, i: int) -> bool:
+        """Whether the node with id ``i``, one of the owner's depth, has a
+        choice: it has children, and a known index or a ``fill``."""
+        return bool(self.tree._labels[i]) and (self._fill is not None or self.picks[i] >= 0)
+
+    def _key(self, position) -> int:
+        """The id of ``position`` if it is a key, else -1: the keys are the
+        owner's decision table (``GameTree.decisions``), so an unhashable
+        position is a ``TypeError``, as in a dict."""
+        if position not in self.tree.decisions(self.owner):
+            return -1
+        i = self.tree._id(position)
+        return i if self._has(i) else -1
+
+    def __getitem__(self, position: Position) -> Label:
+        i = self._key(position)
+        if i < 0:
+            raise KeyError(position)
+        return self.tree._labels[i][self._pick(i)]
+
+    def get(self, position: Position, default=None):
+        i = self._key(position)
+        return default if i < 0 else self.tree._labels[i][self._pick(i)]
+
+    def __contains__(self, position: object) -> bool:
+        return self._key(position) >= 0
+
+    def __iter__(self) -> Iterator[Position]:
+        return map(self.tree._ordered.__getitem__, self._ids())
+
+    def __len__(self) -> int:
+        return sum(1 for _ in self._ids())
+
+    def items(self) -> ItemsView:
+        return _ChoiceItems(self)
+
+
+class _ChoiceItems(ItemsView):
+    """The items of a ``Choices``, read by id."""
+
+    __slots__ = ()
+
+    def __iter__(self) -> Iterator[tuple[Position, Label]]:
+        choices = self._mapping
+        ordered, labels = choices.tree._ordered, choices.tree._labels
+        pick = choices._pick
+        return ((ordered[i], labels[i][pick(i)]) for i in choices._ids())
+
+
+def _as_choices(tree: GameTree, strategy: "Strategy") -> Choices:
+    """A strategy's choices as a ``Choices`` of ``tree``: those of this very
+    tree and owner as they are, any other mapping read by position on
+    each first read, so a choice it lacks, or a label that is not a
+    child's, is a ``ValueError`` at the read that needs it."""
+    choices, owner = strategy.choices, strategy.owner
+    if choices.__class__ is Choices and choices.tree is tree and choices.owner is owner:
+        return choices
+    ordered, labels_of = tree._ordered, tree._labels
+    picks = [-1] * len(ordered)
+
+    def fill(i: int) -> int:
+        label = strategy.move_at(ordered[i])
+        try:
+            pick = picks[i] = labels_of[i].index(label)
+        except ValueError:
+            raise ValueError(f"unknown position {format_position(ordered[i] + (label,))}") from None
+        return pick
+
+    return Choices(tree, owner, picks, fill)
+
+
+@dataclass(frozen=True, eq=True, slots=True)
 class Strategy:
     """Total choice function for one player.
 
     ``choices`` is a read-only ``Mapping`` from every non-terminal position
     of the owner's parity to the label of the chosen child.  Totality keeps
     consistency checks and play enumeration decidable; unreachable positions
-    simply carry a default choice.  ``choices`` is never mutated after
-    construction (a variant is a new strategy over a copied dict), so a
-    strategy map may remember a strategy by identity; a mapped strategy's
-    choices may be computed on lookup (see ``unraveling.unravel``).
+    simply carry a default choice.  Every strategy the package makes holds
+    a ``Choices``, by node id; the kernels take any other mapping too and
+    convert it once (``_as_choices``).  ``choices`` is never mutated after
+    construction (a variant is a new strategy), so a strategy map may
+    remember a strategy by identity; a mapped strategy's choices may be
+    computed on first read (see ``unraveling.unravel``).
     """
 
     owner: Player
     choices: Mapping[Position, Label]
 
     def move_at(self, position: Position) -> Label:
+        """The choice at ``position``; a ``ValueError`` if there is none."""
         try:
             return self.choices[position]
         except KeyError:
-            raise ValueError(
-                f"strategy has no choice at {format_position(position)} (not total)"
-            ) from None
+            raise _no_choice(position) from None
 
 
-def _decision_ids(tree: GameTree, owner: Player, within: bytes | None = None) -> Iterator[int]:
+def _decision_ids(tree: GameTree, owner: Player, within: bytes | None = None):
     """The ids of the owner's non-terminal nodes, in canonical order: the
-    nodes with child labels on each level where the owner moves.  With
-    ``within``, a byte per id, only the ids it marks: each level is
-    compressed by it first, so a sparse region costs little."""
+    nodes with child labels on each level where the owner moves, one list
+    per tree and owner, made on first use.  With ``within``, a byte per
+    id, an iterator over only the ids it marks: each level is compressed
+    by it first, so a sparse region costs little."""
     levels, labels = tree._levels, tree._labels
-    owned = [
-        range(levels[d], levels[d + 1]) for d in range(_TO_MOVE.index(owner), tree.depth, 2)
-    ]
     if within is None:
-        return chain.from_iterable(compress(ids, labels[ids.start : ids.stop]) for ids in owned)
-    marked = chain.from_iterable(compress(ids, within[ids.start : ids.stop]) for ids in owned)
+        ids = tree._owned.get(owner)
+        if ids is None:
+            owned = range(_TO_MOVE.index(owner), tree.depth, 2)
+            ids = tree._owned[owner] = [
+                i
+                for d in owned
+                for i in compress(range(levels[d], levels[d + 1]), labels[levels[d] : levels[d + 1]])
+            ]
+        return ids
+    marked = chain.from_iterable(
+        compress(range(levels[d], levels[d + 1]), within[levels[d] : levels[d + 1]])
+        for d in range(_TO_MOVE.index(owner), tree.depth, 2)
+    )
     return filter(labels.__getitem__, marked)
+
+
+def _draw_rows(tree: GameTree, owner: Player) -> list[tuple[int, int, int]]:
+    """Per decision id of the owner (``_decision_ids``): the id, its child
+    count and that count's bit length; one list per tree and owner."""
+    rows = tree._owned.get((owner, "draw"))
+    if rows is None:
+        labels = tree._labels
+        rows = tree._owned[owner, "draw"] = [
+            (i, len(labels[i]), len(labels[i]).bit_length()) for i in _decision_ids(tree, owner)
+        ]
+    return rows
+
+
+def _draw(rng: random.Random, picks: list[int], rows: Iterable[tuple[int, int, int]]) -> None:
+    """One uniform draw per row of ``_draw_rows``, in order, into ``picks``:
+    the one ``rng.choice(labels)`` makes, written out.  With ``n``
+    children, ``rng.getrandbits(n.bit_length())`` until the result is below
+    ``n``, the index of the choice, so the draws, and the state ``rng`` is
+    left in, are those of one ``rng.choice`` per id in turn."""
+    getrandbits = rng.getrandbits
+    for i, n, bits in rows:
+        r = getrandbits(bits)
+        while r >= n:
+            r = getrandbits(bits)
+        picks[i] = r
 
 
 def random_strategy(rng: random.Random, tree: GameTree, owner: Player) -> Strategy:
     """A total strategy with one uniform draw per decision position, in
-    canonical order.
-
-    Each draw is the one ``rng.choice(labels)`` makes, written out: with
-    ``n`` children, ``rng.getrandbits(n.bit_length())`` until the result is
-    below ``n``, the index of the choice.  So the draws follow
-    ``rng.choice``'s stream: the strategy, and the state ``rng`` is left
-    in, are those of one ``rng.choice`` per position in turn.
-    """
-    getrandbits = rng.getrandbits
-    choices = {}
-    for position, labels in tree.decisions(owner).items():
-        n = len(labels)
-        bits = n.bit_length()
-        r = getrandbits(bits)
-        while r >= n:
-            r = getrandbits(bits)
-        choices[position] = labels[r]
-    return Strategy(owner, choices)
+    canonical order, on ``rng.choice``'s stream (``_draw``)."""
+    picks = [-1] * len(tree._ordered)
+    _draw(rng, picks, _draw_rows(tree, owner))
+    return Strategy(owner, Choices(tree, owner, picks))
 
 
-def is_consistent(position: Position, strategy: Strategy) -> bool:
-    """True iff the owner's moves along ``position`` all follow the strategy."""
-    get = strategy.choices.get
-    for k in range(_TO_MOVE.index(strategy.owner), len(position), 2):
-        if get(position[:k]) != position[k]:
-            return False
-    return True
+def _descend(tree: GameTree, position: Position, choices: Choices) -> tuple[int, bool]:
+    """The id of ``position`` in ``tree``, found by descending the child
+    ranges, and whether the owner's moves along it follow ``choices``, a
+    ``Choices`` of ``tree`` (a decision without a choice does not); the
+    id is -1 if ``position`` is not a node."""
+    first, labels_of, picks = tree._first, tree._labels, choices.picks
+    owner_moves = _TO_MOVE.index(choices.owner) == 0  # at the next depth
+    i, follows = 0, True
+    for label in position:
+        try:
+            c = labels_of[i].index(label)
+        except ValueError:  # a label that is not a child's
+            return -1, False
+        if owner_moves and follows:
+            pick = picks[i]
+            if pick < 0:
+                try:
+                    pick = choices._read(i)
+                except _NoChoice:
+                    pick = -1
+            follows = pick == c
+        owner_moves = not owner_moves
+        i = first[i] + c
+    return i, follows
 
 
 def _consistent_ids(tree: GameTree, strategy: Strategy) -> list[int]:
     """The ids of the plays consistent with the strategy, depth first, least
-    child first; the owner's moves are read from ``strategy.choices``."""
-    ordered, first, labels_of = tree._ordered, tree._first, tree._labels
-    chosen = strategy.choices
+    child first; the owner's moves are read by id (``_as_choices``)."""
+    first = tree._first
+    choices = _as_choices(tree, strategy)
+    picks, read = choices.picks, choices._read
     out: list[int] = []
     # The stack holds only nodes where the owner moves: each step follows
     # the owner's move and pushes every reply of the opponent, least on top.
@@ -636,17 +820,8 @@ def _consistent_ids(tree: GameTree, strategy: Strategy) -> list[int]:
         if lo == first[i + 1]:
             out.append(i)
             continue
-        position = ordered[i]
-        try:
-            move = chosen[position]
-        except KeyError:
-            raise ValueError(
-                f"strategy has no choice at {format_position(position)} (not total)"
-            ) from None
-        try:
-            i = lo + labels_of[i].index(move)
-        except ValueError:
-            raise ValueError(f"unknown position {format_position(position + (move,))}") from None
+        c = picks[i]
+        i = lo + (c if c >= 0 else read(i))
         lo, hi = first[i], first[i + 1]
         if lo == hi:
             out.append(i)
@@ -675,4 +850,4 @@ def is_winning_strategy(tree: GameTree, payoff, strategy: Strategy) -> CheckResu
         # tags every one), else the play's byte in the payoff mask.
         if (_TABOO_WINNER[tags[i]] or _PLAY_WINNER[mask[i - plays]]) is not owner:
             return CheckResult(False, f"loses play {format_position(tree._ordered[i])}")
-    return CheckResult(True)
+    return _PASSED

@@ -26,19 +26,24 @@ from typing import Callable
 
 from .core import (
     CheckResult,
+    Choices,
     GameTree,
     InternalInvariantError,
     Plays,
     Player,
     Position,
     Strategy,
+    _NoChoice,
     _OWNERS,
+    _PASSED,
+    _as_choices,
     _as_plays,
     _decision_ids,
+    _descend,
+    _draw,
+    _draw_rows,
     consistent_plays,
     format_position,
-    is_consistent,
-    is_prefix,
     is_winning_strategy,
     random_strategy,
 )
@@ -56,7 +61,7 @@ class Covering:
     target strategies; ``lift`` maps (source strategy, target play
     consistent with its image) to the witnessing source play.  A base
     covering's strategy map is lazy: its image computes each choice on
-    first lookup, and the map's invariants on a choice are checked then.
+    first read, and the map's invariants on a choice are checked then.
     Its two maps remember the last strategy they saw, by identity, so
     mapping a strategy again, or lifting its plays after mapping it, does
     not map it again and keeps the choices already computed; a composite
@@ -134,91 +139,94 @@ def check_strategy_locality(covering: Covering, trials: int, seed: int) -> Check
     the mapped strategies must have a choice at each of the owner's target
     decision positions below n and agree there; below the covering's
     identity level the map must be the identity.  Only those choices are
-    read, so a lazily mapped strategy computes no others.
+    read, by id, so a lazily mapped strategy computes no others.
     """
     rng = random.Random(f"locality:{seed}")
-    getrandbits = rng.getrandbits
     source, target = covering.source, covering.target
     ordered, labels_of, levels = source._ordered, source._labels, source._levels
+    target_ordered, target_labels = target._ordered, target._labels
     transform = covering.strategy_transform
-    # By owner, in canonical order, so by length.
-    decision_ids = {owner: list(_decision_ids(source, owner)) for owner in Player}
+    below_level = levels[min(covering.level, source.depth + 1)]
     for trial in range(trials):
         owner = rng.choice([Player.I, Player.II])
         cutoff = rng.randint(0, source.depth)
         first = random_strategy(rng, source, owner)
-        second_choices = dict(first.choices)
-        ids = decision_ids[owner]
         # Redrawn from the first decision position of length >= cutoff on,
         # one draw each as ``random_strategy`` draws (``rng.choice``'s stream).
-        for i in ids[bisect_left(ids, levels[cutoff]) :]:
-            labels = labels_of[i]
-            n = len(labels)
-            bits = n.bit_length()
-            r = getrandbits(bits)
-            while r >= n:
-                r = getrandbits(bits)
-            second_choices[ordered[i]] = labels[r]
-        second = Strategy(owner, second_choices)
+        ids = _decision_ids(source, owner)
+        picks = first.choices.picks[:]
+        _draw(rng, picks, _draw_rows(source, owner)[bisect_left(ids, levels[cutoff]) :])
+        second = Strategy(owner, Choices(source, owner, picks))
         mapped_first, mapped_second = transform(first), transform(second)
         if mapped_first.owner is not owner or mapped_second.owner is not owner:
             return CheckResult(False, f"trial {trial}: owner not preserved")
-        # Breadth first: every position past the first at the cutoff is at
-        # least as long, so only the choices below it are read.
-        for position in target.decisions(owner):
-            if len(position) >= cutoff:
-                break
-            if position not in mapped_first.choices or position not in mapped_second.choices:
+        a, b = _as_choices(target, mapped_first), _as_choices(target, mapped_second)
+        picks_a, read_a, picks_b, read_b = a.picks, a._read, b.picks, b._read
+        # Canonical order: every decision past the first at the cutoff is at
+        # least as deep, so only the choices below it are read.
+        target_ids = _decision_ids(target, owner)
+        for t in target_ids[: bisect_left(target_ids, target._levels[cutoff])]:
+            try:
+                x, y = picks_a[t], picks_b[t]
+                differ = (x if x >= 0 else read_a(t)) != (y if y >= 0 else read_b(t))
+            except _NoChoice:
                 return CheckResult(
-                    False, f"trial {trial}: no mapped choice at {format_position(position)}"
+                    False, f"trial {trial}: no mapped choice at {format_position(target_ordered[t])}"
                 )
-            if mapped_first.choices[position] != mapped_second.choices[position]:
+            if differ:
                 return CheckResult(
                     False,
-                    f"trial {trial}: images differ at {format_position(position)}"
+                    f"trial {trial}: images differ at {format_position(target_ordered[t])}"
                     f" below level {cutoff}",
                 )
-        for position, choice in first.choices.items():
-            if len(position) >= covering.level:
-                break
-            if mapped_first.choices.get(position) != choice:
+        # Below the identity level each choice is read at the image of its node.
+        drawn = first.choices.picks
+        for i in ids[: bisect_left(ids, below_level)]:
+            t = covering.images[i]
+            try:
+                same = (
+                    target_ordered[t] == ordered[i]
+                    and a._has(t)
+                    and target_labels[t][a._pick(t)] == labels_of[i][drawn[i]]
+                )
+            except _NoChoice:
+                same = False
+            if not same:
                 return CheckResult(
-                    False, f"trial {trial}: not the identity at {format_position(position)}"
+                    False, f"trial {trial}: not the identity at {format_position(ordered[i])}"
                 )
     return CheckResult(True)
 
 
 def verify_lift(covering: Covering, strategy: Strategy, play: Position) -> CheckResult:
     """Lift one target play and check the lifting conditions on it; a failure
-    names the lift and the first condition it breaks."""
-    target = covering.target
-    try:
-        j = target._id(play)
-    except ValueError:
-        raise ValueError(f"unknown position {format_position(play)}") from None
+    names the lift and the first condition it breaks.  The play and its
+    lift are each found by one descent, which checks the owner's moves on
+    the way."""
+    target, source = covering.target, covering.source
+    mapped = _as_choices(target, covering.strategy_transform(strategy))
+    j, follows = _descend(target, play, mapped)
+    if j < 0:
+        raise ValueError(f"unknown position {format_position(play)}")
     if target._labels[j]:
         raise ValueError(f"{format_position(play)} is not a play of the target")
-    if not is_consistent(play, covering.strategy_transform(strategy)):
+    if not follows:
         raise ValueError("play is not consistent with the mapped strategy")
     lifted = covering.lift(strategy, play)
-    source = covering.source
-    try:
-        i = source._id(lifted)
-    except ValueError:
-        i = None
-    if i is None or source._labels[i]:
+    i, follows = _descend(source, lifted, _as_choices(source, strategy))
+    if i < 0 or source._labels[i]:
         fault = "is not a source play"
-    elif not is_consistent(lifted, strategy):
+    elif not follows:
         fault = "is not consistent with the strategy"
-    elif not is_prefix(image := target._ordered[covering.images[i]], play):
+    elif play[: len(image := target._ordered[covering.images[i]])] != image:
         fault = f"has the image {format_position(image)}, not a prefix of the play"
-    elif image != play and _OWNERS[source._tags[i]] is not strategy.owner:
+    elif covering.images[i] != j and _OWNERS[source._tags[i]] is not strategy.owner:
         fault = (
             f"has the image {format_position(image)}, short of the play,"
             f" with no taboo against player {strategy.owner}"
         )
     else:
-        return CheckResult(True)
+        return _PASSED
     return CheckResult(False, f"lift {format_position(lifted)} {fault}")
 
 
@@ -322,25 +330,25 @@ def check_winning_transfer(
     rng = random.Random(f"transfer:{seed}")
     rand, getrandbits = rng.random, rng.getrandbits
     payoff = _as_plays(covering.target, payoff_leaves)
+    source = covering.source
     source_payoff = pullback(covering, payoff)
-    solution = solve(covering.source, source_payoff)
+    solution = solve(source, source_payoff)
     winner = solution.winner
-    decisions = covering.source.decisions(winner).items()
+    rows = _draw_rows(source, winner)
+    solved = solution.strategy.choices.picks
     winning = [solution.strategy]
     attempts = 0
     while len(winning) < samples + 1 and attempts < samples * 8:
         attempts += 1
-        choices = dict(solution.strategy.choices)
-        for position, labels in decisions:
-            if rand() < 0.3:  # then one draw as ``rng.choice(labels)`` makes it
-                n = len(labels)
-                bits = n.bit_length()
+        picks = solved[:]
+        for i, n, bits in rows:
+            if rand() < 0.3:  # then one draw as ``rng.choice`` makes it (see ``_draw``)
                 r = getrandbits(bits)
                 while r >= n:
                     r = getrandbits(bits)
-                choices[position] = labels[r]
-        candidate = Strategy(winner, choices)
-        if is_winning_strategy(covering.source, source_payoff, candidate):
+                picks[i] = r
+        candidate = Strategy(winner, Choices(source, winner, picks))
+        if is_winning_strategy(source, source_payoff, candidate):
             winning.append(candidate)
     for index, candidate in enumerate(winning):
         mapped = covering.strategy_transform(candidate)

@@ -3,9 +3,9 @@
 Every finite game with taboos is determined.  One backward-induction kernel,
 ``_winners``, labels each node with its winner, or with ``None`` where
 neither player wins (a node is won by its mover if some child is), and one
-extraction, ``_least_winning``, turns a labeling into a strategy,
-tie-breaking by the lexicographically least move so results are
-reproducible.  Both run over the tree's integer node ids: a labeling is a
+extraction, ``_least_winning``, turns a labeling into a strategy, one
+child index per decision id (``core.Choices``), tie-breaking by the
+lexicographically least move so results are reproducible.  Both run over the tree's integer node ids: a labeling is a
 list by id, child values are read at the first-child offsets, and a taboo
 is won by its owner's opponent, read off its tag byte.  ``solve`` is the
 kernel with the payoff's bytes (see ``core.Plays``) deciding the
@@ -34,6 +34,7 @@ from typing import Mapping
 from .core import (
     GameTree,
     InternalInvariantError,
+    Choices,
     Player,
     Position,
     Strategy,
@@ -41,6 +42,7 @@ from .core import (
     _PLAY_WINNER,
     _TABOO_WINNER,
     _TO_MOVE,
+    _as_choices,
     _as_plays,
     _decision_ids,
     format_position,
@@ -87,14 +89,13 @@ def _winners(tree: GameTree, mask: bytes | None) -> list[Player | None]:
 def _least_winning(tree: GameTree, owner: Player, values, within=None) -> Strategy:
     """At each of the owner's decision nodes (only those ``within`` marks,
     if given), the least child the owner wins by ``values``, or else the
-    least child."""
-    ordered, first, labels_of = tree._ordered, tree._first, tree._labels
-    choices = {}
+    least child, by id."""
+    first = tree._first
+    picks = [-1] * len(tree._ordered)
     for i in _decision_ids(tree, owner, within):
         child_values = values[first[i] : first[i + 1]]
-        least = child_values.index(owner) if owner in child_values else 0
-        choices[ordered[i]] = labels_of[i][least]
-    return Strategy(owner, choices)
+        picks[i] = child_values.index(owner) if owner in child_values else 0
+    return Strategy(owner, Choices(tree, owner, picks))
 
 
 def solve(tree: GameTree, payoff) -> Solution:
@@ -192,13 +193,14 @@ def transfer_from_pruned(tree: GameTree, pruned: PruneResult, strategy: Strategy
         raise ValueError("no pruned tree: the root is taboo-determined")
     owner = strategy.owner
     ordered, first, labels_of = tree._ordered, tree._first, tree._labels
-    # Who picks the owner's move, by id: ``strategy`` in the remainder; in a
+    rest = _as_choices(pruned.tree, strategy)
+    # Who picks the owner's move, by id: ``rest`` in the remainder; in a
     # removed region, its entry's witness if the owner determines the entry,
     # else ``None``, the least move.
-    mover: list[Strategy | None] = [strategy] * len(ordered)
+    mover: list[Choices | None] = [rest] * len(ordered)
     for entry, witness in pruned.witnesses.items():  # the minimal removed positions
         if pruned.determined[entry] is owner:
-            mover[tree._id(entry)] = witness
+            mover[tree._id(entry)] = _as_choices(tree, witness)
         elif _TO_MOVE[(len(entry) - 1) % 2] is not owner:  # the opponent moves into it
             raise InternalInvariantError(
                 f"opponent enters {format_position(entry)} determined against the owner"
@@ -206,15 +208,31 @@ def transfer_from_pruned(tree: GameTree, pruned: PruneResult, strategy: Strategy
         else:
             mover[tree._id(entry)] = None
     # One forward pass, parents before children: a removed node hands its
-    # mover on to its child range.
+    # mover on to its child range, and a kept one counts its remainder id.
+    kept = [0] * len(ordered)  # by id: the remainder id of a kept node
+    at = 0
     for i in range(len(ordered)):
         who = mover[i]
-        if who is not strategy:
+        if who is rest:
+            kept[i] = at
+            at += 1
+        else:
             lo, hi = first[i], first[i + 1]
             mover[lo:hi] = [who] * (hi - lo)
 
-    choices: dict[Position, object] = {}
+    # The remainder keeps its nodes' child labels, the very tuples, except
+    # where a child was removed: there its choice is found by label.
+    rest_labels = pruned.tree._labels
+    picks = [-1] * len(ordered)
     for i in _decision_ids(tree, owner):
-        position, who = ordered[i], mover[i]
-        choices[position] = labels_of[i][0] if who is None else who.move_at(position)
-    return Strategy(owner, choices)
+        who = mover[i]
+        if who is rest:
+            r = kept[i]
+            pick = rest._pick(r)
+            labels = rest_labels[r]
+            picks[i] = pick if labels is labels_of[i] else labels_of[i].index(labels[pick])
+        elif who is not None:
+            picks[i] = who._pick(i)
+        else:
+            picks[i] = 0
+    return Strategy(owner, Choices(tree, owner, picks))

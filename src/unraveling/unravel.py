@@ -10,8 +10,10 @@ moment a frontier position is reached) or challenges one claimed position
 branches, and every claim in a build shares the same reply objects: one
 ``Accept`` per base move and one ``Challenge`` per frontier position, and
 the accepts that answer a move are one tuple per tuple of its child
-labels.  The strategy maps reuse them, and read player II's replies to
-the claims on a move in a single scan.
+labels.  The strategy maps read strategies by node id: each move's claims
+and frontier ids, kept as the build writes them, locate a target node
+from its parent, and player II's replies to the claims on a move are
+read in a single scan.
 
 The *frontier* of a move is the antichain of minimal non-terminal
 extensions from whose subtrees the payoff set is unreachable: the claimed
@@ -65,6 +67,7 @@ from .core import (
     LABELS_PER_NODE,
     ArenaError,
     CheckResult,
+    Choices,
     GameTree,
     InternalInvariantError,
     Label,
@@ -73,7 +76,9 @@ from .core import (
     ResourceLimitError,
     Strategy,
     _FLIP,
+    _NoChoice,
     _OWNERS,
+    _as_choices,
     _check_label_budget,
     _positions_below,
     format_position,
@@ -169,6 +174,16 @@ def _claim_order(size: int) -> tuple[tuple[int, ...], ...]:
     outlives the build that filled it: after one build with large caps,
     its ``1 << size`` tuples stay in memory until the process ends."""
     return tuple(sorted(_subsets_counter(range(size))))
+
+
+@functools.cache
+def _claim_ranks(size: int) -> tuple[int, ...]:
+    """By the mask of a claimed part of a frontier of ``size`` positions
+    (bit n for frontier index n, so binary-counter order), the index of its
+    claim in claim order (``_claim_order``); one table per size for the
+    whole process."""
+    rank = {claimed: n for n, claimed in enumerate(_claim_order(size))}
+    return tuple(rank[claimed] for claimed in _subsets_counter(range(size)))
 
 
 def _generator_floor(k: int, depth: int) -> int:
@@ -314,12 +329,16 @@ def build_base_covering(
     the challenged position), which are recorded as their ids are written.
     That map gives the source's label count (``_check_label_budget``);
     then positions follow, one depth at a time, from parents and labels.
+    The strategy maps (``_strategy_maps``) get what the claims were
+    written from: per move its level-``k`` node, its first claim's id and
+    its frontier ids, and per frontier id its move and frontier index.
     """
     if level < 0:
         raise ValueError(f"level {level} is negative")
     k = level + level % 2
     if k + 2 > tree.depth:
-        raise ValueError(f"level {k} needs depth {k + 2}, bound is {tree.depth}")
+        named = f"level {level}" + (f" (rounded up to {k})" if level % 2 else "")
+        raise ValueError(f"{named} needs depth {k + 2}, bound is {tree.depth}")
     banned = _banned(tree, spec)  # checks the generators first
     floor = _generator_floor(k, tree.depth)
     for generator in spec.generators:
@@ -348,6 +367,8 @@ def build_base_covering(
     accepts: dict[Label, Accept] = {}
     challenges: dict[Position, Challenge] = {}
     kept_for: dict[tuple[Label, ...], tuple[Accept, ...]] = {}  # accepts by child labels
+    claims_of = []  # per move: its level-k node, its first claim's id, its frontier ids
+    front_at: dict[int, tuple[int, int]] = {}  # by frontier id: its move, its frontier index
 
     # The claims on a move come in the order of their claimed index tuples:
     # the frontier is in lexicographic order, so that is the label order.
@@ -384,9 +405,11 @@ def build_base_covering(
                     accepts.setdefault(b, Accept(b)) for b in child_labels
                 )
             order = _claim_order(size)  # only now: 1 << size claims passed the node cap
+            claims_of.append((i, moves + len(replied), front_ids))
             if size:
-                index = {q: n for n, q in enumerate(front_ids)}
-                cuts = [[(offset, index[q]) for offset, q in cut] for cut in cuts]
+                for n, q in enumerate(front_ids):
+                    front_at[q] = (base, n)
+                cuts = [[(offset, front_at[q][1]) for offset, q in cut] for cut in cuts]
                 front = frontiers[(p, a)] = tuple(map(ordered.__getitem__, front_ids))
                 replies = [challenges.setdefault(q, Challenge(q, q[k + 1])) for q in front]
                 for claimed in order:
@@ -429,194 +452,207 @@ def build_base_covering(
         _check_label_budget("covering source", held, node_max)
     out = _positions_below(list(ordered[:moves]), out_labels, at_k)  # source positions by id
     source = GameTree._from_ids(tree.depth, out, out_labels, out_tags)
-    transform, lift = _strategy_maps(tree, k, frontiers, accepts, challenges)
+    transform, lift = _strategy_maps(source, tree, k, images, claims_of, front_at)
     return BaseCovering(source, tree, k, images, transform, lift, frontiers, spec)
 
 
-_UNKNOWN = object()  # a choice not computed yet: no label is this object
+# The located id of a node under a move that player I's claim passes by:
+# no node's id, nor the complement ``~id`` of one.
+_OFF = -(1 << 40)
 
 
-class _LazyChoices(Mapping):
-    """The choices of a mapped strategy, each computed on its first lookup
-    and then kept.  The keys are the owner's decision positions of the
-    target (``GameTree.decisions``), so ``len``, iteration and ``in`` never
-    compute a choice.
-
-    ``[]`` and ``get`` read a computed choice with one ``dict.get``, so the
-    first read of a position raises nothing on the way to computing it.
-    A ``KeyError`` raised while a choice is computed (a source strategy
-    that is not total) leaves ``[]`` and ``get`` alike as a ``ValueError``
-    naming the position, so ``get`` does not read it as "no choice", as
-    ``Mapping.get`` would not; ``get`` returns its default only for a
-    position that is not a key.
-    """
-
-    __slots__ = ("_keys", "_choose", "_known")
-
-    def __init__(self, keys: Mapping[Position, tuple[Label, ...]], choose):
-        self._keys = keys
-        self._choose = choose
-        self._known: dict[Position, Label] = {}
-
-    def __getitem__(self, position: Position) -> Label:
-        choice = self._known.get(position, _UNKNOWN)
-        if choice is not _UNKNOWN:
-            return choice
-        labels = self._keys[position]  # a KeyError here is "no choice"
-        try:
-            choice = self._known[position] = self._choose(position, labels)
-        except KeyError:
-            raise ValueError(
-                f"mapped strategy has no choice at {format_position(position)}:"
-                " the source strategy is not total"
-            ) from None
-        return choice
-
-    def get(self, position: Position, default=None):
-        choice = self._known.get(position, _UNKNOWN)
-        if choice is not _UNKNOWN:
-            return choice
-        return self[position] if position in self._keys else default
-
-    def __iter__(self) -> Iterator[Position]:
-        return iter(self._keys)
-
-    def __len__(self) -> int:
-        return len(self._keys)
-
-    def __contains__(self, position: object) -> bool:
-        return position in self._keys
-
-
-def _strategy_maps(tree: GameTree, k: int, frontiers, accepts, challenges):
+def _strategy_maps(source: GameTree, tree: GameTree, k: int, images, claims_of, front_at):
     """The strategy map and the constructive lift of a base covering.
 
-    Both rest on one locator: given a source strategy, ``locate(x)`` names
-    the source node that a target position ``x`` past level ``k`` comes
-    from, and whether it is exact.  The locator keeps one record per move
-    ``x[:k + 1]``, made on the move's first lookup: the claim node
-    ``p + (claim,)``, the claim's claimed part, the move's frontier
-    ``frontiers[(p, a)]`` and II's rebased claims.  The claim is player I's
-    own claim move (no record, only "off the play", if ``x`` takes
-    another move); for player II it is the claim of the frontier part II
-    never challenges, and each position II does challenge has its rebased
-    claim, the first claim (binary-counter order) II answers with that
-    challenge, kept as the node the challenge enters.  One read of II's
-    replies to the claims on the move finds both.  A located node is then
-    one dict probe plus the frontier test: the frontier is an antichain,
-    so at most one of its positions is a prefix of ``x``.  Past a frontier
-    position the owner gave up (unclaimed by I, claimed but unchallenged
-    against II) the node is the one cut at that position, a taboo against
-    the owner, and inexact.  The replies are the construction's own
-    objects, ``accepts`` by move label and ``challenges`` by frontier
-    position, which is only the reply table.  The transform follows the
-    strategy at exact nodes and takes the least move elsewhere; the lift
-    is the located node.
+    Both rest on one locator: given a source strategy, it names by id the
+    source node that a target node past level ``k`` comes from, and
+    whether it is exact.  It keeps one record per move (a target id at
+    depth ``k + 1``), made on the move's first lookup from the build's
+    ``claims_of`` (by move, in id order: its level-``k`` node, its first
+    claim's source id and its frontier ids): the claim node, the
+    claim's claimed frontier indices and player II's rebased challenges.
+    The claim is player I's own claim (off the play, ``_OFF``, if it is
+    on another move); for player II it is the claim of the frontier part
+    II never challenges, and each frontier node II does challenge has the
+    reply node of the first claim (binary-counter order) II answers with
+    that challenge.  One read of II's replies to the claims on the move
+    finds both.
 
-    The image is lazy: its choices are a ``_LazyChoices`` over the target's
-    decision table, and each is located and computed on its first lookup,
-    so a check that reads only the choices along consistent plays computes
-    only those; a choice already computed costs one dict probe.  The
-    invariant that player II's reply to the never-challenged claim is an
-    accept is therefore checked when that choice is looked up, not when
-    the strategy is mapped.
+    Below the move, a node's located id is its parent's source child at
+    the same child index: claims, accepts and copies keep their image's
+    child order.  It jumps only at a frontier id of its move
+    (``front_at``, by id: the move and the node's frontier index); the
+    frontier is an antichain, so a node passes at most one.  At a
+    frontier node the owner kept (claimed by I, challenged against II) it
+    is the end of the challenge chain, one child a level below the reply;
+    at one the owner gave up it is the cut node, a taboo against the
+    owner, kept as ``~id``: inexact, and so is every node below it.
+    Located ids are kept by target id as they are found (the child a
+    computed choice moves to with it), so each node is located once, from
+    the nearest located node above it, by the target's parent table.  The
+    transform follows the strategy at exact nodes and takes the least move
+    elsewhere; the lift is the source position of the located id.
+
+    The image is a ``Choices`` of the target with every entry unknown,
+    each computed on its first read through one call, so a check that
+    reads only the choices along consistent plays computes only those.
+    Below level ``k`` a choice is the source's at the same id, and at
+    level ``k`` the move of player I's claim, read off the position map.
+    The invariant that player II's reply to the never-challenged claim is
+    an accept is therefore checked when that choice is read, not when the
+    strategy is mapped.
 
     The two maps share one record of the last strategy seen, by identity
-    (a strategy's choices never change), with its locator and its image,
+    (a strategy's choices never change), with its image and its locator,
     so a check that maps a strategy and then lifts its plays maps it once,
     makes each move's record once, and keeps the choices already computed.
     """
+    first_s, first_t, target_labels, target_ordered = (
+        source._first, tree._first, tree._labels, tree._ordered
+    )
+    at_k, moves, below = tree._levels[k], tree._levels[k + 1], tree._levels[k + 2]
+    node_count = len(target_ordered)
 
-    def locator(strategy: Strategy):
-        first = strategy.owner is Player.I
-        chosen = strategy.choices
-        records: dict[Position, tuple | None] = {}
+    def image(strategy: Strategy):
+        owner = strategy.owner
+        first = owner is Player.I
+        chosen = _as_choices(source, strategy)
+        held, read = chosen.picks, chosen._read
+        located: dict[int, int] = {}  # by target id past level k
+        records: dict[int, tuple] = {}  # by move: claim node, claimed indices, rebased
 
-        def record(move: Position) -> tuple | None:
-            """The record of a target position of length ``k + 1``, kept:
-            ``(claim node, claimed, frontier, rebased)``, or ``None`` off
-            the play."""
-            p, a = move[:k], move[k]
-            front = frontiers[(p, a)]
-            rebased: dict[Position, Position] = {}
-            if first:
-                claim = chosen[p]
-                if claim.move != a:
-                    records[move] = None  # off the described play
-                    return None
-            else:
-                if front:  # with nothing to claim there is nothing to challenge
-                    for claimed in _subsets_counter(front):
-                        claim = Claim(a, claimed)
-                        reply = chosen[p + (claim,)]
-                        if isinstance(reply, Challenge) and reply.target not in rebased:
-                            rebased[reply.target] = p + (claim, reply)
-                claim = Claim(a, tuple(q for q in front if q not in rebased))
-            found = records[move] = (p + (claim,), claim.claimed, front, rebased)
-            return found
+        walk: list[int] = []  # the nodes ``locate`` passes up, reused by each call
 
-        def locate(x: Position) -> tuple[Position | None, bool]:
-            move = x[: k + 1]
-            found = records.get(move, _UNKNOWN)
-            if found is _UNKNOWN:
-                found = record(move)
-            if found is None:
-                return None, False
-            node, claimed, front, rebased = found
-            if len(x) == k + 1:
-                return node, True
-            for hit in front:  # an antichain: at most one is on x
-                if x[: len(hit)] == hit:
+        def locate(t: int) -> int:
+            """The located id of target node ``t`` past level ``k``, kept:
+            up to the nearest node already located, or to the move, whose
+            record is made now, then down again, each node the source child
+            of its parent's at the same child index, unless it is a
+            frontier node of its move, kept or given up."""
+            at = located.get(t)
+            if at is not None:
+                return at
+            parents = tree._parents
+            walk.clear()  # of a call that raised
+            while t >= below:
+                walk.append(t)
+                t = parents[t]
+                at = located.get(t)
+                if at is not None:
                     break
-            else:
-                return node + (accepts[x[k + 1]],) + x[k + 2 :], True
-            if first and hit in claimed:
-                return node + (challenges[hit],) + x[k + 2 :], True
-            if not first and hit not in claimed:
-                if hit not in rebased:
-                    raise InternalInvariantError("no claimed set challenges the position")
-                return rebased[hit] + x[k + 2 :], True
-            return node + (accepts[x[k + 1]],) + hit[k + 2 :], False
+            else:  # ``t`` is a move: its record, and its claim node
+                i, start, front = claims_of[t - moves]
+                size = len(front)
+                order = _claim_order(size)
+                rebased: dict[int, int] = {}  # frontier index -> the node its challenge enters
+                if first:
+                    pick = held[i]
+                    at = first_s[i] + (pick if pick >= 0 else read(i))
+                    if images[at] != t:
+                        at = _OFF  # off the described play
+                else:
+                    kept = (1 << size) - 1  # the frontier indices II never challenges
+                    if size:  # with nothing to claim there is nothing to challenge
+                        accepts = len(target_labels[t])
+                        ranks = _claim_ranks(size)
+                        for mask in range(1 << size):
+                            claim = start + ranks[mask]
+                            pick = held[claim]
+                            reply = (pick if pick >= 0 else read(claim)) - accepts
+                            if reply >= 0:
+                                n = order[ranks[mask]][reply]
+                                if n not in rebased:
+                                    rebased[n] = first_s[claim] + accepts + reply
+                                    kept &= ~(1 << n)
+                    at = start + _claim_ranks(size)[kept]
+                if at >= 0:
+                    records[t] = (at, order[at - start], rebased)
+                located[t] = at
+            while walk:
+                t = walk.pop()
+                if at >= 0:  # else inexact, and so is every node below
+                    at = first_s[at] + t - first_t[parents[t]]
+                    if t in front_at:
+                        m, n = front_at[t]
+                        claim, claimed, rebased = records[m]
+                        if first and n in claimed:
+                            at = first_s[claim] + len(target_labels[m]) + claimed.index(n)
+                        elif not first and n not in claimed:
+                            if n not in rebased:
+                                raise InternalInvariantError(
+                                    "no claimed set challenges the position"
+                                )
+                            at = rebased[n]
+                        else:
+                            at = ~at  # the cut node
+                        if at >= 0:
+                            for _ in range(len(target_ordered[t]) - k - 2):  # down the chain
+                                at = first_s[at]
+                located[t] = at
+            return at
 
-        return locate
+        picks = [-1] * node_count
 
-    last = (None, None, None)  # the last strategy seen, its locate and its image
+        def fill(t: int) -> int:
+            try:
+                if t >= below:
+                    at = locate(t)
+                    if at < 0:
+                        pick = 0  # off the play or past a conceded frontier
+                    else:
+                        pick = held[at]
+                        if pick < 0:
+                            pick = read(at)
+                        child = first_t[t] + pick  # located now: the node a play reads next
+                        if child not in front_at:
+                            located[child] = first_s[at] + pick
+                elif t >= moves:  # player II's reply to the never-challenged claim
+                    at = locate(t)
+                    pick = held[at]
+                    if pick < 0:
+                        pick = read(at)
+                    if pick >= len(target_labels[t]):
+                        raise InternalInvariantError(
+                            "reply to the never-challenged claim must be an accept"
+                        )
+                else:  # the same node and child labels in the source, or a claim
+                    pick = held[t]
+                    if pick < 0:
+                        pick = read(t)
+                    if t >= at_k:  # player I's claim: the index of its move
+                        pick = images[first_s[t] + pick] - first_t[t]
+            except _NoChoice:
+                raise ValueError(
+                    f"mapped strategy has no choice at {format_position(target_ordered[t])}:"
+                    " the source strategy is not total"
+                ) from None
+            picks[t] = pick
+            return pick
+
+        return strategy, Strategy(owner, Choices(tree, owner, picks, fill)), locate
+
+    last = (None, None, None)  # the last strategy seen, its image and its locator
 
     def mapped(strategy: Strategy):
         nonlocal last
-        if last[0] is not strategy:  # identity, not ==: strategies compare whole dicts
-            locate = locator(strategy)
-            last = (strategy, locate, image(strategy, locate))
+        if last[0] is not strategy:  # identity, not ==: strategies compare all choices
+            last = image(strategy)
         return last
 
-    def image(strategy: Strategy, locate) -> Strategy:
-        chosen = strategy.choices
-
-        def choose(x: Position, labels: tuple[Label, ...]) -> Label:
-            n = len(x)
-            if n < k:
-                return chosen[x]
-            if n == k:
-                return chosen[x].move
-            node, exact = locate(x)
-            if not exact:
-                return labels[0]  # off the play or past a conceded frontier
-            choice = chosen[node]
-            if n == k + 1:  # player II's reply to the never-challenged claim
-                if not isinstance(choice, Accept):
-                    raise InternalInvariantError(
-                        "reply to the never-challenged claim must be an accept"
-                    )
-                return choice.move
-            return choice
-
-        return Strategy(strategy.owner, _LazyChoices(tree.decisions(strategy.owner), choose))
-
     def transform(strategy: Strategy) -> Strategy:
-        return mapped(strategy)[2]
+        return (last if last[0] is strategy else mapped(strategy))[1]
 
-    def lift(strategy: Strategy, x: Position) -> Position:
-        return x if len(x) <= k else mapped(strategy)[1](x)[0]
+    def lift(strategy: Strategy, x: Position) -> Position | None:
+        if len(x) <= k:
+            return x
+        try:
+            t = tree._id(x)
+        except ValueError:  # a label that is not a child's
+            raise ValueError(f"unknown position {format_position(x)}") from None
+        at = mapped(strategy)[2](t)
+        if at == _OFF:
+            return None
+        return source._ordered[at if at >= 0 else ~at]
 
     return transform, lift
 

@@ -28,7 +28,6 @@ from unraveling.core import (
     _OWNERS,
     _check_label_budget,
     format_position,
-    is_prefix,
 )
 from unraveling.covering import Covering
 from unraveling.payoff import Closed, ClosedSpec, Not, Union, _banned
@@ -150,6 +149,18 @@ def strategy_from(
 def least_strategy(tree: GameTree, owner: Player) -> Strategy:
     """The lexicographic default: always the least available move."""
     return strategy_from(tree, owner, lambda _, labels: labels[0])
+
+
+def is_prefix(p: Position, q: Position) -> bool:
+    return len(p) <= len(q) and q[: len(p)] == p
+
+
+def is_consistent(position: Position, strategy: Strategy) -> bool:
+    """True iff the owner's moves along ``position`` all follow the strategy,
+    each read by position."""
+    get = strategy.choices.get
+    start = 0 if strategy.owner is Player.I else 1
+    return all(get(position[:k]) == position[k] for k in range(start, len(position), 2))
 
 
 def identity_covering(tree: GameTree, level: int | None = None) -> Covering:
@@ -318,16 +329,22 @@ def decision_positions(tree: GameTree, owner: Player) -> list[Position]:
     ]
 
 
-def sampled_strategies(covering: Covering, leaves, samples: int, seed: int) -> list[Strategy]:
+def sampled_strategies(
+    covering: Covering, leaves, samples: int, seed: int, states: list | None = None
+) -> list[Strategy]:
     """The source strategies ``verify`` maps, in order, drawn with one
     ``rng.choice`` per decision position in canonical order (and an
     ``rng.random`` before each mutation draw), in the seeds and loops of
     ``check_strategy_locality``, then ``check_lift``, then
     ``check_winning_transfer``, on a covering that passes them.  The
-    pulled-back game is solved by ``reference_solve``."""
+    pulled-back game is solved by ``reference_solve``.  With ``states``,
+    the state of the check's ``rng`` when each strategy is mapped is
+    appended to it: after a locality pair's redraw, after a lift sample's
+    draw, and after the last mutation for every winning candidate."""
     source = covering.source
     decisions = {owner: decision_positions(source, owner) for owner in Player}
     out: list[Strategy] = []
+    states = [] if states is None else states
 
     def drawn(rng: random.Random, owner: Player) -> dict:
         return {p: rng.choice(source.children_of(p)) for p in decisions[owner]}
@@ -342,11 +359,13 @@ def sampled_strategies(covering: Covering, leaves, samples: int, seed: int) -> l
             if len(position) >= cutoff:
                 second[position] = rng.choice(source.children_of(position))
         out += [Strategy(owner, first), Strategy(owner, second)]
+        states += [rng.getstate()] * 2
 
     rng = random.Random(f"unraveling:verify:{seed}")
     for owner in (Player.I, Player.II):
         for _ in range(max(1, samples // 2)):
             out.append(Strategy(owner, drawn(rng, owner)))
+            states.append(rng.getstate())
 
     rng = random.Random(f"transfer:{seed}")
     pulled = reference_pullback(covering, leaves)
@@ -362,6 +381,7 @@ def sampled_strategies(covering: Covering, leaves, samples: int, seed: int) -> l
         candidate = Strategy(solution.winner, choices)
         if _some_losing_play(source, pulled, candidate) is None:
             winning.append(candidate)
+    states += [rng.getstate()] * len(winning)
     return out + winning
 
 
@@ -567,7 +587,8 @@ def reference_base_covering(
         raise ValueError(f"level {level} is negative")
     k = level + level % 2
     if k + 2 > tree.depth:
-        raise ValueError(f"level {k} needs depth {k + 2}, bound is {tree.depth}")
+        named = f"level {level}" + (f" (rounded up to {k})" if level % 2 else "")
+        raise ValueError(f"{named} needs depth {k + 2}, bound is {tree.depth}")
     banned = _banned(tree, spec)  # checks the generators first
     floor = _generator_floor(k, tree.depth)
     for generator in spec.generators:
@@ -594,11 +615,15 @@ def reference_base_covering(
     # The claims on a move come in the order of their claimed index tuples:
     # the frontier is in lexicographic order, so that is the label order.
     claim_rows = []  # per claim: its move's (id, frontier ids, accepts, challenges), claimed indices
+    claims_of = []  # per move, for the strategy maps: its level-k node, first claim, frontier ids
+    front_at = {}  # by frontier id: its move and its frontier index
     for i in range(at_k, moves):
         p = ordered[i]
         claims = []
         for base, a in zip(range(first[i], first[i + 1]), labels_of[i]):
             front_ids = fronts[base - moves]
+            claims_of.append((i, len(out), front_ids))
+            front_at.update((q, (base, n)) for n, q in enumerate(front_ids))
             front = tuple(ordered[q] for q in front_ids)
             frontiers[(p, a)] = front
             row = (
@@ -673,7 +698,7 @@ def reference_base_covering(
     for i, tag in tags_at.items():
         out_tags[i] = tag
     source = GameTree._from_ids(tree.depth, out, out_labels, out_tags)
-    transform, lift = _strategy_maps(tree, k, frontiers, accepts, challenges)
+    transform, lift = _strategy_maps(source, tree, k, images, claims_of, front_at)
     return BaseCovering(source, tree, k, images, transform, lift, frontiers, spec)
 
 

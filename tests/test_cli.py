@@ -13,7 +13,14 @@ import pytest
 
 from unraveling import cli
 from unraveling.cli import main
-from unraveling.core import DEFAULT_NODE_MAX, CheckResult, ResourceLimitError, format_position
+from unraveling.core import (
+    DEFAULT_NODE_MAX,
+    CheckResult,
+    Choices,
+    ResourceLimitError,
+    format_position,
+)
+import unraveling.covering as covering_module
 from unraveling.covering import solve_via_covering
 from unraveling.gamedoc import GameDocError, format_game, parse_game_bytes, to_document
 from unraveling.payoff import Closed, ClosedUnion, Not, Open, realize
@@ -338,8 +345,8 @@ def test_verify_lift_failure_names_first_play(fixtures_dir, monkeypatch):
 
 @pytest.mark.parametrize(
     "name, k",
-    [("ex1.game", 0), ("ex2.game", 0), ("ex3.game", 0), ("depth6.game", 0), ("union.game", 0),
-     ("depth6.game", 2)],
+    [("ex1.game", 0), ("ex2.game", 0), ("ex3.game", 0), ("depth6.game", 0), ("rootdet.game", 0),
+     ("union.game", 0), ("depth6.game", 2)],
 )
 def test_verify_maps_the_strategies_its_checks_drew_with_rng_choice(
     fixtures_dir, monkeypatch, name, k
@@ -347,10 +354,19 @@ def test_verify_maps_the_strategies_its_checks_drew_with_rng_choice(
     """The source strategies ``verify --samples 20`` passes to the
     covering's strategy map, in order, are the ones its checks' sampling
     loops draw with ``rng.choice`` and ``rng.random``
-    (``oracles.sampled_strategies``).  ``verify_lift`` maps the strategy of
-    each play again, so a run of calls with one strategy counts once."""
+    (``oracles.sampled_strategies``), read by position: each choice in
+    canonical order, held by id, with the check's ``rng`` in the same
+    state when it is mapped, after locality's redraw too, and the winning
+    transfer candidates are the position-keyed loop's, in its order.
+    ``verify_lift`` maps the strategy of each play again, so a run of calls
+    with one strategy counts once."""
     build = cli._covering_for
-    built, seen = [], []
+    built, seen, states, rngs = [], [], [], []
+
+    class Recorded(random.Random):
+        def __init__(self, *args):
+            super().__init__(*args)
+            rngs.append(self)
 
     def recording(*args, **kwargs):
         covering, decided_depth = build(*args, **kwargs)
@@ -359,19 +375,26 @@ def test_verify_maps_the_strategies_its_checks_drew_with_rng_choice(
         def record(strategy):
             if not seen or seen[-1] is not strategy:
                 seen.append(strategy)
+                states.append(rngs[-1].getstate())
             return transform(strategy)
 
         built.append(covering)
         return dataclasses.replace(covering, strategy_transform=record), decided_depth
 
     monkeypatch.setattr(cli, "_covering_for", recording)
+    monkeypatch.setattr(covering_module.random, "Random", Recorded)
     tree, payoff, leaves = cli._load(game(fixtures_dir, name))
     report = cli.verify_report(name, tree, payoff, leaves, k, 20, 0)
     assert report.ok
-    expected = oracles.sampled_strategies(built[0], leaves, 20, 0)
-    assert [(s.owner, dict(s.choices)) for s in seen] == [
-        (s.owner, s.choices) for s in expected
+    monkeypatch.undo()
+    expected_states = []
+    expected = oracles.sampled_strategies(built[0], leaves, 20, 0, expected_states)
+    assert [(s.owner, list(s.choices.items())) for s in seen] == [
+        (s.owner, list(s.choices.items())) for s in expected
     ]
+    source = built[0].source
+    assert all(s.choices.__class__ is Choices and s.choices.tree is source for s in seen)
+    assert states == expected_states
 
 
 def move_one_accept_play(monkeypatch):
@@ -578,6 +601,16 @@ def test_negative_level_is_usage_error_naming_it(fixtures_dir):
         code, out, err = run_cli(*argv)
         assert (code, out) == (1, ""), argv
         assert "level -2 is negative" in err, argv
+
+
+@pytest.mark.parametrize("command", [("unravel",), ("verify",), ("export-dot", "--covering")])
+def test_a_level_too_deep_names_the_level_given(fixtures_dir, command):
+    """An odd level is rounded up, and the message says so; an even
+    level's message names it alone."""
+    ex1 = game(fixtures_dir, "ex1.game")
+    for level, named in (("3", "level 3 (rounded up to 4)"), ("4", "level 4")):
+        argv = (command[0], ex1, *command[1:], "--k", level)
+        assert run_cli(*argv) == (1, "", f"error: {named} needs depth 6, bound is 4\n"), argv
 
 
 def test_sample_count_below_one_is_usage_error(fixtures_dir):

@@ -5,14 +5,15 @@ from hypothesis import given, settings, strategies as st
 
 from unraveling.core import (
     ArenaError,
+    Choices,
     GameTree,
     InternalInvariantError,
     Player,
     Strategy,
     _as_plays,
+    _decision_ids,
     consistent_plays,
     format_position,
-    is_consistent,
     is_winning_strategy,
     random_strategy,
 )
@@ -407,14 +408,14 @@ def test_partition_property(seed):
 
 
 def test_root_consistent_with_anything(ex1):
-    assert is_consistent((), oracles.least_strategy(ex1, Player.I))
-    assert is_consistent((), oracles.least_strategy(ex1, Player.II))
+    assert oracles.is_consistent((), oracles.least_strategy(ex1, Player.I))
+    assert oracles.is_consistent((), oracles.least_strategy(ex1, Player.II))
 
 
 def test_consistency_examples(ex1):
     play_zero = strategy_from(ex1, Player.I, always(0))
-    assert is_consistent((0, 1, 0, 1), play_zero)
-    assert not is_consistent((1, 0, 0, 0), play_zero)
+    assert oracles.is_consistent((0, 1, 0, 1), play_zero)
+    assert not oracles.is_consistent((1, 0, 0, 0), play_zero)
 
 
 # -------------------------------------------------------- consistent_plays
@@ -546,14 +547,21 @@ def test_decisions_filter_positions_once_per_player(seed):
             assert tree.decisions(owner) is table
             with pytest.raises(TypeError):
                 table[()] = ()  # read-only: shared by every strategy over the tree
-            # a random strategy draws one choice per decision position, in canonical order
+            # a random strategy draws one choice per decision position, in
+            # canonical order, held as a child index by id
             drawn, replay = rng_for(f"draw:{seed}"), rng_for(f"draw:{seed}")
-            expected = {
-                p: replay.choice(tree.children_of(p))
-                for p in oracles.decision_positions(tree, owner)
-            }
-            assert random_strategy(drawn, tree, owner).choices == expected
-            assert drawn.getstate() == replay.getstate()  # the same draws, rejections too
+            for _ in range(2):
+                expected = [
+                    (p, replay.choice(tree.children_of(p)))
+                    for p in oracles.decision_positions(tree, owner)
+                ]
+                choices = random_strategy(drawn, tree, owner).choices
+                assert isinstance(choices, Choices) and choices.tree is tree
+                assert list(choices.items()) == expected
+                assert [choices.picks[i] for i in _decision_ids(tree, owner)] == [
+                    tree.children_of(p).index(label) for p, label in expected
+                ]
+                assert drawn.getstate() == replay.getstate()  # the same draws, rejections too
 
 
 def test_id_form_entry_checks_the_tags_and_the_depth_bound(ex2):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from unraveling.core import (
+    Choices,
     GameTree,
     InternalInvariantError,
     Player,
@@ -25,10 +26,11 @@ from unraveling.covering import (
     solve_via_covering,
     verify_lift,
 )
+from unraveling.gamedoc import parse_game_bytes
 from unraveling.payoff import Closed, ClosedSpec, decided_by_depth, realize
 from unraveling.randgen import random_game, rng_for
 from unraveling.solver import solve
-from unraveling.unravel import build_base_covering
+from unraveling.unravel import build_base_covering, unravel_payoff
 
 import oracles
 
@@ -429,3 +431,41 @@ def test_winning_transfer_reports_counterexample(ex1):
         match="mapped strategy fails to win the target game: loses play 1/0/0/0",
     ):
         solve_via_covering(broken, payoff, 1)
+
+
+# ------------------------------------------------- strategies read by node id
+
+# The position API of a strategy's choices: every way to read them by position.
+POSITION_API = ("__getitem__", "get", "__contains__", "__iter__", "__len__", "items", "keys", "values")
+
+
+@pytest.mark.parametrize(
+    "name, k",
+    [(name, 0) for name in ("depth6", "ex1", "ex2", "ex3", "rootdet", "union")]
+    + [("depth6", 2), ("ex2", 2), ("ex3", 2)],
+)
+def test_the_checks_read_strategies_only_by_id(fixtures_dir, monkeypatch, name, k):
+    """The sampled checks and the solve through a covering read no
+    strategy by position: every draw, mutation, mapped choice, consistency
+    check and lift walks node ids.  Each read through the position API of
+    ``Choices`` is counted, and none is made."""
+    document = parse_game_bytes((fixtures_dir / f"{name}.game").read_bytes())
+    tree = document.tree
+    leaves = realize(tree, document.payoff)
+    covering, decided = unravel_payoff(tree, document.payoff, k)
+    reads = []
+    for method in POSITION_API:
+        real = getattr(Choices, method)
+
+        def counting(self, *args, real=real, method=method):
+            reads.append(method)
+            return real(self, *args)
+
+        monkeypatch.setattr(Choices, method, counting)
+    assert check_strategy_locality(covering, 20, 0)
+    assert check_lift(covering, 20, 0)
+    assert check_winning_transfer(covering, leaves, 20, 0)
+    solution = solve_via_covering(covering, leaves, decided)
+    assert reads == []
+    dict(solution.strategy.choices)  # the position API, counted
+    assert reads

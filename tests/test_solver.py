@@ -9,7 +9,6 @@ from unraveling.core import (
     Player,
     ResourceLimitError,
     _as_plays,
-    is_prefix,
     is_winning_strategy,
 )
 from unraveling.covering import pullback
@@ -98,7 +97,7 @@ def test_zermelo_agreement_on_small_games(seed):
 
 
 def choices_below(strategy, position):
-    return {p: move for p, move in strategy.choices.items() if is_prefix(position, p)}
+    return {p: move for p, move in strategy.choices.items() if oracles.is_prefix(position, p)}
 
 
 def test_taboo_strategy_and_prune_witnesses_match_solve_oracle():
@@ -261,7 +260,7 @@ def test_prune_structure_properties(seed):
     # the removed set is the upward closure of the determined positions.
     for position in result.removed:
         assert any(
-            is_prefix(q, position) for q in result.determined
+            oracles.is_prefix(q, position) for q in result.determined
         ), "removed positions have a determined prefix"
     for position in result.determined:
         for child_label in tree.children_of(position):

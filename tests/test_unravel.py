@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import pickle
+import re
 from array import array
 
 import pytest
@@ -12,6 +13,7 @@ from unraveling.core import (
     DEFAULT_NODE_MAX,
     ArenaError,
     CheckResult,
+    Choices,
     GameTree,
     InternalInvariantError,
     Player,
@@ -19,9 +21,8 @@ from unraveling.core import (
     Strategy,
     consistent_plays,
     format_position,
-    is_consistent,
-    is_prefix,
     is_winning_strategy,
+    _decision_ids,
     _paths,
     random_strategy,
 )
@@ -113,9 +114,9 @@ def test_frontier_matches_condition_scan_oracle(seed):
             # antichain, and at most one member on any play
             for q in computed:
                 for r in computed:
-                    assert q == r or not is_prefix(q, r)
+                    assert q == r or not oracles.is_prefix(q, r)
             for play in oracles.plays(tree):
-                hits = [q for q in computed if is_prefix(q, play)]
+                hits = [q for q in computed if oracles.is_prefix(q, play)]
                 assert len(hits) <= 1
 
 
@@ -215,6 +216,9 @@ def test_lift_accept_branch_exact_projection(ex1):
         lifted = covering.lift(strategy, play)
         assert lifted == (Claim(0, ()), Accept(play[1]), 0, play[3])
         assert image_of(covering, lifted) == play
+    for unknown in ((9, 9), (0, 0, 0, 0, 0)):
+        with pytest.raises(ValueError, match=f"^unknown position {format_position(unknown)}$"):
+            covering.lift(strategy, unknown)
 
 
 def test_lift_truncates_at_conceded_frontier(ex1):
@@ -331,6 +335,58 @@ def test_mapped_choices_and_lifts_match_the_prefix_probe_oracle(fixtures_dir, na
     assert lifted > 0
     if name == "drawn":
         assert challenged > 0
+
+
+def _composite_cases(fixtures_dir):
+    """``union.game`` at level 0 and three seeded depth-6 unions that pass
+    the caps, each as a function building its composite."""
+    document = parse_game_bytes((fixtures_dir / "union.game").read_bytes())
+    cases = [(document.tree, document.payoff)]
+    for index in range(50):
+        tree, specs = random_union_instance(f"composite-maps:{index}", depth=6, parts=3)
+        try:
+            unravel_payoff(tree, ClosedUnion(specs), 0)
+        except ResourceLimitError:
+            continue
+        cases.append((tree, ClosedUnion(specs)))
+        if len(cases) == 4:
+            return cases
+    raise AssertionError("fewer than three seeded unions within the caps")
+
+
+def test_composite_maps_match_the_prefix_probe_oracle_stage_by_stage(fixtures_dir, monkeypatch):
+    """A union's composite maps a strategy, and lifts every prefix of every
+    play consistent with its image, as the reference maps of its base
+    coverings do, applied stage by stage: the image is the stages' images
+    from the last covering built to the first, and a lift goes through the
+    first covering to the last, each with the strategy mapped so far.  The
+    locator jumps at frontier ids in every stage it passes."""
+    rng = rng_for("composite-maps")
+    lifted = challenged = 0
+    for tree, payoff in _composite_cases(fixtures_dir):
+        stages = recorded_stages(monkeypatch)
+        composite, _ = unravel_payoff(tree, payoff, 0)
+        monkeypatch.undo()
+        assert len(stages) >= 2 and composite.target is tree
+        for owner in Player:
+            for _ in range(8):
+                strategy = random_strategy(rng, composite.source, owner)
+                by_stage, lifts = [strategy], []  # innermost first
+                for stage in reversed(stages):
+                    image, lift = oracles.reference_strategy_maps(stage, by_stage[-1])
+                    by_stage.append(Strategy(owner, image))
+                    lifts.append(lift)
+                mapped = composite.strategy_transform(strategy)
+                assert dict(mapped.choices) == by_stage[-1].choices
+                for play in consistent_plays(tree, mapped):
+                    for x in (play[:n] for n in range(len(play) + 1)):
+                        expected = x
+                        for lift in reversed(lifts):  # the first covering built first
+                            expected = lift(expected)
+                            challenged += any(isinstance(label, Challenge) for label in expected)
+                        assert composite.lift(strategy, x) == expected
+                    lifted += 1
+    assert lifted > 0 and challenged > 0
 
 
 # ------------------------------------------------------------ closed unions
@@ -781,36 +837,39 @@ def test_images_are_the_same_in_any_reading_order(kind):
     after all of them are."""
     build = _covering_builder(kind)
     covering = build()
+    target = covering.target
     rng = rng_for(f"lazy-order:{kind}")
     for owner in Player:
         strategy = random_strategy(rng, covering.source, owner)
         forward = covering.strategy_transform(strategy).choices
         backward = build().strategy_transform(strategy).choices
-        table = covering.target.decisions(owner)
+        assert isinstance(forward, Choices) and forward.tree is target and forward.owner is owner
+        table = target.decisions(owner)
         assert len(forward) == len(table)
         assert list(forward) == list(table)
         assert all(p in forward for p in table)
-        assert not any(p in forward for p in covering.target.positions() if p not in table)
-        _assert_misses(forward, table, covering.target, owner)
-        assert forward._known == {}
+        assert not any(p in forward for p in target.positions() if p not in table)
+        _assert_misses(forward, table, target, owner)
+        assert max(forward.picks) == -1  # no choice computed
         read_backwards = {p: backward[p] for p in reversed(list(backward))}
         assert read_backwards == {p: forward[p] for p in forward}
-        _assert_misses(forward, table, covering.target, owner)
-        assert forward._known.keys() == table.keys()
+        _assert_misses(forward, table, target, owner)
+        known = [i for i, pick in enumerate(forward.picks) if pick >= 0]
+        assert known == _decision_ids(target, owner)
         # ``get`` keeps the ``Mapping.get`` contract: a miss is the default,
-        # a known choice is read without the chooser, and a ``KeyError`` met
-        # while a choice is computed leaves as the ``ValueError`` of ``[]``.
+        # a known choice is read without the fill, and a source without a
+        # choice leaves ``[]`` and ``get`` alike with one ``ValueError``.
         missing = object()
-        for p in (next(iter(covering.target.full_depth_plays())), (99,)):
+        for p in (next(iter(target.full_depth_plays())), (99,)):
             assert forward.get(p, missing) is missing
-        choose, forward._choose = forward._choose, None  # a call would raise TypeError
+        read, forward._read = forward._read, None  # a call would raise TypeError
         assert {p: forward.get(p, missing) for p in table} == read_backwards
-        forward._choose = choose
-        holes = unravel_module._LazyChoices(table, lambda p, labels: {}[p])
+        forward._read = read
         errors = []
-        for read in (holes.__getitem__, holes.get):
+        for read in ("__getitem__", "get"):
+            holes = covering.strategy_transform(Strategy(owner, {})).choices
             with pytest.raises(ValueError, match="the source strategy is not total") as error:
-                read(next(iter(table)))
+                getattr(holes, read)(next(iter(table)))
             errors.append(str(error.value))
         assert errors[0] == errors[1]
 
@@ -831,7 +890,8 @@ def test_a_win_check_computes_only_the_choices_on_consistent_plays(kind):
             for n in range(len(play))
             if play[:n] in table
         }
-        assert set(mapped.choices._known) == on_plays
+        known = {target._ordered[i] for i, pick in enumerate(mapped.choices.picks) if pick >= 0}
+        assert known == on_plays
         assert len(on_plays) < len(table)
 
 
@@ -853,15 +913,17 @@ def test_a_missing_source_choice_is_an_error_at_lookup_not_no_choice(ex1):
         with pytest.raises(ValueError, match="no choice at 0/1: the source strategy is not total"):
             read((0, 1))
     with pytest.raises(ValueError, match="no choice at 0/1"):
-        is_consistent((0, 1, 0), mapped)
+        oracles.is_consistent((0, 1, 0), mapped)
 
 
 @pytest.mark.parametrize("k", [0, 2])
 def test_a_challenged_never_challenged_claim_fails_at_lookup(k):
     """Player II answers every claim on one move by challenging the same
-    frontier position q0, the claim without q0 too (the strategy is not
-    legal there).  Mapping it computes nothing; reading its reply at length
-    k + 1, directly or through a win check, breaks the accept invariant."""
+    frontier position q0, the claim without q0 too, where that challenge
+    is no child (the strategy is not legal there).  Mapping it computes
+    nothing; reading its reply at length k + 1, directly or through a win
+    check, names the first reply that is not a child of its claim, in
+    binary-counter order: the one to the claim of nothing."""
     tree = GameTree.complete(4 + k, 2)
     spec = ClosedSpec([(1,)])
     covering = build_base_covering(tree, spec, k)
@@ -871,10 +933,12 @@ def test_a_challenged_never_challenged_claim_fails_at_lookup(k):
     for claimed in unravel_module._subsets_counter(front):
         choices[p + (Claim(a, claimed),)] = Challenge(q0, q0[k + 1])
     mapped = covering.strategy_transform(Strategy(Player.II, choices))
-    message = "reply to the never-challenged claim must be an accept"
-    with pytest.raises(InternalInvariantError, match=message):
+    assert max(mapped.choices.picks) == -1
+    illegal = format_position(p + (Claim(a, ()), Challenge(q0, q0[k + 1])))
+    message = f"^unknown position {re.escape(illegal)}$"
+    with pytest.raises(ValueError, match=message):
         mapped.choices[p + (a,)]
-    with pytest.raises(InternalInvariantError, match=message):
+    with pytest.raises(ValueError, match=message):
         is_winning_strategy(tree, realize(tree, Closed(spec)), mapped)
 
 
