@@ -49,7 +49,8 @@ mapped strategies, whose entries are computed on first read), and every
 kernel reads the indices by id; any other mapping is converted once, in
 ``_as_choices``, and read by position only where a choice is first
 needed.  Positions, labels and canonical order appear only at the
-mapping's API.
+mapping's API, which finds a position through the tree's one position
+table; a strategy keeps no table of its own.
 
 Outside input reaches a tree by one constructor, ``GameTree(depth,
 nodes, taboo)``: positions in any order.  One pass (``_layout``) stores
@@ -60,10 +61,11 @@ the package makes itself (complete and random arenas, covering sources,
 pruned remainders) are written by their builders already in id form and
 enter through ``GameTree._from_ids``, which re-checks only what needs no
 hashing; their positions follow from the child labels, one level at a
-time, in ``_positions_below``.  Every tree, whichever entry
-made it, builds its one table keyed by position, for ``in`` and
-``children_of``, on first use.  A tree that is only walked by id, or
-whose payoff sets are only converted and asked ``in``, never builds it.
+time, in ``_positions_below``.  Every tree, whichever entry made it,
+builds its one table keyed by position, for ``in``, ``children_of`` and
+a strategy's reads by position, on first use.  A tree that is only
+walked by id, or whose payoff sets are only converted and asked ``in``,
+never builds it.
 """
 
 from __future__ import annotations
@@ -77,7 +79,6 @@ from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import accumulate, chain, compress, repeat
 from operator import not_
-from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
 
@@ -295,7 +296,6 @@ class GameTree:
         for _ in range(depth + 1):
             levels.append(first[levels[-1]])
         self._tags = tags
-        self._decisions: dict[Player, Mapping[Position, tuple[Label, ...]]] = {}
         self._owned: dict = {}  # decision ids and draw rows, by owner
         # A strategy's read where it has no choice (``Choices._read``); not a
         # method, which would make a cycle that only the collector frees.
@@ -412,17 +412,6 @@ class GameTree:
     def positions(self) -> tuple[Position, ...]:
         """All positions in canonical order (by length, then lexicographic)."""
         return self._ordered
-
-    def decisions(self, owner: Player) -> Mapping[Position, tuple[Label, ...]]:
-        """The owner's non-terminal positions, each with its child labels, in
-        canonical order: a read-only table built once per player."""
-        table = self._decisions.get(owner)
-        if table is None:
-            ordered, labels = self._ordered, self._labels
-            table = self._decisions[owner] = MappingProxyType(
-                {ordered[i]: labels[i] for i in _decision_ids(self, owner)}
-            )
-        return table
 
     @property
     def node_count(self) -> int:
@@ -592,8 +581,9 @@ class Choices(Mapping):
     computed on its first read; without ``fill``, the keys are the
     positions with a known index, and a kernel that needs a choice at any
     other decision raises a ``ValueError`` naming it (not total).  Only the
-    position API below descends the tree; the kernels read ``picks`` by id
-    and call ``_read`` on an entry below 0.
+    position API below reads the tree's position table (``_key``) and
+    descends the tree; the kernels read ``picks`` by id and call ``_read``
+    on an entry below 0.
     """
 
     __slots__ = ("tree", "owner", "picks", "_fill", "_read")
@@ -624,10 +614,11 @@ class Choices(Mapping):
         return bool(self.tree._labels[i]) and (self._fill is not None or self.picks[i] >= 0)
 
     def _key(self, position) -> int:
-        """The id of ``position`` if it is a key, else -1: the keys are the
-        owner's decision table (``GameTree.decisions``), so an unhashable
-        position is a ``TypeError``, as in a dict."""
-        if position not in self.tree.decisions(self.owner):
+        """The id of ``position`` if it is a key, else -1: a key is a
+        position with children in the tree's position table, at a depth
+        where the owner moves, so an unhashable position is a ``TypeError``,
+        as in a dict."""
+        if not self.tree._children.get(position) or _TO_MOVE[len(position) % 2] is not self.owner:
             return -1
         i = self.tree._id(position)
         return i if self._has(i) else -1
@@ -670,8 +661,8 @@ class _ChoiceItems(ItemsView):
 def _as_choices(tree: GameTree, strategy: "Strategy") -> Choices:
     """A strategy's choices as a ``Choices`` of ``tree``: those of this very
     tree and owner as they are, any other mapping read by position on
-    each first read, so a choice it lacks, or a label that is not a
-    child's, is a ``ValueError`` at the read that needs it."""
+    each first read, so a choice it lacks (a ``KeyError``), or a label
+    that is not a child's, is a ``ValueError`` at the read that needs it."""
     choices, owner = strategy.choices, strategy.owner
     if choices.__class__ is Choices and choices.tree is tree and choices.owner is owner:
         return choices
@@ -679,7 +670,10 @@ def _as_choices(tree: GameTree, strategy: "Strategy") -> Choices:
     picks = [-1] * len(ordered)
 
     def fill(i: int) -> int:
-        label = strategy.move_at(ordered[i])
+        try:
+            label = choices[ordered[i]]
+        except KeyError:
+            raise _no_choice(ordered[i]) from None
         try:
             pick = picks[i] = labels_of[i].index(label)
         except ValueError:
@@ -698,21 +692,15 @@ class Strategy:
     consistency checks and play enumeration decidable; unreachable positions
     simply carry a default choice.  Every strategy the package makes holds
     a ``Choices``, by node id; the kernels take any other mapping too and
-    convert it once (``_as_choices``).  ``choices`` is never mutated after
-    construction (a variant is a new strategy), so a strategy map may
-    remember a strategy by identity; a mapped strategy's choices may be
-    computed on first read (see ``unraveling.unravel``).
+    convert it once (``_as_choices``), which reads it by position, a
+    missing choice a ``ValueError`` (not total).  ``choices`` is never
+    mutated after construction (a variant is a new strategy), so a
+    strategy map may remember a strategy by identity; a mapped strategy's
+    choices may be computed on first read (see ``unraveling.unravel``).
     """
 
     owner: Player
     choices: Mapping[Position, Label]
-
-    def move_at(self, position: Position) -> Label:
-        """The choice at ``position``; a ``ValueError`` if there is none."""
-        try:
-            return self.choices[position]
-        except KeyError:
-            raise _no_choice(position) from None
 
 
 def _decision_ids(tree: GameTree, owner: Player, within: bytes | None = None):

@@ -15,8 +15,6 @@ The dashed links walk only the two decorated levels of the source.
 
 from __future__ import annotations
 
-from itertools import chain, repeat
-
 from .core import _OWNERS, GameTree, ResourceLimitError, _as_plays, _paths
 from .covering import Covering
 
@@ -50,8 +48,8 @@ def _node_lines(tree: GameTree, payoff_leaves, prefix: str) -> tuple[list[str], 
     lines = list(map('  {} [label="{}", {}];'.format, names, paths, styles))
     # Canonical order lists each parent's children together, parents in
     # order, so the edges into ids 1, 2, ... come out in that order.
-    parents = chain.from_iterable(map(repeat, range(len(labels)), map(len, labels)))
-    lines.extend(map("  {} -> {};".format, map(names.__getitem__, parents), names[1:]))
+    parents = map(names.__getitem__, tree._parents[1:])
+    lines.extend(map("  {} -> {};".format, parents, names[1:]))
     return lines, names
 
 

@@ -7,13 +7,14 @@ move with a *claimed* subset of the move's frontier; the second player
 either accepts (play continues normally but stops with a taboo verdict the
 moment a frontier position is reached) or challenges one claimed position
 (play is then confined to its subtree).  One subtree copy builds both
-branches, and every claim in a build shares the same reply objects: one
-``Accept`` per base move and one ``Challenge`` per frontier position, and
-the accepts that answer a move are one tuple per tuple of its child
-labels.  The strategy maps read strategies by node id: each move's claims
-and frontier ids, kept as the build writes them, locate a target node
-from its parent, and player II's replies to the claims on a move are
-read in a single scan.
+branches.  Every claim in a build shares the same accepts, one
+``Accept`` per base move, and the accepts that answer a move are one
+tuple per tuple of its child labels; the claims on one move share its
+challenges, one ``Challenge`` per frontier position, which lies below
+that move alone.  The strategy maps read strategies by node id: each
+move's claims and frontier ids, kept as the build writes them, locate a
+target node from its parent, and player II's replies to the claims on a
+move are read in a single scan.
 
 The *frontier* of a move is the antichain of minimal non-terminal
 extensions from whose subtrees the payoff set is unreachable: the claimed
@@ -365,7 +366,6 @@ def build_base_covering(
     tags_at: dict[int, int] = {}
     frontiers: dict[tuple[Position, Label], tuple[Position, ...]] = {}
     accepts: dict[Label, Accept] = {}
-    challenges: dict[Position, Challenge] = {}
     kept_for: dict[tuple[Label, ...], tuple[Accept, ...]] = {}  # accepts by child labels
     claims_of = []  # per move: its level-k node, its first claim's id, its frontier ids
     front_at: dict[int, tuple[int, int]] = {}  # by frontier id: its move, its frontier index
@@ -411,7 +411,7 @@ def build_base_covering(
                     front_at[q] = (base, n)
                 cuts = [[(offset, front_at[q][1]) for offset, q in cut] for cut in cuts]
                 front = frontiers[(p, a)] = tuple(map(ordered.__getitem__, front_ids))
-                replies = [challenges.setdefault(q, Challenge(q, q[k + 1])) for q in front]
+                replies = [Challenge(q, q[k + 1]) for q in front]
                 for claimed in order:
                     claims.append(Claim(a, tuple(map(front.__getitem__, claimed))))
                     replied.append(kept + tuple(map(replies.__getitem__, claimed)))
@@ -671,10 +671,11 @@ def unravel_payoff(
     A closed set is one base covering, decided two levels past ``level``;
     a complement takes its operand's covering and depth.  A union is
     realized first (a byte operation), so a bad generator fails before any
-    stage is built; part ``n``, pulled back through the composite so far,
-    unravels at the smallest even level at least ``level + n``; the
+    stage is built; part 0 unravels at ``level`` as given, and part ``n``,
+    pulled back through the composite so far, at the smallest even level
+    at least ``k + n``, ``k`` being ``level`` rounded up to even; the
     complement of the pulled-back union is then closed at the deepest depth
-    the parts return, and one more base covering at ``level`` finishes.
+    the parts return, and one more base covering at ``k`` finishes.
     A ``ValueError`` or ``ResourceLimitError`` from a stage names it
     (``stage n: ``), and an ``ArenaError`` its position's image in
     ``tree``; the finishing covering is not a stage, so its errors do not.
@@ -699,7 +700,7 @@ def unravel_payoff(
         if composite is not None:
             part = map_closed(part, lambda spec: pullback_closed_spec(composite, spec))
         try:
-            built, decided = unravel_payoff(current, part, stage, **caps)
+            built, decided = unravel_payoff(current, part, stage if n else level, **caps)
         except ArenaError as error:  # named by its image, as the expression writes it
             image = error.position
             if composite is not None and image is not None:
@@ -707,10 +708,8 @@ def unravel_payoff(
             stages, colon, fault = str(error).rpartition(": ")  # the fault names it once
             fault = fault.replace(format_position(error.position), format_position(image), 1)
             raise ArenaError(f"stage {n}: {stages}{colon}{fault}", image) from None
-        except ValueError as error:
-            raise ValueError(f"stage {n}: {error}") from None
-        except ResourceLimitError as error:
-            raise ResourceLimitError(f"stage {n}: {error}") from None
+        except (ValueError, ResourceLimitError) as error:
+            raise type(error)(f"stage {n}: {error}") from None
         composite = built if composite is None else compose(composite, built)
         current = composite.source
         deepest = max(deepest, decided)

@@ -138,7 +138,7 @@ def strategy_from(
     """Total strategy built by calling ``choose`` at each decision position;
     a choice that is not a child label is a ``ValueError``."""
     choices = {}
-    for position, labels in tree.decisions(owner).items():
+    for position, labels in decision_table(tree, owner).items():
         choice = choose(position, labels)
         if choice not in labels:
             raise ValueError(f"illegal choice at {format_position(position)}")
@@ -327,6 +327,17 @@ def decision_positions(tree: GameTree, owner: Player) -> list[Position]:
         for p in tree.positions()
         if tree.children_of(p) and to_move(p) is owner
     ]
+
+
+def decision_table(tree: GameTree, owner: Player) -> dict[Position, tuple[Label, ...]]:
+    """The owner's decision positions, each with its child labels, in
+    canonical order; read off the positions and the child labels by id, so
+    it builds no position table in ``tree``."""
+    return {
+        p: labels
+        for p, labels in zip(tree.positions(), tree._labels)
+        if labels and to_move(p) is owner
+    }
 
 
 def sampled_strategies(
@@ -520,13 +531,13 @@ def reference_transfer_from_pruned(
         if not labels or to_move(position) is not owner:
             continue
         if position not in pruned.removed:
-            choices[position] = strategy.move_at(position)
+            choices[position] = strategy.choices[position]
             continue
         entry = position
         while entry[:-1] in pruned.removed:
             entry = entry[:-1]
         if pruned.determined[entry] is owner:
-            choices[position] = pruned.witnesses[entry].move_at(position)
+            choices[position] = pruned.witnesses[entry].choices[position]
         else:
             choices[position] = labels[0]
     return Strategy(owner, choices)
@@ -814,5 +825,5 @@ def reference_strategy_maps(covering: BaseCovering, strategy: Strategy):
             return labels[0]
         return chosen[node].move if len(x) == k + 1 else chosen[node]
 
-    image = {x: choose(x, labels) for x, labels in tree.decisions(strategy.owner).items()}
+    image = {x: choose(x, labels) for x, labels in decision_table(tree, strategy.owner).items()}
     return image, lambda x: x if len(x) <= k else locate(x)[0]

@@ -591,26 +591,35 @@ def test_argument_and_environment_errors_exit_one(fixtures_dir, monkeypatch):
 
 
 def test_negative_level_is_usage_error_naming_it(fixtures_dir):
-    ex1 = game(fixtures_dir, "ex1.game")
+    """A union's first stage gets the level as given, so an odd negative
+    level is named, not rounded up to a legal one."""
+    ex1, union = game(fixtures_dir, "ex1.game"), game(fixtures_dir, "union.game")
     for argv in (
         ("unravel", ex1, "--k", "-2"),
         ("verify", ex1, "--k", "-2"),
         ("export-dot", ex1, "--covering", "--k", "-2"),
-        ("unravel", game(fixtures_dir, "union.game"), "--k", "-2"),
+        ("unravel", union, "--k", "-2"),
     ):
         code, out, err = run_cli(*argv)
         assert (code, out) == (1, ""), argv
         assert "level -2 is negative" in err, argv
+    for argv in (("unravel", union), ("verify", union), ("export-dot", union, "--covering")):
+        argv += ("--k", "-1")
+        assert run_cli(*argv) == (1, "", "error: stage 0: level -1 is negative\n"), argv
 
 
 @pytest.mark.parametrize("command", [("unravel",), ("verify",), ("export-dot", "--covering")])
 def test_a_level_too_deep_names_the_level_given(fixtures_dir, command):
     """An odd level is rounded up, and the message says so; an even
-    level's message names it alone."""
+    level's message names it alone.  A union's first stage names the
+    level given too."""
     ex1 = game(fixtures_dir, "ex1.game")
     for level, named in (("3", "level 3 (rounded up to 4)"), ("4", "level 4")):
         argv = (command[0], ex1, *command[1:], "--k", level)
         assert run_cli(*argv) == (1, "", f"error: {named} needs depth 6, bound is 4\n"), argv
+    argv = (command[0], game(fixtures_dir, "union.game"), *command[1:], "--k", "5")
+    message = "error: stage 0: level 5 (rounded up to 6) needs depth 8, bound is 6\n"
+    assert run_cli(*argv) == (1, "", message), argv
 
 
 def test_sample_count_below_one_is_usage_error(fixtures_dir):

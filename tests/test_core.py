@@ -295,16 +295,19 @@ def test_level_offsets_when_every_play_ends_in_an_early_taboo():
     [
         lambda tree: (0, 1) in tree,
         lambda tree: tree.children_of((0,)),
+        lambda tree: random_strategy(rng_for("lookup"), tree, Player.I).choices.get(()),
+        lambda tree: () in random_strategy(rng_for("lookup"), tree, Player.I).choices,
     ],
 )
 def test_checked_tree_builds_its_position_table_on_first_lookup(lookup):
     """The checked constructor leaves the table to the first lookup, as
-    ``_from_ids`` does; walking by id never builds it."""
+    ``_from_ids`` does; walking by id, drawing a strategy too, never builds
+    it.  A strategy read by position reads the tree's one table."""
     nodes = GameTree.complete(4, 2).positions()
     for tree in (GameTree.complete(4, 2), GameTree(4, nodes), GameTree(4, nodes[::-1])):
         list(tree.taboo_items())
         list(tree.full_depth_plays())
-        tree.decisions(Player.I)
+        random_strategy(rng_for("lookup"), tree, Player.I)
         assert "_children" not in vars(tree)
         lookup(tree)
         assert vars(tree)["_children"] == dict(zip(tree.positions(), tree._labels))
@@ -489,9 +492,9 @@ def test_is_winning_strategy_names_the_first_lost_play(ex1):
 # ----------------------------------------------------------------- misc
 
 
-def test_strategy_move_at_missing_position(ex1):
-    with pytest.raises(ValueError, match="not total"):
-        Strategy(Player.I, {}).move_at((0, 0))
+def test_strategy_missing_choice_or_unknown_label(ex1):
+    with pytest.raises(ValueError, match=r"^strategy has no choice at - \(not total\)$"):
+        consistent_plays(ex1, Strategy(Player.I, {}))
     choices = dict(strategy_from(ex1, Player.I, always(0)).choices)
     choices[(0, 1)] = 7  # a label that is not a child
     with pytest.raises(ValueError, match="unknown position 0/1/7"):
@@ -520,7 +523,7 @@ def test_strategy_from_rejects_illegal_choice(ex1):
 
 @given(st.integers(0, 400))
 @settings(max_examples=30, deadline=None)
-def test_decisions_filter_positions_once_per_player(seed):
+def test_random_strategies_draw_once_per_decision_position(seed):
     """On a checked tree and on the trees its builders write in id form:
     base-covering sources at levels 0 and 2 and the pruned remainder."""
     tree, spec = random_game(f"decisions:{seed}", depth=6, branching=3, taboos=3)
@@ -541,12 +544,6 @@ def test_decisions_filter_positions_once_per_player(seed):
     trees.append(GameTree(2, mixed))  # 5 children at the root, 1 to 5 below it
     for tree in trees:
         for owner in Player:
-            table = tree.decisions(owner)
-            assert list(table) == oracles.decision_positions(tree, owner)
-            assert all(labels == tree.children_of(p) for p, labels in table.items())
-            assert tree.decisions(owner) is table
-            with pytest.raises(TypeError):
-                table[()] = ()  # read-only: shared by every strategy over the tree
             # a random strategy draws one choice per decision position, in
             # canonical order, held as a child index by id
             drawn, replay = rng_for(f"draw:{seed}"), rng_for(f"draw:{seed}")

@@ -814,7 +814,7 @@ def _assert_misses(choices, table, target, owner):
     ``Mapping``: the opponent's node, a terminal and tuples not in the tree
     read as no choice, and a list, unhashable, raises ``TypeError`` as the
     decision table itself does."""
-    other = target.decisions(Player.II if owner is Player.I else Player.I)
+    other = oracles.decision_table(target, owner.opponent)
     decision = next(iter(table))
     misses = [next(iter(other)), next(iter(target.full_depth_plays())), (99,), decision + (99, 99)]
     for p in misses:
@@ -844,7 +844,7 @@ def test_images_are_the_same_in_any_reading_order(kind):
         forward = covering.strategy_transform(strategy).choices
         backward = build().strategy_transform(strategy).choices
         assert isinstance(forward, Choices) and forward.tree is target and forward.owner is owner
-        table = target.decisions(owner)
+        table = oracles.decision_table(target, owner)
         assert len(forward) == len(table)
         assert list(forward) == list(table)
         assert all(p in forward for p in table)
@@ -883,7 +883,7 @@ def test_a_win_check_computes_only_the_choices_on_consistent_plays(kind):
     for owner in Player:
         mapped = covering.strategy_transform(random_strategy(rng, covering.source, owner))
         is_winning_strategy(target, payoff, mapped)
-        table = target.decisions(owner)
+        table = oracles.decision_table(target, owner)
         on_plays = {
             play[:n]
             for play in consistent_plays(target, mapped)
@@ -909,7 +909,7 @@ def test_a_missing_source_choice_is_an_error_at_lookup_not_no_choice(ex1):
     assert mapped.choices[()] == 0
     assert mapped.choices[(0, 0)] == total.choices[(claim, Accept(0))]
     assert (0, 1) in mapped.choices
-    for read in (mapped.choices.__getitem__, mapped.choices.get, mapped.move_at):
+    for read in (mapped.choices.__getitem__, mapped.choices.get):
         with pytest.raises(ValueError, match="no choice at 0/1: the source strategy is not total"):
             read((0, 1))
     with pytest.raises(ValueError, match="no choice at 0/1"):
